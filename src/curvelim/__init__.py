@@ -32,18 +32,16 @@ from .ideal import (
     saturate,
 )
 from .frame import (
+    ENGINE_VERSION,
     Axiom,
     DerivationRuleTable,
     EquationRegistry,
     SymbolTable,
-    apply_derivation,
     check_rule_consistency,
     load_paper_axioms,
     load_paper_symbols,
     load_rule_tables,
     nondegeneracy_records,
 )
-
-ENGINE_VERSION = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,13 +34,11 @@ from .ideal import (
     groebner,
     normal_form,
 )
-from .oracle import DEFAULT_PRIME, SpotCheckConfig, check_certificate
+from .oracle import DEFAULT_PRIME, OracleError
 from .pipeline import (
     Config,
-    RunResult,
     STAGES,
     ScriptError,
-    canonical_digest,
     parse_script,
     run_builtin,
     run_script,
@@ -92,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-power", type=int, default=8)
     v.add_argument("--canonical", action="store_true",
                    help="zero timings so same-seed runs are byte-identical")
-    v.add_argument("--skip-oracle", action="store_true",
-                   help="skip the modular spot-check sweep")
 
     p = sub.add_parser("poly", help="ad-hoc algebra utilities")
     psub = p.add_subparsers(dest="poly_command")
@@ -121,19 +117,6 @@ def _report_path(arg: Optional[str]) -> str:
     return os.path.join(base, "report.json")
 
 
-def _attach_spot_checks(result: RunResult, cfg: SpotCheckConfig) -> dict:
-    """Run the oracle over every certificate/identity; fold stats into steps."""
-    stats = {}
-    for s in result.stages:
-        for sid, ident in s.identities.items():
-            res = check_certificate(ident, cfg=cfg, label=f"{s.name}.{sid}")
-            stats[f"{s.name}.{sid}"] = res
-            for rec in s.records:
-                if rec.sid == sid:
-                    rec.details["spot_check"] = res.as_dict()
-    return stats
-
-
 def _render_text(report: dict, out) -> None:
     print(f"engine {report['engine_version']}  seed {report['seed']}"
           f"  verdict {report['verdict']}", file=out)
@@ -151,10 +134,14 @@ def _render_text(report: dict, out) -> None:
 
 
 def cmd_verify(args) -> int:
-    config = Config(seed=args.seed, trials=args.trials,
-                    max_power=args.max_power,
-                    limits=Limits(args.max_basis, args.max_pairs),
-                    canonical=args.canonical)
+    try:
+        config = Config(seed=args.seed, trials=args.trials, modulus=args.modulus,
+                        max_power=args.max_power,
+                        limits=Limits(args.max_basis, args.max_pairs),
+                        canonical=args.canonical)
+    except OracleError as exc:
+        print(f"bad oracle configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.script and args.stage:
         print("choose either --stage or --script", file=sys.stderr)
         return EXIT_USAGE
@@ -182,28 +169,7 @@ def cmd_verify(args) -> int:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    oracle_stats = {}
-    if not args.skip_oracle:
-        try:
-            cfg = SpotCheckConfig(seed=args.seed, trials=args.trials, prime=args.modulus)
-        except Exception as exc:
-            print(f"bad oracle configuration: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        oracle_stats = _attach_spot_checks(result, cfg)
-
     report = result.report()
-    if oracle_stats:
-        failures = [k for k, v in oracle_stats.items() if v.verdict != "pass"]
-        report["oracle"] = {
-            "prime": args.modulus,
-            "trials": args.trials,
-            "checked": len(oracle_stats),
-            "failed": failures,
-        }
-        if failures and report["verdict"] == "success":
-            report["verdict"] = "failure"
-        report["canonical_digest"] = canonical_digest(report)
-
     path = _report_path(args.report)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"

@@ -794,8 +794,3 @@ def parse_polynomial(text: str, table: VarTable) -> Polynomial:
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
     return result
-
-
-# convenience: build several polys over one table from text
-def parse_many(table: VarTable, *texts: str) -> list:
-    return [parse_polynomial(t, table) for t in texts]

@@ -28,7 +28,7 @@ weighted-homogeneous, which the ideal layer exploits for degree truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
 from .ideal import (
@@ -431,18 +431,21 @@ def load_paper_axioms(symbols: Optional[SymbolTable] = None) -> List[Axiom]:
     return out
 
 
+def curvature_difference_records(mk: Callable[[str], Polynomial]) -> List[SaturationRecord]:
+    """The pairwise differences of the principal curvatures (with lam1 = -2H),
+    parsed by ``mk`` over the caller's table."""
+    diffs = [(f"lam{i}_m_lam1", f"lam{i} + 2*H") for i in (2, 3, 4)]
+    diffs += [(f"lam{i}_m_lam{j}", f"lam{i} - lam{j}") for i, j in ((2, 3), (2, 4), (3, 4))]
+    return [SaturationRecord(sid, mk(text), "principal curvatures mutually distinct")
+            for sid, text in diffs]
+
+
 def nondegeneracy_records(symbols: SymbolTable) -> List[SaturationRecord]:
     """The quantities the source derivation divides by: pairwise differences of the
     principal curvatures (with lam1 = -2H), e_1(H), and the sum of squared
     differences (nonzero since the curvatures are mutually distinct reals)."""
     mk = symbols.poly
-    return [
-        SaturationRecord("lam2_m_lam1", mk("lam2 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam3_m_lam1", mk("lam3 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam4_m_lam1", mk("lam4 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam2_m_lam3", mk("lam2 - lam3"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam2_m_lam4", mk("lam2 - lam4"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam3_m_lam4", mk("lam3 - lam4"), "principal curvatures mutually distinct"),
+    return curvature_difference_records(mk) + [
         SaturationRecord("h1_nonzero", mk("h1"), "e_1(H) != 0"),
         SaturationRecord("sos_distinct",
                          mk("(lam2 - lam3)^2 + (lam2 - lam4)^2 + (lam3 - lam4)^2"),
@@ -590,10 +593,6 @@ def load_rule_tables(symbols: Optional[SymbolTable] = None) -> Dict[str, Derivat
         "o334": Fresh("d4o334"),
     }, "index permutation 2<->4 of the e2 table ('with some similar discussions')")
     return {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
-
-
-def apply_derivation(table: DerivationRuleTable, p: Polynomial):
-    return table.apply(p)
 
 
 # ---------------------------------------------------------------------------

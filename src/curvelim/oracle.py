@@ -161,8 +161,8 @@ def check_certificate(cert, gens=None, target=None,
         multiplier**power * target  ==  sum(cofactor_i * generator_i)
 
     ``cert`` needs attributes target, multiplier, power, pairs (id -> cofactor)
-    and generator_poly(id); both ideal.Certificate and pipeline.Identity
-    qualify.  ``gens``/``target`` optionally override the embedded references
+    and generator_poly(id), as ideal.Certificate has.  ``gens``/``target``
+    optionally override the embedded references
     (a dangling generator id is a structural error).
     """
     cfg = cfg or SpotCheckConfig()
@@ -227,13 +227,3 @@ def _witness(label: str, trial: int, point: Dict[str, int], residue: int,
 def _extra_primes() -> Tuple[int, int, int]:
     # fixed odd primes just above 2^61, for witness confirmation
     return (2305843009213693967, 2305843009213693973, 2305843009213694009)
-
-
-def check_run_identities(identities: Dict[str, object],
-                         cfg: Optional[SpotCheckConfig] = None) -> Dict[str, SpotCheckResult]:
-    """Spot-check every certificate/identity a pipeline run produced."""
-    cfg = cfg or SpotCheckConfig()
-    out = {}
-    for label in sorted(identities):
-        out[label] = check_certificate(identities[label], cfg=cfg, label=label)
-    return out

@@ -62,12 +62,14 @@ from .frame import (
     PERM_2_4,
     SymbolTable,
     check_rule_consistency,
+    curvature_difference_records,
     load_paper_axioms,
     load_paper_symbols,
     load_rule_tables,
     nondegeneracy_records,
     permute_polynomial,
 )
+from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificate
 
 STAGES = ("lemma31", "lemma32", "theorem33", "endgame")
 
@@ -77,57 +79,30 @@ GOOD_STATUSES = {"verified", "matched", "matched-up-to-content", "branch-closed"
 
 @dataclass
 class Config:
-    seed: int = 0
-    trials: int = 100
-    modulus: Optional[int] = None          # oracle prime; None = oracle default
+    seed: int = 0                          # also seeds the oracle's evaluation points
+    trials: int = 100                      # oracle evaluations per certificate
+    modulus: int = DEFAULT_PRIME           # oracle prime
     max_power: int = 8
     limits: Limits = field(default_factory=Limits)
     canonical: bool = False                # zero out timings for byte-stable output
 
+    def __post_init__(self):
+        self.oracle_config()  # a bad oracle setting is rejected before any stage runs
 
-class Identity:
-    """An exact polynomial identity in certificate shape:
+    def oracle_config(self) -> SpotCheckConfig:
+        """The oracle settings; raises OracleError when they are invalid."""
+        return SpotCheckConfig(self.seed, self.trials, self.modulus)
 
-        multiplier**power * target == sum(cofactor_i * part_i)
 
-    Derivation steps and constructive steps (resultants, pseudo-remainders)
-    produce these; they are verified exactly on construction and re-checked by
-    the oracle through evaluation.  The interface mirrors ideal.Certificate.
-    """
-
-    def __init__(self, target: Polynomial, pairs: Dict[str, Tuple[Polynomial, Polynomial]],
-                 multiplier: Optional[Polynomial] = None, power: int = 0,
-                 target_id: str = ""):
-        self.target = target
-        self.multiplier = multiplier if power else None
-        self.power = power if multiplier is not None else 0
-        self.target_id = target_id
-        self.pairs = {k: cof for k, (cof, _) in pairs.items() if not cof.is_zero()}
-        self._parts = {k: part for k, (cof, part) in pairs.items() if not cof.is_zero()}
-        lhs = target * (self.multiplier ** self.power) if self.power else target
-        rhs = Polynomial.zero(target.table)
-        for k in sorted(self.pairs):
-            rhs = rhs + self.pairs[k] * self._parts[k]
-        if lhs != rhs:
-            raise PolyError(f"identity {target_id!r} does not hold")
-
-    def generator_poly(self, key: str) -> Polynomial:
-        return self._parts[key]
-
-    def used_generators(self) -> List[str]:
-        return sorted(self.pairs)
-
-    def identity_text(self) -> str:
-        parts = [f"target := {self.target.to_text()}"]
-        if self.power:
-            parts.append(f"multiplier := {self.multiplier.to_text()} power := {self.power}")
-        for k in self.used_generators():
-            parts.append(f"cofactor[{k}] := {self.pairs[k].to_text()}")
-            parts.append(f"generator[{k}] := {self._parts[k].to_text()}")
-        return "\n".join(parts)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.identity_text().encode()).hexdigest()
+def _identity(target: Polynomial, pairs: Dict[str, Tuple[Polynomial, Polynomial]],
+              target_id: str, multiplier: Optional[Polynomial] = None,
+              power: int = 0) -> Certificate:
+    """Certificate of an exact identity built by a step itself (a chain-rule
+    image, a resultant, a chain derivative): ``pairs`` maps a name to
+    (cofactor, part), and the parts stand in as the generators."""
+    gens = GeneratorSet(target.table, [Relation(k, part) for k, (_, part) in pairs.items()])
+    return Certificate(target, {k: cof for k, (cof, _) in pairs.items()}, gens,
+                       multiplier, power, target_id)
 
 
 @dataclass
@@ -170,7 +145,7 @@ class StageResult:
     name: str
     records: List[StepRecord] = field(default_factory=list)
     annotations: List[str] = field(default_factory=list)
-    identities: Dict[str, object] = field(default_factory=dict)  # sid -> Certificate/Identity
+    identities: Dict[str, Certificate] = field(default_factory=dict)  # by step id
     derived: Dict[str, Polynomial] = field(default_factory=dict)
     conclusions: Dict[str, Polynomial] = field(default_factory=dict)
 
@@ -279,7 +254,7 @@ class StageRunner:
             if img.is_zero():
                 continue
             pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
-        ident = Identity(image, pairs, target_id=sid)
+        ident = _identity(image, pairs, sid)
         if image.is_zero():
             rec = StepRecord(sid, "derive", citation, quote, "verified",
                              certificate_digest=ident.digest(),
@@ -368,11 +343,9 @@ class StageRunner:
         return status
 
     def eliminate_step(self, sid: str, via: Sequence[str], front_vars: Sequence[str],
-                       citation: str = "", quote: str = "",
-                       degree_bound: Optional[int] = None,
-                       keep_generators: bool = False):
-        """Compute an elimination ideal from named relations; records degrees
-        and generators."""
+                       citation: str = "", quote: str = ""):
+        """Compute an elimination ideal from named relations; records the
+        generators and adds them to the knowledge as <sid>_1, <sid>_2, ..."""
         t0 = time.time()
         missing = [rid for rid in via if not self.know.has(rid)]
         if missing:
@@ -383,21 +356,56 @@ class StageRunner:
             return None
         try:
             egens = eliminate(self.know.gens.subset(list(via)), list(front_vars),
-                              limits=self.config.limits.named(sid),
-                              degree_bound=degree_bound)
+                              limits=self.config.limits.named(sid))
         except ResourceExhausted as exc:
             rec = StepRecord(sid, "eliminate_vars", citation, quote, "resource-fail",
                              details={"error": str(exc)})
             self._record(rec, t0)
             return None
-        details: Dict[str, object] = {"eliminated": list(front_vars),
-                                      "generator_count": len(egens)}
-        if keep_generators:
-            details["generators"] = [r.poly.to_text() for r in egens]
+        for n, r in enumerate(egens, start=1):
+            if not self.know.has(f"{sid}_{n}"):
+                self.know.add(f"{sid}_{n}", r.poly)
         rec = StepRecord(sid, "eliminate_vars", citation, quote, "verified",
-                         details=details)
+                         details={"eliminated": list(front_vars),
+                                  "generators": [r.poly.to_text() for r in egens]})
         self._record(rec, t0)
         return egens
+
+    def eliminated_members(self, sid: str, members: Sequence[str], via: Sequence[str],
+                           front_vars: Sequence[str], citation: str = "",
+                           quote: str = "") -> None:
+        """Record claimed relations as members of the elimination ideal of
+        ``via``.  By the elimination theorem a polynomial certified to lie in
+        the ideal of ``via`` (no multiplier) that contains none of
+        ``front_vars`` lies in its intersection with the ring of the remaining
+        variables, so no elimination basis is computed."""
+        t0 = time.time()
+        problems = []
+        for rid in members:
+            cert = self.result.identities.get(rid)
+            if cert is None:
+                problems.append(f"{rid} is not certified")
+            elif cert.power or not set(cert.used_generators()) <= set(via):
+                problems.append(f"{rid} is certified outside the ideal of {list(via)}")
+            elif set(front_vars) & set(cert.target.variables()):
+                problems.append(f"{rid} contains an eliminated variable")
+        details: Dict[str, object] = {"eliminated": list(front_vars),
+                                      "members": list(members)}
+        if problems:
+            details["error"] = "; ".join(problems)
+        rec = StepRecord(sid, "eliminate_vars", citation, quote,
+                         "failure" if problems else "verified", details=details)
+        self._record(rec, t0)
+
+    def assert_nonzero(self, sid: str, poly: Polynomial, citation: str = "",
+                       quote: str = "", **details) -> None:
+        """Record whether a constructed polynomial is nonzero, with its term
+        count and any further ``details``."""
+        t0 = time.time()
+        rec = StepRecord(sid, "assert_nonzero", citation, quote,
+                         "failure" if poly.is_zero() else "nonzero",
+                         details={**details, "term_count": len(poly.terms)})
+        self._record(rec, t0)
 
     def rule_consistency(self, symbols: SymbolTable) -> None:
         t0 = time.time()
@@ -476,15 +484,7 @@ def run_lemma31(config: Config) -> StageResult:
     """Linear Codazzi eliminations: the connection table of the first lemma."""
     table = _lemma31_table()
     mk = lambda t: parse_polynomial(t, table)
-    sats = [
-        SaturationRecord("lam2_m_lam1", mk("lam2 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam3_m_lam1", mk("lam3 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam4_m_lam1", mk("lam4 + 2*H"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam2_m_lam3", mk("lam2 - lam3"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam2_m_lam4", mk("lam2 - lam4"), "principal curvatures mutually distinct"),
-        SaturationRecord("lam3_m_lam4", mk("lam3 - lam4"), "principal curvatures mutually distinct"),
-    ]
-    know = Knowledge(table, sats, config)
+    know = Knowledge(table, curvature_difference_records(mk), config)
     run = StageRunner("lemma31", know, None, config)
 
     compat1 = "compatibility of the metric: \\omega_{ki}^i=0"
@@ -712,8 +712,7 @@ def run_lemma32(config: Config) -> StageResult:
                                [f"{bid}_eq_3_36", f"{bid}_eq_3_37"], [elim_u],
                                citation="display before eq (3.38)",
                                quote="Eliminating \\omega_{22}^1 between (3.36)"
-                                     " and (3.37)",
-                               keep_generators=True)
+                                     " and (3.37)")
             bclaim("disp_3_38", [f"{bid}_eq_3_36", f"{bid}_eq_3_37"],
                    [ps("lam3_m_lam4")],
                    note="content-free form of the eliminant; the elimination's"
@@ -796,19 +795,18 @@ def run_theorem33(config: Config) -> StageResult:
         run.claim_registry(eid, [src] + vanished,
                            note="printed reduction of the curvature component")
 
-    run.eliminate_step("eliminate_w",
-                       ["eq_3_43", "eq_3_44", "eq_3_45", "eq_3_46", "eq_3_47"],
-                       ["w243", "w342", "w432"],
-                       citation="before eq (3.48)",
-                       quote="Eliminating \\omega_{24}^3, \\omega_{34}^2 and"
-                             " \\omega_{43}^2 from (3.43-3.45) by using (3.46),"
-                             " (3.47), (3.11) and (3.3)",
-                       degree_bound=6)
-
     run.claim_registry("eq_3_48",
                        ["eq_3_43", "eq_3_44", "eq_3_45", "eq_3_46", "eq_3_3", "eq_3_11"])
     run.claim_registry("eq_3_49",
                        ["eq_3_43", "eq_3_44", "eq_3_45", "eq_3_46", "eq_3_47", "eq_3_11"])
+    run.eliminated_members("eliminate_w", ["eq_3_48", "eq_3_49"],
+                           ["eq_3_43", "eq_3_44", "eq_3_45", "eq_3_46", "eq_3_47",
+                            "eq_3_11", "eq_3_3"],
+                           ["w243", "w342", "w432"],
+                           citation="before eq (3.48)",
+                           quote="Eliminating \\omega_{24}^3, \\omega_{34}^2 and"
+                                 " \\omega_{43}^2 from (3.43-3.45) by using (3.46),"
+                                 " (3.47), (3.11) and (3.3)")
     run.rule_consistency(symbols)
 
     img = run.derive("d1_eq_3_11", d1, "eq_3_11",
@@ -848,12 +846,12 @@ def run_theorem33(config: Config) -> StageResult:
                quote="Differentiating (3.53) along e_1, by using (3.17-3.19), (3.54),"
                      " (3.53) and (3.59)")
     derived_60 = mk("(200*H^3 + 25*R*H - 200*c*H - 3*K)*s - (408*H^2 - 78*c + 13*R)*h1")
-    run.claim("eq_3_60_derived", derived_60,
-              ["t60", "eq_3_53", "eq_3_59", "eq_3_48", "eq_3_49", "eq_3_55",
-               "eq_3_30", "eq_3_3", "eq_3_11", "K_def", "s_def"],
-              citation="eq (3.60)", quote=registry.entry("eq_3_60").quote,
-              note="certified consequence of differentiating (3.53); the printed"
-                   " right-hand coefficient differs (see match step)")
+    cert60 = run.claim("eq_3_60_derived", derived_60,
+                       ["t60", "eq_3_53", "eq_3_59", "eq_3_48", "eq_3_49", "eq_3_55",
+                        "eq_3_30", "eq_3_3", "eq_3_11", "K_def", "s_def"],
+                       citation="eq (3.60)", quote=registry.entry("eq_3_60").quote,
+                       note="certified consequence of differentiating (3.53); the printed"
+                            " right-hand coefficient differs (see match step)")
     run.match_printed("match_eq_3_60", derived_60, "eq_3_60",
                       extra={"analysis":
                              "printed coefficient (160H^2+13R-78c) on e_1(H) is not a"
@@ -862,6 +860,8 @@ def run_theorem33(config: Config) -> StageResult:
                              " (408H^2-78c+13R).  The printed (3.61), (3.62), (3.64)"
                              " are mutually consistent with the printed coefficient"
                              " and inherit the discrepancy."})
+    if cert60 is None:
+        return run.result  # the rest of the chain is built on the certified (3.60)
     run.result.derived["eq_3_60_derived"] = derived_60
 
     # (3.61): resultant in s of (3.53) and the derived (3.60)
@@ -870,8 +870,8 @@ def run_theorem33(config: Config) -> StageResult:
     rs = resultant(e53, derived_60, "s")
     f1 = e53.coeff_in("s", 1)
     g1 = derived_60.coeff_in("s", 1)
-    ident61 = Identity(rs, {"eq_3_60_derived": (f1, derived_60),
-                            "eq_3_53": (-g1, e53)}, target_id="eq_3_61_derived")
+    ident61 = _identity(rs, {"eq_3_60_derived": (f1, derived_60),
+                             "eq_3_53": (-g1, e53)}, "eq_3_61_derived")
     derived_61 = -rs
     know.add("eq_3_61_derived", derived_61)
     run.result.identities["eq_3_61_derived"] = ident61
@@ -935,10 +935,10 @@ def run_theorem33(config: Config) -> StageResult:
                      citation="before eq (3.65)",
                      quote="Differentiating (3.62) with respect to K and substituting"
                            " dH/dK from (3.63) and (3.64)")
-    ident65 = Identity(derived_65,
-                       {"t65": (Q, t65),
-                        "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
-                       multiplier=mk("h1"), power=1, target_id="eq_3_65_derived")
+    ident65 = _identity(derived_65,
+                        {"t65": (Q, t65),
+                         "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
+                        "eq_3_65_derived", multiplier=mk("h1"), power=1)
     know.add("eq_3_65_derived", derived_65)
     run.result.identities["eq_3_65_derived"] = ident65
     run.result.derived["eq_3_65_derived"] = derived_65
@@ -1024,7 +1024,7 @@ def _derive_big_relation(symbols: SymbolTable, know: Knowledge, d1, run: StageRu
         "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
         "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
     }
-    ident = Identity(derived, pairs, multiplier=h1, power=1, target_id="eq_3_62_derived")
+    ident = _identity(derived, pairs, "eq_3_62_derived", multiplier=h1, power=1)
     know.add("eq_3_62_derived", derived)
     return derived, ident
 
@@ -1102,18 +1102,12 @@ def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> Stag
                      " (3.65) gradually", "verified", details=trace)
     run._record(rec, t0)
 
-    t0 = time.time()
-    nonzero = not elim.is_zero()
     deg_h = elim.degree_in("H")
-    lead = elim.coeff_in("H", deg_h) if nonzero else Polynomial.zero(table)
-    rec = StepRecord("eliminant_nonzero", "assert_nonzero", "end of Theorem 3.3 proof",
-                     "we obtain a non-trivial algebraic polynomial equation of H with"
-                     " constant coefficients",
-                     "nonzero" if nonzero else "failure",
-                     details={"H_degree": deg_h,
-                              "leading_coefficient": lead.to_text(),
-                              "term_count": len(elim.terms)})
-    run._record(rec, t0)
+    lead = Polynomial.zero(table) if elim.is_zero() else elim.coeff_in("H", deg_h)
+    run.assert_nonzero("eliminant_nonzero", elim, "end of Theorem 3.3 proof",
+                       "we obtain a non-trivial algebraic polynomial equation of H with"
+                       " constant coefficients",
+                       H_degree=deg_h, leading_coefficient=lead.to_text())
 
     t0 = time.time()
     rng = random.Random(config.seed)
@@ -1145,6 +1139,7 @@ def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> Stag
 class RunResult:
     stages: List[StageResult]
     config: Config
+    oracle: Dict[str, SpotCheckResult] = field(default_factory=dict)  # by <stage>.<sid>
 
     def verdict(self) -> str:
         verdicts = [s.verdict() for s in self.stages]
@@ -1154,9 +1149,14 @@ class RunResult:
             return "failure"
         if any(v == "documented-discrepancy" for v in verdicts):
             return "documented-discrepancy"
+        if self.oracle_failures():
+            return "failure"
         return "success"
 
-    def identities(self) -> Dict[str, object]:
+    def oracle_failures(self) -> List[str]:
+        return [label for label, res in self.oracle.items() if res.verdict != "pass"]
+
+    def identities(self) -> Dict[str, Certificate]:
         out = {}
         for s in self.stages:
             for sid, ident in s.identities.items():
@@ -1178,6 +1178,13 @@ class RunResult:
             "stages": stages,
             "verdict": self.verdict(),
         }
+        if self.oracle:
+            rep["oracle"] = {
+                "prime": self.config.modulus,
+                "trials": self.config.trials,
+                "checked": len(self.oracle),
+                "failed": self.oracle_failures(),
+            }
         rep["canonical_digest"] = canonical_digest(rep)
         return rep
 
@@ -1192,9 +1199,25 @@ def canonical_digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(clone, sort_keys=True).encode()).hexdigest()
 
 
+def _spot_check(stages: Sequence[StageResult],
+                cfg: SpotCheckConfig) -> Dict[str, SpotCheckResult]:
+    """The oracle sweep: re-check every certificate of the run by modular
+    evaluation, labelled <stage>.<sid>, and attach each result to its step."""
+    results = {}
+    for s in stages:
+        for sid, cert in s.identities.items():
+            label = f"{s.name}.{sid}"
+            results[label] = res = check_certificate(cert, cfg=cfg, label=label)
+            for rec in s.records:
+                if rec.sid == sid:
+                    rec.details["spot_check"] = res.as_dict()
+    return results
+
+
 def run_builtin(stage: str = "all", config: Optional[Config] = None) -> RunResult:
-    """Run one built-in stage (or all four, in order)."""
+    """Run one built-in stage (or all four, in order), then the oracle sweep."""
     config = config or Config()
+    oracle_cfg = config.oracle_config()
     if stage not in STAGES and stage != "all":
         raise ValueError(f"unknown stage {stage!r}; choose from {STAGES + ('all',)}")
     stages: List[StageResult] = []
@@ -1209,7 +1232,7 @@ def run_builtin(stage: str = "all", config: Optional[Config] = None) -> RunResul
             stages.append(th)
     if stage in ("endgame", "all"):
         stages.append(run_endgame(config, th))
-    return RunResult(stages, config)
+    return RunResult(stages, config, _spot_check(stages, oracle_cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -1336,6 +1359,7 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
     """Execute a parsed script.  Parse/shape errors raise ScriptError; algebra
     failures are recorded in the report like the builtin stages."""
     config = config or Config()
+    oracle_cfg = config.oracle_config()
     if script.symbols_mode == "paper":
         symbols = load_paper_symbols()
         table = symbols.table
@@ -1368,13 +1392,16 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         for ax in load_paper_axioms(symbols):
             axioms.setdefault(ax.aid, (ax.poly, ax.citation, ax.quote))
 
-    def resolve_target(text: str, line: int) -> Polynomial:
-        if text.startswith("@"):
-            eid = text[1:]
-            if registry is None or eid not in registry:
-                raise ScriptError(f"unknown registry id {eid!r}", line)
+    def printed(eid: str, line: int) -> Polynomial:
+        if registry is None or eid not in registry:
+            raise ScriptError(f"unknown registry id {eid!r}", line)
+        try:
             return registry.poly(eid)
-        return mk(text, line)
+        except PolyError as exc:
+            raise ScriptError(str(exc), line)
+
+    def resolve_target(text: str, line: int) -> Polynomial:
+        return printed(text[1:], line) if text.startswith("@") else mk(text, line)
 
     stages_out: List[StageResult] = []
     for sstage in script.stages:
@@ -1422,21 +1449,7 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
                 for rid in via:
                     if not know.has(rid):
                         raise ScriptError(f"unknown relation {rid!r}", step.line)
-                t0 = time.time()
-                try:
-                    egens = eliminate(know.gens.subset(via), vs,
-                                      limits=config.limits.named(step.sid))
-                    for n, r in enumerate(egens, start=1):
-                        rid = f"{step.sid}_{n}"
-                        if not know.has(rid):
-                            know.add(rid, r.poly)
-                    rec = StepRecord(step.sid, "eliminate_vars", "", "", "verified",
-                                     details={"eliminated": vs,
-                                              "generators": [r.poly.to_text() for r in egens]})
-                except ResourceExhausted as exc:
-                    rec = StepRecord(step.sid, "eliminate_vars", "", "", "resource-fail",
-                                     details={"error": str(exc)})
-                run._record(rec, t0)
+                run.eliminate_step(step.sid, via, vs)
             elif step.kind == "match_printed":
                 parts = arg.split()
                 if len(parts) != 2:
@@ -1447,18 +1460,14 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
                     raise ScriptError(f"unknown relation {rid!r}", step.line)
                 if not target_text.startswith("@"):
                     raise ScriptError("match target must be @registry_id", step.line)
+                printed(target_text[1:], step.line)
                 run.match_printed(step.sid, know.poly_of(rid), target_text[1:])
             elif step.kind == "assert_nonzero":
                 rid = arg.strip()
                 if not know.has(rid):
                     raise ScriptError(f"unknown relation {rid!r}", step.line)
-                t0 = time.time()
-                nz = not know.poly_of(rid).is_zero()
-                rec = StepRecord(step.sid, "assert_nonzero", "", "",
-                                 "nonzero" if nz else "failure",
-                                 details={"relation": rid})
-                run._record(rec, t0)
+                run.assert_nonzero(step.sid, know.poly_of(rid), relation=rid)
             elif step.kind == "annotate":
                 run.annotate(step.sid, arg)
         stages_out.append(run.result)
-    return RunResult(stages_out, config)
+    return RunResult(stages_out, config, _spot_check(stages_out, oracle_cfg))

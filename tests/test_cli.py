@@ -104,6 +104,19 @@ class TestVerify:
         rep = json.loads(path.read_text())
         assert any(s["verdict"] == "resource-fail" for s in rep["stages"])
 
+    def test_bad_oracle_setting_rejected_before_any_stage(self, tmp_path, monkeypatch,
+                                                          capsys):
+        import curvelim.cli as cli
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "run_builtin", no_stage)
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--modulus", "4", "--report", str(path)]) == 2
+        assert "bad oracle configuration" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_example_script(self, tmp_path):
         example = os.path.join(os.path.dirname(__file__), "..", "docs", "example.ds")
         rc = run_cli(["verify", "--script", example,

@@ -1,10 +1,15 @@
 """Pipeline stages, printed matching, the endgame eliminator, and the script
 format."""
 
+import dataclasses
+
 import pytest
 
+import curvelim.frame as frame
+import curvelim.pipeline as pipeline
 from curvelim.exactpoly import DomainError, parse_polynomial
 from curvelim.frame import EquationRegistry, load_paper_symbols
+from curvelim.ideal import Certificate
 from curvelim.pipeline import (
     Config,
     ScriptError,
@@ -26,6 +31,11 @@ def symbols():
 @pytest.fixture(scope="module")
 def lemma32_result():
     return run_lemma32(Config())
+
+
+@pytest.fixture(scope="module")
+def theorem33_run():
+    return run_builtin("theorem33", Config())
 
 
 class TestMatchPrinted:
@@ -113,14 +123,67 @@ class TestLemma32:
 
 
 class TestStageIndependence:
-    def test_theorem_chain_does_not_need_lemma31(self):
+    def test_theorem_chain_does_not_need_lemma31(self, theorem33_run):
         # the main stage re-verifies its inputs from axioms plus the exported
         # conclusions; running it standalone gives the same verdict
-        res = run_builtin("theorem33", Config())
+        res = theorem33_run
         assert res.stages[0].verdict() == "documented-discrepancy"
         steps = {r.sid: r.status for r in res.stages[0].records}
         assert steps["eq_3_53"] == "verified"
         assert steps["match_eq_3_62"] == "mismatch-documented"
+
+
+class TestCertificates:
+    def test_every_identity_is_a_certificate(self, lemma32_result, theorem33_run):
+        # claims, chain-rule images, the (3.61) resultant and the (3.62)/(3.65)
+        # chain derivatives all carry the one certificate type
+        stages = [lemma32_result] + theorem33_run.stages
+        idents = [i for s in stages for i in s.identities.values()]
+        assert {"eq_3_61_derived", "eq_3_62_derived", "eq_3_65_derived",
+                "t60"} <= set(theorem33_run.stages[0].identities)
+        assert all(isinstance(i, Certificate) for i in idents)
+
+
+class TestEliminateW:
+    def test_members_of_the_elimination_ideal(self, theorem33_run):
+        recs = {r.sid: r for r in theorem33_run.stages[0].records}
+        assert recs["eliminate_w"].status == "verified"
+        assert recs["eliminate_w"].details["members"] == ["eq_3_48", "eq_3_49"]
+
+    def test_corrupted_member_fails_the_step(self, monkeypatch):
+        patched = [dataclasses.replace(e, text=e.text.replace("24*H^2", "25*H^2"))
+                   if e.eid == "eq_3_48" else e for e in frame._REGISTRY]
+        monkeypatch.setattr(frame, "_REGISTRY", patched)
+        rr = run_builtin("theorem33", Config(trials=2))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert recs["eq_3_48"].status == "not-member"
+        assert recs["eliminate_w"].status == "failure"
+        assert "eq_3_48" in recs["eliminate_w"].details["error"]
+        assert rr.verdict() == "failure"
+
+
+class TestOracleInVerdict:
+    def test_library_run_reports_the_sweep(self):
+        rr = run_builtin("lemma31", Config(trials=5))
+        rep = rr.report()
+        assert rep["oracle"]["checked"] == len(rr.identities()) > 0
+        assert rep["oracle"]["trials"] == 5 and rep["oracle"]["failed"] == []
+        assert rep["verdict"] == "success"
+
+    def test_oracle_failure_fails_the_verdict(self, monkeypatch):
+        real = pipeline.check_certificate
+        bad = "lemma31.eq_3_12_w111"
+
+        def one_fails(cert, cfg=None, label=""):
+            res = real(cert, cfg=cfg, label=label)
+            if label == bad:
+                res.failures.append({"label": label})
+            return res
+
+        monkeypatch.setattr(pipeline, "check_certificate", one_fails)
+        rr = run_builtin("lemma31", Config(trials=2))
+        assert rr.verdict() == "failure"
+        assert rr.report()["oracle"]["failed"] == [bad]
 
 
 class TestScriptFormat:
@@ -174,6 +237,18 @@ STEP a4 match_printed a3 @eq_3_30
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses["a3"] == "verified"
         assert statuses["a4"] == "matched"
+
+    @pytest.mark.parametrize("text", [
+        "SYMBOLS x\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+        "STEP m match_printed ax @eq_3_30\n",
+        "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\nSTEP b assume eq_3_3\n"
+        "STEP m match_printed eq_3_11 @eq_9_99\n",
+    ], ids=["custom-symbols", "unknown-id"])
+    def test_match_printed_bad_registry_id_names_line(self, text):
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(text), Config())
+        assert err.value.line == 5
+        assert "unknown registry id" in str(err.value)
 
     def test_saturation_directive(self):
         text = """
