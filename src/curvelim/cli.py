@@ -145,7 +145,6 @@ def cmd_verify(args) -> int:
     if args.script and args.stage:
         print("choose either --stage or --script", file=sys.stderr)
         return EXIT_USAGE
-    resource_failed = False
     try:
         if args.script:
             try:
@@ -165,9 +164,6 @@ def cmd_verify(args) -> int:
     except ScriptError as exc:
         print(f"script error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceExhausted as exc:
-        print(f"resource ceiling: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
 
     report = result.report()
     path = _report_path(args.report)
@@ -183,9 +179,7 @@ def cmd_verify(args) -> int:
 
     _render_text(report, sys.stdout)
     print(f"report written to {path}")
-    if any(s["verdict"] == "resource-fail" for s in report["stages"]):
-        resource_failed = True
-    if resource_failed:
+    if report["verdict"] == "resource-fail":
         return EXIT_RESOURCE
     return EXIT_OK if report["verdict"] == "success" else EXIT_VERIFY_FAIL
 

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
 from .ideal import (
     GeneratorSet,
+    Limits,
     Relation,
     SaturationRecord,
     membership,
@@ -640,8 +641,10 @@ def permute_polynomial(p: Polynomial, mapping: Dict[str, str]) -> Polynomial:
 # rule-table consistency
 # ---------------------------------------------------------------------------
 
-def check_rule_consistency(symbols: Optional[SymbolTable] = None) -> List[Tuple[str, bool, str]]:
-    """Replays the printed restatements that pin the rule-table encoding.
+def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limits = Limits()
+                            ) -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
+    """The printed restatements that pin the rule-table encoding, each as an
+    equation id and a deferred check returning (ok, message).
 
     * eqs (3.50)-(3.52): applying the e1 operator twice to each principal
       curvature and assembling the printed combination must give the zero
@@ -649,46 +652,52 @@ def check_rule_consistency(symbols: Optional[SymbolTable] = None) -> List[Tuple[
     * eq (3.30): the e1 image of the trace relation (3.11) must equal the
       registry polynomial up to sign.
     * eq (3.55)/(3.40): the e1 image of (3.3), reduced modulo (3.30), (3.11)
-      and (3.3), must reproduce the registry polynomial.
+      and (3.3), must reproduce the registry polynomial; its membership runs
+      under ``limits``.
     """
     symbols = symbols or load_paper_symbols()
     reg = EquationRegistry(symbols)
-    rules = load_rule_tables(symbols)
-    d1 = rules["D1"]
+    d1 = load_rule_tables(symbols)["D1"]
     mk = symbols.poly
-    results = []
-
     lam1 = mk("-2*H")
-    d1_lam1, _ = d1.apply(lam1)
-    for eid, lam_name, u_name in [("eq_3_50", "lam2", "u2"),
-                                  ("eq_3_51", "lam3", "u3"),
-                                  ("eq_3_52", "lam4", "u4")]:
+
+    def curvature(lam_name: str, u_name: str) -> Tuple[bool, str]:
         lam = symbols.var(lam_name)
         u = symbols.var(u_name)
         first, _ = d1.apply(lam)
         second, _ = d1.apply(first)
+        d1_lam1, _ = d1.apply(lam1)
         combo = second + u * d1_lam1 + 2 * (lam1 - lam) * u * u + (lam1 - lam) * (lam1 * lam + mk("c"))
         ok = combo.is_zero()
-        results.append((eid, ok, "rule expansion of the printed combination is 0"
-                        if ok else f"nonzero residue: {combo.to_text()}"))
+        return ok, ("rule expansion of the printed combination is 0"
+                    if ok else f"nonzero residue: {combo.to_text()}")
 
-    img_3_11, _ = d1.apply(reg.poly("eq_3_11"))
-    ok = img_3_11 == -reg.poly("eq_3_30")
-    results.append(("eq_3_30", ok,
-                    "e1 image of (3.11) equals -(3.30)" if ok else "sign convention broken"))
+    def trace() -> Tuple[bool, str]:
+        img_3_11, _ = d1.apply(reg.poly("eq_3_11"))
+        ok = img_3_11 == -reg.poly("eq_3_30")
+        return ok, "e1 image of (3.11) equals -(3.30)" if ok else "sign convention broken"
 
-    img_3_3, _ = d1.apply(reg.poly("eq_3_3"))
-    table = symbols.table
-    gens = GeneratorSet(table, [
-        Relation("d1_eq_3_3", img_3_3),
-        Relation("eq_3_30", reg.poly("eq_3_30")),
-        Relation("eq_3_11", reg.poly("eq_3_11")),
-        Relation("eq_3_3", reg.poly("eq_3_3")),
-    ])
-    cert = membership(reg.poly("eq_3_55"), gens,
-                      degree_bound=reg.poly("eq_3_55").weighted_degree())
-    ok = cert is not NOT_MEMBER and cert != NOT_MEMBER
-    results.append(("eq_3_55", bool(ok),
-                    "e1 image of (3.3) reduces to (3.55) modulo (3.30),(3.11),(3.3)"
-                    if ok else "reduction failed"))
-    return results
+    def reduction() -> Tuple[bool, str]:
+        img_3_3, _ = d1.apply(reg.poly("eq_3_3"))
+        gens = GeneratorSet(symbols.table, [
+            Relation("d1_eq_3_3", img_3_3),
+            Relation("eq_3_30", reg.poly("eq_3_30")),
+            Relation("eq_3_11", reg.poly("eq_3_11")),
+            Relation("eq_3_3", reg.poly("eq_3_3")),
+        ])
+        target = reg.poly("eq_3_55")
+        ok = membership(target, gens, limits=limits,
+                        degree_bound=target.weighted_degree()) != NOT_MEMBER
+        return ok, ("e1 image of (3.3) reduces to (3.55) modulo (3.30),(3.11),(3.3)"
+                    if ok else "reduction failed")
+
+    return [("eq_3_50", lambda: curvature("lam2", "u2")),
+            ("eq_3_51", lambda: curvature("lam3", "u3")),
+            ("eq_3_52", lambda: curvature("lam4", "u4")),
+            ("eq_3_30", trace),
+            ("eq_3_55", reduction)]
+
+
+def check_rule_consistency(symbols: Optional[SymbolTable] = None) -> List[Tuple[str, bool, str]]:
+    """Runs every rule-consistency check: (equation id, ok, message)."""
+    return [(eid, *check()) for eid, check in rule_consistency_checks(symbols)]

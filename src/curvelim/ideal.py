@@ -417,11 +417,9 @@ def membership(
     p: Polynomial,
     gens: GeneratorSet,
     saturations: Sequence[SaturationRecord] = (),
-    order: Optional[MonomialOrder] = None,
     max_power: int = 8,
     limits: Limits = Limits(),
     degree_bound: Optional[int] = None,
-    basis: Optional[GroebnerBasis] = None,
     target_id: str = "",
 ):
     """Certificate that m**k * p lies in the ideal of ``gens``, where m is the
@@ -439,18 +437,14 @@ def membership(
         mult = Polynomial.const(p.table, 1)
         for s in saturations:
             mult = mult * s.multiplier
-    bounded = (degree_bound is not None and basis is None
-               and p.is_weighted_homogeneous()
+    bounded = (degree_bound is not None and p.is_weighted_homogeneous()
                and (mult is None or mult.is_weighted_homogeneous()))
-    fixed_basis = basis
     bases: dict = {}
 
     def basis_for(target: Polynomial):
-        if fixed_basis is not None:
-            return fixed_basis
         key = target.weighted_degree() if bounded else None
         if key not in bases:
-            bases[key] = groebner(gens, order, limits=limits, degree_bound=key)
+            bases[key] = groebner(gens, limits=limits, degree_bound=key)
         return bases[key]
 
     target = p

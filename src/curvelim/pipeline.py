@@ -5,8 +5,15 @@ and the final elimination of K.
 
 Step semantics
 --------------
+Every step goes through ``StageRunner.step``, which makes the step's record,
+times it and appends it to the stage.  An algebra error raised in a step (a
+``PolyError``, which includes a prerequisite relation that an earlier failed
+step never produced) becomes a ``failure`` record and a resource ceiling a
+``resource-fail`` record, never an exception, so the stage goes on and its
+report is written.
+
 A knowledge ideal carries the relations verified so far in a stage.  Relations
-enter it in exactly three ways:
+enter it in these ways:
 
 * ``assume``    -- a cited axiom (or a conclusion exported by an earlier stage);
 * ``derive``    -- the image of an existing relation under a derivation rule
@@ -15,7 +22,10 @@ enter it in exactly three ways:
                    oracle can re-check by evaluation;
 * ``claim``     -- a membership certificate: multiplier**power * target is an
                    exact combination of existing relations, with the multiplier
-                   a product of declared nonzero quantities.
+                   a product of declared nonzero quantities;
+* ``construct`` -- a relation the stage builds itself (a resultant, a chain
+                   derivative), with an identity certificate over its parts;
+* elimination generators and case-split conclusions, each recorded as a step.
 
 Printed equations are compared with the registry transcription: ``matched``
 (exact), ``matched-up-to-content`` (nonzero rational factor, recorded), or
@@ -32,6 +42,7 @@ import hashlib
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,13 +72,13 @@ from .frame import (
     PERM_2_3,
     PERM_2_4,
     SymbolTable,
-    check_rule_consistency,
     curvature_difference_records,
     load_paper_axioms,
     load_paper_symbols,
     load_rule_tables,
     nondegeneracy_records,
     permute_polynomial,
+    rule_consistency_checks,
 )
 from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificate
 
@@ -159,47 +170,48 @@ class StageResult:
         return "success"
 
 
-class Knowledge:
-    """The growing set of verified relations within a stage."""
+class StageRunner:
+    """One stage's knowledge ideal -- the relations verified so far -- and its
+    step records.  Every step goes through ``step``."""
 
-    def __init__(self, table: VarTable, sats: Sequence[SaturationRecord], config: Config):
-        self.table = table
+    def __init__(self, name: str, config: Config, table: VarTable,
+                 sats: Sequence[SaturationRecord] = (),
+                 symbols: Optional[SymbolTable] = None):
+        self.result = StageResult(name)
+        self.config = config
         self.gens = GeneratorSet(table)
         self.sats = {s.sid: s for s in sats}
-        self.config = config
+        self.symbols = symbols
+        self.registry = EquationRegistry(symbols) if symbols else None
+        self.rules = load_rule_tables(symbols) if symbols else {}
 
-    def add(self, rid: str, poly: Polynomial) -> None:
-        self.gens.add(Relation(rid, poly))
+    @classmethod
+    def paper(cls, name: str, config: Config) -> "StageRunner":
+        """A stage over the paper's symbols, printed equations, rule tables
+        and nondegeneracy records."""
+        symbols = load_paper_symbols()
+        return cls(name, config, symbols.table, nondegeneracy_records(symbols), symbols)
 
-    def has(self, rid: str) -> bool:
-        return rid in self.gens
+    # -- the step path ---------------------------------------------------------
 
-    def poly_of(self, rid: str) -> Polynomial:
-        return self.gens.get(rid).poly
-
-    def member(self, target: Polynomial, via: Sequence[str],
-               sat_ids: Sequence[str] = (), target_id: str = ""):
-        gens = self.gens.subset(list(via))
-        sats = [self.sats[s] for s in sat_ids]
-        bound = target.weighted_degree() if target.is_weighted_homogeneous() else None
-        return membership(target, gens, saturations=sats,
-                          max_power=self.config.max_power,
-                          limits=self.config.limits,
-                          degree_bound=bound, target_id=target_id)
-
-
-class StageRunner:
-    """Shared mechanics for executing steps and recording results."""
-
-    def __init__(self, name: str, know: Knowledge, registry: Optional[EquationRegistry],
-                 config: Config):
-        self.result = StageResult(name)
-        self.know = know
-        self.registry = registry
-        self.config = config
-        self.failed_hard = False
-
-    # -- helpers ---------------------------------------------------------------
+    @contextmanager
+    def step(self, sid: str, kind: str, citation: str = "", quote: str = "",
+             status: str = "verified", **details):
+        """Record one step: the body fills in the yielded record; an algebra
+        error raised in it becomes ``failure`` and a ceiling ``resource-fail``.
+        Either way the record is timed and appended."""
+        rec = StepRecord(sid, kind, citation, quote, status, details=details)
+        t0 = time.time()
+        try:
+            yield rec
+        except PolyError as exc:
+            rec.status = "failure"
+            rec.details["error"] = str(exc)
+        except ResourceExhausted as exc:
+            rec.status = "resource-fail"
+            rec.details["error"] = str(exc)
+        rec.timing_ms = 0 if self.config.canonical else int((time.time() - t0) * 1000)
+        self.result.records.append(rec)
 
     def _cite(self, eid: str) -> Tuple[str, str]:
         if self.registry is not None and eid in self.registry:
@@ -207,114 +219,89 @@ class StageRunner:
             return e.citation, e.quote
         return "", ""
 
-    def _record(self, rec: StepRecord, started: float) -> StepRecord:
-        rec.timing_ms = 0 if self.config.canonical else int((time.time() - started) * 1000)
-        self.result.records.append(rec)
-        if not rec.ok() and rec.status != "mismatch-documented":
-            self.failed_hard = True
-        return rec
+    def _require(self, rids: Sequence[str]) -> None:
+        missing = [rid for rid in rids if rid not in self.gens]
+        if missing:
+            raise PolyError(f"prerequisite relations missing (earlier step failed): {missing}")
+
+    def _certify(self, rec: StepRecord, cert: Certificate) -> None:
+        self.result.identities[rec.sid] = cert
+        rec.certificate_digest = cert.digest()
+        rec.multiplier_power = cert.power
+        rec.multiplier_text = cert.multiplier.to_text() if cert.power else ""
+
+    def add(self, rid: str, poly: Polynomial) -> None:
+        self.gens.add(Relation(rid, poly))
+
+    def poly_of(self, rid: str) -> Polynomial:
+        self._require([rid])
+        return self.gens.get(rid).poly
+
+    # -- step kinds ------------------------------------------------------------
 
     def annotate(self, sid: str, text: str, citation: str = "", quote: str = "") -> None:
-        t0 = time.time()
-        rec = StepRecord(sid, "annotate", citation, quote, "annotation",
-                         details={"text": text})
-        self._record(rec, t0)
-        self.result.annotations.append(f"{sid}: {text}")
+        with self.step(sid, "annotate", citation, quote, "annotation", text=text):
+            self.result.annotations.append(f"{sid}: {text}")
 
     def assume(self, rid: str, poly: Polynomial, citation: str, quote: str,
                note: str = "") -> None:
-        t0 = time.time()
-        self.know.add(rid, poly)
-        rec = StepRecord(rid, "assume", citation, quote, "assumed",
-                         details={"note": note} if note else {})
-        self._record(rec, t0)
+        with self.step(rid, "assume", citation, quote, "assumed",
+                       **({"note": note} if note else {})):
+            self.add(rid, poly)
 
     def derive(self, sid: str, rule, source_id: str, citation: str = "",
                quote: str = "") -> Optional[Polynomial]:
         """Apply a derivation rule table to an existing relation and add the
         image; the chain-rule identity backs the step."""
-        t0 = time.time()
-        if not self.know.has(source_id):
-            rec = StepRecord(sid, "derive", citation, quote, "failure",
-                             details={"error": f"prerequisite relation missing"
-                                               f" (earlier step failed): {source_id}"})
-            self._record(rec, t0)
-            return None
-        src = self.know.poly_of(source_id)
-        try:
+        with self.step(sid, "derive", citation, quote, source=source_id,
+                       rule=rule.name) as rec:
+            src = self.poly_of(source_id)
             image, fresh = rule.apply(src)
-        except PolyError as exc:
-            rec = StepRecord(sid, "derive", citation, quote, "failure",
-                             details={"error": str(exc), "source": source_id})
-            self._record(rec, t0)
-            return None
-        pairs = {}
-        for v in sorted(src.variables()):
-            img = rule.image_of(v)
-            if img.is_zero():
-                continue
-            pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
-        ident = _identity(image, pairs, sid)
-        if image.is_zero():
-            rec = StepRecord(sid, "derive", citation, quote, "verified",
-                             certificate_digest=ident.digest(),
-                             fresh_minted=sorted(fresh),
-                             details={"source": source_id, "rule": rule.name,
-                                      "image": "0"})
-            self._record(rec, t0)
-            return None
-        self.know.add(sid, image)
-        self.result.identities[sid] = ident
-        rec = StepRecord(sid, "derive", citation, quote, "verified",
-                         certificate_digest=ident.digest(),
-                         fresh_minted=sorted(fresh),
-                         details={"source": source_id, "rule": rule.name})
-        self._record(rec, t0)
-        return image
+            pairs = {}
+            for v in sorted(src.variables()):
+                img = rule.image_of(v)
+                if not img.is_zero():
+                    pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
+            ident = _identity(image, pairs, sid)
+            rec.fresh_minted = sorted(fresh)
+            if image.is_zero():
+                rec.certificate_digest = ident.digest()
+                rec.details["image"] = "0"
+                return None
+            self._certify(rec, ident)
+            self.add(sid, image)
+            return image
 
     def claim(self, sid: str, target: Polynomial, via: Sequence[str],
               sat_ids: Sequence[str] = (), citation: str = "", quote: str = "",
-              note: str = "", add_as: Optional[str] = None) -> Optional[Certificate]:
-        """Membership of a target in the knowledge ideal; adds it on success."""
-        t0 = time.time()
+              note: str = "", add_as: Optional[str] = None, status: str = "verified",
+              fresh_cancelled: Sequence[str] = (), **details) -> Optional[Certificate]:
+        """Membership of a target in the knowledge ideal; adds it (as
+        ``add_as``) on success, recorded with ``status``."""
         add_as = add_as or sid
-        missing = [rid for rid in via if not self.know.has(rid)]
-        if missing:
-            rec = StepRecord(sid, "assert_member", citation, quote, "failure",
-                             details={"error": f"prerequisite relations missing"
-                                               f" (earlier step failed): {missing}"})
-            self._record(rec, t0)
-            return None
-        try:
-            cert = self.know.member(target, via, sat_ids, target_id=sid)
-        except ResourceExhausted as exc:
-            rec = StepRecord(sid, "assert_member", citation, quote, "resource-fail",
-                             details={"error": str(exc)})
-            self._record(rec, t0)
-            return None
-        if cert == NOT_MEMBER:
-            rec = StepRecord(sid, "assert_member", citation, quote, "not-member",
-                             details={"via": list(via), "saturations": list(sat_ids)})
-            self._record(rec, t0)
-            return None
-        minted = [v for v in target.variables() if v.startswith(("d2_", "d3_", "d4_"))]
-        if not self.know.has(add_as):
-            self.know.add(add_as, target)
-        self.result.identities[sid] = cert
-        rec = StepRecord(
-            sid, "assert_member", citation, quote, "verified",
-            certificate_digest=cert.digest(),
-            multiplier_power=cert.power,
-            multiplier_text=cert.multiplier.to_text() if cert.power else "",
-            details={"used_generators": cert.used_generators(),
-                     "declared_via": list(via),
-                     "saturations": list(sat_ids),
-                     **({"note": note} if note else {})},
-        )
-        if minted:
-            rec.details["fresh_symbols_in_target"] = minted
-        self._record(rec, t0)
-        return cert
+        with self.step(sid, "assert_member", citation, quote, status, **details) as rec:
+            self._require(via)
+            bound = target.weighted_degree() if target.is_weighted_homogeneous() else None
+            cert = membership(target, self.gens.subset(list(via)),
+                              saturations=[self.sats[s] for s in sat_ids],
+                              max_power=self.config.max_power, limits=self.config.limits,
+                              degree_bound=bound, target_id=sid)
+            if cert == NOT_MEMBER:
+                rec.status = "not-member"
+                rec.details.update(via=list(via), saturations=list(sat_ids))
+                return None
+            if add_as not in self.gens:
+                self.add(add_as, target)
+            self._certify(rec, cert)
+            rec.fresh_cancelled = list(fresh_cancelled)
+            rec.details.update(used_generators=cert.used_generators(),
+                               declared_via=list(via), saturations=list(sat_ids))
+            if note:
+                rec.details["note"] = note
+            minted = [v for v in target.variables() if v.startswith(("d2_", "d3_", "d4_"))]
+            if minted:
+                rec.details["fresh_symbols_in_target"] = minted
+            return cert
 
     def claim_registry(self, eid: str, via: Sequence[str], sat_ids: Sequence[str] = (),
                        note: str = "", sid: Optional[str] = None) -> Optional[Certificate]:
@@ -322,54 +309,51 @@ class StageRunner:
         return self.claim(sid or eid, self.registry.poly(eid), via, sat_ids,
                           citation=citation, quote=quote, note=note, add_as=eid)
 
-    def match_printed(self, sid: str, derived: Polynomial, eid: str,
-                      extra: Optional[dict] = None) -> str:
-        """Compare a constructed polynomial against the registry transcription."""
-        t0 = time.time()
-        citation, quote = self._cite(eid)
-        printed = self.registry.poly(eid)
-        status, details = match_printed(derived, printed)
-        details["registry_id"] = eid
-        if extra:
-            details.update(extra)
-        if status == "mismatch":
-            status = "mismatch-documented"
-            details["documented_discrepancy"] = (
-                "derived polynomial is certificate-backed but differs from the"
-                " printed transcription; see diff"
-            )
-        rec = StepRecord(sid, "match_printed", citation, quote, status, details=details)
-        self._record(rec, t0)
-        return status
+    def match_printed(self, sid: str, derived: Optional[Polynomial], eid: str,
+                      printed: Optional[Polynomial] = None, **details) -> str:
+        """Compare a constructed polynomial against the registry transcription
+        of ``eid``, or against ``printed``, its form in a permuted replay."""
+        with self.step(sid, "match_printed", *self._cite(eid), registry_id=eid,
+                       **details) as rec:
+            if derived is None:
+                raise PolyError("nothing to compare: the step building it failed")
+            status, found = match_printed(derived, self.registry.poly(eid)
+                                          if printed is None else printed)
+            rec.details.update(found)
+            if status == "mismatch":
+                status = "mismatch-documented"
+                rec.details["documented_discrepancy"] = (
+                    "derived polynomial is certificate-backed but differs from the"
+                    " printed transcription; see diff"
+                )
+            rec.status = status
+        return rec.status
+
+    def construct(self, sid: str, kind: str, citation: str, quote: str, build,
+                  status: str = "verified", **details) -> Optional[Polynomial]:
+        """A relation the stage builds itself (a resultant, a chain
+        derivative): ``build()`` returns it with its identity certificate, and
+        it joins the knowledge and the stage's derived relations."""
+        with self.step(sid, kind, citation, quote, status, **details) as rec:
+            poly, cert = build()
+            self._certify(rec, cert)
+            self.add(sid, poly)
+            self.result.derived[sid] = poly
+            return poly
 
     def eliminate_step(self, sid: str, via: Sequence[str], front_vars: Sequence[str],
-                       citation: str = "", quote: str = ""):
+                       citation: str = "", quote: str = "") -> None:
         """Compute an elimination ideal from named relations; records the
         generators and adds them to the knowledge as <sid>_1, <sid>_2, ..."""
-        t0 = time.time()
-        missing = [rid for rid in via if not self.know.has(rid)]
-        if missing:
-            rec = StepRecord(sid, "eliminate_vars", citation, quote, "failure",
-                             details={"error": f"prerequisite relations missing:"
-                                               f" {missing}"})
-            self._record(rec, t0)
-            return None
-        try:
-            egens = eliminate(self.know.gens.subset(list(via)), list(front_vars),
+        with self.step(sid, "eliminate_vars", citation, quote,
+                       eliminated=list(front_vars)) as rec:
+            self._require(via)
+            egens = eliminate(self.gens.subset(list(via)), list(front_vars),
                               limits=self.config.limits.named(sid))
-        except ResourceExhausted as exc:
-            rec = StepRecord(sid, "eliminate_vars", citation, quote, "resource-fail",
-                             details={"error": str(exc)})
-            self._record(rec, t0)
-            return None
-        for n, r in enumerate(egens, start=1):
-            if not self.know.has(f"{sid}_{n}"):
-                self.know.add(f"{sid}_{n}", r.poly)
-        rec = StepRecord(sid, "eliminate_vars", citation, quote, "verified",
-                         details={"eliminated": list(front_vars),
-                                  "generators": [r.poly.to_text() for r in egens]})
-        self._record(rec, t0)
-        return egens
+            for n, r in enumerate(egens, start=1):
+                if f"{sid}_{n}" not in self.gens:
+                    self.add(f"{sid}_{n}", r.poly)
+            rec.details["generators"] = [r.poly.to_text() for r in egens]
 
     def eliminated_members(self, sid: str, members: Sequence[str], via: Sequence[str],
                            front_vars: Sequence[str], citation: str = "",
@@ -379,43 +363,37 @@ class StageRunner:
         the ideal of ``via`` (no multiplier) that contains none of
         ``front_vars`` lies in its intersection with the ring of the remaining
         variables, so no elimination basis is computed."""
-        t0 = time.time()
-        problems = []
-        for rid in members:
-            cert = self.result.identities.get(rid)
-            if cert is None:
-                problems.append(f"{rid} is not certified")
-            elif cert.power or not set(cert.used_generators()) <= set(via):
-                problems.append(f"{rid} is certified outside the ideal of {list(via)}")
-            elif set(front_vars) & set(cert.target.variables()):
-                problems.append(f"{rid} contains an eliminated variable")
-        details: Dict[str, object] = {"eliminated": list(front_vars),
-                                      "members": list(members)}
-        if problems:
-            details["error"] = "; ".join(problems)
-        rec = StepRecord(sid, "eliminate_vars", citation, quote,
-                         "failure" if problems else "verified", details=details)
-        self._record(rec, t0)
+        with self.step(sid, "eliminate_vars", citation, quote,
+                       eliminated=list(front_vars), members=list(members)):
+            problems = []
+            for rid in members:
+                cert = self.result.identities.get(rid)
+                if cert is None:
+                    problems.append(f"{rid} is not certified")
+                elif cert.power or not set(cert.used_generators()) <= set(via):
+                    problems.append(f"{rid} is certified outside the ideal of {list(via)}")
+                elif set(front_vars) & set(cert.target.variables()):
+                    problems.append(f"{rid} contains an eliminated variable")
+            if problems:
+                raise PolyError("; ".join(problems))
 
     def assert_nonzero(self, sid: str, poly: Polynomial, citation: str = "",
                        quote: str = "", **details) -> None:
         """Record whether a constructed polynomial is nonzero, with its term
         count and any further ``details``."""
-        t0 = time.time()
-        rec = StepRecord(sid, "assert_nonzero", citation, quote,
-                         "failure" if poly.is_zero() else "nonzero",
-                         details={**details, "term_count": len(poly.terms)})
-        self._record(rec, t0)
+        with self.step(sid, "assert_nonzero", citation, quote,
+                       "failure" if poly.is_zero() else "nonzero",
+                       **details, term_count=len(poly.terms)):
+            pass
 
-    def rule_consistency(self, symbols: SymbolTable) -> None:
-        t0 = time.time()
-        for eid, ok, msg in check_rule_consistency(symbols):
-            rec = StepRecord(f"consistency_{eid}", "check_rule_consistency",
-                             *self._cite(eid),
-                             status="consistent" if ok else "failure",
-                             details={"note": msg})
-            self._record(rec, t0)
-            t0 = time.time()
+    def rule_consistency(self) -> None:
+        for eid, check in rule_consistency_checks(self.symbols, self.config.limits):
+            with self.step(f"consistency_{eid}", "check_rule_consistency",
+                           *self._cite(eid), status="consistent") as rec:
+                ok, note = check()
+                rec.details["note"] = note
+                if not ok:
+                    rec.status = "failure"
 
 
 def match_printed(derived: Polynomial, printed: Polynomial) -> Tuple[str, dict]:
@@ -484,8 +462,7 @@ def run_lemma31(config: Config) -> StageResult:
     """Linear Codazzi eliminations: the connection table of the first lemma."""
     table = _lemma31_table()
     mk = lambda t: parse_polynomial(t, table)
-    know = Knowledge(table, curvature_difference_records(mk), config)
-    run = StageRunner("lemma31", know, None, config)
+    run = StageRunner("lemma31", config, table, curvature_difference_records(mk))
 
     compat1 = "compatibility of the metric: \\omega_{ki}^i=0"
     compat2 = "compatibility of the metric: \\omega_{ki}^j+\\omega_{kj}^i=0"
@@ -599,13 +576,8 @@ def _lemma32_cases() -> List[_LemmaCase]:
 def run_lemma32(config: Config) -> StageResult:
     """The claim that the transverse connection coefficients vanish, by
     contradiction: assuming one nonzero forces e_1(H) = 0."""
-    symbols = load_paper_symbols()
-    registry = EquationRegistry(symbols)
-    rules = load_rule_tables(symbols)
-    table = symbols.table
-    know = Knowledge(table, nondegeneracy_records(symbols), config)
-    run = StageRunner("lemma32", know, registry, config)
-    mk = symbols.poly
+    run = StageRunner.paper("lemma32", config)
+    registry, rules, mk = run.registry, run.rules, run.symbols.poly
 
     for aid in ("eq_3_3", "eq_3_11"):
         e = registry.entry(aid)
@@ -621,7 +593,6 @@ def run_lemma32(config: Config) -> StageResult:
                citation="before eq (3.40)", quote="Acting e_1 on both sides of (3.3)")
     run.claim_registry("eq_3_40", ["d1_eq_3_3", "eq_3_30", "eq_3_11", "eq_3_3"])
 
-    perms = {"e2": None, "e3": PERM_2_3, "e4": PERM_2_4}
     # how the pairwise-difference saturation ids transform under the replays
     perm_sat = {
         "e2": {},
@@ -631,7 +602,7 @@ def run_lemma32(config: Config) -> StageResult:
 
     for case in _lemma32_cases():
         tag = case.tag
-        perm = perms[tag]
+        perm = case.perm
         psat = perm_sat[tag]
         dd = rules[case.rule]
 
@@ -653,23 +624,18 @@ def run_lemma32(config: Config) -> StageResult:
         run.derive(sid("d_eq_3_30"), dd, "eq_3_30",
                    citation="eqs (3.31)-(3.32)",
                    quote="Now acting e_2 on both sides of the above equation")
-        c33 = run.claim(sid("eq_3_33"), reg("eq_3_33"),
-                        [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
-                        citation="eq (3.33)",
-                        quote=registry.entry("eq_3_33").quote,
-                        add_as=sid("eq_3_33"))
-        if c33 is not None:
-            minted = dd.rules["u2" if tag == "e2" else ("u3" if tag == "e3" else "u4")].symbol
-            cancelled = minted not in reg("eq_3_33").variables()
-            run.result.records[-1].fresh_cancelled = [minted] if cancelled else []
-            run.result.records[-1].details["fresh_symbol_cancelled"] = cancelled
+        elim_u = "u2" if tag == "e2" else ("u3" if tag == "e3" else "u4")
+        minted = dd.rules[elim_u].symbol
+        cancelled = minted not in reg("eq_3_33").variables()
+        run.claim(sid("eq_3_33"), reg("eq_3_33"),
+                  [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
+                  citation="eq (3.33)", quote=registry.entry("eq_3_33").quote,
+                  add_as=sid("eq_3_33"), fresh_cancelled=[minted] if cancelled else [],
+                  fresh_symbol_cancelled=cancelled)
         dimg = run.derive(sid("d_eq_3_3"), dd, "eq_3_3",
                           citation="before eq (3.34)",
                           quote="differentiating (3.3) along e_2, by (3.11) and (3.7)")
-        st34, det34 = match_printed(dimg, reg("eq_3_34"))
-        rec = StepRecord(sid("match_eq_3_34"), "match_printed",
-                         *run._cite("eq_3_34"), status=st34, details=det34)
-        run._record(rec, time.time())
+        run.match_printed(sid("match_eq_3_34"), dimg, "eq_3_34", reg("eq_3_34"))
         run.claim(sid("eq_3_34"), reg("eq_3_34"), [sid("d_eq_3_3")],
                   citation="eq (3.34)", quote=registry.entry("eq_3_34").quote,
                   add_as=sid("eq_3_34"))
@@ -677,10 +643,7 @@ def run_lemma32(config: Config) -> StageResult:
                            citation="before eq (3.35)",
                            quote="Differentiating (3.34) along e_1, by applying (3.7),"
                                  " the second expression of (3.6), (3.20) and (3.21)")
-        st35, det35 = match_printed(img35, reg("eq_3_35"))
-        rec = StepRecord(sid("match_eq_3_35"), "match_printed",
-                         *run._cite("eq_3_35"), status=st35, details=det35)
-        run._record(rec, time.time())
+        run.match_printed(sid("match_eq_3_35"), img35, "eq_3_35", reg("eq_3_35"))
         run.claim(sid("eq_3_35"), reg("eq_3_35"), [sid("d1_eq_3_34")],
                   citation="eq (3.35)", quote=registry.entry("eq_3_35").quote,
                   add_as=sid("eq_3_35"))
@@ -693,7 +656,7 @@ def run_lemma32(config: Config) -> StageResult:
         for hyp, branch in ((case.hyp_a, "a"), (case.hyp_b, "b")):
             bid = f"{sid('branch')}_{hyp}"
             run.annotate(f"{bid}_open",
-                         f"branch hypothesis: {know.sats[hyp].multiplier.to_text()} != 0",
+                         f"branch hypothesis: {run.sats[hyp].multiplier.to_text()} != 0",
                          "after eq (3.35)",
                          "We claim that \\omega_{33}^2=\\omega_{44}^2=0")
 
@@ -707,7 +670,6 @@ def run_lemma32(config: Config) -> StageResult:
                    [hyp, ps("lam2_m_lam3"), ps("lam2_m_lam4")])
             bclaim("eq_3_37", [sid("eq_3_34"), sid("eq_3_35")],
                    [hyp, ps("lam2_m_lam3"), ps("lam2_m_lam4")])
-            elim_u = "u2" if tag == "e2" else ("u3" if tag == "e3" else "u4")
             run.eliminate_step(f"{bid}_eliminate_u",
                                [f"{bid}_eq_3_36", f"{bid}_eq_3_37"], [elim_u],
                                citation="display before eq (3.38)",
@@ -724,32 +686,27 @@ def run_lemma32(config: Config) -> StageResult:
             bclaim("eq_3_42a", [f"{bid}_eq_3_41"], ["sos_distinct"])
             bclaim("eq_3_42b", [f"{bid}_eq_3_42a", f"{bid}_eq_3_39"], [])
             bclaim("eq_3_42c", [f"{bid}_eq_3_42b", f"{bid}_eq_3_38"], [])
-            ccert = run.claim(f"{bid}_close", Polynomial.const(table, 1),
+            ccert = run.claim(f"{bid}_close", Polynomial.const(run.gens.table, 1),
                               ["eq_3_30", f"{bid}_eq_3_42a", f"{bid}_eq_3_42b",
                                f"{bid}_eq_3_42c"],
                               ["h1_nonzero"],
                               citation="after eq (3.42)",
                               quote="Combining (3.30) with (3.42) gives e_1(H)=0, which"
                                     " contradicts to the first expression of (3.4)",
-                              add_as=f"{bid}_one")
+                              add_as=f"{bid}_one", status="branch-closed")
             if ccert is not None:
-                run.result.records[-1].status = "branch-closed"
                 closures[hyp] = ccert
         if len(closures) == 2:
             for hyp, name in ((case.hyp_a, case.concl_a), (case.hyp_b, case.concl_b)):
-                t0 = time.time()
-                know.add(name, mk(name))
-                run.result.conclusions[name] = mk(name)
-                rec = StepRecord(
-                    f"{sid('conclude')}_{name}", "case_split", "after eq (3.42)",
-                    "Therefore, we conclude \\omega_{33}^2=\\omega_{44}^2=0",
-                    "verified",
-                    certificate_digest=closures[hyp].digest(),
-                    details={"conclusion": f"{name} = 0",
-                             "reason": f"branch assuming {name} != 0 reaches the unit"
-                                       " ideal; all other multipliers used are"
-                                       " pointwise nonzero"})
-                run._record(rec, t0)
+                with run.step(f"{sid('conclude')}_{name}", "case_split", "after eq (3.42)",
+                              "Therefore, we conclude \\omega_{33}^2=\\omega_{44}^2=0",
+                              conclusion=f"{name} = 0",
+                              reason=f"branch assuming {name} != 0 reaches the unit"
+                                     " ideal; all other multipliers used are"
+                                     " pointwise nonzero") as rec:
+                    rec.certificate_digest = closures[hyp].digest()
+                    run.add(name, mk(name))
+                    run.result.conclusions[name] = mk(name)
         run.annotate(sid("lambda_const"),
                      "with the transverse coefficients gone, the rule tables give"
                      f" {tag}(lam_i) = 0 for every principal curvature",
@@ -763,14 +720,10 @@ def run_lemma32(config: Config) -> StageResult:
 # ---------------------------------------------------------------------------
 
 def run_theorem33(config: Config) -> StageResult:
-    symbols = load_paper_symbols()
-    registry = EquationRegistry(symbols)
-    rules = load_rule_tables(symbols)
+    run = StageRunner.paper("theorem33", config)
+    symbols, registry, rules = run.symbols, run.registry, run.rules
     d1 = rules["D1"]
-    table = symbols.table
     mk = symbols.poly
-    know = Knowledge(table, nondegeneracy_records(symbols), config)
-    run = StageRunner("theorem33", know, registry, config)
 
     for ax in load_paper_axioms(symbols):
         note = registry.entry(ax.aid).note
@@ -807,7 +760,7 @@ def run_theorem33(config: Config) -> StageResult:
                            quote="Eliminating \\omega_{24}^3, \\omega_{34}^2 and"
                                  " \\omega_{43}^2 from (3.43-3.45) by using (3.46),"
                                  " (3.47), (3.11) and (3.3)")
-    run.rule_consistency(symbols)
+    run.rule_consistency()
 
     img = run.derive("d1_eq_3_11", d1, "eq_3_11",
                      citation="before eq (3.30)", quote="Differentiating (3.11) along e_1")
@@ -853,63 +806,46 @@ def run_theorem33(config: Config) -> StageResult:
                        note="certified consequence of differentiating (3.53); the printed"
                             " right-hand coefficient differs (see match step)")
     run.match_printed("match_eq_3_60", derived_60, "eq_3_60",
-                      extra={"analysis":
-                             "printed coefficient (160H^2+13R-78c) on e_1(H) is not a"
-                             " member of the knowledge ideal under any sanctioned"
-                             " saturation; the certified derivative of (3.53) carries"
-                             " (408H^2-78c+13R).  The printed (3.61), (3.62), (3.64)"
-                             " are mutually consistent with the printed coefficient"
-                             " and inherit the discrepancy."})
+                      analysis="printed coefficient (160H^2+13R-78c) on e_1(H) is not a"
+                               " member of the knowledge ideal under any sanctioned"
+                               " saturation; the certified derivative of (3.53) carries"
+                               " (408H^2-78c+13R).  The printed (3.61), (3.62), (3.64)"
+                               " are mutually consistent with the printed coefficient"
+                               " and inherit the discrepancy.")
     if cert60 is None:
         return run.result  # the rest of the chain is built on the certified (3.60)
     run.result.derived["eq_3_60_derived"] = derived_60
 
     # (3.61): resultant in s of (3.53) and the derived (3.60)
-    t0 = time.time()
-    e53 = registry.poly("eq_3_53")
-    rs = resultant(e53, derived_60, "s")
-    f1 = e53.coeff_in("s", 1)
-    g1 = derived_60.coeff_in("s", 1)
-    ident61 = _identity(rs, {"eq_3_60_derived": (f1, derived_60),
-                             "eq_3_53": (-g1, e53)}, "eq_3_61_derived")
-    derived_61 = -rs
-    know.add("eq_3_61_derived", derived_61)
-    run.result.identities["eq_3_61_derived"] = ident61
-    run.result.derived["eq_3_61_derived"] = derived_61
-    rec = StepRecord("eq_3_61_derived", "resultant", "eq (3.61)",
-                     registry.entry("eq_3_61").quote, "verified",
-                     certificate_digest=ident61.digest(),
-                     details={"construction": "resultant of (3.53) and the derived"
-                              " (3.60) with respect to s, negated"})
-    run._record(rec, t0)
+    def build_61():
+        e53 = registry.poly("eq_3_53")
+        rs = resultant(e53, derived_60, "s")
+        f1 = e53.coeff_in("s", 1)
+        g1 = derived_60.coeff_in("s", 1)
+        return -rs, _identity(rs, {"eq_3_60_derived": (f1, derived_60),
+                                   "eq_3_53": (-g1, e53)}, "eq_3_61_derived")
+
+    derived_61 = run.construct("eq_3_61_derived", "resultant", "eq (3.61)",
+                               registry.entry("eq_3_61").quote, build_61,
+                               construction="resultant of (3.53) and the derived"
+                                            " (3.60) with respect to s, negated")
     run.match_printed("match_eq_3_61", derived_61, "eq_3_61")
 
     # (3.62): differentiate (3.61), substitute, clear denominators
-    t0 = time.time()
-    try:
-        derived_62, ident62 = _derive_big_relation(symbols, know, d1, run)
-        run.result.identities["eq_3_62_derived"] = ident62
-        run.result.derived["eq_3_62_derived"] = derived_62
-        rec = StepRecord("eq_3_62_derived", "derive_chain", "eq (3.62)",
-                         "Now differentiating (3.61) along e_1, using (3.54), (3.59),"
-                         " (3.60), (3.61)", "verified",
-                         certificate_digest=ident62.digest(),
-                         multiplier_power=ident62.power,
-                         multiplier_text=ident62.multiplier.to_text() if ident62.power else "",
-                         details={"construction": "chain derivative of the certified"
-                                  " (3.61), transverse substitutions from (3.59) and"
-                                  " the certified (3.60), denominators cleared via"
-                                  " (3.61); certificate multiplier e_1(H)"})
-        run._record(rec, t0)
-        run.match_printed("match_eq_3_62", derived_62, "eq_3_62",
-                          extra={"analysis": "coefficient-level diff against the"
-                                 " printed transcription; inherited from the (3.60)"
-                                 " discrepancy"})
-    except (PolyError, DomainError) as exc:
-        rec = StepRecord("eq_3_62_derived", "derive_chain", "eq (3.62)", "", "failure",
-                         details={"error": str(exc)})
-        run._record(rec, t0)
+    run.derive("t62", d1, "eq_3_61_derived",
+               citation="before eq (3.62)", quote="Now differentiating (3.61) along e_1")
+    derived_62 = run.construct(
+        "eq_3_62_derived", "derive_chain", "eq (3.62)",
+        "Now differentiating (3.61) along e_1, using (3.54), (3.59), (3.60), (3.61)",
+        lambda: _derive_big_relation(symbols, run),
+        construction="chain derivative of the certified (3.61), transverse"
+                     " substitutions from (3.59) and the certified (3.60),"
+                     " denominators cleared via (3.61); certificate multiplier e_1(H)")
+    if derived_62 is None:
         return run.result
+    run.match_printed("match_eq_3_62", derived_62, "eq_3_62",
+                      analysis="coefficient-level diff against the printed"
+                               " transcription; inherited from the (3.60) discrepancy")
 
     # (3.64) cross-multiplied, with the certified coefficient
     derived_64 = (mk("lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
@@ -921,35 +857,28 @@ def run_theorem33(config: Config) -> StageResult:
               citation="eq (3.64)", quote=registry.entry("eq_3_64").quote,
               note="cross-multiplied ratio of e_1(K) to e_1(H), certified coefficient")
     run.match_printed("match_eq_3_64", derived_64, "eq_3_64",
-                      extra={"analysis": "printed form carries the (3.60) coefficient;"
-                             " same documented discrepancy"})
+                      analysis="printed form carries the (3.60) coefficient;"
+                               " same documented discrepancy")
     run.result.derived["eq_3_64_derived"] = derived_64
 
     # (3.65): total K-derivative of (3.62) along the flow, denominators cleared
-    t0 = time.time()
     Q = mk("200*H^3 + 25*R*H - 200*c*H - 3*K")
     FG72 = (mk("(56*H^3 + R*H - 12*c*H + K)*(408*H^2 - 78*c + 13*R)")
             - mk("72*H^2*(200*H^3 + 25*R*H - 200*c*H - 3*K)"))
     derived_65 = derived_62.partial("H") * Q + derived_62.partial("K") * FG72
-    t65 = run.derive("t65", d1, "eq_3_62_derived",
-                     citation="before eq (3.65)",
-                     quote="Differentiating (3.62) with respect to K and substituting"
-                           " dH/dK from (3.63) and (3.64)")
-    ident65 = _identity(derived_65,
-                        {"t65": (Q, t65),
-                         "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
-                        "eq_3_65_derived", multiplier=mk("h1"), power=1)
-    know.add("eq_3_65_derived", derived_65)
-    run.result.identities["eq_3_65_derived"] = ident65
-    run.result.derived["eq_3_65_derived"] = derived_65
-    rec = StepRecord("eq_3_65_derived", "derive_chain", "eq (3.65)",
-                     registry.entry("eq_3_65").quote, "archived",
-                     certificate_digest=ident65.digest(),
-                     multiplier_power=1, multiplier_text="h1",
-                     details={"note": registry.entry("eq_3_65").note,
-                              "k_degree": derived_65.degree_in("K"),
-                              "terms": len(derived_65.terms)})
-    run._record(rec, t0)
+    run.derive("t65", d1, "eq_3_62_derived",
+               citation="before eq (3.65)",
+               quote="Differentiating (3.62) with respect to K and substituting"
+                     " dH/dK from (3.63) and (3.64)")
+    run.construct("eq_3_65_derived", "derive_chain", "eq (3.65)",
+                  registry.entry("eq_3_65").quote,
+                  lambda: (derived_65, _identity(
+                      derived_65,
+                      {"t65": (Q, run.poly_of("t65")),
+                       "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
+                      "eq_3_65_derived", multiplier=mk("h1"), power=1)),
+                  status="archived", note=registry.entry("eq_3_65").note,
+                  k_degree=derived_65.degree_in("K"), terms=len(derived_65.terms))
 
     run.annotate("prose_theorem_3_3",
                  "the certified chain reproduces the computational content; the prose"
@@ -965,22 +894,18 @@ def run_theorem33(config: Config) -> StageResult:
     return run.result
 
 
-def _derive_big_relation(symbols: SymbolTable, know: Knowledge, d1, run: StageRunner):
-    """The (3.62) construction: let T be the rule-derivative of the certified
-    (3.61); rewrite T through (3.59)/(3.60), eliminate s by a resultant, divide
-    by e_1(H) and clear the h1^2 via (3.61).  Returns the content-normalized
-    derived polynomial with a multiplier-h1 certificate over
+def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
+    """The (3.62) construction: let T (step ``t62``) be the rule-derivative of
+    the certified (3.61); rewrite T through (3.59)/(3.60), eliminate s by a
+    resultant, divide by e_1(H) and clear the h1^2 via (3.61).  Returns the
+    content-normalized derived polynomial with a multiplier-h1 certificate over
     {T, s_def, (3.59), (3.60) derived, (3.61) derived}."""
     mk = symbols.poly
-    table = symbols.table
-    e61 = know.poly_of("eq_3_61_derived")
-    e60 = know.poly_of("eq_3_60_derived")
-    e59 = know.poly_of("eq_3_59")
-    s_def = know.poly_of("s_def")
-
-    t62 = run.derive("t62", d1, "eq_3_61_derived",
-                     citation="before eq (3.62)",
-                     quote="Now differentiating (3.61) along e_1")
+    e61 = run.poly_of("eq_3_61_derived")
+    e60 = run.poly_of("eq_3_60_derived")
+    e59 = run.poly_of("eq_3_59")
+    s_def = run.poly_of("s_def")
+    t62 = run.poly_of("t62")
 
     h1 = mk("h1")
     s = mk("s")
@@ -1024,9 +949,7 @@ def _derive_big_relation(symbols: SymbolTable, know: Knowledge, d1, run: StageRu
         "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
         "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
     }
-    ident = _identity(derived, pairs, "eq_3_62_derived", multiplier=h1, power=1)
-    know.add("eq_3_62_derived", derived)
-    return derived, ident
+    return derived, _identity(derived, pairs, "eq_3_62_derived", multiplier=h1, power=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,39 +992,28 @@ def endgame_eliminate(p: Polynomial, q: Polynomial) -> Tuple[Polynomial, dict]:
 
 
 def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> StageResult:
-    symbols = load_paper_symbols()
-    registry = EquationRegistry(symbols)
-    table = symbols.table
-    know = Knowledge(table, nondegeneracy_records(symbols), config)
-    run = StageRunner("endgame", know, registry, config)
-
+    run = StageRunner.paper("endgame", config)
     if theorem33 is None:
         theorem33 = run_theorem33(config)
-    if "eq_3_62_derived" not in theorem33.derived:
-        rec = StepRecord("endgame_inputs", "eliminate_vars", "after eq (3.65)", "",
-                         "failure", details={"error": "main-chain stage did not"
-                                             " produce the derived relations"})
-        run._record(rec, time.time())
+    if "eq_3_65_derived" not in theorem33.derived:  # built from the derived (3.62)
+        with run.step("endgame_inputs", "eliminate_vars", "after eq (3.65)", "",
+                      status="failure", error="main-chain stage did not produce the"
+                                              " derived relations"):
+            pass
         return run.result
-    p62 = theorem33.derived["eq_3_62_derived"]
-    p65 = theorem33.derived["eq_3_65_derived"]
 
-    t0 = time.time()
-    try:
-        elim, trace = endgame_eliminate(p62, p65)
-    except DomainError as exc:
-        rec = StepRecord("eliminate_K", "eliminate_vars", "after eq (3.65)",
-                         "We may eliminate K^4, K^3, K^2 and K from equations (3.62)"
-                         " and (3.65) gradually", "failure",
-                         details={"error": str(exc)})
-        run._record(rec, t0)
+    elim = None
+    with run.step("eliminate_K", "eliminate_vars", "after eq (3.65)",
+                  "We may eliminate K^4, K^3, K^2 and K from equations (3.62) and"
+                  " (3.65) gradually") as rec:
+        elim, trace = endgame_eliminate(theorem33.derived["eq_3_62_derived"],
+                                        theorem33.derived["eq_3_65_derived"])
+        rec.details.update(trace)
+        run.result.derived["eliminant"] = elim
+    if elim is None:
         return run.result
-    run.result.derived["eliminant"] = elim
-    rec = StepRecord("eliminate_K", "eliminate_vars", "after eq (3.65)",
-                     "We may eliminate K^4, K^3, K^2 and K from equations (3.62) and"
-                     " (3.65) gradually", "verified", details=trace)
-    run._record(rec, t0)
 
+    table = run.gens.table
     deg_h = elim.degree_in("H")
     lead = Polynomial.zero(table) if elim.is_zero() else elim.coeff_in("H", deg_h)
     run.assert_nonzero("eliminant_nonzero", elim, "end of Theorem 3.3 proof",
@@ -1109,25 +1021,22 @@ def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> Stag
                        " constant coefficients",
                        H_degree=deg_h, leading_coefficient=lead.to_text())
 
-    t0 = time.time()
-    rng = random.Random(config.seed)
-    samples = []
-    for cval in (-1, 0, 1):
-        for _ in range(5):
-            rval = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-            spec = elim.substitute("c", Polynomial.const(table, cval))
-            spec = spec.substitute("R", Polynomial.const(table, rval))
-            samples.append({"c": cval, "R": str(rval),
-                            "status": "zero" if spec.is_zero() else "nonzero",
-                            "H_degree": spec.degree_in("H")})
-    rec = StepRecord("eliminant_samples", "assert_nonzero", "Consider the cases c=0, -1",
-                     "the real function H must be a constant", "verified",
-                     details={"samples": samples,
-                              "note": "whether special constant pairs could annihilate"
-                                      " the eliminant is left open by the source; the"
-                                      " leading coefficient recorded above is a nonzero"
-                                      " integer, so the degree never drops"})
-    run._record(rec, t0)
+    with run.step("eliminant_samples", "assert_nonzero", "Consider the cases c=0, -1",
+                  "the real function H must be a constant",
+                  note="whether special constant pairs could annihilate the eliminant"
+                       " is left open by the source; the leading coefficient recorded"
+                       " above is a nonzero integer, so the degree never drops") as rec:
+        rng = random.Random(config.seed)
+        samples = []
+        for cval in (-1, 0, 1):
+            for _ in range(5):
+                rval = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+                spec = elim.substitute("c", Polynomial.const(table, cval))
+                spec = spec.substitute("R", Polynomial.const(table, rval))
+                samples.append({"c": cval, "R": str(rval),
+                                "status": "zero" if spec.is_zero() else "nonzero",
+                                "H_degree": spec.degree_in("H")})
+        rec.details["samples"] = samples
     return run.result
 
 
@@ -1363,8 +1272,6 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
     if script.symbols_mode == "paper":
         symbols = load_paper_symbols()
         table = symbols.table
-        registry = EquationRegistry(symbols)
-        rules = load_rule_tables(symbols)
         sats = nondegeneracy_records(symbols)
     else:
         try:
@@ -1372,8 +1279,6 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         except PolyError as exc:
             raise ScriptError(str(exc), 1)
         symbols = None
-        registry = None
-        rules = {}
         sats = []
 
     def mk(text: str, line: int) -> Polynomial:
@@ -1388,25 +1293,21 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
     axioms = {}
     for aid, ptext, citation, quote, ln in script.axioms:
         axioms[aid] = (mk(ptext, ln), citation, quote)
-    if registry is not None:
+    if symbols is not None:
         for ax in load_paper_axioms(symbols):
             axioms.setdefault(ax.aid, (ax.poly, ax.citation, ax.quote))
 
-    def printed(eid: str, line: int) -> Polynomial:
-        if registry is None or eid not in registry:
+    def printed(run: StageRunner, eid: str, line: int) -> Polynomial:
+        if run.registry is None or eid not in run.registry:
             raise ScriptError(f"unknown registry id {eid!r}", line)
         try:
-            return registry.poly(eid)
+            return run.registry.poly(eid)
         except PolyError as exc:
             raise ScriptError(str(exc), line)
 
-    def resolve_target(text: str, line: int) -> Polynomial:
-        return printed(text[1:], line) if text.startswith("@") else mk(text, line)
-
     stages_out: List[StageResult] = []
     for sstage in script.stages:
-        know = Knowledge(table, extra_sats, config)
-        run = StageRunner(sstage.name, know, registry, config)
+        run = StageRunner(sstage.name, config, table, extra_sats, symbols)
         for step in sstage.steps:
             arg = step.args[0]
             if step.kind == "assume":
@@ -1421,16 +1322,17 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
                 if len(parts) != 2:
                     raise ScriptError("derive wants 'rule source_id'", step.line)
                 rname, source = parts
-                if rname not in rules:
+                if rname not in run.rules:
                     raise ScriptError(f"unknown rule table {rname!r}", step.line)
-                if not know.has(source):
+                if source not in run.gens:
                     raise ScriptError(f"unknown relation {source!r}", step.line)
-                run.derive(step.sid, rules[rname], source)
+                run.derive(step.sid, run.rules[rname], source)
             elif step.kind == "assert_member":
                 target_text, via, sat_ids = _split_member_args(arg, step.line)
-                target = resolve_target(target_text, step.line)
+                target = (printed(run, target_text[1:], step.line)
+                          if target_text.startswith("@") else mk(target_text, step.line))
                 for rid in via:
-                    if not know.has(rid):
+                    if rid not in run.gens:
                         raise ScriptError(f"unknown relation {rid!r}", step.line)
                 known_sats = {s.sid for s in extra_sats}
                 for sid_ in sat_ids:
@@ -1447,7 +1349,7 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
                     if v not in table:
                         raise ScriptError(f"unknown variable {v!r}", step.line)
                 for rid in via:
-                    if not know.has(rid):
+                    if rid not in run.gens:
                         raise ScriptError(f"unknown relation {rid!r}", step.line)
                 run.eliminate_step(step.sid, via, vs)
             elif step.kind == "match_printed":
@@ -1456,17 +1358,17 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
                     raise ScriptError("match_printed wants 'relation_id @registry_id'",
                                       step.line)
                 rid, target_text = parts
-                if not know.has(rid):
+                if rid not in run.gens:
                     raise ScriptError(f"unknown relation {rid!r}", step.line)
                 if not target_text.startswith("@"):
                     raise ScriptError("match target must be @registry_id", step.line)
-                printed(target_text[1:], step.line)
-                run.match_printed(step.sid, know.poly_of(rid), target_text[1:])
+                printed(run, target_text[1:], step.line)
+                run.match_printed(step.sid, run.poly_of(rid), target_text[1:])
             elif step.kind == "assert_nonzero":
                 rid = arg.strip()
-                if not know.has(rid):
+                if rid not in run.gens:
                     raise ScriptError(f"unknown relation {rid!r}", step.line)
-                run.assert_nonzero(step.sid, know.poly_of(rid), relation=rid)
+                run.assert_nonzero(step.sid, run.poly_of(rid), relation=rid)
             elif step.kind == "annotate":
                 run.annotate(step.sid, arg)
         stages_out.append(run.result)

@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, report schema, algebra utilities."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+import curvelim.frame as frame
 from curvelim.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -74,6 +76,19 @@ class TestVerify:
         assert rc == 1
         rep = json.loads(path.read_text())
         assert rep["verdict"] == "documented-discrepancy"
+
+    def test_report_written_when_a_step_fails(self, tmp_path, monkeypatch):
+        patched = [dataclasses.replace(e, text=e.text + " + v3*v4")
+                   if e.eid == "eq_3_34" else e for e in frame._REGISTRY]
+        monkeypatch.setattr(frame, "_REGISTRY", patched)
+        path = tmp_path / "l32.json"
+        rc = run_cli(["verify", "--stage", "lemma32", "--report", str(path),
+                      "--trials", "2"])
+        assert rc == 1
+        rep = json.loads(path.read_text())
+        assert rep["verdict"] == "failure"
+        steps = {s["id"]: s["status"] for s in rep["stages"][0]["steps"]}
+        assert steps["eq_3_34"] == "not-member"
 
     def test_good_script_exit_0(self, tmp_path):
         script = tmp_path / "ok.ds"

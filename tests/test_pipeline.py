@@ -1,7 +1,9 @@
 """Pipeline stages, printed matching, the endgame eliminator, and the script
 format."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ import curvelim.frame as frame
 import curvelim.pipeline as pipeline
 from curvelim.exactpoly import DomainError, parse_polynomial
 from curvelim.frame import EquationRegistry, load_paper_symbols
-from curvelim.ideal import Certificate
+from curvelim.ideal import Certificate, Limits
 from curvelim.pipeline import (
     Config,
     ScriptError,
@@ -160,6 +162,66 @@ class TestEliminateW:
         assert recs["eliminate_w"].status == "failure"
         assert "eq_3_48" in recs["eliminate_w"].details["error"]
         assert rr.verdict() == "failure"
+
+
+def _corrupt(monkeypatch, eid, extra_text):
+    """Append ``extra_text`` to the printed transcription of ``eid``."""
+    patched = [dataclasses.replace(e, text=e.text + extra_text) if e.eid == eid else e
+               for e in frame._REGISTRY]
+    monkeypatch.setattr(frame, "_REGISTRY", patched)
+
+
+class TestFailedStepsAreRecords:
+    @pytest.mark.parametrize("stage", ["lemma32", "theorem33"])
+    def test_trace_relation_without_a_rule(self, monkeypatch, stage):
+        # D1 has no rule for w243, so differentiating (3.11) fails and the
+        # match that compares its image has nothing to compare
+        _corrupt(monkeypatch, "eq_3_11", " + w243")
+        rr = run_builtin(stage, Config(trials=2))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert rr.verdict() == "failure"
+        assert recs["d1_eq_3_11"].status == "failure"
+        assert recs["match_eq_3_30"].status == "failure"
+
+    def test_corrupted_printed_eq_3_34(self, monkeypatch):
+        _corrupt(monkeypatch, "eq_3_34", " + v3*v4")
+        rr = run_builtin("lemma32", Config(trials=2))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert rr.verdict() == "failure"
+        assert recs["match_eq_3_34"].status == "mismatch-documented"
+        assert recs["match_eq_3_34"].details["registry_id"] == "eq_3_34"
+        assert recs["eq_3_34"].status == "not-member"
+        assert recs["match_eq_3_35"].status == "failure"
+
+    def test_ceiling_reaches_rule_consistency(self):
+        rr = run_builtin("theorem33", Config(trials=2, limits=Limits(max_basis=1)))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert recs["eq_3_55"].status == "resource-fail"
+        assert recs["consistency_eq_3_55"].status == "resource-fail"
+        assert rr.verdict() == "resource-fail"
+
+    def test_records_are_made_only_by_the_step_path(self):
+        # no StepRecord is built, and no stage's records are written, outside
+        # StageRunner
+        tree = ast.parse(Path(pipeline.__file__).read_text())
+        runner = next(n for n in tree.body
+                      if isinstance(n, ast.ClassDef) and n.name == "StageRunner")
+        inside = {id(n) for n in ast.walk(runner)}
+        offenders = []
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "StepRecord"):
+                offenders.append(f"line {node.lineno}: StepRecord(")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [node.func] if isinstance(node, ast.Call) else [])
+            for target in targets:
+                if any(isinstance(a, ast.Attribute) and a.attr == "records"
+                       for a in ast.walk(target)):
+                    offenders.append(f"line {node.lineno}: writes into records")
+        assert offenders == []
 
 
 class TestOracleInVerdict:
