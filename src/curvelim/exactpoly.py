@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import neg
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -107,7 +108,9 @@ class MonomialOrder:
     """Total order on exponent tuples, exposed as a sort key for ``max``/``sorted``.
 
     kind is one of 'lex', 'grevlex', or 'block' (front variable set eliminated
-    first, grevlex within each block).
+    first, grevlex within each block).  ``lex_order()`` and ``grevlex_order()``
+    return one shared instance each, so a polynomial's cached leading term
+    (keyed on the order object) is reused across callers.
     """
 
     def __init__(self, kind: str, key: Callable[[Exponents], tuple], tag: str):
@@ -125,16 +128,20 @@ class MonomialOrder:
         return hash(self.tag)
 
 
-def lex_order() -> MonomialOrder:
-    return MonomialOrder("lex", lambda e: e, "lex")
-
-
 def _grevlex_key(e: Exponents) -> tuple:
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+_LEX = MonomialOrder("lex", tuple, "lex")
+_GREVLEX = MonomialOrder("grevlex", _grevlex_key, "grevlex")
+
+
+def lex_order() -> MonomialOrder:
+    return _LEX
 
 
 def grevlex_order() -> MonomialOrder:
-    return MonomialOrder("grevlex", _grevlex_key, "grevlex")
+    return _GREVLEX
 
 
 def block_order(table: VarTable, front: Iterable[str]) -> MonomialOrder:
@@ -148,9 +155,8 @@ def block_order(table: VarTable, front: Iterable[str]) -> MonomialOrder:
     bidx = tuple(i for i in range(len(table)) if i not in set(fidx))
 
     def key(e: Exponents) -> tuple:
-        fe = tuple(e[i] for i in fidx)
-        be = tuple(e[i] for i in bidx)
-        return (_grevlex_key(fe), _grevlex_key(be))
+        get = e.__getitem__
+        return (_grevlex_key(tuple(map(get, fidx))), _grevlex_key(tuple(map(get, bidx))))
 
     return MonomialOrder("block", key, f"block({','.join(sorted(front))})")
 
@@ -163,10 +169,11 @@ class Polynomial:
     """Immutable sparse polynomial over a VarTable.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  All arithmetic is
-    exact; operands must share a table.
+    exact; operands must share a table.  The leading term is cached for the
+    order object it was last asked for.
     """
 
-    __slots__ = ("table", "terms", "_hash")
+    __slots__ = ("table", "terms", "_hash", "_lt")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Coeff]):
         self.table = table
@@ -180,6 +187,7 @@ class Polynomial:
             clean[m] = c
         self.terms = clean
         self._hash = None
+        self._lt = None  # (order, (monomial, coefficient)) of the last leading_term
 
     # -- constructors -------------------------------------------------------
 
@@ -322,10 +330,15 @@ class Polynomial:
         return max(m[i] for m in self.terms)
 
     def leading_term(self, order: MonomialOrder) -> tuple:
+        cached = self._lt
+        if cached is not None and cached[0] is order:
+            return cached[1]
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        term = (m, self.terms[m])
+        self._lt = (order, term)
+        return term
 
     def coeff_in(self, name: str, power: int) -> "Polynomial":
         """Coefficient of name**power, a polynomial in the remaining variables

@@ -1,11 +1,17 @@
 """Ideal-theoretic engine: Groebner bases with cofactor tracking, normal forms,
 membership certificates, variable elimination and saturation.
 
-Buchberger with the normal selection strategy and both standard criteria.  The
-replayed systems are small, so simplicity and determinism win over asymptotics;
-for weighted-homogeneous generator sets an optional degree bound truncates the
+Buchberger with both standard criteria.  Each S-pair is keyed once, when it
+is created, by the order key of its lcm and pushed on a heap; the pair with the
+smallest lcm (ties broken by index) is processed first.  Division works on
+plain term dicts updated in place, with the dividend's monomials kept sorted by
+order key, so a step neither rescans nor rebuilds the whole remainder.  For
+weighted-homogeneous generator sets an optional degree bound truncates the
 pair queue (a valid d-Groebner basis, sufficient to decide membership of
 targets up to that weighted degree).
+
+A "not a member" answer is given only after the basis it rests on has been
+checked to be a Groebner basis of the generators.
 
 Every returned Certificate's identity
 
@@ -19,8 +25,11 @@ certificates always refer back to the caller's generators.
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .exactpoly import (
@@ -28,6 +37,7 @@ from .exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
+    _norm_coeff,
     block_order,
     grevlex_order,
 )
@@ -219,15 +229,19 @@ def _rep_scaled(rep: Dict[str, Polynomial], factor) -> Dict[str, Polynomial]:
     return out
 
 
+def _divides(b: tuple, a: tuple) -> bool:
+    """Whether monomial b divides monomial a."""
+    return all(map(le, b, a))
+
+
 def _mono_div(a: tuple, b: tuple) -> Optional[tuple]:
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
+    if not _divides(b, a):
         return None
-    return q
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _wdeg(table: VarTable, mono: tuple) -> int:
@@ -236,29 +250,51 @@ def _wdeg(table: VarTable, mono: tuple) -> int:
 
 def _reduce(p: Polynomial, basis: List[Polynomial], order: MonomialOrder):
     """Full division: p == remainder + sum(factors[i] * basis[i]), with no
-    remainder term divisible by any basis leading term."""
-    table = p.table
+    remainder term divisible by any basis leading term.
+
+    Terms are taken in descending order; each goes to the remainder or is
+    cancelled by the first basis element whose leading monomial divides it.
+    The dividend, remainder and factors are term dicts updated in place.
+    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
+    ascending order, so its last entry is the leading term; an entry whose
+    term has since cancelled is skipped when it comes up.
+    """
+    key = order.key
     lts = [b.leading_term(order) for b in basis]
-    factors: List[Polynomial] = [Polynomial.zero(table) for _ in basis]
-    remainder = Polynomial.zero(table)
-    work = p
-    while work.terms:
-        m, c = work.leading_term(order)
-        hit = -1
-        for i, (lm, _) in enumerate(lts):
-            if _mono_div(m, lm) is not None:
-                hit = i
-                break
-        if hit < 0:
-            t = Polynomial(table, {m: c})
-            remainder = remainder + t
-            work = work - t
+    work = dict(p.terms)
+    queue = sorted((key(m), m) for m in work)
+    remainder: dict = {}
+    factors: List[dict] = [{} for _ in basis]
+    while queue:
+        m = queue.pop()[1]
+        c = work.pop(m, 0)
+        if not c:
             continue
-        lm, lc = lts[hit]
-        f = Polynomial(table, {_mono_div(m, lm): Fraction(c) / Fraction(lc)})
-        work = work - f * basis[hit]
-        factors[hit] = factors[hit] + f
-    return remainder, factors
+        for hit, (lm, lc) in enumerate(lts):
+            if _divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        q = tuple(map(sub, m, lm))
+        qc = _norm_coeff(Fraction(c) / lc)
+        factors[hit][q] = qc
+        for bm, bc in basis[hit].terms.items():
+            if bm == lm:
+                continue  # cancels the dividend's leading term
+            mm = tuple(map(add, bm, q))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = _norm_coeff(-qc * bc)
+                insort(queue, (key(mm), mm))
+            else:
+                s = old - qc * bc
+                if s:
+                    work[mm] = _norm_coeff(s)
+                else:
+                    del work[mm]
+    table = p.table
+    return Polynomial(table, remainder), [Polynomial(table, f) for f in factors]
 
 
 def _compose(factors: List[Polynomial], reps: List[Dict[str, Polynomial]]) -> Dict[str, Polynomial]:
@@ -280,8 +316,13 @@ def _rep_check(p: Polynomial, rep: Dict[str, Polynomial], gens: GeneratorSet) ->
 
 def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
              limits: Limits = Limits(), degree_bound: Optional[int] = None) -> GroebnerBasis:
-    """Reduced Groebner basis (Buchberger, normal selection, both criteria),
-    deterministic for fixed input and order.
+    """Reduced Groebner basis (Buchberger, both criteria), deterministic for
+    fixed input and order.
+
+    Pairs wait on a heap keyed by ``(order.key(lcm), i, j)``, computed once
+    when the pair is created, so the pair with the smallest lcm (then the
+    smallest indices) is taken next.  ``pairs`` holds the pairs still waiting,
+    for the chain criterion.
 
     ``degree_bound`` (weighted degree): honored only when every generator is
     weighted-homogeneous; pairs above the bound are discarded, yielding a
@@ -296,6 +337,7 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
 
     basis: List[Polynomial] = []
     reps: List[Dict[str, Polynomial]] = []
+    lts: List[tuple] = []  # leading monomial of each basis element
 
     def normalized(p: Polynomial, rep: Dict[str, Polynomial]):
         scale = Fraction(1) / p.content()
@@ -304,14 +346,18 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         return p * scale, _rep_scaled(rep, scale)
 
     pairs = set()
+    queue: List[tuple] = []
 
     def push(p: Polynomial, rep: Dict[str, Polynomial]) -> None:
         p, rep = normalized(p, rep)
+        lm = p.leading_term(order)[0]
+        new = len(basis)
+        for k, lk in enumerate(lts):
+            pairs.add((k, new))
+            heappush(queue, (order.key(_mono_lcm(lk, lm)), k, new))
         basis.append(p)
         reps.append(rep)
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
+        lts.append(lm)
         if len(basis) > limits.max_basis:
             raise ResourceExhausted("basis size", limits.max_basis, limits.context)
 
@@ -324,23 +370,22 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         push(red, rep)
 
     processed = 0
-    while pairs:
+    while queue:
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceExhausted("pair count", limits.max_pairs, limits.context)
-        lts = [b.leading_term(order)[0] for b in basis]
-        i, j = min(pairs, key=lambda ij: (order.key(_mono_lcm(lts[ij[0]], lts[ij[1]])), ij))
+        _, i, j = heappop(queue)
         pairs.discard((i, j))
         lmi, lci = basis[i].leading_term(order)
         lmj, lcj = basis[j].leading_term(order)
         lcm = _mono_lcm(lmi, lmj)
         if degree_bound is not None and _wdeg(table, lcm) > degree_bound:
             continue
-        if lcm == tuple(a + b for a, b in zip(lmi, lmj)):
+        if lcm == tuple(map(add, lmi, lmj)):
             continue  # coprime leading monomials: S-poly reduces to zero
         chain = False
         for k in range(len(basis)):
-            if k in (i, j) or _mono_div(lcm, lts[k]) is None:
+            if k in (i, j) or not _divides(lts[k], lcm):
                 continue
             if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                 chain = True
@@ -361,13 +406,12 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         push(red, rep_s)
 
     # minimalize: drop elements whose leading term another's divides
-    lts = [b.leading_term(order)[0] for b in basis]
     drop = set()
     for i in range(len(basis)):
         for j in range(len(basis)):
             if i == j or j in drop:
                 continue
-            if _mono_div(lts[i], lts[j]) is not None:
+            if _divides(lts[j], lts[i]):
                 drop.add(i)
                 break
     basis = [b for i, b in enumerate(basis) if i not in drop]
@@ -426,6 +470,10 @@ def membership(
     product of the declared saturation multipliers and k <= max_power is
     minimal (iterative deepening); the string NOT_MEMBER otherwise.
 
+    NOT_MEMBER is returned only after every basis it rests on passes
+    ``verify_spolys`` and reduces every generator to zero; a basis that fails
+    raises ``PolyError``, so a lost S-pair never reads as a refutation.
+
     For weighted-homogeneous inputs the basis is recomputed with a bound that
     grows with the multiplier power actually being tried, so the common case
     (power 0 or 1) stays cheap.
@@ -457,6 +505,10 @@ def membership(
         if mult is None:
             break
         target = target * mult
+    for b in bases.values():
+        if not (verify_spolys(b) and _spans_generators(b)):
+            raise PolyError("internal error: a not-member answer rests on a basis that"
+                            " fails the Groebner check")
     return NOT_MEMBER
 
 
@@ -530,4 +582,15 @@ def verify_spolys(gb: GroebnerBasis) -> bool:
             rem, _ = _reduce(s, gb.polys, order)
             if not rem.is_zero():
                 return False
+    return True
+
+
+def _spans_generators(gb: GroebnerBasis) -> bool:
+    """Every generator (up to the degree bound, if truncated) reduces to zero,
+    so the basis generates the whole ideal, not a smaller one."""
+    for r in gb.gens:
+        if gb.degree_bound is not None and r.poly.weighted_degree() > gb.degree_bound:
+            continue
+        if not _reduce(r.poly, gb.polys, gb.order)[0].is_zero():
+            return False
     return True

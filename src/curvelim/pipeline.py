@@ -45,7 +45,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactpoly import (
     DomainError,
@@ -170,6 +171,11 @@ class StageResult:
         return "success"
 
 
+# a polynomial, or a function building it inside the step that uses it, so
+# that a failure to build it (say, to parse a transcription) is recorded there
+Built = Union[Polynomial, Callable[[], Polynomial]]
+
+
 class StageRunner:
     """One stage's knowledge ideal -- the relations verified so far -- and its
     step records.  Every step goes through ``step``."""
@@ -237,17 +243,23 @@ class StageRunner:
         self._require([rid])
         return self.gens.get(rid).poly
 
+    def printed(self, eid: str, perm: Optional[Dict[str, str]] = None) -> Polynomial:
+        """The registry transcription of ``eid``, permuted by ``perm`` in a
+        permuted replay."""
+        p = self.registry.poly(eid)
+        return permute_polynomial(p, perm) if perm else p
+
     # -- step kinds ------------------------------------------------------------
 
     def annotate(self, sid: str, text: str, citation: str = "", quote: str = "") -> None:
         with self.step(sid, "annotate", citation, quote, "annotation", text=text):
             self.result.annotations.append(f"{sid}: {text}")
 
-    def assume(self, rid: str, poly: Polynomial, citation: str, quote: str,
+    def assume(self, rid: str, poly: Built, citation: str, quote: str,
                note: str = "") -> None:
         with self.step(rid, "assume", citation, quote, "assumed",
                        **({"note": note} if note else {})):
-            self.add(rid, poly)
+            self.add(rid, poly() if callable(poly) else poly)
 
     def derive(self, sid: str, rule, source_id: str, citation: str = "",
                quote: str = "") -> Optional[Polynomial]:
@@ -272,14 +284,20 @@ class StageRunner:
             self.add(sid, image)
             return image
 
-    def claim(self, sid: str, target: Polynomial, via: Sequence[str],
+    def claim(self, sid: str, target: Built, via: Sequence[str],
               sat_ids: Sequence[str] = (), citation: str = "", quote: str = "",
               note: str = "", add_as: Optional[str] = None, status: str = "verified",
-              fresh_cancelled: Sequence[str] = (), **details) -> Optional[Certificate]:
+              minted: Optional[str] = None, **details) -> Optional[Certificate]:
         """Membership of a target in the knowledge ideal; adds it (as
-        ``add_as``) on success, recorded with ``status``."""
+        ``add_as``) on success, recorded with ``status``.  ``minted`` names a
+        fresh symbol of the derivation, recorded as cancelled when the target
+        does not contain it."""
         add_as = add_as or sid
         with self.step(sid, "assert_member", citation, quote, status, **details) as rec:
+            target = target() if callable(target) else target
+            if minted is not None:
+                cancelled = minted not in target.variables()
+                rec.details["fresh_symbol_cancelled"] = cancelled
             self._require(via)
             bound = target.weighted_degree() if target.is_weighted_homogeneous() else None
             cert = membership(target, self.gens.subset(list(via)),
@@ -293,7 +311,8 @@ class StageRunner:
             if add_as not in self.gens:
                 self.add(add_as, target)
             self._certify(rec, cert)
-            rec.fresh_cancelled = list(fresh_cancelled)
+            if minted is not None and cancelled:
+                rec.fresh_cancelled = [minted]
             rec.details.update(used_generators=cert.used_generators(),
                                declared_via=list(via), saturations=list(sat_ids))
             if note:
@@ -304,21 +323,25 @@ class StageRunner:
             return cert
 
     def claim_registry(self, eid: str, via: Sequence[str], sat_ids: Sequence[str] = (),
-                       note: str = "", sid: Optional[str] = None) -> Optional[Certificate]:
+                       note: str = "", sid: Optional[str] = None,
+                       perm: Optional[Dict[str, str]] = None,
+                       minted: Optional[str] = None) -> Optional[Certificate]:
+        """Claim the registry transcription of ``eid`` (permuted by ``perm``)
+        and add it as ``sid``, by default ``eid``.  The transcription is parsed
+        inside the step, so an unparseable one makes a failure record."""
         citation, quote = self._cite(eid)
-        return self.claim(sid or eid, self.registry.poly(eid), via, sat_ids,
-                          citation=citation, quote=quote, note=note, add_as=eid)
+        return self.claim(sid or eid, lambda: self.printed(eid, perm), via, sat_ids,
+                          citation=citation, quote=quote, note=note, minted=minted)
 
     def match_printed(self, sid: str, derived: Optional[Polynomial], eid: str,
-                      printed: Optional[Polynomial] = None, **details) -> str:
+                      perm: Optional[Dict[str, str]] = None, **details) -> str:
         """Compare a constructed polynomial against the registry transcription
-        of ``eid``, or against ``printed``, its form in a permuted replay."""
+        of ``eid``, permuted by ``perm`` in a permuted replay."""
         with self.step(sid, "match_printed", *self._cite(eid), registry_id=eid,
                        **details) as rec:
             if derived is None:
                 raise PolyError("nothing to compare: the step building it failed")
-            status, found = match_printed(derived, self.registry.poly(eid)
-                                          if printed is None else printed)
+            status, found = match_printed(derived, self.printed(eid, perm))
             rec.details.update(found)
             if status == "mismatch":
                 status = "mismatch-documented"
@@ -581,7 +604,7 @@ def run_lemma32(config: Config) -> StageResult:
 
     for aid in ("eq_3_3", "eq_3_11"):
         e = registry.entry(aid)
-        run.assume(aid, registry.poly(aid), e.citation, e.quote)
+        run.assume(aid, partial(run.printed, aid), e.citation, e.quote)
 
     d1 = rules["D1"]
     img = run.derive("d1_eq_3_11", d1, "eq_3_11",
@@ -606,10 +629,6 @@ def run_lemma32(config: Config) -> StageResult:
         psat = perm_sat[tag]
         dd = rules[case.rule]
 
-        def reg(eid: str) -> Polynomial:
-            p = registry.poly(eid)
-            return permute_polynomial(p, perm) if perm else p
-
         prefix = f"{tag}_" if tag != "e2" else ""
 
         def sid(eid: str) -> str:
@@ -625,28 +644,21 @@ def run_lemma32(config: Config) -> StageResult:
                    citation="eqs (3.31)-(3.32)",
                    quote="Now acting e_2 on both sides of the above equation")
         elim_u = "u2" if tag == "e2" else ("u3" if tag == "e3" else "u4")
-        minted = dd.rules[elim_u].symbol
-        cancelled = minted not in reg("eq_3_33").variables()
-        run.claim(sid("eq_3_33"), reg("eq_3_33"),
-                  [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
-                  citation="eq (3.33)", quote=registry.entry("eq_3_33").quote,
-                  add_as=sid("eq_3_33"), fresh_cancelled=[minted] if cancelled else [],
-                  fresh_symbol_cancelled=cancelled)
+        run.claim_registry("eq_3_33",
+                           [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
+                           sid=sid("eq_3_33"), perm=perm,
+                           minted=dd.rules[elim_u].symbol)
         dimg = run.derive(sid("d_eq_3_3"), dd, "eq_3_3",
                           citation="before eq (3.34)",
                           quote="differentiating (3.3) along e_2, by (3.11) and (3.7)")
-        run.match_printed(sid("match_eq_3_34"), dimg, "eq_3_34", reg("eq_3_34"))
-        run.claim(sid("eq_3_34"), reg("eq_3_34"), [sid("d_eq_3_3")],
-                  citation="eq (3.34)", quote=registry.entry("eq_3_34").quote,
-                  add_as=sid("eq_3_34"))
+        run.match_printed(sid("match_eq_3_34"), dimg, "eq_3_34", perm)
+        run.claim_registry("eq_3_34", [sid("d_eq_3_3")], sid=sid("eq_3_34"), perm=perm)
         img35 = run.derive(sid("d1_eq_3_34"), d1, sid("eq_3_34"),
                            citation="before eq (3.35)",
                            quote="Differentiating (3.34) along e_1, by applying (3.7),"
                                  " the second expression of (3.6), (3.20) and (3.21)")
-        run.match_printed(sid("match_eq_3_35"), img35, "eq_3_35", reg("eq_3_35"))
-        run.claim(sid("eq_3_35"), reg("eq_3_35"), [sid("d1_eq_3_34")],
-                  citation="eq (3.35)", quote=registry.entry("eq_3_35").quote,
-                  add_as=sid("eq_3_35"))
+        run.match_printed(sid("match_eq_3_35"), img35, "eq_3_35", perm)
+        run.claim_registry("eq_3_35", [sid("d1_eq_3_34")], sid=sid("eq_3_35"), perm=perm)
 
         # case split: one of the two transverse coefficients nonzero
         def ps(sat_id: str) -> str:
@@ -661,10 +673,8 @@ def run_lemma32(config: Config) -> StageResult:
                          "We claim that \\omega_{33}^2=\\omega_{44}^2=0")
 
             def bclaim(eid: str, via, sats, note=""):
-                return run.claim(f"{bid}_{eid}", reg(eid), via, sats,
-                                 citation=registry.entry(eid).citation,
-                                 quote=registry.entry(eid).quote, note=note,
-                                 add_as=f"{bid}_{eid}")
+                return run.claim_registry(eid, via, sats, note=note, sid=f"{bid}_{eid}",
+                                          perm=perm)
 
             bclaim("eq_3_36", [sid("eq_3_33"), sid("eq_3_34")],
                    [hyp, ps("lam2_m_lam3"), ps("lam2_m_lam4")])

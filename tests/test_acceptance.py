@@ -8,6 +8,7 @@ certificate chain oracle-confirmed, and never silently substitute.  See
 /docs/discrepancy.md for the analysis.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -22,6 +23,12 @@ from curvelim.oracle import SpotCheckConfig, check_certificate
 from curvelim.pipeline import Config, match_printed, run_builtin
 
 _RESULTS = []
+
+# sha256 of the JSON list of (stage, id, kind, status, multiplier_power,
+# certificate_digest) over every step of the seed-0 replay, in order.  It pins
+# each certificate's cofactors: a change to the engine that moves a cofactor
+# path changes it, and must be listed in CHANGES.md with the new value.
+REPLAY_CERTIFICATES_SHA256 = "158f8b85d0606e57c557f45a06eef9a743f6bf5ab6122ace92c3596e3936e248"
 
 
 def _report(criterion, ok, note):
@@ -217,6 +224,14 @@ class TestCriterion5:
                 f"{len(idents)} certificates x 100 seeded spot checks"
                 f" (prime 2^64-59 > 2^61, seed 0): {len(failures)} failures;"
                 f" per-trial false-accept bound < 2^-40 for all")
+
+    def test_certificates_pinned(self, full_run):
+        rows = [(s.name, r.sid, r.kind, r.status, r.multiplier_power, r.certificate_digest)
+                for s in full_run.stages for r in s.records]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        _report("5-certificates", digest == REPLAY_CERTIFICATES_SHA256,
+                f"{len(rows)} step records, statuses, multiplier powers and certificate"
+                f" digests as pinned (sha256 {digest[:16]})")
 
     def test_byte_reproducibility(self, tmp_path):
         from curvelim.cli import main

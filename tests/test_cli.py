@@ -90,6 +90,21 @@ class TestVerify:
         steps = {s["id"]: s["status"] for s in rep["stages"][0]["steps"]}
         assert steps["eq_3_34"] == "not-member"
 
+    @pytest.mark.parametrize("eid", ["eq_3_33", "eq_3_40"])
+    def test_report_written_when_a_transcription_does_not_parse(self, tmp_path,
+                                                                monkeypatch, eid):
+        patched = [dataclasses.replace(e, text=e.text + " +* v3")
+                   if e.eid == eid else e for e in frame._REGISTRY]
+        monkeypatch.setattr(frame, "_REGISTRY", patched)
+        path = tmp_path / "l32.json"
+        rc = run_cli(["verify", "--stage", "lemma32", "--report", str(path),
+                      "--trials", "2"])
+        assert rc == 1
+        rep = json.loads(path.read_text())
+        assert rep["verdict"] == "failure"
+        steps = {s["id"]: s["status"] for s in rep["stages"][0]["steps"]}
+        assert steps[eid] == "failure"
+
     def test_good_script_exit_0(self, tmp_path):
         script = tmp_path / "ok.ds"
         script.write_text(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import curvelim.ideal as ideal
 from curvelim.exactpoly import (
     Polynomial,
     PolyError,
@@ -125,6 +126,40 @@ class TestMembership:
         gs = gens(VT, g=poly("x^5*y"))
         sat = [SaturationRecord("x_nz", poly("x"), "planted")]
         assert membership(poly("y"), gs, saturations=sat, max_power=3) == NOT_MEMBER
+
+    def test_negative_rests_on_a_checked_basis(self):
+        # y^2 - x is the S-polynomial of the two generators; x is not a member
+        gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))
+        assert membership(poly("x"), gs) == NOT_MEMBER
+        assert membership(poly("y^2 - x"), gs) != NOT_MEMBER
+
+    def test_lost_s_pair_raises(self, monkeypatch):
+        real_push = ideal.heappush
+
+        def lossy_push(queue, entry):
+            if entry[1:] != (0, 1):
+                real_push(queue, entry)
+
+        monkeypatch.setattr(ideal, "heappush", lossy_push)
+        gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))
+        with pytest.raises(PolyError, match="internal error"):
+            membership(poly("y^2 - x"), gs)
+
+    def test_basis_of_a_smaller_ideal_raises(self, monkeypatch):
+        # a basis missing an element still passes the S-polynomial check, so
+        # the generators must also reduce to zero
+        real_groebner = ideal.groebner
+
+        def dropping(*args, **kwargs):
+            gb = real_groebner(*args, **kwargs)
+            gb.polys.pop()
+            gb.reps.pop()
+            return gb
+
+        monkeypatch.setattr(ideal, "groebner", dropping)
+        gs = gens(VT, g1=poly("x"), g2=poly("y"))
+        with pytest.raises(PolyError, match="internal error"):
+            membership(poly("x"), gs)
 
     def test_derivation_step_shape(self):
         # a derivative image certifies the printed relation with a unit cofactor

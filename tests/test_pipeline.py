@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import curvelim.frame as frame
+import curvelim.ideal as ideal
 import curvelim.pipeline as pipeline
 from curvelim.exactpoly import DomainError, parse_polynomial
 from curvelim.frame import EquationRegistry, load_paper_symbols
@@ -192,6 +193,46 @@ class TestFailedStepsAreRecords:
         assert recs["match_eq_3_34"].details["registry_id"] == "eq_3_34"
         assert recs["eq_3_34"].status == "not-member"
         assert recs["match_eq_3_35"].status == "failure"
+
+    @pytest.mark.parametrize("eid, later", [("eq_3_11", "d1_eq_3_11"),
+                                             ("eq_3_33", "e4_eq_3_33"),
+                                             ("eq_3_40", "branch_v3_nonzero_eq_3_41")])
+    def test_unparseable_transcription(self, monkeypatch, eid, later):
+        # the transcription is parsed inside the step that uses it, so the
+        # parse error is that step's failure and the stage runs to its end
+        _corrupt(monkeypatch, eid, " +* v3")
+        rr = run_builtin("lemma32", Config(trials=2))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert rr.verdict() == "failure"
+        assert recs[eid].status == recs[later].status == "failure"
+        assert "position" in recs[eid].details["error"]
+        assert recs["e4_lambda_const"].status == "annotation"
+
+    def test_lost_s_pair_is_a_failure_not_a_refutation(self, monkeypatch):
+        # Groebner loses the pair of x^2 - y and x*y - 1, whose S-polynomial
+        # is the target; without the check on the basis the claim would read
+        # not-member
+        real_push = ideal.heappush
+
+        def lossy_push(queue, entry):
+            if entry[1:] != (0, 1):
+                real_push(queue, entry)
+
+        monkeypatch.setattr(ideal, "heappush", lossy_push)
+        text = """
+SYMBOLS x y
+AXIOM g1 | x^2 - y | toy | x^2 = y
+AXIOM g2 | x*y - 1 | toy | x*y = 1
+STAGE toy
+STEP s1 assume g1
+STEP s2 assume g2
+STEP s3 assert_member y^2 - x USING g1,g2
+"""
+        result = run_script(parse_script(text), Config())
+        rec = {r.sid: r for r in result.stages[0].records}["s3"]
+        assert rec.status == "failure"
+        assert "internal error" in rec.details["error"]
+        assert result.verdict() == "failure"
 
     def test_ceiling_reaches_rule_consistency(self):
         rr = run_builtin("theorem33", Config(trials=2, limits=Limits(max_basis=1)))
