@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import neg
+from operator import add, neg
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -269,10 +269,11 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for mb, cb in b.items():
             for ma, ca in a.items():
-                mm = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mm, 0) + ca * cb
+                mm = tuple(map(add, ma, mb))
+                s = get(mm, 0) + ca * cb
                 if s:
                     out[mm] = s
                 else:

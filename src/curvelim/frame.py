@@ -425,10 +425,6 @@ def load_paper_axioms(symbols: Optional[SymbolTable] = None) -> List[Axiom]:
     for aid in _AXIOM_IDS:
         e = reg.entry(aid)
         out.append(Axiom(aid, reg.poly(aid), e.citation, e.quote, e.role))
-    # orphan-symbol check: every registry polynomial parses over the table
-    for eid in reg.ids():
-        if reg.entry(eid).text is not None:
-            reg.poly(eid)
     return out
 
 

@@ -1,10 +1,17 @@
 """Independent randomized verification of certificates and polynomial
 identities by seeded modular evaluation (Schwartz-Zippel).
 
-This module deliberately re-implements polynomial evaluation from scratch:
-it reads the term dictionaries of ``exactpoly.Polynomial`` values directly and
-never calls into the ideal machinery or the exactpoly evaluator, so a bug in
-the symbolic reduction path cannot hide itself here.
+This module deliberately re-implements polynomial evaluation on its own.
+It imports nothing from ``curvelim``: it reads the raw term dictionaries and
+variable tables of ``exactpoly.Polynomial`` values, and never calls polynomial
+arithmetic, the ideal machinery or the exactpoly evaluator, so a bug in the
+symbolic reduction path cannot hide itself here.
+
+Each check compiles every operand once for its prime (``_compile``): each term
+becomes its coefficient mod p, with a rational coefficient mapped through the
+modular inverse, and the (table position, exponent) pairs of its nonzero
+exponents.  ``_eval`` then evaluates that form at every trial point, a list of
+residues indexed by table position.  Compiled forms live only for the call.
 
 Evaluation points come from counter-mode hashing of (seed, label, trial,
 variable), so verdicts are independent of execution order and fully
@@ -16,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # 2**64 - 59: a published prime comfortably above 2**61.
 DEFAULT_PRIME = 18446744073709551557
@@ -90,49 +97,103 @@ class SpotCheckResult:
         }
 
 
-def _point_value(seed: int, label: str, trial: int, var: str, prime: int) -> int:
-    """Counter-mode point derivation: uniform residue from a SHA-256 stream."""
-    counter = 0
-    while True:
-        h = hashlib.sha256(
-            f"{seed}|{label}|{trial}|{var}|{counter}".encode()
-        ).digest()
-        x = int.from_bytes(h[:16], "big")
-        # rejection sampling onto [0, prime) from 128 bits
-        limit = (1 << 128) - ((1 << 128) % prime)
-        if x < limit:
-            return x % prime
-        counter += 1
+def _rejection_limit(prime: int) -> int:
+    """Largest multiple of the prime not above 2**128: a 128-bit draw below it
+    is uniform mod the prime."""
+    return (1 << 128) - ((1 << 128) % prime)
+
+
+def _point_values(seed: int, label: str, trial: int, variables: Sequence[str],
+                  prime: int, limit: int) -> List[int]:
+    """Counter-mode point derivation: for each variable, the first 128-bit
+    SHA-256 draw of f"{seed}|{label}|{trial}|{var}|{counter}" below ``limit``,
+    reduced mod the prime.  The shared "{seed}|{label}|{trial}|" prefix is
+    hashed once and extended per draw."""
+    prefix = hashlib.sha256(f"{seed}|{label}|{trial}|".encode())
+    values = []
+    for var in variables:
+        counter = 0
+        while True:
+            h = prefix.copy()
+            h.update(f"{var}|{counter}".encode())
+            x = int.from_bytes(h.digest()[:16], "big")
+            if x < limit:
+                values.append(x % prime)
+                break
+            counter += 1
+    return values
 
 
 def sample_point(cfg: SpotCheckConfig, label: str, trial: int,
                  variables: Sequence[str]) -> Dict[str, int]:
-    return {v: _point_value(cfg.seed, label, trial, v, cfg.prime) for v in variables}
+    values = _point_values(cfg.seed, label, trial, variables, cfg.prime,
+                           _rejection_limit(cfg.prime))
+    return dict(zip(variables, values))
 
 
-def _eval_terms(poly, point: Dict[str, int], prime: int) -> int:
-    """Evaluate a Polynomial's term dict at a residue point.
+# A polynomial prepared for one prime: (coefficient mod p, ((var_index, exponent), ...))
+# per term, with var_index the position in the polynomial's table.
+Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
 
-    Independent implementation: walks the raw sparse terms, maps rational
-    coefficients through the modular inverse, and accumulates mod the prime.
-    """
-    names = poly.table.names
-    total = 0
+
+def _compile(poly, prime: int) -> Compiled:
+    """Read a Polynomial's raw term dict once: map each rational coefficient
+    through the modular inverse and keep only the nonzero exponents."""
+    out = []
     for mono, coeff in poly.terms.items():
         if isinstance(coeff, Fraction):
-            c = coeff.numerator % prime * pow(coeff.denominator, -1, prime) % prime
+            c = coeff.numerator * pow(coeff.denominator, -1, prime) % prime
         else:
             c = coeff % prime
-        acc = c
-        for i, e in enumerate(mono):
-            if e:
-                acc = acc * pow(point[names[i]], e, prime) % prime
-        total = (total + acc) % prime
-    return total
+        if c:
+            out.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
+    return out
+
+
+def _eval(compiled: Compiled, x: Sequence[int], prime: int) -> int:
+    """Value mod the prime at the point ``x``, residues indexed by table
+    position; reduced once per term and once at the end."""
+    total = 0
+    for c, factors in compiled:
+        for i, e in factors:
+            c *= x[i] ** e
+        total += c % prime
+    return total % prime
 
 
 def _total_degree(poly) -> int:
     return max((sum(m) for m in poly.terms), default=0)
+
+
+# Both sides of an identity as a function of the prime: compiles every operand
+# for that prime and returns the evaluator of (lhs, rhs) mod the prime at a point.
+Sides = Callable[[int], Callable[[Sequence[int]], Tuple[int, int]]]
+
+
+def _sweep(label: str, table, variables: Sequence[str], deg: int, sides: Sides,
+           cfg: SpotCheckConfig) -> SpotCheckResult:
+    """Compare both sides at cfg.trials seeded points mod cfg.prime.  The
+    operands are compiled once for the working prime and, at the first
+    failure, once for each confirmation prime."""
+    p = cfg.prime
+    result = SpotCheckResult(label, cfg.trials, total_degree=deg,
+                             per_trial_bound=Fraction(max(deg, 1), p))
+    at = sides(p)
+    limit = _rejection_limit(p)
+    positions = [table.index[v] for v in variables]
+    x = [0] * len(table.names)
+    confirmers = None
+    for trial in range(cfg.trials):
+        values = _point_values(cfg.seed, label, trial, variables, p, limit)
+        for i, v in zip(positions, values):
+            x[i] = v
+        a, b = at(x)
+        if a != b:
+            if confirmers is None:
+                confirmers = [(q, sides(q)) for q in _extra_primes()]
+            result.failures.append(_witness(label, trial, dict(zip(variables, values)),
+                                            (a - b) % p, x, confirmers))
+    return result
 
 
 def check_identity(lhs, rhs, cfg: SpotCheckConfig, label: str = "identity") -> SpotCheckResult:
@@ -141,16 +202,12 @@ def check_identity(lhs, rhs, cfg: SpotCheckConfig, label: str = "identity") -> S
         raise OracleError("identity operands live over different variable tables")
     variables = sorted(set(lhs.variables()) | set(rhs.variables()))
     deg = max(_total_degree(lhs), _total_degree(rhs))
-    result = SpotCheckResult(label, cfg.trials, total_degree=deg,
-                             per_trial_bound=Fraction(max(deg, 1), cfg.prime))
-    for trial in range(cfg.trials):
-        point = sample_point(cfg, label, trial, variables)
-        a = _eval_terms(lhs, point, cfg.prime)
-        b = _eval_terms(rhs, point, cfg.prime)
-        if a != b:
-            result.failures.append(_witness(label, trial, point, (a - b) % cfg.prime,
-                                            lhs, rhs, cfg))
-    return result
+
+    def sides(prime):
+        cl, cr = _compile(lhs, prime), _compile(rhs, prime)
+        return lambda x: (_eval(cl, x, prime), _eval(cr, x, prime))
+
+    return _sweep(label, lhs.table, variables, deg, sides, cfg)
 
 
 def check_certificate(cert, gens=None, target=None,
@@ -178,43 +235,47 @@ def check_certificate(cert, gens=None, target=None,
         else:
             gp = cert.generator_poly(rid)
         parts.append((cof, gp))
+    power = cert.power if cert.multiplier is not None else 0
+    operands = [tgt, *(q for part in parts for q in part)]
+    if power:
+        operands.append(cert.multiplier)
+    if any(q.table != tgt.table for q in operands):
+        raise OracleError("certificate operands live over different variable tables")
     variables = set(tgt.variables())
     deg = _total_degree(tgt)
-    if cert.power and cert.multiplier is not None:
+    if power:
         variables |= set(cert.multiplier.variables())
-        deg += cert.power * _total_degree(cert.multiplier)
+        deg += power * _total_degree(cert.multiplier)
     for cof, gp in parts:
         variables |= set(cof.variables()) | set(gp.variables())
         deg = max(deg, _total_degree(cof) + _total_degree(gp))
-    variables = sorted(variables)
-    result = SpotCheckResult(label, cfg.trials, total_degree=deg,
-                             per_trial_bound=Fraction(max(deg, 1), cfg.prime))
-    p = cfg.prime
-    for trial in range(cfg.trials):
-        point = sample_point(cfg, label, trial, variables)
-        lhs = _eval_terms(tgt, point, p)
-        if cert.power and cert.multiplier is not None:
-            lhs = lhs * pow(_eval_terms(cert.multiplier, point, p), cert.power, p) % p
-        rhs = 0
-        for cof, gp in parts:
-            rhs = (rhs + _eval_terms(cof, point, p) * _eval_terms(gp, point, p)) % p
-        if lhs != rhs:
-            result.failures.append(_witness(label, trial, point, (lhs - rhs) % p,
-                                            None, None, cfg))
-    return result
+
+    def sides(prime):
+        ct = _compile(tgt, prime)
+        cm = _compile(cert.multiplier, prime) if power else None
+        cparts = [(_compile(cof, prime), _compile(gp, prime)) for cof, gp in parts]
+
+        def at(x):
+            lhs = _eval(ct, x, prime)
+            if cm is not None:
+                lhs = lhs * pow(_eval(cm, x, prime), power, prime) % prime
+            rhs = 0
+            for cc, cg in cparts:
+                rhs += _eval(cc, x, prime) * _eval(cg, x, prime)
+            return lhs, rhs % prime
+        return at
+
+    return _sweep(label, tgt.table, sorted(variables), deg, sides, cfg)
 
 
 def _witness(label: str, trial: int, point: Dict[str, int], residue: int,
-             lhs, rhs, cfg: SpotCheckConfig) -> dict:
+             x: Sequence[int], confirmers) -> dict:
     """Failure record; the residue is re-checked at three further primes so a
     reported witness is never an artifact of the working modulus."""
     confirm = []
-    if lhs is not None and rhs is not None:
-        for extra in _extra_primes():
-            pt = {v: x % extra for v, x in point.items()}
-            a = _eval_terms(lhs, pt, extra)
-            b = _eval_terms(rhs, pt, extra)
-            confirm.append({"prime": extra, "residue": (a - b) % extra})
+    for extra, at in confirmers:
+        a, b = at([v % extra for v in x])
+        confirm.append({"prime": extra, "residue": (a - b) % extra})
     return {
         "label": label,
         "trial": trial,

@@ -1124,12 +1124,14 @@ def _spot_check(stages: Sequence[StageResult],
     evaluation, labelled <stage>.<sid>, and attach each result to its step."""
     results = {}
     for s in stages:
+        by_sid: Dict[str, List[StepRecord]] = {}
+        for rec in s.records:
+            by_sid.setdefault(rec.sid, []).append(rec)
         for sid, cert in s.identities.items():
             label = f"{s.name}.{sid}"
             results[label] = res = check_certificate(cert, cfg=cfg, label=label)
-            for rec in s.records:
-                if rec.sid == sid:
-                    rec.details["spot_check"] = res.as_dict()
+            for rec in by_sid.get(sid, ()):
+                rec.details["spot_check"] = res.as_dict()
     return results
 
 

@@ -105,6 +105,23 @@ class TestVerify:
         steps = {s["id"]: s["status"] for s in rep["stages"][0]["steps"]}
         assert steps[eid] == "failure"
 
+    def test_unused_unparseable_transcription_spares_other_stages(self, tmp_path,
+                                                                  monkeypatch):
+        # theorem33 and paper-symbol scripts never use (3.33), so its broken
+        # transcription fails only the lemma32 step that parses it
+        from curvelim.pipeline import Config, parse_script, run_builtin, run_script
+        patched = [dataclasses.replace(e, text=e.text + " +* v3")
+                   if e.eid == "eq_3_33" else e for e in frame._REGISTRY]
+        monkeypatch.setattr(frame, "_REGISTRY", patched)
+        assert run_builtin("theorem33", Config(trials=2)).verdict() == "documented-discrepancy"
+        script = parse_script("SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\n")
+        assert run_script(script, Config(trials=2)).verdict() == "success"
+        path = tmp_path / "l32.json"
+        assert run_cli(["verify", "--stage", "lemma32", "--report", str(path),
+                        "--trials", "2"]) == 1
+        steps = {s["id"]: s["status"] for s in json.loads(path.read_text())["stages"][0]["steps"]}
+        assert steps["eq_3_33"] == "failure"
+
     def test_good_script_exit_0(self, tmp_path):
         script = tmp_path / "ok.ds"
         script.write_text(

@@ -1,8 +1,16 @@
 """Randomized modular spot-check oracle: determinism, soundness direction,
-planted corruption detection."""
+planted corruption detection, the compiled evaluator and its independence."""
+
+import ast
+import hashlib
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import curvelim.oracle as oracle
 from curvelim.exactpoly import Polynomial, VarTable, parse_polynomial
 from curvelim.ideal import GeneratorSet, Relation, membership
 from curvelim.oracle import (
@@ -117,3 +125,100 @@ class TestCertificates:
         if "g2" in cert.pairs:
             with pytest.raises(OracleError):
                 check_certificate(cert, gens=small, cfg=SpotCheckConfig(trials=1))
+
+
+class _PlantedCofactor:
+    """A certificate whose first cofactor is off by ``delta``."""
+
+    def __init__(self, cert, delta):
+        self.target = cert.target
+        self.multiplier = cert.multiplier
+        self.power = cert.power
+        self.target_id = "planted"
+        self.pairs = {k: (v + delta if i == 0 else v)
+                      for i, (k, v) in enumerate(sorted(cert.pairs.items()))}
+        self.generator_poly = cert.generator_poly
+
+
+class TestCertificateWitness:
+    def test_witness_confirmed_at_three_primes(self):
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
+                               Relation("g2", poly("y - x"))])
+        cert = membership(poly("y^2 - 1"), gs)
+        bad = _PlantedCofactor(cert, poly("z"))
+        res = check_certificate(bad, cfg=SpotCheckConfig(trials=5))
+        assert res.verdict == "fail" and len(res.failures) == 5
+        rid = sorted(bad.pairs)[0]
+        diff = poly("z") * bad.generator_poly(rid)   # rhs - lhs of the planted identity
+        for w in res.failures:
+            assert int(w["residue"]) != 0
+            assert len(w["confirmations"]) == 3
+            point = {v: int(x) for v, x in w["point"].items()}
+            for c in w["confirmations"]:
+                q = c["prime"]
+                assert c["residue"] != 0
+                assert c["residue"] == (-diff).evaluate({v: x % q for v, x in point.items()},
+                                                        modulus=q)
+
+    def test_operands_over_different_tables_rejected(self):
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1"))])
+        cert = membership(poly("x^2 - 1"), gs)
+        other = parse_polynomial("x^2 - 1", VarTable(["x", "w"]))
+        with pytest.raises(OracleError):
+            check_certificate(cert, target=other, cfg=SpotCheckConfig(trials=1))
+
+
+class TestPointDerivation:
+    def test_residues_pinned(self):
+        # computed with the per-call sha256 derivation before the prefix was shared
+        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 7,
+                            ["H", "lam2", "w243"]) == {
+            "H": 18220066877491813132,
+            "lam2": 17544590369760152721,
+            "w243": 11729888483910255759,
+        }
+        assert sample_point(SpotCheckConfig(), "x", 0, ["a"]) == {"a": 12084719764361784346}
+
+    def test_rejection_follows_the_counter(self):
+        # a limit of 2**127 rejects about half the draws, so the counter moves
+        limit, prime = 1 << 127, DEFAULT_PRIME
+        variables = [f"v{i}" for i in range(12)]
+        expected = []
+        for var in variables:
+            counter = 0
+            while True:
+                h = hashlib.sha256(f"3|lab|5|{var}|{counter}".encode()).digest()
+                x = int.from_bytes(h[:16], "big")
+                if x < limit:
+                    expected.append(x % prime)
+                    break
+                counter += 1
+        assert oracle._point_values(3, "lab", 5, variables, prime, limit) == expected
+
+
+VT5 = VarTable(["a", "b", "c", "d", "e"])
+_fraction = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+_poly5 = st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(VT5)), _fraction,
+                         min_size=0, max_size=8).map(lambda terms: Polynomial(VT5, terms))
+_prime = st.sampled_from([DEFAULT_PRIME, *oracle._extra_primes()])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_poly5, _prime, st.data())
+def test_compiled_evaluation_matches_exactpoly(p, prime, data):
+    x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
+    expected = p.evaluate(dict(zip(VT5.names, x)), modulus=prime)
+    assert oracle._eval(oracle._compile(p, prime), x, prime) == expected
+
+
+def test_oracle_imports_nothing_from_curvelim():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracle.py"
+            names = [node.module]
+        else:
+            continue
+        assert not any(n == "curvelim" or n.startswith("curvelim.") for n in names), names
