@@ -10,7 +10,6 @@ from .exactpoly import (
     Polynomial,
     VarTable,
     block_order,
-    gcd_content,
     grevlex_order,
     lex_order,
     parse_polynomial,
@@ -29,7 +28,6 @@ from .ideal import (
     groebner,
     membership,
     normal_form,
-    saturate,
 )
 from .frame import (
     ENGINE_VERSION,

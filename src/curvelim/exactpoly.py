@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from fractions import Fraction
-from operator import add, neg
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -54,7 +55,7 @@ class VarTable:
 
     The order is part of the algebra's identity: monomial orders, printers and
     the Sylvester construction all reference variable indices.  Tables are
-    immutable; ``extend`` returns a new table.
+    immutable.
     """
 
     __slots__ = ("names", "index", "weights")
@@ -91,10 +92,6 @@ class VarTable:
 
     def __repr__(self) -> str:
         return f"VarTable({list(self.names)!r})"
-
-    def extend(self, extra: Sequence[str], weights: Optional[Sequence[int]] = None) -> "VarTable":
-        w = list(self.weights) + list(weights if weights is not None else (1,) * len(extra))
-        return VarTable(list(self.names) + list(extra), w)
 
     def zero_exp(self) -> Exponents:
         return (0,) * len(self.names)
@@ -386,8 +383,9 @@ class Polynomial:
         return acc
 
     def evaluate(self, assignment: Mapping[str, Coeff], modulus: Optional[int] = None):
-        """Exact value at a rational point; with ``modulus`` the residue of an
-        integer-coefficient evaluation mod an odd prime.
+        """Exact value at a rational point; with ``modulus`` (a prime) its
+        residue, every rational coefficient and point value mapped through the
+        modular inverse of its denominator.
 
         Every variable occurring in the polynomial must be assigned.
         """
@@ -404,15 +402,18 @@ class Polynomial:
                         t *= Fraction(val) ** m[i]
                 total += t
             return _norm_coeff(total)
+
+        def residue(v: Coeff) -> int:
+            v = Fraction(v)
+            return v.numerator * pow(v.denominator, -1, modulus) % modulus
+
+        point = {i: residue(val) for i, val in idx.items()}
         total = 0
         for m, c in self.terms.items():
-            if isinstance(c, Fraction):
-                t = c.numerator * pow(c.denominator, -1, modulus) % modulus
-            else:
-                t = c % modulus
-            for i, val in idx.items():
+            t = residue(c)
+            for i, val in point.items():
                 if m[i]:
-                    t = t * pow(int(val) % modulus, m[i], modulus) % modulus
+                    t = t * pow(val, m[i], modulus) % modulus
             total = (total + t) % modulus
         return total
 
@@ -444,46 +445,29 @@ class Polynomial:
             den = den * f.denominator // math.gcd(den, f.denominator)
         return Fraction(num, den)
 
-    def primitive(self, order: Optional[MonomialOrder] = None) -> "Polynomial":
+    def primitive(self) -> "Polynomial":
         """Content-free version of self with positive leading coefficient under
-        ``order`` (default grevlex)."""
+        grevlex; the zero polynomial is returned unchanged."""
         if not self.terms:
             return self
-        c = self.content()
-        p = self * (1 / c)
-        order = order or grevlex_order()
-        _, lc = p.leading_term(order)
+        p = self * (1 / self.content())
+        _, lc = p.leading_term(_GREVLEX)
         if lc < 0:
             p = -p
         return p
 
     # -- division --------------------------------------------------------------
 
-    def exact_divide(self, divisor: "Polynomial", order: Optional[MonomialOrder] = None) -> "Polynomial":
-        """Exact multivariate division; raises DomainError if not divisible."""
+    def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
+        """Exact multivariate division (``_reduce`` by the one divisor under
+        grevlex); raises DomainError if not divisible."""
         self._check(divisor)
         if divisor.is_zero():
             raise DomainError("division by zero polynomial")
-        order = order or grevlex_order()
-        dm, dc = divisor.leading_term(order)
-        rem = self
-        out: dict = {}
-        while rem.terms:
-            m, c = rem.leading_term(order)
-            q = tuple(a - b for a, b in zip(m, dm))
-            if any(e < 0 for e in q):
-                raise DomainError("not exactly divisible")
-            qc = _norm_coeff(Fraction(c, 1) / Fraction(dc, 1))
-            out[q] = qc
-            rem = rem - Polynomial(self.table, {q: qc}) * divisor
-        return Polynomial(self.table, out)
-
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except DomainError:
-            return False
+        rem, (quo,) = _reduce(self, [divisor], _GREVLEX)
+        if rem:
+            raise DomainError("not exactly divisible")
+        return quo
 
     def pseudo_rem(self, divisor: "Polynomial", name: str) -> tuple:
         """Pseudo remainder in the main variable ``name``.
@@ -562,6 +546,68 @@ def _coeff_text(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+# ---------------------------------------------------------------------------
+# division
+# ---------------------------------------------------------------------------
+
+def _divides(b: tuple, a: tuple) -> bool:
+    """Whether monomial b divides monomial a."""
+    return all(map(le, b, a))
+
+
+def _reduce(p: Polynomial, basis: list, order: MonomialOrder):
+    """Full division: p == remainder + sum(factors[i] * basis[i]), with no
+    remainder term divisible by any basis leading term.
+
+    Terms are taken in descending order; each goes to the remainder or is
+    cancelled by the first basis element whose leading monomial divides it.
+    The dividend, remainder and factors are term dicts updated in place.
+    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
+    ascending order, so its last entry is the leading term; an entry whose
+    term has since cancelled is skipped when it comes up.
+    """
+    key = order.key
+    lts = [b.leading_term(order) for b in basis]
+    work = dict(p.terms)
+    queue = sorted((key(m), m) for m in work)
+    remainder: dict = {}
+    factors: list = [{} for _ in basis]
+    while queue:
+        m = queue.pop()[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for hit, (lm, lc) in enumerate(lts):
+            if _divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        q = tuple(map(sub, m, lm))
+        qc = _norm_coeff(Fraction(c) / lc)
+        factors[hit][q] = qc
+        for bm, bc in basis[hit].terms.items():
+            if bm == lm:
+                continue  # cancels the dividend's leading term
+            mm = tuple(map(add, bm, q))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = _norm_coeff(-qc * bc)
+                insort(queue, (key(mm), mm))
+            else:
+                s = old - qc * bc
+                if s:
+                    work[mm] = _norm_coeff(s)
+                else:
+                    del work[mm]
+    table = p.table
+    return Polynomial(table, remainder), [Polynomial(table, f) for f in factors]
+
+
+# ---------------------------------------------------------------------------
+# gcd
+# ---------------------------------------------------------------------------
+
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero():
         return b
@@ -611,8 +657,7 @@ def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             g = Polynomial.zero(a.table)
             break
         f, g = g, r
-    result = f.primitive() if not f.is_zero() else f
-    return result * ccontent
+    return f.primitive() * ccontent
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +727,6 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     if name not in p.table:
         raise PolyError(f"unknown variable {name!r}")
     return _bareiss_det(sylvester_matrix(p, q, name), p.table)
-
-
-def gcd_content(p: Polynomial, q: Optional[Polynomial] = None):
-    """One argument: (integer-content Fraction, primitive part).
-    Two arguments: their polynomial gcd (primitive, positive leading coeff)."""
-    if q is None:
-        return p.content(), p.primitive()
-    return p.gcd(q)
 
 
 # ---------------------------------------------------------------------------

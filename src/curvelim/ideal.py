@@ -1,11 +1,10 @@
 """Ideal-theoretic engine: Groebner bases with cofactor tracking, normal forms,
-membership certificates, variable elimination and saturation.
+membership certificates and variable elimination.
 
 Buchberger with both standard criteria.  Each S-pair is keyed once, when it
 is created, by the order key of its lcm and pushed on a heap; the pair with the
-smallest lcm (ties broken by index) is processed first.  Division works on
-plain term dicts updated in place, with the dividend's monomials kept sorted by
-order key, so a step neither rescans nor rebuilds the whole remainder.  For
+smallest lcm (ties broken by index) is processed first.  Division is
+``exactpoly._reduce``, which works on term dicts updated in place.  For
 weighted-homogeneous generator sets an optional degree bound truncates the
 pair queue (a valid d-Groebner basis, sufficient to decide membership of
 targets up to that weighted degree).
@@ -25,11 +24,10 @@ certificates always refer back to the caller's generators.
 from __future__ import annotations
 
 import hashlib
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import add, le, sub
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .exactpoly import (
@@ -37,7 +35,8 @@ from .exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
-    _norm_coeff,
+    _divides,
+    _reduce,
     block_order,
     grevlex_order,
 )
@@ -229,17 +228,6 @@ def _rep_scaled(rep: Dict[str, Polynomial], factor) -> Dict[str, Polynomial]:
     return out
 
 
-def _divides(b: tuple, a: tuple) -> bool:
-    """Whether monomial b divides monomial a."""
-    return all(map(le, b, a))
-
-
-def _mono_div(a: tuple, b: tuple) -> Optional[tuple]:
-    if not _divides(b, a):
-        return None
-    return tuple(map(sub, a, b))
-
-
 def _mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
@@ -248,53 +236,15 @@ def _wdeg(table: VarTable, mono: tuple) -> int:
     return sum(e * w for e, w in zip(mono, table.weights))
 
 
-def _reduce(p: Polynomial, basis: List[Polynomial], order: MonomialOrder):
-    """Full division: p == remainder + sum(factors[i] * basis[i]), with no
-    remainder term divisible by any basis leading term.
-
-    Terms are taken in descending order; each goes to the remainder or is
-    cancelled by the first basis element whose leading monomial divides it.
-    The dividend, remainder and factors are term dicts updated in place.
-    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
-    ascending order, so its last entry is the leading term; an entry whose
-    term has since cancelled is skipped when it comes up.
-    """
-    key = order.key
-    lts = [b.leading_term(order) for b in basis]
-    work = dict(p.terms)
-    queue = sorted((key(m), m) for m in work)
-    remainder: dict = {}
-    factors: List[dict] = [{} for _ in basis]
-    while queue:
-        m = queue.pop()[1]
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        for hit, (lm, lc) in enumerate(lts):
-            if _divides(lm, m):
-                break
-        else:
-            remainder[m] = c
-            continue
-        q = tuple(map(sub, m, lm))
-        qc = _norm_coeff(Fraction(c) / lc)
-        factors[hit][q] = qc
-        for bm, bc in basis[hit].terms.items():
-            if bm == lm:
-                continue  # cancels the dividend's leading term
-            mm = tuple(map(add, bm, q))
-            old = work.get(mm)
-            if old is None:
-                work[mm] = _norm_coeff(-qc * bc)
-                insort(queue, (key(mm), mm))
-            else:
-                s = old - qc * bc
-                if s:
-                    work[mm] = _norm_coeff(s)
-                else:
-                    del work[mm]
-    table = p.table
-    return Polynomial(table, remainder), [Polynomial(table, f) for f in factors]
+def _spoly(pi: Polynomial, pj: Polynomial, lcm: tuple, order: MonomialOrder):
+    """``(fi, fj, s)`` with ``s = fi*pi - fj*pj`` the S-polynomial of pi and pj:
+    fi and fj are the monomials taking each leading term to ``lcm`` with
+    coefficient 1."""
+    lmi, lci = pi.leading_term(order)
+    lmj, lcj = pj.leading_term(order)
+    fi = Polynomial(pi.table, {tuple(map(sub, lcm, lmi)): Fraction(1) / Fraction(lci)})
+    fj = Polynomial(pj.table, {tuple(map(sub, lcm, lmj)): Fraction(1) / Fraction(lcj)})
+    return fi, fj, fi * pi - fj * pj
 
 
 def _compose(factors: List[Polynomial], reps: List[Dict[str, Polynomial]]) -> Dict[str, Polynomial]:
@@ -376,8 +326,7 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
             raise ResourceExhausted("pair count", limits.max_pairs, limits.context)
         _, i, j = heappop(queue)
         pairs.discard((i, j))
-        lmi, lci = basis[i].leading_term(order)
-        lmj, lcj = basis[j].leading_term(order)
+        lmi, lmj = lts[i], lts[j]
         lcm = _mono_lcm(lmi, lmj)
         if degree_bound is not None and _wdeg(table, lcm) > degree_bound:
             continue
@@ -392,9 +341,7 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
                 break
         if chain:
             continue
-        fi = Polynomial(table, {_mono_div(lcm, lmi): Fraction(1) / Fraction(lci)})
-        fj = Polynomial(table, {_mono_div(lcm, lmj): Fraction(1) / Fraction(lcj)})
-        s = fi * basis[i] - fj * basis[j]
+        fi, fj, s = _spoly(basis[i], basis[j], lcm, order)
         if s.is_zero():
             continue
         rep_s = _rep_scaled(reps[i], fi)
@@ -531,39 +478,6 @@ def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
     return out
 
 
-def saturate(gens: GeneratorSet, multiplier: Polynomial,
-             limits: Limits = Limits()) -> GeneratorSet:
-    """Generators of the saturation ideal (I : multiplier^infinity), computed by
-    adjoining an inverse variable t with relation t*multiplier - 1 and
-    eliminating t."""
-    if multiplier.is_zero():
-        raise PolyError("saturation by the zero polynomial")
-    table = gens.table
-    aux = "t_sat"
-    k = 0
-    while aux in table:
-        k += 1
-        aux = f"t_sat{k}"
-    big = table.extend([aux])
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(big, {m + (0,): c for m, c in p.terms.items()})
-
-    lifted = GeneratorSet(big)
-    for r in gens:
-        lifted.add(Relation(r.rid, lift(r.poly)))
-    t = Polynomial.var(big, aux)
-    lifted.add(Relation("one_minus_t_mult", t * lift(multiplier) - Polynomial.const(big, 1)))
-    elim = eliminate(lifted, [aux], limits=limits)
-    out = GeneratorSet(table)
-    n = 0
-    for r in elim:
-        back = Polynomial(table, {m[:-1]: c for m, c in r.poly.terms.items()})
-        n += 1
-        out.add(Relation(f"sat_{n}", back))
-    return out
-
-
 def verify_spolys(gb: GroebnerBasis) -> bool:
     """Check the defining Groebner property: every S-polynomial of basis pairs
     (below the degree bound, if truncated) reduces to zero."""
@@ -571,14 +485,11 @@ def verify_spolys(gb: GroebnerBasis) -> bool:
     table = gb.gens.table
     for i in range(len(gb.polys)):
         for j in range(i):
-            lmi, lci = gb.polys[i].leading_term(order)
-            lmj, lcj = gb.polys[j].leading_term(order)
-            lcm = _mono_lcm(lmi, lmj)
+            lcm = _mono_lcm(gb.polys[i].leading_term(order)[0],
+                            gb.polys[j].leading_term(order)[0])
             if gb.degree_bound is not None and _wdeg(table, lcm) > gb.degree_bound:
                 continue
-            fi = Polynomial(table, {_mono_div(lcm, lmi): Fraction(1) / Fraction(lci)})
-            fj = Polynomial(table, {_mono_div(lcm, lmj): Fraction(1) / Fraction(lcj)})
-            s = fi * gb.polys[i] - fj * gb.polys[j]
+            _, _, s = _spoly(gb.polys[i], gb.polys[j], lcm, order)
             rem, _ = _reduce(s, gb.polys, order)
             if not rem.is_zero():
                 return False

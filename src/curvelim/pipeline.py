@@ -967,38 +967,15 @@ def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
 # ---------------------------------------------------------------------------
 
 def endgame_eliminate(p: Polynomial, q: Polynomial) -> Tuple[Polynomial, dict]:
-    """Resultant of p and q with respect to K, content-normalized, plus a trace
-    of the intermediate degrees (and a gradual pseudo-remainder variant that is
-    cross-checked against the resultant by exact division)."""
+    """Resultant of p and q with respect to K, content-normalized, plus a trace:
+    the inputs' K-degrees and term counts and the resultant's term count."""
     if p.degree_in("K") <= 0 or q.degree_in("K") <= 0:
         raise DomainError("endgame elimination needs positive degree in K")
-    trace: dict = {"mode": "sylvester-resultant",
-                   "deg_K": [p.degree_in("K"), q.degree_in("K")],
-                   "terms": [len(p.terms), len(q.terms)]}
     res = resultant(p, q, "K")
-    elim = res.primitive() if not res.is_zero() else res
-    trace["resultant_terms"] = len(res.terms)
-
-    # gradual variant: pseudo-remainder chain in K
-    chain = []
-    a, b = (p, q) if p.degree_in("K") >= q.degree_in("K") else (q, p)
-    while not b.is_zero() and b.degree_in("K") > 0:
-        _, _, r = a.pseudo_rem(b, "K")
-        chain.append({"deg_K": r.degree_in("K") if not r.is_zero() else -1,
-                      "terms": len(r.terms)})
-        a, b = b, r
-    gradual = b if not b.is_zero() else a
-    gradual = gradual.primitive() if not gradual.is_zero() else gradual
-    trace["gradual_chain"] = chain
-    if elim.is_zero() or gradual.is_zero():
-        trace["gradual_vs_resultant"] = "zero encountered"
-    elif gradual.divides(elim):
-        trace["gradual_vs_resultant"] = "gradual divides resultant"
-    elif elim.divides(gradual):
-        trace["gradual_vs_resultant"] = "resultant divides gradual"
-    else:
-        trace["gradual_vs_resultant"] = "no divisibility (flag)"
-    return elim, trace
+    return res.primitive(), {"mode": "sylvester-resultant",
+                             "deg_K": [p.degree_in("K"), q.degree_in("K")],
+                             "terms": [len(p.terms), len(q.terms)],
+                             "resultant_terms": len(res.terms)}
 
 
 def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> StageResult:

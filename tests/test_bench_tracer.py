@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (``perfbench/tracer.py``) names curvelim
+functions by module and attribute path.  These tests load it as it is and
+check that every name still resolves and that installing and uninstalling it
+leaves every curvelim attribute as it was, so a rename or move in the engine
+fails here rather than in a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for _, name, *_ in module.TARGETS:
+        importlib.import_module(name)
+    return module
+
+
+def _snapshot(tracer):
+    return {(owner, attr): value for owner in tracer._owners()
+            for attr, value in list(vars(owner).items())}
+
+
+def test_every_target_resolves(tracer):
+    for span, module, path, _, _ in tracer.TARGETS:
+        assert callable(tracer._resolve(module, path)), (span, module, path)
+
+
+def test_install_then_uninstall_restores_every_attribute(tracer):
+    targets = [(module, path) for _, module, path, _, _ in tracer.TARGETS]
+    originals = [tracer._resolve(module, path) for module, path in targets]
+    before = _snapshot(tracer)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (module, path), original in zip(targets, originals):
+            assert tracer._resolve(module, path) is not original, (module, path)
+    finally:
+        t.uninstall()
+    after = _snapshot(tracer)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -1,13 +1,16 @@
 """Property tests for the division and Groebner core: the division identity,
-the Groebner property, independence of generator order, and the per-order
-leading-term cache."""
+exact division, the Groebner property, independence of generator order, and
+the per-order leading-term cache."""
 
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelim.exactpoly import Polynomial, VarTable, block_order, grevlex_order, lex_order
+from curvelim.exactpoly import (
+    DomainError, Polynomial, VarTable, block_order, grevlex_order, lex_order,
+)
 from curvelim.ideal import GeneratorSet, Relation, _divides, _reduce, groebner, verify_spolys
 
 VT = VarTable(["x", "y", "z"])
@@ -39,6 +42,20 @@ def test_reduce_is_a_division(p, basis, order):
     assert combo == p
     lms = [b.leading_term(order)[0] for b in basis]
     assert not any(_divides(lm, m) for m in rem.terms for lm in lms)
+
+
+@SETTINGS
+@given(_poly(3, 5), _poly(3, 5))
+def test_exact_divide_undoes_multiplication(a, b):
+    assert (a * b).exact_divide(b) == a
+
+
+@SETTINGS
+@given(_poly(3, 5), _poly(3, 5).filter(lambda b: b.total_degree() > 0))
+def test_exact_divide_refuses_a_remainder(a, b):
+    # b divides a*b + 1 only if b divides 1, i.e. b is a constant
+    with pytest.raises(DomainError):
+        (a * b + 1).exact_divide(b)
 
 
 @SETTINGS

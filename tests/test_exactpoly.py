@@ -12,7 +12,6 @@ from curvelim.exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
-    gcd_content,
     grevlex_order,
     lex_order,
     parse_polynomial,
@@ -79,6 +78,11 @@ class TestEvaluate:
     def test_modular(self):
         assert poly("x + 1").evaluate({"x": 6}, modulus=7) == 0
 
+    def test_modular_rational_point(self):
+        # 1/2 maps to the inverse of 2 mod 101, not to int(1/2) == 0
+        assert poly("2*x - 1").evaluate({"x": Fraction(1, 2)}, modulus=101) == 0
+        assert poly("x").evaluate({"x": Fraction(1, 2)}, modulus=101) == 51
+
     def test_missing_assignment(self):
         with pytest.raises(PolyError):
             poly("x + y").evaluate({"x": 1})
@@ -124,21 +128,21 @@ class TestPartial:
 
 class TestContentGcd:
     def test_integer_content(self):
-        content, prim = gcd_content(poly("6*x + 9"))
-        assert content == 3
-        assert prim == poly("2*x + 3")
+        p = poly("6*x + 9")
+        assert p.content() == 3
+        assert p.primitive() == poly("2*x + 3")
 
     def test_two_argument_gcd(self):
-        assert gcd_content(poly("x^2 - 1"), poly("x - 1")) == poly("x - 1")
+        assert poly("x^2 - 1").gcd(poly("x - 1")) == poly("x - 1")
 
     def test_gcd_with_zero(self):
         p = poly("4*x + 6")
-        assert gcd_content(p, Polynomial.zero(VT)) == poly("2*x + 3")
+        assert p.gcd(Polynomial.zero(VT)) == poly("2*x + 3")
 
     def test_multivariate_gcd(self):
         a = poly("(x + y)*(x - 2*y)")
         b = poly("(x + y)*(x + 3*y)")
-        assert gcd_content(a, b) == poly("x + y")
+        assert a.gcd(b) == poly("x + y")
 
 
 class TestResultant:

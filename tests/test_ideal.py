@@ -1,5 +1,5 @@
-"""Groebner engine: bases, normal forms, membership certificates, elimination,
-saturation, determinism."""
+"""Groebner engine: bases, normal forms, membership certificates (with
+saturation multipliers), elimination, determinism."""
 
 import random
 
@@ -25,7 +25,6 @@ from curvelim.ideal import (
     groebner,
     membership,
     normal_form,
-    saturate,
     verify_spolys,
 )
 
@@ -210,25 +209,6 @@ class TestEliminate:
             cert = membership(reg.poly(target), out,
                               degree_bound=reg.poly(target).weighted_degree())
             assert cert != NOT_MEMBER, target
-
-
-class TestSaturate:
-    def test_cancel_planted_factor(self):
-        out = saturate(gens(VT, g=poly("x*y")), poly("x"))
-        assert any(r.poly == poly("y") for r in out)
-
-    def test_coprime_multiplier(self):
-        out = saturate(gens(VT, g=poly("x")), poly("y"))
-        assert [r.poly for r in out] == [poly("x")]
-
-    def test_division_by_nonzero_factor(self):
-        from curvelim.frame import load_paper_symbols
-        sym = load_paper_symbols()
-        g = sym.poly("3*(lam2 - lam3)*(lam2 - lam4)*(u3 - u4)")
-        m = sym.poly("(lam2 - lam3)*(lam2 - lam4)")
-        out = saturate(GeneratorSet(sym.table, [Relation("g", g)]), m)
-        target = sym.poly("u3 - u4")
-        assert any(r.poly == target or r.poly == -target for r in out)
 
 
 class TestMacaulayAgreement:
