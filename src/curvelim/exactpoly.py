@@ -43,10 +43,10 @@ class DomainError(PolyError):
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
+    if type(c) is int:  # skips isinstance, which goes through Fraction's ABCMeta
         return c
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
     return c
 
 
@@ -176,7 +176,8 @@ class Polynomial:
         self.table = table
         clean = {}
         for m, c in terms.items():
-            c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+            if type(c) is not int:
+                c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
             if c == 0:
                 continue
             if len(m) != len(table):
@@ -187,6 +188,20 @@ class Polynomial:
         self._lt = None  # (order, (monomial, coefficient)) of the last leading_term
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def _of(table: VarTable, terms: dict) -> "Polynomial":
+        """Wrap a term dict that is already clean, without copying or checking
+        it: no zero coefficient, no ``Fraction`` with denominator 1, and every
+        key an exponent tuple of table length.  Internal to this module's
+        kernels, whose results the engine property tests check for exactly
+        these conditions."""
+        p = object.__new__(Polynomial)
+        p.table = table
+        p.terms = terms
+        p._hash = None
+        p._lt = None
+        return p
 
     @staticmethod
     def zero(table: VarTable) -> "Polynomial":
@@ -239,12 +254,12 @@ class Polynomial:
                 out[m] = _norm_coeff(s)
             else:
                 out.pop(m, None)
-        return Polynomial(self.table, out)
+        return Polynomial._of(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -255,10 +270,15 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
+        """Product.  Each exponent tuple is packed into one int, a byte per
+        variable, so a monomial product is one integer addition; when the
+        largest exponents of the two operands sum past 255 a byte would carry
+        into its neighbour, and the tuples are added entry by entry instead."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial.zero(self.table)
-            return Polynomial(self.table, {m: _norm_coeff(c * other) for m, c in self.terms.items()})
+            return Polynomial._of(self.table,
+                                  {m: _norm_coeff(c * other) for m, c in self.terms.items()})
         self._check(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.table)
@@ -267,15 +287,30 @@ class Polynomial:
             a, b = b, a
         out: dict = {}
         get = out.get
+        n = len(self.table)
+        if n and max(map(max, a)) + max(map(max, b)) > 255:
+            for mb, cb in b.items():
+                for ma, ca in a.items():
+                    mm = tuple(map(add, ma, mb))
+                    s = get(mm, 0) + ca * cb
+                    if s:
+                        out[mm] = s
+                    else:
+                        del out[mm]
+            return Polynomial._of(self.table, {m: _norm_coeff(c) for m, c in out.items()})
+        pack = int.from_bytes
+        pa = [(pack(bytes(m), "big"), c) for m, c in a.items()]
         for mb, cb in b.items():
-            for ma, ca in a.items():
-                mm = tuple(map(add, ma, mb))
-                s = get(mm, 0) + ca * cb
+            kb = pack(bytes(mb), "big")
+            for ka, ca in pa:
+                k = ka + kb
+                s = get(k, 0) + ca * cb
                 if s:
-                    out[mm] = s
+                    out[k] = s
                 else:
-                    del out[mm]
-        return Polynomial(self.table, {m: _norm_coeff(c) for m, c in out.items()})
+                    del out[k]
+        return Polynomial._of(self.table, {tuple(k.to_bytes(n, "big")): _norm_coeff(c)
+                                           for k, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -348,7 +383,7 @@ class Polynomial:
                 mm = list(m)
                 mm[i] = 0
                 out[tuple(mm)] = c
-        return Polynomial(self.table, out)
+        return Polynomial._of(self.table, out)
 
     def as_univariate(self, name: str) -> dict:
         """Map power -> coefficient Polynomial for the given main variable."""
@@ -359,18 +394,37 @@ class Polynomial:
             p = mm[i]
             mm[i] = 0
             out.setdefault(p, {})[tuple(mm)] = c
-        return {p: Polynomial(self.table, t) for p, t in out.items()}
+        return {p: Polynomial._of(self.table, t) for p, t in out.items()}
 
     # -- calculus / substitution ----------------------------------------------
 
     def substitute(self, name: str, value: "Polynomial") -> "Polynomial":
-        """Replace every occurrence of ``name`` by ``value`` (Horner in that
-        variable), expanded and normalized."""
+        """Replace every occurrence of ``name`` by ``value``, expanded and
+        normalized.  A constant value is substituted in one pass over the
+        terms; any other by Horner in that variable."""
         if name not in self.table:
             raise PolyError(f"unknown variable {name!r}")
         if isinstance(value, (int, Fraction)):
             value = Polynomial.const(self.table, value)
         self._check(value)
+        zero = self.table.zero_exp()
+        if value.terms.keys() <= {zero}:
+            v = value.terms.get(zero, 0)
+            i = self.table.index[name]
+            out: dict = {}
+            for m, c in self.terms.items():
+                e = m[i]
+                if e:
+                    if not v:
+                        continue
+                    c = c * v ** e
+                    m = m[:i] + (0,) + m[i + 1:]
+                s = out.get(m, 0) + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            return Polynomial._of(self.table, {m: _norm_coeff(c) for m, c in out.items()})
         parts = self.as_univariate(name)
         if not parts:
             return self
@@ -428,7 +482,7 @@ class Polynomial:
                 mm = list(m)
                 mm[i] -= 1
                 out[tuple(mm)] = _norm_coeff(c * m[i])
-        return Polynomial(self.table, out)
+        return Polynomial._of(self.table, out)
 
     # -- content / primitive part ----------------------------------------------
 
@@ -601,7 +655,7 @@ def _reduce(p: Polynomial, basis: list, order: MonomialOrder):
                 else:
                     del work[mm]
     table = p.table
-    return Polynomial(table, remainder), [Polynomial(table, f) for f in factors]
+    return Polynomial._of(table, remainder), [Polynomial._of(table, f) for f in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -764,84 +818,96 @@ def _tokenize(text: str):
     return out
 
 
-def parse_polynomial(text: str, table: VarTable) -> Polynomial:
-    """Parse the documented text syntax over the given table."""
-    toks = _tokenize(text)
-    i = 0
+class _Parser:
+    """Recursive descent over one token list.  The grammar's rules call each
+    other in a ring (expr -> term -> factor -> base -> expr), so they are
+    methods: nested closures referring to each other would form a reference
+    cycle holding the tokens and every intermediate polynomial until a gc
+    pass."""
 
-    def peek():
-        return toks[i]
+    __slots__ = ("toks", "i", "table")
 
-    def advance():
-        nonlocal i
-        t = toks[i]
-        i += 1
+    def __init__(self, toks: list, table: VarTable):
+        self.toks = toks
+        self.i = 0
+        self.table = table
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def advance(self):
+        t = self.toks[self.i]
+        self.i += 1
         return t
 
-    def parse_expr() -> Polynomial:
-        kind, val, pos = peek()
+    def expr(self) -> Polynomial:
+        kind, val, pos = self.peek()
         negate = False
         if kind == "op" and val in "+-":
-            advance()
+            self.advance()
             negate = val == "-"
-        acc = parse_term()
+        acc = self.term()
         if negate:
             acc = -acc
         while True:
-            kind, val, pos = peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
-                advance()
-                nxt = parse_term()
+                self.advance()
+                nxt = self.term()
                 acc = acc + (-nxt if val == "-" else nxt)
             else:
                 return acc
 
-    def parse_term() -> Polynomial:
-        acc = parse_factor()
+    def term(self) -> Polynomial:
+        acc = self.factor()
         while True:
-            kind, val, pos = peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
-                advance()
-                acc = acc * parse_factor()
+                self.advance()
+                acc = acc * self.factor()
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
                 return acc
 
-    def parse_factor() -> Polynomial:
-        base = parse_base()
-        kind, val, pos = peek()
+    def factor(self) -> Polynomial:
+        base = self.base()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
-            advance()
-            kind, val, pos = peek()
+            self.advance()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "-":
                 raise ParseError("negative exponent", pos)
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", pos)
-            advance()
+            self.advance()
             return base ** val
         return base
 
-    def parse_base() -> Polynomial:
-        kind, val, pos = advance()
+    def base(self) -> Polynomial:
+        kind, val, pos = self.advance()
         if kind == "int":
-            return Polynomial.const(table, val)
+            return Polynomial.const(self.table, val)
         if kind == "name":
-            if val not in table:
+            if val not in self.table:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return Polynomial.var(table, val)
+            return Polynomial.var(self.table, val)
         if kind == "op" and val == "(":
-            inner = parse_expr()
-            kind, val, pos = advance()
+            inner = self.expr()
+            kind, val, pos = self.advance()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)
             return inner
         if kind == "op" and val == "-":
-            return -parse_base()
+            return -self.base()
         raise ParseError("expected a polynomial factor", pos)
 
-    result = parse_expr()
-    kind, val, pos = peek()
+
+def parse_polynomial(text: str, table: VarTable) -> Polynomial:
+    """Parse the documented text syntax over the given table."""
+    parser = _Parser(_tokenize(text), table)
+    result = parser.expr()
+    kind, val, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
     return result

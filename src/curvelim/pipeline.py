@@ -1016,10 +1016,10 @@ def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> Stag
         rng = random.Random(config.seed)
         samples = []
         for cval in (-1, 0, 1):
+            at_c = elim.substitute("c", Polynomial.const(table, cval))
             for _ in range(5):
                 rval = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-                spec = elim.substitute("c", Polynomial.const(table, cval))
-                spec = spec.substitute("R", Polynomial.const(table, rval))
+                spec = at_c.substitute("R", Polynomial.const(table, rval))
                 samples.append({"c": cval, "R": str(rval),
                                 "status": "zero" if spec.is_zero() else "nonzero",
                                 "H_degree": spec.degree_in("H")})

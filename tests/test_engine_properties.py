@@ -1,7 +1,10 @@
-"""Property tests for the division and Groebner core: the division identity,
-exact division, the Groebner property, independence of generator order, and
-the per-order leading-term cache."""
+"""Property tests for the arithmetic, division and Groebner core: the packed
+product against a schoolbook product, clean results from every kernel, the
+one-pass constant substitution, the division identity, exact division, the
+Groebner property, independence of generator order, and the per-order
+leading-term cache."""
 
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -23,6 +26,13 @@ def _poly(max_deg, max_terms):
     mono = st.tuples(*[st.integers(0, max_deg)] * len(VT)).filter(lambda m: sum(m) <= max_deg)
     coeff = st.integers(-5, 5).filter(bool)
     return st.dictionaries(mono, coeff, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(VT, terms))
+
+
+def _rational_poly(max_deg, max_terms):
+    mono = st.tuples(*[st.integers(0, max_deg)] * len(VT)).filter(lambda m: sum(m) <= max_deg)
+    coeff = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    return st.dictionaries(mono, coeff, min_size=0, max_size=max_terms).map(
         lambda terms: Polynomial(VT, terms))
 
 
@@ -84,3 +94,67 @@ def test_leading_term_follows_the_order_asked(p):
                   block_order(VT, ["z"]), lex_order(), grevlex_order()]:
         m = max(p.terms, key=order.key)
         assert p.leading_term(order) == (m, p.terms[m])
+
+
+def _shift(p, j, s):
+    """p times the j-th variable to the power s."""
+    return Polynomial(VT, {m[:j] + (m[j] + s,) + m[j + 1:]: c for m, c in p.terms.items()})
+
+
+def _top(p):
+    return max(map(max, p.terms))
+
+
+def _schoolbook(a, b):
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return Polynomial(VT, out)
+
+
+def _assert_clean(p):
+    # what Polynomial._of trusts its callers to hand it
+    assert Polynomial(p.table, p.terms).terms == p.terms
+    for m, c in p.terms.items():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert type(m) is tuple and len(m) == len(p.table)
+        assert all(type(e) is int and e >= 0 for e in m)
+
+
+@SETTINGS
+@given(_poly(3, 5), _poly(3, 5), st.sampled_from([254, 255, 256]),
+       st.integers(0, len(VT) - 1), st.integers(3, 240))
+def test_packed_product_matches_schoolbook(a, b, top, j, s):
+    # lift both operands along variable j until their largest exponents sum to
+    # ``top``: below, at and above what one byte per variable holds
+    a = _shift(a, j, s)
+    b = _shift(b, j, top - _top(a) - max(m[j] for m in b.terms))
+    assert _top(a) + _top(b) == top
+    product = a * b
+    assert product.terms == _schoolbook(a, b).terms
+    _assert_clean(product)
+
+
+@SETTINGS
+@given(_rational_poly(3, 5), _rational_poly(3, 5).filter(bool), st.sampled_from(VT.names),
+       st.fractions(-3, 3, max_denominator=4), st.sampled_from(ORDERS))
+def test_kernel_results_are_clean(a, b, name, v, order):
+    results = [a + b, a - b, a * b, -a, a * v, a.substitute(name, v),
+               a.substitute(name, Polynomial.const(VT, v)), a.substitute(name, b),
+               a.partial(name), a.coeff_in(name, 1), a.coeff_in(name, 0)]
+    rem, factors = _reduce(a, [b], order)
+    for p in results + [rem] + factors:
+        _assert_clean(p)
+
+
+@SETTINGS
+@given(_rational_poly(4, 6), st.sampled_from(VT.names), st.fractions(-3, 3, max_denominator=4))
+def test_constant_substitution_sums_the_coefficients(p, name, v):
+    expected = Polynomial.zero(VT)
+    for k in range(p.degree_in(name) + 1):
+        expected = expected + p.coeff_in(name, k) * v ** k
+    assert p.substitute(name, v) == expected
+    assert p.substitute(name, Polynomial.const(VT, v)) == expected

@@ -1,8 +1,11 @@
 """Exact polynomial kernel: arithmetic, substitution, evaluation, derivatives,
 content/gcd, resultants, parser/printer."""
 
+import ast
+import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from curvelim.exactpoly import (
     resultant,
     sylvester_matrix,
 )
+from curvelim.frame import load_paper_symbols
 
 VT = VarTable(["x", "y", "z", "H", "K", "c", "lam1", "lam2"])
 
@@ -53,6 +57,17 @@ class TestArith:
     def test_scalar_ops(self):
         assert 2 * poly("x") - poly("x") == poly("x")
         assert (poly("x") * Fraction(1, 2)) * 2 == poly("x")
+
+    @pytest.mark.parametrize("table", [VarTable(["x"]), load_paper_symbols().table],
+                             ids=["one-variable", "paper"])
+    def test_exponents_past_one_byte(self, table):
+        # x^200 * x^100: the exponents sum past 255, which one byte per
+        # variable of a packed monomial cannot hold
+        def power(i, e):
+            return Polynomial(table, {tuple(e if k == i else 0 for k in range(len(table))): 1})
+
+        for i in range(len(table)):
+            assert power(i, 200) * power(i, 100) == power(i, 300)
 
 
 class TestSubstitute:
@@ -213,6 +228,11 @@ class TestParsePrint:
     def test_unary_minus_and_parens(self):
         assert poly("-(x - y)") == poly("y - x")
 
+    def test_parse_leaves_no_reference_cycle(self):
+        gc.collect()
+        poly("x^2 + 3*x*y - (1 - z)^2")
+        assert gc.collect() == 0
+
 
 class TestOrders:
     def test_grevlex_ties_break_right(self):
@@ -228,6 +248,25 @@ class TestOrders:
         assert p.is_weighted_homogeneous()
         assert p.weighted_degree() == 3
         assert not parse_polynomial("H + K", wt).is_weighted_homogeneous()
+
+
+def test_trusted_constructor_stays_in_exactpoly():
+    # Polynomial._of and object.__new__(Polynomial) skip normalization; only
+    # exactpoly's kernels, whose results the engine property tests check, use them
+    import curvelim.exactpoly as exactpoly
+    package = Path(exactpoly.__file__).parent
+    files = [f for f in sorted(package.glob("*.py")) if f.name != "exactpoly.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    offenders = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_of":
+                offenders.append(f"{path.name}:{node.lineno}: ._of")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__"
+                    and any(isinstance(a, ast.Name) and a.id == "Polynomial" for a in node.args)):
+                offenders.append(f"{path.name}:{node.lineno}: __new__(Polynomial)")
+    assert offenders == []
 
 
 def _random_poly(rng, nvars=3, max_terms=5, max_deg=3):
