@@ -12,6 +12,12 @@ targets up to that weighted degree).
 A "not a member" answer is given only after the basis it rests on has been
 checked to be a Groebner basis of the generators.
 
+``membership`` and ``eliminate`` take an optional ``cache`` dict, which a
+caller keeps for the life of one stage: a basis (of at most ``_CACHED_TERMS``
+terms) already built for the same generator polynomials, whatever their ids,
+order, degree bound and ceilings is served from it, with its provenance
+renamed to the caller's generator ids.
+
 Every returned Certificate's identity
 
     multiplier**power * target  ==  sum(cofactor_i * generator_i)
@@ -392,6 +398,38 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     return GroebnerBasis(gens, order, basis, reps, degree_bound)
 
 
+# The largest basis a cache keeps, counted in terms of its elements and their
+# provenance together.  Case branches re-claim small bases (the largest one the
+# replay reuses has 118 terms); a large basis kept to the end of a stage that
+# never asks for it again only raises the stage's peak memory.
+_CACHED_TERMS = 1000
+
+
+def _basis(gens: GeneratorSet, order: MonomialOrder, limits: Limits,
+           degree_bound: Optional[int], cache: Optional[dict]) -> GroebnerBasis:
+    """``groebner(gens, order, limits, degree_bound)``, reused from ``cache``
+    when a basis of the same generator polynomials, in the same positions, was
+    built under the same order, degree bound and ceilings.  The ids and
+    ``limits.context`` are not part of the key; a reused basis gets the
+    caller's generator set, its provenance renamed position by position.
+    Only a basis of at most ``_CACHED_TERMS`` terms is kept."""
+    if cache is None:
+        return groebner(gens, order, limits, degree_bound)
+    key = (tuple(r.poly for r in gens), order, degree_bound,
+           limits.max_basis, limits.max_pairs)
+    built = cache.get(key)
+    if built is None:
+        built = groebner(gens, order, limits, degree_bound)
+        terms = sum(len(p.terms) for p in built.polys)
+        terms += sum(len(cof.terms) for rep in built.reps for cof in rep.values())
+        if terms <= _CACHED_TERMS:
+            cache[key] = built
+        return built
+    rename = dict(zip(built.gens.ids(), gens.ids()))
+    reps = [{rename[rid]: cof for rid, cof in rep.items()} for rep in built.reps]
+    return GroebnerBasis(gens, built.order, built.polys, reps, built.degree_bound)
+
+
 def normal_form(p: Polynomial, basis: GroebnerBasis):
     """Remainder and per-basis-element cofactors:
     p == remainder + sum(cofactors[i] * basis.polys[i])."""
@@ -412,10 +450,12 @@ def membership(
     limits: Limits = Limits(),
     degree_bound: Optional[int] = None,
     target_id: str = "",
+    cache: Optional[dict] = None,
 ):
     """Certificate that m**k * p lies in the ideal of ``gens``, where m is the
     product of the declared saturation multipliers and k <= max_power is
-    minimal (iterative deepening); the string NOT_MEMBER otherwise.
+    minimal (iterative deepening); the string NOT_MEMBER otherwise.  Bases
+    come from ``cache`` when it holds them (see ``_basis``).
 
     NOT_MEMBER is returned only after every basis it rests on passes
     ``verify_spolys`` and reduces every generator to zero; a basis that fails
@@ -439,7 +479,7 @@ def membership(
     def basis_for(target: Polynomial):
         key = target.weighted_degree() if bounded else None
         if key not in bases:
-            bases[key] = groebner(gens, limits=limits, degree_bound=key)
+            bases[key] = _basis(gens, grevlex_order(), limits, key, cache)
         return bases[key]
 
     target = p
@@ -460,14 +500,16 @@ def membership(
 
 
 def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
-              limits: Limits = Limits(), degree_bound: Optional[int] = None) -> GeneratorSet:
+              limits: Limits = Limits(), degree_bound: Optional[int] = None,
+              cache: Optional[dict] = None) -> GeneratorSet:
     """Generators of the elimination ideal (front variables removed), via a
-    block-order Groebner basis; ids elim_1, elim_2, ... in basis order."""
+    block-order Groebner basis (from ``cache`` when it holds it); ids elim_1,
+    elim_2, ... in basis order."""
     for v in front_vars:
         if v not in gens.table:
             raise PolyError(f"unknown variable {v!r}")
     order = block_order(gens.table, front_vars)
-    gb = groebner(gens, order, limits=limits, degree_bound=degree_bound)
+    gb = _basis(gens, order, limits, degree_bound, cache)
     front_idx = [gens.table.index[v] for v in front_vars]
     out = GeneratorSet(gens.table)
     n = 0

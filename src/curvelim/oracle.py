@@ -10,8 +10,17 @@ symbolic reduction path cannot hide itself here.
 Each check compiles every operand once for its prime (``_compile``): each term
 becomes its coefficient mod p, with a rational coefficient mapped through the
 modular inverse, and the (table position, exponent) pairs of its nonzero
-exponents.  ``_eval`` then evaluates that form at every trial point, a list of
-residues indexed by table position.  Compiled forms live only for the call.
+exponents.  Terms are sorted by those pairs, so consecutive terms share factor
+prefixes.  Compiled forms live only for the call.
+
+Evaluation is columnar.  A sweep derives the points of a block of at most
+``_BLOCK`` trials, holds one column of residues per variable (one entry per
+trial), and evaluates each compiled operand over the whole block at once
+(``_columns``): it walks the sorted terms as a trie, keeping a stack of
+column products along the current factor prefix, so each trie node costs one
+column product; the power columns x_i^e mod p are built once per block.
+``_eval``, the value at a single point, is the same kernel on one-entry
+columns.
 
 Evaluation points come from counter-mode hashing of (seed, label, trial,
 variable), so verdicts are independent of execution order and fully
@@ -107,21 +116,31 @@ def _point_values(seed: int, label: str, trial: int, variables: Sequence[str],
                   prime: int, limit: int) -> List[int]:
     """Counter-mode point derivation: for each variable, the first 128-bit
     SHA-256 draw of f"{seed}|{label}|{trial}|{var}|{counter}" below ``limit``,
-    reduced mod the prime.  The shared "{seed}|{label}|{trial}|" prefix is
-    hashed once and extended per draw."""
-    prefix = hashlib.sha256(f"{seed}|{label}|{trial}|".encode())
-    values = []
-    for var in variables:
+    reduced mod the prime.  The "{seed}|{label}|{trial}|" prefix is encoded
+    once per trial."""
+    return _draw(f"{seed}|{label}|{trial}|".encode(), variables, _first_tags(variables),
+                 prime, limit)
+
+
+def _first_tags(variables: Sequence[str]) -> List[bytes]:
+    """The encoded "{var}|0" tag of each variable's first draw."""
+    return [f"{var}|0".encode() for var in variables]
+
+
+def _draw(prefix: bytes, variables: Sequence[str], tags: Sequence[bytes], prime: int,
+          limit: int) -> List[int]:
+    """``_point_values`` given the encoded trial prefix and the first-draw
+    tags.  A draw at or above the limit moves its variable's counter."""
+    sha256 = hashlib.sha256
+    draws = [int.from_bytes(sha256(prefix + tag).digest()[:16], "big") for tag in tags]
+    for k, x in enumerate(draws):
         counter = 0
-        while True:
-            h = prefix.copy()
-            h.update(f"{var}|{counter}".encode())
-            x = int.from_bytes(h.digest()[:16], "big")
-            if x < limit:
-                values.append(x % prime)
-                break
+        while x >= limit:
             counter += 1
-    return values
+            tag = f"{variables[k]}|{counter}".encode()
+            x = int.from_bytes(sha256(prefix + tag).digest()[:16], "big")
+        draws[k] = x % prime
+    return draws
 
 
 def sample_point(cfg: SpotCheckConfig, label: str, trial: int,
@@ -132,8 +151,16 @@ def sample_point(cfg: SpotCheckConfig, label: str, trial: int,
 
 
 # A polynomial prepared for one prime: (coefficient mod p, ((var_index, exponent), ...))
-# per term, with var_index the position in the polynomial's table.
+# per term, with var_index the position in the polynomial's table, sorted by factors.
 Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
+
+# Residue columns of one block of points, keyed by (var_index, exponent): the
+# values of x_i^e mod p, one per point.  The caller supplies the exponent-1
+# columns; ``_columns`` adds the powers it needs.
+Powers = Dict[Tuple[int, int], List[int]]
+
+# trials evaluated together; the default trial count is one block
+_BLOCK = 100
 
 
 def _compile(poly, prime: int) -> Compiled:
@@ -147,18 +174,55 @@ def _compile(poly, prime: int) -> Compiled:
             c = coeff % prime
         if c:
             out.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
+    out.sort(key=lambda term: term[1])
     return out
+
+
+def _columns(compiled: Compiled, powers: Powers, n: int, prime: int) -> List[int]:
+    """Values mod the prime at the ``n`` points whose columns ``powers``
+    holds.  ``stack[k]`` is the column product of the first k factors of the
+    term before (None for the empty product), kept for the factors a term
+    shares with the next one; a term's last factor is multiplied straight into
+    the sum."""
+    acc = [0] * n
+    stack: List[Optional[List[int]]] = [None]
+    prev: Tuple[Tuple[int, int], ...] = ()
+    for c, factors in compiled:
+        k = 0
+        for f, g in zip(factors, prev):
+            if f != g:
+                break
+            k += 1
+        del stack[k + 1:]
+        cols = []
+        for f in factors[len(stack) - 1:]:
+            col = powers.get(f)
+            if col is None:
+                i, e = f
+                col = powers[f] = [pow(v, e, prime) for v in powers[(i, 1)]]
+            cols.append(col)
+        top = stack[-1]
+        if cols:
+            for col in cols[:-1]:
+                top = col if top is None else [a * b % prime for a, b in zip(top, col)]
+                stack.append(top)
+            col = cols[-1]
+            if top is None:
+                acc = [a + c * b for a, b in zip(acc, col)]
+            else:
+                acc = [a + c * t * b for a, t, b in zip(acc, top, col)]
+        elif top is None:
+            acc = [a + c for a in acc]
+        else:
+            acc = [a + c * t for a, t in zip(acc, top)]
+        prev = factors
+    return [a % prime for a in acc]
 
 
 def _eval(compiled: Compiled, x: Sequence[int], prime: int) -> int:
     """Value mod the prime at the point ``x``, residues indexed by table
-    position; reduced once per term and once at the end."""
-    total = 0
-    for c, factors in compiled:
-        for i, e in factors:
-            c *= x[i] ** e
-        total += c % prime
-    return total % prime
+    position: the column kernel at one point."""
+    return _columns(compiled, {(i, 1): [v] for i, v in enumerate(x)}, 1, prime)[0]
 
 
 def _total_degree(poly) -> int:
@@ -166,33 +230,36 @@ def _total_degree(poly) -> int:
 
 
 # Both sides of an identity as a function of the prime: compiles every operand
-# for that prime and returns the evaluator of (lhs, rhs) mod the prime at a point.
-Sides = Callable[[int], Callable[[Sequence[int]], Tuple[int, int]]]
+# for that prime and returns the evaluator of the (lhs, rhs) columns mod the
+# prime over a block of n points.
+Sides = Callable[[int], Callable[[Powers, int], Tuple[List[int], List[int]]]]
 
 
 def _sweep(label: str, table, variables: Sequence[str], deg: int, sides: Sides,
            cfg: SpotCheckConfig) -> SpotCheckResult:
-    """Compare both sides at cfg.trials seeded points mod cfg.prime.  The
-    operands are compiled once for the working prime and, at the first
-    failure, once for each confirmation prime."""
+    """Compare both sides at cfg.trials seeded points mod cfg.prime, one block
+    of trials at a time.  The operands are compiled once for the working prime
+    and, at the first failure, once for each confirmation prime."""
     p = cfg.prime
     result = SpotCheckResult(label, cfg.trials, total_degree=deg,
                              per_trial_bound=Fraction(max(deg, 1), p))
     at = sides(p)
     limit = _rejection_limit(p)
     positions = [table.index[v] for v in variables]
-    x = [0] * len(table.names)
+    tags = _first_tags(variables)
     confirmers = None
-    for trial in range(cfg.trials):
-        values = _point_values(cfg.seed, label, trial, variables, p, limit)
-        for i, v in zip(positions, values):
-            x[i] = v
-        a, b = at(x)
-        if a != b:
-            if confirmers is None:
-                confirmers = [(q, sides(q)) for q in _extra_primes()]
-            result.failures.append(_witness(label, trial, dict(zip(variables, values)),
-                                            (a - b) % p, x, confirmers))
+    for start in range(0, cfg.trials, _BLOCK):
+        trials = range(start, min(start + _BLOCK, cfg.trials))
+        points = [_draw(f"{cfg.seed}|{label}|{trial}|".encode(), variables, tags, p, limit)
+                  for trial in trials]
+        powers = {(i, 1): list(col) for i, col in zip(positions, zip(*points))}
+        lhs, rhs = at(powers, len(points))
+        for trial, values, a, b in zip(trials, points, lhs, rhs):
+            if a != b:
+                if confirmers is None:
+                    confirmers = [(q, sides(q)) for q in _extra_primes()]
+                result.failures.append(_witness(label, trial, variables, positions, values,
+                                                (a - b) % p, confirmers))
     return result
 
 
@@ -205,7 +272,8 @@ def check_identity(lhs, rhs, cfg: SpotCheckConfig, label: str = "identity") -> S
 
     def sides(prime):
         cl, cr = _compile(lhs, prime), _compile(rhs, prime)
-        return lambda x: (_eval(cl, x, prime), _eval(cr, x, prime))
+        return lambda powers, n: (_columns(cl, powers, n, prime),
+                                  _columns(cr, powers, n, prime))
 
     return _sweep(label, lhs.table, variables, deg, sides, cfg)
 
@@ -255,31 +323,33 @@ def check_certificate(cert, gens=None, target=None,
         cm = _compile(cert.multiplier, prime) if power else None
         cparts = [(_compile(cof, prime), _compile(gp, prime)) for cof, gp in parts]
 
-        def at(x):
-            lhs = _eval(ct, x, prime)
+        def at(powers, n):
+            lhs = _columns(ct, powers, n, prime)
             if cm is not None:
-                lhs = lhs * pow(_eval(cm, x, prime), power, prime) % prime
-            rhs = 0
+                lhs = [a * pow(m, power, prime) % prime
+                       for a, m in zip(lhs, _columns(cm, powers, n, prime))]
+            rhs = [0] * n
             for cc, cg in cparts:
-                rhs += _eval(cc, x, prime) * _eval(cg, x, prime)
-            return lhs, rhs % prime
+                rhs = [r + a * b for r, a, b in zip(rhs, _columns(cc, powers, n, prime),
+                                                    _columns(cg, powers, n, prime))]
+            return lhs, [r % prime for r in rhs]
         return at
 
     return _sweep(label, tgt.table, sorted(variables), deg, sides, cfg)
 
 
-def _witness(label: str, trial: int, point: Dict[str, int], residue: int,
-             x: Sequence[int], confirmers) -> dict:
+def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequence[int],
+             values: Sequence[int], residue: int, confirmers) -> dict:
     """Failure record; the residue is re-checked at three further primes so a
     reported witness is never an artifact of the working modulus."""
     confirm = []
     for extra, at in confirmers:
-        a, b = at([v % extra for v in x])
+        (a,), (b,) = at({(i, 1): [v % extra] for i, v in zip(positions, values)}, 1)
         confirm.append({"prime": extra, "residue": (a - b) % extra})
     return {
         "label": label,
         "trial": trial,
-        "point": {v: str(x) for v, x in sorted(point.items())},
+        "point": {v: str(x) for v, x in sorted(zip(variables, values))},
         "residue": str(residue),
         "confirmations": confirm,
     }

@@ -178,7 +178,10 @@ Built = Union[Polynomial, Callable[[], Polynomial]]
 
 class StageRunner:
     """One stage's knowledge ideal -- the relations verified so far -- and its
-    step records.  Every step goes through ``step``."""
+    step records.  Every step goes through ``step``.  ``bases`` holds the
+    Groebner bases its claims and eliminations built, so a later step over
+    the same generator polynomials reuses them (``ideal._basis``); it lives
+    as long as the stage."""
 
     def __init__(self, name: str, config: Config, table: VarTable,
                  sats: Sequence[SaturationRecord] = (),
@@ -190,6 +193,7 @@ class StageRunner:
         self.symbols = symbols
         self.registry = EquationRegistry(symbols) if symbols else None
         self.rules = load_rule_tables(symbols) if symbols else {}
+        self.bases: dict = {}
 
     @classmethod
     def paper(cls, name: str, config: Config) -> "StageRunner":
@@ -303,7 +307,7 @@ class StageRunner:
             cert = membership(target, self.gens.subset(list(via)),
                               saturations=[self.sats[s] for s in sat_ids],
                               max_power=self.config.max_power, limits=self.config.limits,
-                              degree_bound=bound, target_id=sid)
+                              degree_bound=bound, target_id=sid, cache=self.bases)
             if cert == NOT_MEMBER:
                 rec.status = "not-member"
                 rec.details.update(via=list(via), saturations=list(sat_ids))
@@ -372,7 +376,7 @@ class StageRunner:
                        eliminated=list(front_vars)) as rec:
             self._require(via)
             egens = eliminate(self.gens.subset(list(via)), list(front_vars),
-                              limits=self.config.limits.named(sid))
+                              limits=self.config.limits.named(sid), cache=self.bases)
             for n, r in enumerate(egens, start=1):
                 if f"{sid}_{n}" not in self.gens:
                     self.add(f"{sid}_{n}", r.poly)

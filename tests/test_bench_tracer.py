@@ -47,3 +47,28 @@ def test_install_then_uninstall_restores_every_attribute(tracer):
     after = _snapshot(tracer)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
+    # membership and eliminate reach groebner through the basis cache; every
+    # basis actually built is still one ideal.groebner span
+    import curvelim.pipeline as pipeline
+
+    runners = []
+    real_init = pipeline.StageRunner.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        runners.append(self)
+
+    monkeypatch.setattr(pipeline.StageRunner, "__init__", recording_init)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = pipeline.run_lemma32(pipeline.Config())
+    finally:
+        t.uninstall()
+    assert result.verdict() == "success"
+    spans = [row for row in t.rows if row[2] == "ideal.groebner"]
+    assert len(spans) == sum(len(r.bases) for r in runners) == 61
+    assert not any(repeat for _, _, _, _, _, _, _, (repeat, _) in spans)

@@ -173,6 +173,109 @@ class TestMembership:
         assert cert.pairs["d1_img"] == Polynomial.const(sym.table, -1)
 
 
+class TestBasisReuse:
+    """A cache dict shared by calls reuses a basis built for the same generator
+    polynomials, order, degree bound and ceilings, whatever the ids."""
+
+    def _counting(self, monkeypatch):
+        built = []
+        real = ideal.groebner
+
+        def counting(*args, **kwargs):
+            built.append(args[0].ids())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ideal, "groebner", counting)
+        return built
+
+    def test_hit_over_renamed_ids_matches_a_cold_call(self, monkeypatch):
+        target = poly("y^2 - x")
+        cold = membership(target, gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1")))
+        built = self._counting(monkeypatch)
+        cache = {}
+        first = membership(target, gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1")),
+                           cache=cache)
+        hit = membership(target, gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1")),
+                         limits=Limits(context="another step"), cache=cache)
+        assert built == [["g1", "g2"]]
+        assert sorted(first.pairs) == ["g1", "g2"] and sorted(hit.pairs) == ["a", "b"]
+        assert hit.digest() == cold.digest()
+
+    def test_elimination_hit_over_renamed_ids(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        cache = {}
+        out1 = eliminate(gens(VT, g1=poly("x - t"), g2=poly("y - t^2")), ["t"], cache=cache)
+        out2 = eliminate(gens(VT, p=poly("x - t"), q=poly("y - t^2")), ["t"], cache=cache)
+        assert len(built) == 1
+        assert [r.poly for r in out1] == [r.poly for r in out2]
+
+    def test_other_order_or_bound_is_a_miss(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        cache = {}
+        g = poly("x - t")
+        eliminate(gens(VT, g=g), ["t"], cache=cache)
+        eliminate(gens(VT, g=g), ["x"], cache=cache)
+        membership(g, gens(VT, g=g), degree_bound=1, cache=cache)
+        membership(g, gens(VT, g=g), cache=cache)
+        assert len(built) == 4
+
+    def test_large_basis_is_not_kept(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        monkeypatch.setattr(ideal, "_CACHED_TERMS", 1)
+        cache = {}
+        gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))
+        membership(poly("y^2 - x"), gs, cache=cache)
+        membership(poly("y^2 - x"), gs, cache=cache)
+        assert cache == {} and len(built) == 2
+
+    def test_ceilings_are_part_of_the_key(self):
+        cache = {}
+        gs = gens(VT, a=poly("x^3 - 2*x*y"), b=poly("x^2*y - 2*y^2 + x"))
+        assert membership(poly("x^3 - 2*x*y"), gs, cache=cache) != NOT_MEMBER
+        with pytest.raises(ResourceExhausted):
+            membership(poly("x^3 - 2*x*y"), gs, limits=Limits(max_basis=1), cache=cache)
+
+    def test_not_member_on_a_cached_basis_runs_both_guards(self, monkeypatch):
+        checked = []
+        real_verify, real_spans = ideal.verify_spolys, ideal._spans_generators
+
+        def verify(gb):
+            checked.append(("verify_spolys", gb.gens.ids()))
+            return real_verify(gb)
+
+        def spans(gb):
+            checked.append(("_spans_generators", gb.gens.ids()))
+            return real_spans(gb)
+
+        monkeypatch.setattr(ideal, "verify_spolys", verify)
+        monkeypatch.setattr(ideal, "_spans_generators", spans)
+        cache = {}
+        membership(poly("x^2 - y"), gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1")),
+                   cache=cache)
+        assert checked == []
+        gs = gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1"))
+        assert membership(poly("x"), gs, cache=cache) == NOT_MEMBER
+        assert checked == [("verify_spolys", ["a", "b"]), ("_spans_generators", ["a", "b"])]
+
+    def test_lost_s_pair_in_a_cached_basis_raises(self, monkeypatch):
+        # the basis cached by the first claim lost the pair whose S-polynomial
+        # is the second target; the guard still refuses the negative
+        real_push = ideal.heappush
+
+        def lossy_push(queue, entry):
+            if entry[1:] != (0, 1):
+                real_push(queue, entry)
+
+        monkeypatch.setattr(ideal, "heappush", lossy_push)
+        cache = {}
+        gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))
+        assert membership(poly("x^2 - y"), gs, cache=cache) != NOT_MEMBER
+        monkeypatch.setattr(ideal, "heappush", real_push)
+        with pytest.raises(PolyError, match="internal error"):
+            membership(poly("y^2 - x"), gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1")),
+                       cache=cache)
+
+
 class TestEliminate:
     def test_parametrized_curve(self):
         gs = gens(VT, g1=poly("x - t"), g2=poly("y - t^2"))

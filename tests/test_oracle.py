@@ -160,6 +160,24 @@ class TestCertificateWitness:
                 assert c["residue"] == (-diff).evaluate({v: x % q for v, x in point.items()},
                                                         modulus=q)
 
+    def test_witnesses_across_blocks(self):
+        # 250 trials walk three blocks; every trial fails, in trial order, at
+        # the point the counter-mode derivation gives for that trial
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
+                               Relation("g2", poly("y - x"))])
+        bad = _PlantedCofactor(membership(poly("y^2 - 1"), gs), poly("z"))
+        cfg = SpotCheckConfig(seed=3, trials=250)
+        res = check_certificate(bad, cfg=cfg, label="blocks")
+        assert [w["trial"] for w in res.failures] == list(range(250))
+        rid = sorted(bad.pairs)[0]
+        diff = poly("z") * bad.generator_poly(rid)   # rhs - lhs of the planted identity
+        for w in res.failures:
+            point = sample_point(cfg, "blocks", w["trial"], ["x", "y", "z"])
+            assert w["point"] == {v: str(x) for v, x in point.items()}
+            assert int(w["residue"]) == (-diff).evaluate(point, modulus=cfg.prime) != 0
+            assert len(w["confirmations"]) == 3
+            assert all(c["residue"] != 0 for c in w["confirmations"])
+
     def test_operands_over_different_tables_rejected(self):
         gs = GeneratorSet(VT, [Relation("g1", poly("x - 1"))])
         cert = membership(poly("x^2 - 1"), gs)
@@ -209,6 +227,32 @@ def test_compiled_evaluation_matches_exactpoly(p, prime, data):
     x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
     expected = p.evaluate(dict(zip(VT5.names, x)), modulus=prime)
     assert oracle._eval(oracle._compile(p, prime), x, prime) == expected
+
+
+VT1 = VarTable(["s"])
+_tables = st.sampled_from([VT5, VT1])
+
+
+@st.composite
+def _columns_case(draw):
+    table = draw(_tables)
+    n = len(table)
+    constant = st.dictionaries(st.just((0,) * n), _fraction, max_size=1)
+    general = st.dictionaries(st.tuples(*[st.integers(0, 5)] * n), _fraction, max_size=8)
+    p = Polynomial(table, draw(st.one_of(constant, general)))
+    prime = draw(_prime)
+    points = draw(st.lists(st.lists(st.integers(0, prime - 1), min_size=n, max_size=n),
+                           min_size=1, max_size=7))
+    return p, prime, points
+
+
+@settings(max_examples=50, deadline=None)
+@given(_columns_case())
+def test_column_kernel_matches_exactpoly_at_each_point(case):
+    p, prime, points = case
+    powers = {(i, 1): [x[i] for x in points] for i in range(len(p.table))}
+    expected = [p.evaluate(dict(zip(p.table.names, x)), modulus=prime) for x in points]
+    assert oracle._columns(oracle._compile(p, prime), powers, len(points), prime) == expected
 
 
 def test_oracle_imports_nothing_from_curvelim():

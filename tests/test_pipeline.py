@@ -125,6 +125,24 @@ class TestLemma32:
             assert recs[sid].status == "matched-up-to-content", sid
 
 
+class TestBasisReuse:
+    def test_lemma32_builds_each_basis_once(self, monkeypatch):
+        # the case branches and permuted replays re-claim the same algebra
+        # under new ids; the stage's cache builds each basis once
+        keys = []
+        real = ideal.groebner
+
+        def recording(gens, order=None, limits=Limits(), degree_bound=None):
+            keys.append((tuple(r.poly for r in gens), order, degree_bound,
+                         limits.max_basis, limits.max_pairs))
+            return real(gens, order, limits, degree_bound)
+
+        monkeypatch.setattr(ideal, "groebner", recording)
+        assert run_lemma32(Config()).verdict() == "success"
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == 61
+
+
 class TestStageIndependence:
     def test_theorem_chain_does_not_need_lemma31(self, theorem33_run):
         # the main stage re-verifies its inputs from axioms plus the exported
