@@ -22,6 +22,7 @@ from typing import List, Optional
 from .exactpoly import (
     ParseError,
     PolyError,
+    Polynomial,
     VarTable,
     parse_polynomial,
     resultant,

@@ -7,7 +7,8 @@ smallest lcm (ties broken by index) is processed first.  Division is
 ``exactpoly._reduce``, which works on term dicts updated in place.  For
 weighted-homogeneous generator sets an optional degree bound truncates the
 pair queue (a valid d-Groebner basis, sufficient to decide membership of
-targets up to that weighted degree).
+targets up to that weighted degree).  ``membership`` sets that bound itself,
+at the weight of a weighted-homogeneous target; no caller chooses it.
 
 A "not a member" answer is given only after the basis it rests on has been
 checked to be a Groebner basis of the generators.
@@ -49,26 +50,18 @@ from .exactpoly import (
 
 
 class ResourceExhausted(Exception):
-    """A configured basis-size or pair-count ceiling was hit; names the stage."""
+    """A configured basis-size or pair-count ceiling was hit."""
 
-    def __init__(self, what: str, limit: int, context: str = ""):
-        msg = f"resource ceiling exceeded: {what} > {limit}"
-        if context:
-            msg += f" [{context}]"
-        super().__init__(msg)
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"resource ceiling exceeded: {what} > {limit}")
         self.what = what
         self.limit = limit
-        self.context = context
 
 
 @dataclass(frozen=True)
 class Limits:
     max_basis: int = 4000
     max_pairs: int = 200000
-    context: str = ""
-
-    def named(self, context: str) -> "Limits":
-        return Limits(self.max_basis, self.max_pairs, context)
 
 
 @dataclass
@@ -147,13 +140,11 @@ class Certificate:
         gens: GeneratorSet,
         multiplier: Optional[Polynomial] = None,
         power: int = 0,
-        target_id: str = "",
     ):
         self.target = target
         self.pairs = {k: v for k, v in pairs.items() if not v.is_zero()}
         self.multiplier = multiplier if power else None
         self.power = power if multiplier is not None else 0
-        self.target_id = target_id
         self._gen_polys = {rid: gens.get(rid).poly for rid in self.pairs}
         lhs = target * (self.multiplier ** self.power) if self.power else target
         rhs = Polynomial.zero(target.table)
@@ -315,7 +306,7 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         reps.append(rep)
         lts.append(lm)
         if len(basis) > limits.max_basis:
-            raise ResourceExhausted("basis size", limits.max_basis, limits.context)
+            raise ResourceExhausted("basis size", limits.max_basis)
 
     for r in gens:
         red, fac = _reduce(r.poly, basis, order)
@@ -329,7 +320,7 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     while queue:
         processed += 1
         if processed > limits.max_pairs:
-            raise ResourceExhausted("pair count", limits.max_pairs, limits.context)
+            raise ResourceExhausted("pair count", limits.max_pairs)
         _, i, j = heappop(queue)
         pairs.discard((i, j))
         lmi, lmj = lts[i], lts[j]
@@ -409,14 +400,13 @@ def _basis(gens: GeneratorSet, order: MonomialOrder, limits: Limits,
            degree_bound: Optional[int], cache: Optional[dict]) -> GroebnerBasis:
     """``groebner(gens, order, limits, degree_bound)``, reused from ``cache``
     when a basis of the same generator polynomials, in the same positions, was
-    built under the same order, degree bound and ceilings.  The ids and
-    ``limits.context`` are not part of the key; a reused basis gets the
-    caller's generator set, its provenance renamed position by position.
-    Only a basis of at most ``_CACHED_TERMS`` terms is kept."""
+    built under the same order, degree bound and ceilings.  The ids are not
+    part of the key; a reused basis gets the caller's generator set, its
+    provenance renamed position by position.  Only a basis of at most
+    ``_CACHED_TERMS`` terms is kept."""
     if cache is None:
         return groebner(gens, order, limits, degree_bound)
-    key = (tuple(r.poly for r in gens), order, degree_bound,
-           limits.max_basis, limits.max_pairs)
+    key = (tuple(r.poly for r in gens), order, degree_bound, limits)
     built = cache.get(key)
     if built is None:
         built = groebner(gens, order, limits, degree_bound)
@@ -448,8 +438,6 @@ def membership(
     saturations: Sequence[SaturationRecord] = (),
     max_power: int = 8,
     limits: Limits = Limits(),
-    degree_bound: Optional[int] = None,
-    target_id: str = "",
     cache: Optional[dict] = None,
 ):
     """Certificate that m**k * p lies in the ideal of ``gens``, where m is the
@@ -461,19 +449,20 @@ def membership(
     ``verify_spolys`` and reduces every generator to zero; a basis that fails
     raises ``PolyError``, so a lost S-pair never reads as a refutation.
 
-    For weighted-homogeneous inputs the basis is recomputed with a bound that
-    grows with the multiplier power actually being tried, so the common case
-    (power 0 or 1) stays cheap.
+    When the target and the multiplier are weighted-homogeneous, each basis is
+    truncated at the weight of the target actually being tried, m**k * p: for
+    weighted-homogeneous generators that decides membership, and ``groebner``
+    ignores the bound for any others.  The common case (power 0 or 1) stays
+    cheap.
     """
     if p.is_zero():
-        return Certificate(p, {}, gens, target_id=target_id)
+        return Certificate(p, {}, gens)
     mult = None
     if saturations:
         mult = Polynomial.const(p.table, 1)
         for s in saturations:
             mult = mult * s.multiplier
-    bounded = (degree_bound is not None and p.is_weighted_homogeneous()
-               and (mult is None or mult.is_weighted_homogeneous()))
+    bounded = p.is_weighted_homogeneous() and (mult is None or mult.is_weighted_homogeneous())
     bases: dict = {}
 
     def basis_for(target: Polynomial):
@@ -488,7 +477,7 @@ def membership(
         rem, factors = normal_form(target, b)
         if rem.is_zero():
             return Certificate(p, generator_cofactors(factors, b), gens,
-                               multiplier=mult, power=k, target_id=target_id)
+                               multiplier=mult, power=k)
         if mult is None:
             break
         target = target * mult

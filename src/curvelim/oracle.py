@@ -1,5 +1,5 @@
-"""Independent randomized verification of certificates and polynomial
-identities by seeded modular evaluation (Schwartz-Zippel).
+"""Independent randomized verification of certificates by seeded modular
+evaluation (Schwartz-Zippel).
 
 This module deliberately re-implements polynomial evaluation on its own.
 It imports nothing from ``curvelim``: it reads the raw term dictionaries and
@@ -7,13 +7,14 @@ variable tables of ``exactpoly.Polynomial`` values, and never calls polynomial
 arithmetic, the ideal machinery or the exactpoly evaluator, so a bug in the
 symbolic reduction path cannot hide itself here.
 
-Each check compiles every operand once for its prime (``_compile``): each term
-becomes its coefficient mod p, with a rational coefficient mapped through the
-modular inverse, and the (table position, exponent) pairs of its nonzero
-exponents.  Terms are sorted by those pairs, so consecutive terms share factor
-prefixes.  Compiled forms live only for the call.
+``check_certificate`` is the one check.  It compiles every operand of the
+certificate once for its prime (``_compile``): each term becomes its
+coefficient mod p, with a rational coefficient mapped through the modular
+inverse, and the (table position, exponent) pairs of its nonzero exponents.
+Terms are sorted by those pairs, so consecutive terms share factor prefixes.
+Compiled forms live only for the call.
 
-Evaluation is columnar.  A sweep derives the points of a block of at most
+Evaluation is columnar.  The check derives the points of a block of at most
 ``_BLOCK`` trials, holds one column of residues per variable (one entry per
 trial), and evaluates each compiled operand over the whole block at once
 (``_columns``): it walks the sorted terms as a trie, keeping a stack of
@@ -32,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # 2**64 - 59: a published prime comfortably above 2**61.
 DEFAULT_PRIME = 18446744073709551557
@@ -66,7 +67,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 class OracleError(Exception):
-    """Structural misuse of the oracle (bad prime, dangling references)."""
+    """Structural misuse of the oracle (bad prime or trial count, operands over
+    different variable tables)."""
 
 
 @dataclass(frozen=True)
@@ -229,96 +231,36 @@ def _total_degree(poly) -> int:
     return max((sum(m) for m in poly.terms), default=0)
 
 
-# Both sides of an identity as a function of the prime: compiles every operand
-# for that prime and returns the evaluator of the (lhs, rhs) columns mod the
-# prime over a block of n points.
-Sides = Callable[[int], Callable[[Powers, int], Tuple[List[int], List[int]]]]
-
-
-def _sweep(label: str, table, variables: Sequence[str], deg: int, sides: Sides,
-           cfg: SpotCheckConfig) -> SpotCheckResult:
-    """Compare both sides at cfg.trials seeded points mod cfg.prime, one block
-    of trials at a time.  The operands are compiled once for the working prime
-    and, at the first failure, once for each confirmation prime."""
-    p = cfg.prime
-    result = SpotCheckResult(label, cfg.trials, total_degree=deg,
-                             per_trial_bound=Fraction(max(deg, 1), p))
-    at = sides(p)
-    limit = _rejection_limit(p)
-    positions = [table.index[v] for v in variables]
-    tags = _first_tags(variables)
-    confirmers = None
-    for start in range(0, cfg.trials, _BLOCK):
-        trials = range(start, min(start + _BLOCK, cfg.trials))
-        points = [_draw(f"{cfg.seed}|{label}|{trial}|".encode(), variables, tags, p, limit)
-                  for trial in trials]
-        powers = {(i, 1): list(col) for i, col in zip(positions, zip(*points))}
-        lhs, rhs = at(powers, len(points))
-        for trial, values, a, b in zip(trials, points, lhs, rhs):
-            if a != b:
-                if confirmers is None:
-                    confirmers = [(q, sides(q)) for q in _extra_primes()]
-                result.failures.append(_witness(label, trial, variables, positions, values,
-                                                (a - b) % p, confirmers))
-    return result
-
-
-def check_identity(lhs, rhs, cfg: SpotCheckConfig, label: str = "identity") -> SpotCheckResult:
-    """Evaluate lhs - rhs at cfg.trials independent points modulo the prime."""
-    if lhs.table != rhs.table:
-        raise OracleError("identity operands live over different variable tables")
-    variables = sorted(set(lhs.variables()) | set(rhs.variables()))
-    deg = max(_total_degree(lhs), _total_degree(rhs))
-
-    def sides(prime):
-        cl, cr = _compile(lhs, prime), _compile(rhs, prime)
-        return lambda powers, n: (_columns(cl, powers, n, prime),
-                                  _columns(cr, powers, n, prime))
-
-    return _sweep(label, lhs.table, variables, deg, sides, cfg)
-
-
-def check_certificate(cert, gens=None, target=None,
-                      cfg: Optional[SpotCheckConfig] = None,
-                      label: str = "") -> SpotCheckResult:
+def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
+                      label: str = "certificate") -> SpotCheckResult:
     """Spot-check a certificate-shaped object:
 
         multiplier**power * target  ==  sum(cofactor_i * generator_i)
 
-    ``cert`` needs attributes target, multiplier, power, pairs (id -> cofactor)
-    and generator_poly(id), as ideal.Certificate has.  ``gens``/``target``
-    optionally override the embedded references
-    (a dangling generator id is a structural error).
+    by comparing both sides at cfg.trials seeded points mod cfg.prime, one
+    block of trials at a time.  ``cert`` needs attributes target, multiplier,
+    power, pairs (id -> cofactor) and generator_poly(id), as ideal.Certificate
+    has.  The operands are compiled once for the working prime and, at the
+    first failure, once for each confirmation prime.
     """
-    cfg = cfg or SpotCheckConfig()
-    label = label or f"certificate:{getattr(cert, 'target_id', '') or 'anonymous'}"
-    tgt = target if target is not None else cert.target
-    parts: List[Tuple[object, object]] = []
-    for rid in sorted(cert.pairs):
-        cof = cert.pairs[rid]
-        if gens is not None:
-            if rid not in gens:
-                raise OracleError(f"certificate references unknown generator {rid!r}")
-            gp = gens.get(rid).poly
-        else:
-            gp = cert.generator_poly(rid)
-        parts.append((cof, gp))
+    tgt = cert.target
+    parts = [(cert.pairs[rid], cert.generator_poly(rid)) for rid in sorted(cert.pairs)]
     power = cert.power if cert.multiplier is not None else 0
     operands = [tgt, *(q for part in parts for q in part)]
     if power:
         operands.append(cert.multiplier)
     if any(q.table != tgt.table for q in operands):
         raise OracleError("certificate operands live over different variable tables")
-    variables = set(tgt.variables())
+    variables = sorted(set().union(*(q.variables() for q in operands)))
     deg = _total_degree(tgt)
     if power:
-        variables |= set(cert.multiplier.variables())
         deg += power * _total_degree(cert.multiplier)
     for cof, gp in parts:
-        variables |= set(cof.variables()) | set(gp.variables())
         deg = max(deg, _total_degree(cof) + _total_degree(gp))
 
     def sides(prime):
+        """Compile every operand for ``prime``; returns the evaluator of the
+        (lhs, rhs) columns mod the prime over a block of n points."""
         ct = _compile(tgt, prime)
         cm = _compile(cert.multiplier, prime) if power else None
         cparts = [(_compile(cof, prime), _compile(gp, prime)) for cof, gp in parts]
@@ -335,7 +277,27 @@ def check_certificate(cert, gens=None, target=None,
             return lhs, [r % prime for r in rhs]
         return at
 
-    return _sweep(label, tgt.table, sorted(variables), deg, sides, cfg)
+    p = cfg.prime
+    result = SpotCheckResult(label, cfg.trials, total_degree=deg,
+                             per_trial_bound=Fraction(max(deg, 1), p))
+    at = sides(p)
+    limit = _rejection_limit(p)
+    positions = [tgt.table.index[v] for v in variables]
+    tags = _first_tags(variables)
+    confirmers = None
+    for start in range(0, cfg.trials, _BLOCK):
+        trials = range(start, min(start + _BLOCK, cfg.trials))
+        points = [_draw(f"{cfg.seed}|{label}|{trial}|".encode(), variables, tags, p, limit)
+                  for trial in trials]
+        powers = {(i, 1): list(col) for i, col in zip(positions, zip(*points))}
+        lhs, rhs = at(powers, len(points))
+        for trial, values, a, b in zip(trials, points, lhs, rhs):
+            if a != b:
+                if confirmers is None:
+                    confirmers = [(q, sides(q)) for q in _extra_primes()]
+                result.failures.append(_witness(label, trial, variables, positions, values,
+                                                (a - b) % p, confirmers))
+    return result
 
 
 def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequence[int],

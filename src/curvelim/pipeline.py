@@ -32,8 +32,9 @@ Printed equations are compared with the registry transcription: ``matched``
 ``mismatch-documented`` (term diff recorded, certificate chain kept, run
 verdict degraded -- never silently substituted).
 
-The run verdict is ``success`` only when every step verified/matched/closed;
-a run containing only documented mismatches is ``documented-discrepancy``.
+The run verdict is ``success`` only when every step verified/matched/closed
+and every spot check passed; a run whose only faults are documented mismatches
+is ``documented-discrepancy``; a failed spot check makes it a ``failure``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactpoly import (
     DomainError,
@@ -107,14 +108,21 @@ class Config:
 
 
 def _identity(target: Polynomial, pairs: Dict[str, Tuple[Polynomial, Polynomial]],
-              target_id: str, multiplier: Optional[Polynomial] = None,
-              power: int = 0) -> Certificate:
+              multiplier: Optional[Polynomial] = None, power: int = 0) -> Certificate:
     """Certificate of an exact identity built by a step itself (a chain-rule
     image, a resultant, a chain derivative): ``pairs`` maps a name to
     (cofactor, part), and the parts stand in as the generators."""
     gens = GeneratorSet(target.table, [Relation(k, part) for k, (_, part) in pairs.items()])
     return Certificate(target, {k: cof for k, (cof, _) in pairs.items()}, gens,
-                       multiplier, power, target_id)
+                       multiplier, power)
+
+
+# the verdict ladder, worst first: a stage or a run takes the worst of its parts
+_LADDER = ("resource-fail", "failure", "documented-discrepancy", "success")
+
+
+def _worst(verdicts: Iterable[str]) -> str:
+    return min(verdicts, key=_LADDER.index, default="success")
 
 
 @dataclass
@@ -134,6 +142,13 @@ class StepRecord:
 
     def ok(self) -> bool:
         return self.status in GOOD_STATUSES
+
+    def verdict(self) -> str:
+        """The step's rung on the verdict ladder."""
+        if self.ok():
+            return "success"
+        return {"resource-fail": "resource-fail",
+                "mismatch-documented": "documented-discrepancy"}.get(self.status, "failure")
 
     def as_dict(self) -> dict:
         return {
@@ -162,13 +177,7 @@ class StageResult:
     conclusions: Dict[str, Polynomial] = field(default_factory=dict)
 
     def verdict(self) -> str:
-        if any(r.status in ("resource-fail",) for r in self.records):
-            return "resource-fail"
-        if any(not r.ok() and r.status != "mismatch-documented" for r in self.records):
-            return "failure"
-        if any(r.status == "mismatch-documented" for r in self.records):
-            return "documented-discrepancy"
-        return "success"
+        return _worst(r.verdict() for r in self.records)
 
 
 # a polynomial, or a function building it inside the step that uses it, so
@@ -278,7 +287,7 @@ class StageRunner:
                 img = rule.image_of(v)
                 if not img.is_zero():
                     pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
-            ident = _identity(image, pairs, sid)
+            ident = _identity(image, pairs)
             rec.fresh_minted = sorted(fresh)
             if image.is_zero():
                 rec.certificate_digest = ident.digest()
@@ -303,11 +312,10 @@ class StageRunner:
                 cancelled = minted not in target.variables()
                 rec.details["fresh_symbol_cancelled"] = cancelled
             self._require(via)
-            bound = target.weighted_degree() if target.is_weighted_homogeneous() else None
             cert = membership(target, self.gens.subset(list(via)),
                               saturations=[self.sats[s] for s in sat_ids],
                               max_power=self.config.max_power, limits=self.config.limits,
-                              degree_bound=bound, target_id=sid, cache=self.bases)
+                              cache=self.bases)
             if cert == NOT_MEMBER:
                 rec.status = "not-member"
                 rec.details.update(via=list(via), saturations=list(sat_ids))
@@ -376,7 +384,7 @@ class StageRunner:
                        eliminated=list(front_vars)) as rec:
             self._require(via)
             egens = eliminate(self.gens.subset(list(via)), list(front_vars),
-                              limits=self.config.limits.named(sid), cache=self.bases)
+                              limits=self.config.limits, cache=self.bases)
             for n, r in enumerate(egens, start=1):
                 if f"{sid}_{n}" not in self.gens:
                     self.add(f"{sid}_{n}", r.poly)
@@ -742,22 +750,20 @@ def run_theorem33(config: Config) -> StageResult:
     for ax in load_paper_axioms(symbols):
         note = registry.entry(ax.aid).note
         run.assume(ax.aid, ax.poly, ax.citation, ax.quote, note=note)
-    for name, rule_name in [("v3", "D2"), ("v4", "D2"), ("o223", "D3"),
-                            ("o443", "D3"), ("o224", "D4"), ("o334", "D4")]:
+    # the vanishing transverse coefficients, with the rule table each is differentiated by
+    vanishing = {"v3": "D2", "v4": "D2", "o223": "D3", "o443": "D3",
+                 "o224": "D4", "o334": "D4"}
+    for name in vanishing:
         run.assume(f"lemma32_{name}", mk(name), "Lemma 3.2",
                    "then e_i(\\lambda_j)=0 for i=2, 3, 4",
                    note="exported conclusion of the case-analysis stage")
     # derivatives of identically-vanishing coefficients vanish
-    for name, rule_name in [("v3", "D2"), ("v4", "D2"), ("o223", "D3"),
-                            ("o443", "D3"), ("o224", "D4"), ("o334", "D4")]:
+    for name, rule_name in vanishing.items():
         run.derive(f"dzero_{name}", rules[rule_name], f"lemma32_{name}",
                    citation="Lemma 3.2",
                    quote="derivative of an identically vanishing quantity")
 
-    vanished = ["lemma32_v3", "lemma32_v4", "lemma32_o223", "lemma32_o443",
-                "lemma32_o224", "lemma32_o334",
-                "dzero_v3", "dzero_v4", "dzero_o223", "dzero_o443",
-                "dzero_o224", "dzero_o334"]
+    vanished = [f"{kind}_{name}" for kind in ("lemma32", "dzero") for name in vanishing]
     for eid, src in [("eq_3_43", "eq_3_24"), ("eq_3_44", "eq_3_25"), ("eq_3_45", "eq_3_26")]:
         run.claim_registry(eid, [src] + vanished,
                            note="printed reduction of the curvature component")
@@ -837,7 +843,7 @@ def run_theorem33(config: Config) -> StageResult:
         f1 = e53.coeff_in("s", 1)
         g1 = derived_60.coeff_in("s", 1)
         return -rs, _identity(rs, {"eq_3_60_derived": (f1, derived_60),
-                                   "eq_3_53": (-g1, e53)}, "eq_3_61_derived")
+                                   "eq_3_53": (-g1, e53)})
 
     derived_61 = run.construct("eq_3_61_derived", "resultant", "eq (3.61)",
                                registry.entry("eq_3_61").quote, build_61,
@@ -890,7 +896,7 @@ def run_theorem33(config: Config) -> StageResult:
                       derived_65,
                       {"t65": (Q, run.poly_of("t65")),
                        "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
-                      "eq_3_65_derived", multiplier=mk("h1"), power=1)),
+                      multiplier=mk("h1"), power=1)),
                   status="archived", note=registry.entry("eq_3_65").note,
                   k_degree=derived_65.degree_in("K"), terms=len(derived_65.terms))
 
@@ -963,7 +969,7 @@ def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
         "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
         "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
     }
-    return derived, _identity(derived, pairs, "eq_3_62_derived", multiplier=h1, power=1)
+    return derived, _identity(derived, pairs, multiplier=h1, power=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,16 +1048,10 @@ class RunResult:
     oracle: Dict[str, SpotCheckResult] = field(default_factory=dict)  # by <stage>.<sid>
 
     def verdict(self) -> str:
-        verdicts = [s.verdict() for s in self.stages]
-        if any(v == "resource-fail" for v in verdicts):
-            return "resource-fail"
-        if any(v == "failure" for v in verdicts):
-            return "failure"
-        if any(v == "documented-discrepancy" for v in verdicts):
-            return "documented-discrepancy"
-        if self.oracle_failures():
-            return "failure"
-        return "success"
+        """The stages' verdicts on the one ladder, a failed spot check counting
+        as a ``failure``."""
+        oracle = ["failure"] if self.oracle_failures() else []
+        return _worst([s.verdict() for s in self.stages] + oracle)
 
     def oracle_failures(self) -> List[str]:
         return [label for label, res in self.oracle.items() if res.verdict != "pass"]
@@ -1153,7 +1153,7 @@ class ScriptError(Exception):
 class ScriptStep:
     sid: str
     kind: str
-    args: List[str]
+    arg: str
     line: int
 
 
@@ -1234,8 +1234,8 @@ def parse_script(text: str) -> Script:
             sid, kind = fields[0], fields[1]
             if kind not in _STEP_KINDS:
                 raise ScriptError(f"unknown step kind {kind!r}", ln)
-            args = fields[2] if len(fields) > 2 else ""
-            stages[-1].steps.append(ScriptStep(sid, kind, [args], ln))
+            arg = fields[2] if len(fields) > 2 else ""
+            stages[-1].steps.append(ScriptStep(sid, kind, arg, ln))
         else:
             raise ScriptError(f"unknown directive {head!r}", ln)
     return Script(symbols_mode, custom_names, custom_weights, axioms, saturations, stages)
@@ -1302,7 +1302,7 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
     for sstage in script.stages:
         run = StageRunner(sstage.name, config, table, extra_sats, symbols)
         for step in sstage.steps:
-            arg = step.args[0]
+            arg = step.arg
             if step.kind == "assume":
                 aid = arg.strip()
                 if aid not in axioms:

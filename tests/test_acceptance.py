@@ -362,7 +362,6 @@ class TestCriterion7:
                 target = ident.target
                 multiplier = ident.multiplier
                 power = ident.power
-                target_id = f"corrupted:{label}"
                 pairs = {k: (v + Polynomial.const(v.table, 1) if k == key else v)
                          for k, v in ident.pairs.items()}
 
@@ -370,7 +369,8 @@ class TestCriterion7:
                 def generator_poly(rid):
                     return ident.generator_poly(rid)
 
-            res = check_certificate(Corrupted(), cfg=SpotCheckConfig(seed=0, trials=20))
+            res = check_certificate(Corrupted(), cfg=SpotCheckConfig(seed=0, trials=20),
+                                    label=f"corrupted:{label}")
             assert res.verdict == "fail" and res.failures, label
             caught += 1
         _report("7-certificates", caught >= 10,

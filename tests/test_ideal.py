@@ -76,7 +76,7 @@ class TestGroebner:
     def test_resource_ceiling(self):
         gs = gens(VT, a=poly("x^3 - 2*x*y"), b=poly("x^2*y - 2*y^2 + x"))
         with pytest.raises(ResourceExhausted):
-            groebner(gs, limits=Limits(max_basis=1, max_pairs=2, context="test"))
+            groebner(gs, limits=Limits(max_basis=1, max_pairs=2))
 
 
 class TestNormalForm:
@@ -173,6 +173,39 @@ class TestMembership:
         assert cert.pairs["d1_img"] == Polynomial.const(sym.table, -1)
 
 
+class TestDerivedBound:
+    """``membership`` truncates each basis at the weight of the target it
+    tries, m**k * p, exactly when the target and the multiplier are
+    weighted-homogeneous."""
+
+    def _bounds(self, monkeypatch):
+        bounds = []
+        real = ideal.groebner
+
+        def recording(gens, order=None, limits=Limits(), degree_bound=None):
+            bounds.append(degree_bound)
+            return real(gens, order, limits, degree_bound)
+
+        monkeypatch.setattr(ideal, "groebner", recording)
+        return bounds
+
+    def test_homogeneous_target_gets_its_weight_per_power(self, monkeypatch):
+        bounds = self._bounds(monkeypatch)
+        sat = SaturationRecord("x", poly("x"), "test")
+        cert = membership(poly("y"), gens(VT, g=poly("x^2*y")), saturations=[sat])
+        assert cert != NOT_MEMBER and cert.power == 2
+        assert bounds == [1, 2, 3]
+
+    @pytest.mark.parametrize("target, multiplier", [("y + 1", "x"), ("y", "x + 1")])
+    def test_inhomogeneous_target_or_multiplier_is_unbounded(self, monkeypatch,
+                                                             target, multiplier):
+        bounds = self._bounds(monkeypatch)
+        sat = SaturationRecord("m", poly(multiplier), "test")
+        assert membership(poly(target), gens(VT, g=poly("x^2*y")),
+                          saturations=[sat]) == NOT_MEMBER
+        assert bounds == [None]
+
+
 class TestBasisReuse:
     """A cache dict shared by calls reuses a basis built for the same generator
     polynomials, order, degree bound and ceilings, whatever the ids."""
@@ -196,7 +229,7 @@ class TestBasisReuse:
         first = membership(target, gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1")),
                            cache=cache)
         hit = membership(target, gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1")),
-                         limits=Limits(context="another step"), cache=cache)
+                         cache=cache)
         assert built == [["g1", "g2"]]
         assert sorted(first.pairs) == ["g1", "g2"] and sorted(hit.pairs) == ["a", "b"]
         assert hit.digest() == cold.digest()
@@ -215,8 +248,9 @@ class TestBasisReuse:
         g = poly("x - t")
         eliminate(gens(VT, g=g), ["t"], cache=cache)
         eliminate(gens(VT, g=g), ["x"], cache=cache)
-        membership(g, gens(VT, g=g), degree_bound=1, cache=cache)
-        membership(g, gens(VT, g=g), cache=cache)
+        membership(g, gens(VT, g=g), cache=cache)                 # bound 1
+        membership(poly("t*x - t^2"), gens(VT, g=g), cache=cache)  # bound 2
+        membership(poly("x^2 - t*x"), gens(VT, g=g), cache=cache)  # bound 2 again: a hit
         assert len(built) == 4
 
     def test_large_basis_is_not_kept(self, monkeypatch):
@@ -309,8 +343,7 @@ class TestEliminate:
         ])
         out = eliminate(gs, ["w243", "w342", "w432"], degree_bound=6)
         for target in ("eq_3_48", "eq_3_49"):
-            cert = membership(reg.poly(target), out,
-                              degree_bound=reg.poly(target).weighted_degree())
+            cert = membership(reg.poly(target), out)
             assert cert != NOT_MEMBER, target
 
 

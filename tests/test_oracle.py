@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import curvelim.oracle as oracle
 from curvelim.exactpoly import Polynomial, VarTable, parse_polynomial
-from curvelim.ideal import GeneratorSet, Relation, membership
+from curvelim.ideal import Certificate, GeneratorSet, Relation, membership
 from curvelim.oracle import (
     DEFAULT_PRIME,
     OracleError,
     SpotCheckConfig,
     check_certificate,
-    check_identity,
     is_probable_prime,
     sample_point,
 )
@@ -44,15 +43,38 @@ class TestConfig:
             SpotCheckConfig(trials=0)
 
 
+class _Claimed:
+    """A certificate-shaped claim, true or not: target equals the sum of
+    cofactor * generator over ``pairs`` (id -> (cofactor, generator))."""
+
+    multiplier = None
+    power = 0
+
+    def __init__(self, target, pairs):
+        self.target = target
+        self.pairs = {rid: cof for rid, (cof, _) in pairs.items()}
+        self._gens = {rid: gen for rid, (_, gen) in pairs.items()}
+
+    def generator_poly(self, rid):
+        return self._gens[rid]
+
+
+def _certificate(target, pairs):
+    """An exact Certificate over the generators named in ``pairs``."""
+    gens = GeneratorSet(VT, [Relation(rid, gen) for rid, (_, gen) in pairs.items()])
+    return Certificate(target, {rid: cof for rid, (cof, _) in pairs.items()}, gens)
+
+
 class TestIdentity:
     def test_true_identity_passes(self):
-        res = check_identity(poly("(x + 1)^2"), poly("x^2 + 2*x + 1"),
-                             SpotCheckConfig(trials=100))
+        cert = _certificate(poly("(x + 1)^2"), {"g": (poly("x + 1"), poly("x + 1"))})
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=100))
         assert res.verdict == "pass"
         assert res.trials == 100
 
     def test_planted_non_identity_fails_with_witness(self):
-        res = check_identity(poly("x^2"), poly("x"), SpotCheckConfig(trials=100))
+        res = check_certificate(_Claimed(poly("x^2"), {"g": (poly("1"), poly("x"))}),
+                                cfg=SpotCheckConfig(trials=100))
         assert res.verdict == "fail"
         w = res.failures[0]
         assert int(w["residue"]) != 0
@@ -61,8 +83,9 @@ class TestIdentity:
         assert all(c["residue"] != 0 for c in w["confirmations"])
 
     def test_per_trial_bound(self):
-        from fractions import Fraction
-        res = check_identity(poly("x^3*y^2"), poly("x^3*y^2"), SpotCheckConfig(trials=1))
+        cert = _certificate(poly("x^3*y^2"), {"g": (poly("x*y"), poly("x^2*y"))})
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=1))
+        assert res.total_degree == 5
         assert res.per_trial_bound == Fraction(res.total_degree, DEFAULT_PRIME)
         assert res.per_trial_bound < Fraction(1, 2 ** 40)
 
@@ -78,17 +101,19 @@ class TestDeterminism:
 
     def test_verdicts_reproducible(self):
         cfg = SpotCheckConfig(seed=7, trials=20)
-        r1 = check_identity(poly("x*y"), poly("y*x"), cfg)
-        r2 = check_identity(poly("x*y"), poly("y*x"), cfg)
-        assert r1.as_dict() == r2.as_dict()
+        for cert in (_certificate(poly("x*y"), {"g": (poly("y"), poly("x"))}),
+                     _Claimed(poly("x*y"), {"g": (poly("x"), poly("x"))})):
+            r1 = check_certificate(cert, cfg=cfg, label="again")
+            r2 = check_certificate(cert, cfg=cfg, label="again")
+            assert r1.as_dict() == r2.as_dict()
+        assert r1.verdict == "fail" and r1.failures
 
 
 class TestCertificates:
     def _certificate(self):
         gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
                                Relation("g2", poly("y - x"))])
-        cert = membership(poly("y^2 - 1"), gs)
-        return cert, gs
+        return membership(poly("y^2 - 1"), gs)
 
     def test_zero_target_trivial_pass(self):
         gs = GeneratorSet(VT, [Relation("g", poly("x"))])
@@ -97,18 +122,17 @@ class TestCertificates:
         assert res.verdict == "pass"
 
     def test_real_certificate_passes(self):
-        cert, gs = self._certificate()
-        res = check_certificate(cert, gens=gs, cfg=SpotCheckConfig(trials=100))
+        cert = self._certificate()
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=100))
         assert res.verdict == "pass"
 
     def test_corrupted_cofactor_fails(self):
-        cert, gs = self._certificate()
+        cert = self._certificate()
 
         class Corrupted:
             target = cert.target
             multiplier = cert.multiplier
             power = cert.power
-            target_id = "corrupted"
             pairs = {k: (v + poly("1") if i == 0 else v)
                      for i, (k, v) in enumerate(sorted(cert.pairs.items()))}
 
@@ -119,13 +143,6 @@ class TestCertificates:
         assert res.verdict == "fail"
         assert res.failures
 
-    def test_dangling_generator_reference(self):
-        cert, gs = self._certificate()
-        small = GeneratorSet(VT, [Relation("g1", poly("x - 1"))])
-        if "g2" in cert.pairs:
-            with pytest.raises(OracleError):
-                check_certificate(cert, gens=small, cfg=SpotCheckConfig(trials=1))
-
 
 class _PlantedCofactor:
     """A certificate whose first cofactor is off by ``delta``."""
@@ -134,7 +151,6 @@ class _PlantedCofactor:
         self.target = cert.target
         self.multiplier = cert.multiplier
         self.power = cert.power
-        self.target_id = "planted"
         self.pairs = {k: (v + delta if i == 0 else v)
                       for i, (k, v) in enumerate(sorted(cert.pairs.items()))}
         self.generator_poly = cert.generator_poly
@@ -179,11 +195,10 @@ class TestCertificateWitness:
             assert all(c["residue"] != 0 for c in w["confirmations"])
 
     def test_operands_over_different_tables_rejected(self):
-        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1"))])
-        cert = membership(poly("x^2 - 1"), gs)
         other = parse_polynomial("x^2 - 1", VarTable(["x", "w"]))
+        cert = _Claimed(other, {"g1": (poly("x + 1"), poly("x - 1"))})
         with pytest.raises(OracleError):
-            check_certificate(cert, target=other, cfg=SpotCheckConfig(trials=1))
+            check_certificate(cert, cfg=SpotCheckConfig(trials=1))
 
 
 class TestPointDerivation:

@@ -291,9 +291,10 @@ class TestOracleInVerdict:
         assert rep["oracle"]["trials"] == 5 and rep["oracle"]["failed"] == []
         assert rep["verdict"] == "success"
 
-    def test_oracle_failure_fails_the_verdict(self, monkeypatch):
+    @staticmethod
+    def _failing(monkeypatch, bad):
+        """Make the spot check labelled ``bad`` fail."""
         real = pipeline.check_certificate
-        bad = "lemma31.eq_3_12_w111"
 
         def one_fails(cert, cfg=None, label=""):
             res = real(cert, cfg=cfg, label=label)
@@ -302,9 +303,24 @@ class TestOracleInVerdict:
             return res
 
         monkeypatch.setattr(pipeline, "check_certificate", one_fails)
+
+    def test_oracle_failure_fails_the_verdict(self, monkeypatch):
+        bad = "lemma31.eq_3_12_w111"
+        self._failing(monkeypatch, bad)
         rr = run_builtin("lemma31", Config(trials=2))
         assert rr.verdict() == "failure"
         assert rr.report()["oracle"]["failed"] == [bad]
+
+    def test_oracle_failure_outranks_a_documented_discrepancy(self, monkeypatch):
+        # theorem33 alone reads documented-discrepancy; a failed spot check
+        # sits above that rung of the ladder
+        bad = "theorem33.eq_3_53"
+        self._failing(monkeypatch, bad)
+        rr = run_builtin("theorem33", Config(trials=2))
+        assert rr.stages[0].verdict() == "documented-discrepancy"
+        assert rr.report()["oracle"]["failed"] == [bad]
+        assert rr.verdict() == "failure"
+        assert rr.report()["verdict"] == "failure"
 
 
 class TestScriptFormat:
