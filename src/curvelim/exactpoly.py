@@ -15,6 +15,21 @@ Coefficients are stored as plain ints whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so term sets
 are canonical either way.  The zero polynomial has an empty term dict.
 
+The kernels work on monomials packed into one int (Monagan & Pearce, CASC
+2007 and JSC 2011) and fall back to exponent tuples only where a packed field
+would overflow:
+
+  sum_of_products   sum of a*b over pairs in one term dict, a byte per
+                    variable, so a monomial product is one addition (the
+                    product operator is its one-pair case); tuples when
+                    some pair's largest exponents sum past 255
+  _reduce           full division, each monomial keyed by one int that is
+                    additive, ordered like the monomial order, and holds the
+                    exponents in guarded bytes, so a leading term is a max,
+                    a quotient a subtraction and a divisibility test a
+                    subtraction and a mask; divisors' packed terms cached on
+                    them; tuples past exponent 127
+
 Text syntax (parser and printer): ASCII identifiers, integer literals, the
 operators + - * ^ and parentheses.  Implicit multiplication is not accepted.
 The printer emits terms in descending order under the active monomial order,
@@ -27,7 +42,7 @@ import math
 import re
 from bisect import insort
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -108,12 +123,20 @@ class MonomialOrder:
     first, grevlex within each block).  ``lex_order()`` and ``grevlex_order()``
     return one shared instance each, so a polynomial's cached leading term
     (keyed on the order object) is reused across callers.
+
+    Each order is also linear in the exponents: ``linear(n)`` gives integer
+    weights w for n variables such that ``sum(e_i * w_i)`` is larger exactly
+    when ``key(e)`` is, for exponents up to ``_FIELD``.  Division keys
+    monomials by it (``_packing``).
     """
 
-    def __init__(self, kind: str, key: Callable[[Exponents], tuple], tag: str):
+    def __init__(self, kind: str, key: Callable[[Exponents], tuple], tag: str,
+                 linear: Callable[[int], tuple]):
         self.kind = kind
         self.key = key
         self.tag = tag  # stable textual identity, used for caches / reports
+        self.linear = linear
+        self._packings: dict = {}  # n -> _packing(self, n)
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.tag})"
@@ -129,8 +152,13 @@ def _grevlex_key(e: Exponents) -> tuple:
     return (sum(e), tuple(map(neg, reversed(e))))
 
 
-_LEX = MonomialOrder("lex", tuple, "lex")
-_GREVLEX = MonomialOrder("grevlex", _grevlex_key, "grevlex")
+def _grevlex_linear(n: int) -> tuple:
+    # total degree above a base-256 number whose digit i is -e_i
+    return tuple(256 ** n - 256 ** i for i in range(n))
+
+
+_LEX = MonomialOrder("lex", tuple, "lex", lambda n: tuple(256 ** (n - 1 - i) for i in range(n)))
+_GREVLEX = MonomialOrder("grevlex", _grevlex_key, "grevlex", _grevlex_linear)
 
 
 def lex_order() -> MonomialOrder:
@@ -155,7 +183,17 @@ def block_order(table: VarTable, front: Iterable[str]) -> MonomialOrder:
         get = e.__getitem__
         return (_grevlex_key(tuple(map(get, fidx))), _grevlex_key(tuple(map(get, bidx))))
 
-    return MonomialOrder("block", key, f"block({','.join(sorted(front))})")
+    def linear(n: int) -> tuple:
+        # the front's grevlex weights above room for the back's, whose total
+        # degree (at most _FIELD per variable) stays below 256**len(bidx)
+        w = [0] * n
+        for i, wi in zip(fidx, _grevlex_linear(len(fidx))):
+            w[i] = wi * 256 ** (2 * len(bidx))
+        for i, wi in zip(bidx, _grevlex_linear(len(bidx))):
+            w[i] = wi
+        return tuple(w)
+
+    return MonomialOrder("block", key, f"block({','.join(sorted(front))})", linear)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +204,12 @@ class Polynomial:
     """Immutable sparse polynomial over a VarTable.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  All arithmetic is
-    exact; operands must share a table.  The leading term is cached for the
-    order object it was last asked for.
+    exact; operands must share a table.  The leading term, and the packed
+    terms division uses (``_packed``), are cached for the order object they
+    were last asked for.
     """
 
-    __slots__ = ("table", "terms", "_hash", "_lt")
+    __slots__ = ("table", "terms", "_hash", "_lt", "_pk")
 
     def __init__(self, table: VarTable, terms: Mapping[Exponents, Coeff]):
         self.table = table
@@ -186,6 +225,7 @@ class Polynomial:
         self.terms = clean
         self._hash = None
         self._lt = None  # (order, (monomial, coefficient)) of the last leading_term
+        self._pk = None  # (order, _packed(order)) of the last _packed
 
     # -- constructors -------------------------------------------------------
 
@@ -201,6 +241,7 @@ class Polynomial:
         p.terms = terms
         p._hash = None
         p._lt = None
+        p._pk = None
         return p
 
     @staticmethod
@@ -270,47 +311,14 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        """Product.  Each exponent tuple is packed into one int, a byte per
-        variable, so a monomial product is one integer addition; when the
-        largest exponents of the two operands sum past 255 a byte would carry
-        into its neighbour, and the tuples are added entry by entry instead."""
+        """Product (``sum_of_products`` of the one pair)."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial.zero(self.table)
             return Polynomial._of(self.table,
                                   {m: _norm_coeff(c * other) for m, c in self.terms.items()})
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.table)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        n = len(self.table)
-        if n and max(map(max, a)) + max(map(max, b)) > 255:
-            for mb, cb in b.items():
-                for ma, ca in a.items():
-                    mm = tuple(map(add, ma, mb))
-                    s = get(mm, 0) + ca * cb
-                    if s:
-                        out[mm] = s
-                    else:
-                        del out[mm]
-            return Polynomial._of(self.table, {m: _norm_coeff(c) for m, c in out.items()})
-        pack = int.from_bytes
-        pa = [(pack(bytes(m), "big"), c) for m, c in a.items()]
-        for mb, cb in b.items():
-            kb = pack(bytes(mb), "big")
-            for ka, ca in pa:
-                k = ka + kb
-                s = get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Polynomial._of(self.table, {tuple(k.to_bytes(n, "big")): _norm_coeff(c)
-                                           for k, c in out.items()})
+        return sum_of_products(self.table, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -372,6 +380,25 @@ class Polynomial:
         term = (m, self.terms[m])
         self._lt = (order, term)
         return term
+
+    def _packed(self, order: MonomialOrder):
+        """``(K(lm), P(lm), lc, [(K(m), c) for every other term])`` under
+        ``order`` with the packing of ``_packing``, or None without variables
+        or when an exponent exceeds ``_FIELD``: this polynomial's form as a
+        divisor in ``_reduce``."""
+        cached = self._pk
+        if cached is not None and cached[0] is order:
+            return cached[1]
+        lm, lc = self.leading_term(order)
+        n = len(self.table)
+        packed = None
+        if n and _top(self.terms) <= _FIELD:
+            weights = _packing(order, n)
+            klm = sum(map(mul, lm, weights))
+            packed = (klm, klm & ((1 << 8 * n) - 1), lc,
+                      [(sum(map(mul, m, weights)), c) for m, c in self.terms.items() if m != lm])
+        self._pk = (order, packed)
+        return packed
 
     def coeff_in(self, name: str, power: int) -> "Polynomial":
         """Coefficient of name**power, a polynomial in the remaining variables
@@ -601,8 +628,74 @@ def _coeff_text(c: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+def _top(terms: dict) -> int:
+    """The largest exponent in a nonempty term dict over at least one variable."""
+    return max(map(max, terms))
+
+
+def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
+    """``sum(a * b for a, b in pairs)``, every operand over ``table``,
+    accumulated in one term dict.  Each exponent tuple is packed into one int,
+    a byte per variable, so a monomial product is one integer addition; when
+    the largest exponents of some pair's operands sum past 255 a byte would
+    carry into its neighbour, and the tuples are added entry by entry
+    instead."""
+    pairs = [(a.terms, b.terms) if len(a.terms) >= len(b.terms) else (b.terms, a.terms)
+             for a, b in pairs if a.terms and b.terms]
+    out: dict = {}
+    get = out.get
+    n = len(table)
+    if n and any(_top(a) + _top(b) > 255 for a, b in pairs):
+        for a, b in pairs:
+            for mb, cb in b.items():
+                for ma, ca in a.items():
+                    mm = tuple(map(add, ma, mb))
+                    s = get(mm, 0) + ca * cb
+                    if s:
+                        out[mm] = s
+                    else:
+                        del out[mm]
+        return Polynomial._of(table, {m: _norm_coeff(c) for m, c in out.items()})
+    pack = int.from_bytes
+    for a, b in pairs:
+        pa = [(pack(bytes(m), "big"), c) for m, c in a.items()]
+        for mb, cb in b.items():
+            kb = pack(bytes(mb), "big")
+            for ka, ca in pa:
+                k = ka + kb
+                s = get(k, 0) + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return Polynomial._of(table, {tuple(k.to_bytes(n, "big")): _norm_coeff(c)
+                                  for k, c in out.items()})
+
+
+# ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
+
+# The largest exponent a packed division field holds: each variable gets a
+# byte whose top bit is a guard (Monagan & Pearce, CASC 2007 and JSC 2011).
+_FIELD = 127
+
+
+def _packing(order: MonomialOrder, n: int) -> tuple:
+    """Weights k, one per variable, packing a monomial e into the int
+    ``K(e) = sum(e_i * k_i) = R(e) * 256**n + P(e)``, where R is the order's
+    linear form and P puts e_i in byte i.  For exponents up to ``_FIELD``
+    K is additive, orders monomials as ``order.key`` does, and its low 8n bits
+    are P, on which divisibility is one subtraction and one mask."""
+    weights = order._packings.get(n)
+    if weights is None:
+        weights = tuple(w * 256 ** n + 256 ** i for i, w in enumerate(order.linear(n)))
+        order._packings[n] = weights
+    return weights
+
 
 def _divides(b: tuple, a: tuple) -> bool:
     """Whether monomial b divides monomial a."""
@@ -615,11 +708,79 @@ def _reduce(p: Polynomial, basis: list, order: MonomialOrder):
 
     Terms are taken in descending order; each goes to the remainder or is
     cancelled by the first basis element whose leading monomial divides it.
-    The dividend, remainder and factors are term dicts updated in place.
-    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
-    ascending order, so its last entry is the leading term; an entry whose
-    term has since cancelled is skipped when it comes up.
+    The dividend runs on packed monomials (``_packing``, the divisors' packed
+    terms cached on them by ``Polynomial._packed``); only an exponent past
+    ``_FIELD``, in an operand or arising on the way, sends the whole division
+    to the tuple loop ``_reduce_tuples``.
     """
+    packs = [b._packed(order) for b in basis]
+    n = len(p.table)
+    if n and p.terms and None not in packs and _top(p.terms) <= _FIELD:
+        done = _reduce_packed(p, packs, _packing(order, n))
+        if done is not None:
+            return done
+    return _reduce_tuples(p, basis, order)
+
+
+def _reduce_packed(p: Polynomial, packs: list, weights: tuple):
+    """``_reduce`` on packed monomials, or None once a product needs a field
+    past ``_FIELD``.  ``work`` maps the dividend's packed monomials to their
+    coefficients and ``queue`` holds them in ascending order, so its last
+    entry is the leading term; an entry whose term has since cancelled is
+    skipped when it comes up.  With ``guard`` the top bit of every field,
+    ``lm`` divides ``m`` exactly when ``((P(m) | guard) - P(lm)) & guard``
+    is ``guard``: a field whose exponent in ``lm`` is larger borrows its
+    guard bit, and no field borrows from its neighbour.  A product whose
+    field reaches the guard bit is an exponent past ``_FIELD``."""
+    n = len(p.table)
+    mask = (1 << 8 * n) - 1
+    guard = int.from_bytes(b"\x80" * n, "little")
+    work = {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
+    queue = sorted(work)
+    remainder: dict = {}
+    factors: list = [{} for _ in packs]
+    while queue:
+        k = queue.pop()
+        c = work.pop(k, 0)
+        if not c:
+            continue
+        kg = (k & mask) | guard
+        for hit, (klm, plm, lc, tail) in enumerate(packs):
+            if (kg - plm) & guard == guard:
+                break
+        else:
+            remainder[k] = c
+            continue
+        q = k - klm
+        qc = _norm_coeff(Fraction(c) / lc)
+        factors[hit][q] = qc
+        for bk, bc in tail:
+            mk = bk + q
+            old = work.get(mk)
+            if old is None:
+                if mk & guard:
+                    return None  # an exponent past _FIELD
+                work[mk] = _norm_coeff(-qc * bc)
+                insort(queue, mk)
+            else:
+                s = old - qc * bc
+                if s:
+                    work[mk] = _norm_coeff(s)
+                else:
+                    del work[mk]
+    table = p.table
+
+    def unpacked(terms: dict) -> Polynomial:
+        return Polynomial._of(table, {tuple((k & mask).to_bytes(n, "little")): c
+                                      for k, c in terms.items()})
+
+    return unpacked(remainder), [unpacked(f) for f in factors]
+
+
+def _reduce_tuples(p: Polynomial, basis: list, order: MonomialOrder):
+    """``_reduce`` on exponent tuples, for exponents past ``_FIELD``.
+    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
+    ascending order."""
     key = order.key
     lts = [b.leading_term(order) for b in basis]
     work = dict(p.terms)

@@ -634,7 +634,8 @@ def permute_polynomial(p: Polynomial, mapping: Dict[str, str]) -> Polynomial:
 # rule-table consistency
 # ---------------------------------------------------------------------------
 
-def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limits = Limits()
+def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limits = Limits(),
+                            cache: Optional[dict] = None
                             ) -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
     """The printed restatements that pin the rule-table encoding, each as an
     equation id and a deferred check returning (ok, message).
@@ -646,7 +647,8 @@ def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limit
       registry polynomial up to sign.
     * eq (3.55)/(3.40): the e1 image of (3.3), reduced modulo (3.30), (3.11)
       and (3.3), must reproduce the registry polynomial; its membership runs
-      under ``limits``.
+      under ``limits``, its basis from ``cache`` when that holds it (see
+      ``ideal.membership``).
     """
     symbols = symbols or load_paper_symbols()
     reg = EquationRegistry(symbols)
@@ -678,7 +680,7 @@ def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limit
             Relation("eq_3_11", reg.poly("eq_3_11")),
             Relation("eq_3_3", reg.poly("eq_3_3")),
         ])
-        ok = membership(reg.poly("eq_3_55"), gens, limits=limits) != NOT_MEMBER
+        ok = membership(reg.poly("eq_3_55"), gens, limits=limits, cache=cache) != NOT_MEMBER
         return ok, ("e1 image of (3.3) reduces to (3.55) modulo (3.30),(3.11),(3.3)"
                     if ok else "reduction failed")
 

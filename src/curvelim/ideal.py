@@ -4,7 +4,11 @@ membership certificates and variable elimination.
 Buchberger with both standard criteria.  Each S-pair is keyed once, when it
 is created, by the order key of its lcm and pushed on a heap; the pair with the
 smallest lcm (ties broken by index) is processed first.  Division is
-``exactpoly._reduce``, which works on term dicts updated in place.  For
+``exactpoly._reduce``, on packed monomials.  The provenance of a new basis
+element, a combination of generators, is built only once its remainder is
+known to be nonzero, one ``exactpoly.sum_of_products`` per generator id.
+After minimalization one pass of tail inter-reduction gives the reduced
+basis (Becker & Weispfenning, *Groebner Bases*, 1993, 5.6).  For
 weighted-homogeneous generator sets an optional degree bound truncates the
 pair queue (a valid d-Groebner basis, sufficient to decide membership of
 targets up to that weighted degree).  ``membership`` sets that bound itself,
@@ -23,8 +27,8 @@ Every returned Certificate's identity
 
     multiplier**power * target  ==  sum(cofactor_i * generator_i)
 
-is re-checked exactly on construction, so a Certificate object in hand is
-proof.  Cofactors are tracked through basis construction and normal form, so
+is re-checked exactly on construction (its right-hand side one
+``sum_of_products``), so a Certificate object in hand is proof.  Cofactors are tracked through basis construction and normal form, so
 certificates always refer back to the caller's generators.
 """
 
@@ -46,6 +50,7 @@ from .exactpoly import (
     _reduce,
     block_order,
     grevlex_order,
+    sum_of_products,
 )
 
 
@@ -147,9 +152,8 @@ class Certificate:
         self.power = power if multiplier is not None else 0
         self._gen_polys = {rid: gens.get(rid).poly for rid in self.pairs}
         lhs = target * (self.multiplier ** self.power) if self.power else target
-        rhs = Polynomial.zero(target.table)
-        for rid in sorted(self.pairs):
-            rhs = rhs + self.pairs[rid] * self._gen_polys[rid]
+        rhs = sum_of_products(target.table,
+                              [(cof, self._gen_polys[rid]) for rid, cof in self.pairs.items()])
         if lhs != rhs:
             raise PolyError("certificate identity does not hold")
 
@@ -200,28 +204,19 @@ class GroebnerBasis:
 
 # -- representation helpers ---------------------------------------------------
 
-def _rep_addmul(acc: Dict[str, Polynomial], rep: Dict[str, Polynomial],
-                factor: Optional[Polynomial] = None) -> None:
-    for k, v in rep.items():
-        vv = v * factor if factor is not None else v
-        if vv.is_zero():
-            continue
-        if k in acc:
-            s = acc[k] + vv
-            if s.is_zero():
-                del acc[k]
-            else:
-                acc[k] = s
-        else:
-            acc[k] = vv
-
-
-def _rep_scaled(rep: Dict[str, Polynomial], factor) -> Dict[str, Polynomial]:
+def _provenance(table: VarTable, terms: Iterable[tuple]) -> Dict[str, Polynomial]:
+    """The provenance of ``sum(f * q)`` over ``(f, provenance of q)`` in
+    ``terms``: one ``sum_of_products`` per generator id, zero cofactors
+    dropped."""
+    by_id: Dict[str, list] = {}
+    for f, rep in terms:
+        for rid, cof in rep.items():
+            by_id.setdefault(rid, []).append((f, cof))
     out: Dict[str, Polynomial] = {}
-    for k, v in rep.items():
-        vv = v * factor
-        if not vv.is_zero():
-            out[k] = vv
+    for rid, pairs in by_id.items():
+        cof = sum_of_products(table, pairs)
+        if cof:
+            out[rid] = cof
     return out
 
 
@@ -244,20 +239,8 @@ def _spoly(pi: Polynomial, pj: Polynomial, lcm: tuple, order: MonomialOrder):
     return fi, fj, fi * pi - fj * pj
 
 
-def _compose(factors: List[Polynomial], reps: List[Dict[str, Polynomial]]) -> Dict[str, Polynomial]:
-    out: Dict[str, Polynomial] = {}
-    for f, rep in zip(factors, reps):
-        if f.is_zero():
-            continue
-        _rep_addmul(out, rep, f)
-    return out
-
-
 def _rep_check(p: Polynomial, rep: Dict[str, Polynomial], gens: GeneratorSet) -> None:
-    acc = Polynomial.zero(p.table)
-    for rid in sorted(rep):
-        acc = acc + rep[rid] * gens.get(rid).poly
-    if acc != p:
+    if sum_of_products(p.table, [(cof, gens.get(rid).poly) for rid, cof in rep.items()]) != p:
         raise PolyError("internal error: generator provenance lost")
 
 
@@ -286,17 +269,23 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     reps: List[Dict[str, Polynomial]] = []
     lts: List[tuple] = []  # leading monomial of each basis element
 
-    def normalized(p: Polynomial, rep: Dict[str, Polynomial]):
-        scale = Fraction(1) / p.content()
-        if p.leading_term(order)[1] < 0:
+    def normalized(red: Polynomial, sources: list, fac: List[Polynomial], freps: list):
+        """``red`` made primitive with a positive leading coefficient, and its
+        provenance, where ``red == sum(f * q) - sum(fac[h] * q_h)`` over each
+        ``(f, provenance of q)`` in ``sources`` and ``freps[h]`` is the
+        provenance of q_h.  The scale goes into the factors, so that each
+        cofactor is one ``sum_of_products``."""
+        scale = Fraction(1) / red.content()
+        if red.leading_term(order)[1] < 0:
             scale = -scale
-        return p * scale, _rep_scaled(rep, scale)
+        terms = [(f * scale, rep) for f, rep in sources]
+        terms += [(f * -scale, rep) for f, rep in zip(fac, freps) if f]
+        return red * scale, _provenance(table, terms)
 
     pairs = set()
     queue: List[tuple] = []
 
     def push(p: Polynomial, rep: Dict[str, Polynomial]) -> None:
-        p, rep = normalized(p, rep)
         lm = p.leading_term(order)[0]
         new = len(basis)
         for k, lk in enumerate(lts):
@@ -308,13 +297,11 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         if len(basis) > limits.max_basis:
             raise ResourceExhausted("basis size", limits.max_basis)
 
+    one = Polynomial.const(table, 1)
     for r in gens:
         red, fac = _reduce(r.poly, basis, order)
-        if red.is_zero():
-            continue
-        rep = {r.rid: Polynomial.const(table, 1)}
-        _rep_addmul(rep, _compose(fac, reps), Polynomial.const(table, -1))
-        push(red, rep)
+        if red:
+            push(*normalized(red, [(one, {r.rid: one})], fac, reps))
 
     processed = 0
     while queue:
@@ -341,13 +328,9 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         fi, fj, s = _spoly(basis[i], basis[j], lcm, order)
         if s.is_zero():
             continue
-        rep_s = _rep_scaled(reps[i], fi)
-        _rep_addmul(rep_s, reps[j], -fj)
         red, fac = _reduce(s, basis, order)
-        if red.is_zero():
-            continue
-        _rep_addmul(rep_s, _compose(fac, reps), Polynomial.const(table, -1))
-        push(red, rep_s)
+        if red:
+            push(*normalized(red, [(fi, reps[i]), (-fj, reps[j])], fac, reps))
 
     # minimalize: drop elements whose leading term another's divides
     drop = set()
@@ -361,25 +344,14 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     basis = [b for i, b in enumerate(basis) if i not in drop]
     reps = [r for i, r in enumerate(reps) if i not in drop]
 
-    # inter-reduce tails to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            oreps = reps[:i] + reps[i + 1:]
-            red, fac = _reduce(basis[i], others, order)
-            if red == basis[i]:
-                continue
-            rep = dict(reps[i])
-            _rep_addmul(rep, _compose(fac, oreps), Polynomial.const(table, -1))
-            if red.is_zero():
-                basis.pop(i)
-                reps.pop(i)
-            else:
-                basis[i], reps[i] = normalized(red, rep)
-            changed = True
-            break
+    # inter-reduce the tails, in one pass.  Now no leading monomial divides
+    # another, and reducing a tail keeps its leading term, so whether an
+    # element is reduced depends only on this fixed set of leading monomials:
+    # an element once reduced stays reduced when a later one changes.
+    for i in range(len(basis)):
+        red, fac = _reduce(basis[i], basis[:i] + basis[i + 1:], order)
+        if red != basis[i]:
+            basis[i], reps[i] = normalized(red, [(one, reps[i])], fac, reps[:i] + reps[i + 1:])
 
     idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
     basis = [basis[i] for i in idx]
@@ -429,7 +401,7 @@ def normal_form(p: Polynomial, basis: GroebnerBasis):
 
 def generator_cofactors(factors: List[Polynomial], basis: GroebnerBasis) -> Dict[str, Polynomial]:
     """Convert basis-element cofactors into original-generator cofactors."""
-    return _compose(factors, basis.reps)
+    return _provenance(basis.gens.table, zip(factors, basis.reps))
 
 
 def membership(

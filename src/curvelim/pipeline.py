@@ -422,7 +422,7 @@ class StageRunner:
             pass
 
     def rule_consistency(self) -> None:
-        for eid, check in rule_consistency_checks(self.symbols, self.config.limits):
+        for eid, check in rule_consistency_checks(self.symbols, self.config.limits, self.bases):
             with self.step(f"consistency_{eid}", "check_rule_consistency",
                            *self._cite(eid), status="consistent") as rec:
                 ok, note = check()

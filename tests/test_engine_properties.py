@@ -1,8 +1,9 @@
 """Property tests for the arithmetic, division and Groebner core: the packed
-product against a schoolbook product, clean results from every kernel, the
-one-pass constant substitution, the division identity, exact division, the
-Groebner property, independence of generator order, and the per-order
-leading-term cache."""
+product and sum of products against a schoolbook product, clean results from
+every kernel, the one-pass constant substitution, the division identity,
+packed division against a tuple-loop division, exact division, the Groebner
+property of a reduced basis, independence of generator order, and the
+per-order leading-term cache."""
 
 from fractions import Fraction
 from functools import reduce
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvelim.exactpoly as exactpoly
 from curvelim.exactpoly import (
-    DomainError, Polynomial, VarTable, block_order, grevlex_order, lex_order,
+    DomainError, Polynomial, VarTable, block_order, grevlex_order, lex_order, sum_of_products,
 )
 from curvelim.ideal import GeneratorSet, Relation, _divides, _reduce, groebner, verify_spolys
 
@@ -75,6 +77,10 @@ def test_groebner_has_the_groebner_property(polys, order):
     assert verify_spolys(gb)
     for g in polys:
         assert _reduce(g, gb.polys, order)[0].is_zero()
+    # reduced: no term of an element is divisible by another's leading monomial
+    lms = [p.leading_term(order)[0] for p in gb.polys]
+    for i, p in enumerate(gb.polys):
+        assert not any(_divides(lm, m) for m in p.terms for j, lm in enumerate(lms) if j != i)
 
 
 @SETTINGS
@@ -144,7 +150,8 @@ def test_packed_product_matches_schoolbook(a, b, top, j, s):
 def test_kernel_results_are_clean(a, b, name, v, order):
     results = [a + b, a - b, a * b, -a, a * v, a.substitute(name, v),
                a.substitute(name, Polynomial.const(VT, v)), a.substitute(name, b),
-               a.partial(name), a.coeff_in(name, 1), a.coeff_in(name, 0)]
+               a.partial(name), a.coeff_in(name, 1), a.coeff_in(name, 0),
+               sum_of_products(VT, [(a, b), (b, a * v)]), sum_of_products(VT, [(a, b), (-a, b)])]
     rem, factors = _reduce(a, [b], order)
     for p in results + [rem] + factors:
         _assert_clean(p)
@@ -158,3 +165,86 @@ def test_constant_substitution_sums_the_coefficients(p, name, v):
         expected = expected + p.coeff_in(name, k) * v ** k
     assert p.substitute(name, v) == expected
     assert p.substitute(name, Polynomial.const(VT, v)) == expected
+
+
+@SETTINGS
+@given(st.lists(st.tuples(_poly(3, 4), _poly(3, 4)), min_size=1, max_size=3),
+       st.sampled_from([254, 255, 256]), st.integers(0, len(VT) - 1), st.integers(3, 240))
+def test_sum_of_products_matches_schoolbook(pairs, top, j, s):
+    # lift the first pair as in the product test, so that its largest
+    # exponents sum to ``top``: past 255 the whole sum runs on tuples
+    (a, b), rest = pairs[0], pairs[1:]
+    a = _shift(a, j, s)
+    b = _shift(b, j, top - _top(a) - max(m[j] for m in b.terms))
+    pairs = [(a, b)] + rest
+    expected = reduce(lambda acc, ab: acc + _schoolbook(*ab), pairs, Polynomial.zero(VT))
+    assert sum_of_products(VT, pairs) == expected
+    assert sum_of_products(VT, pairs + [(-a, b)]) == expected - _schoolbook(a, b)
+
+
+def _division_reference(p, basis, order):
+    """Full division on exponent tuples: the largest term left goes to the
+    first basis element whose leading monomial divides it, else to the
+    remainder."""
+    lts = [b.leading_term(order) for b in basis]
+    work, rem, quo = dict(p.terms), {}, [{} for _ in basis]
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for h, (lm, lc) in enumerate(lts):
+            if all(x >= y for x, y in zip(m, lm)):
+                q = tuple(x - y for x, y in zip(m, lm))
+                quo[h][q] = Fraction(c) / lc
+                for bm, bc in basis[h].terms.items():
+                    if bm != lm:
+                        mm = tuple(x + y for x, y in zip(bm, q))
+                        work[mm] = work.get(mm, 0) - quo[h][q] * bc
+                        if not work[mm]:
+                            del work[mm]
+                break
+        else:
+            rem[m] = c
+    return Polynomial(VT, rem), [Polynomial(VT, f) for f in quo]
+
+
+@SETTINGS
+@given(_poly(4, 6), _basis_size(1, 3), st.sampled_from([126, 127, 128]),
+       st.integers(0, len(VT) - 1), st.lists(st.integers(0, 126), min_size=3, max_size=3))
+def test_packed_division_matches_tuple_division(p, basis, top, j, lifts):
+    # lift the dividend along variable j until its largest exponent is
+    # ``top``, at and past the largest a packed field holds, and the divisors
+    # by less; each polynomial is divided under every order in turn, so the
+    # divisors' packed forms are asked for one order after another
+    p = _shift(p, j, top - _top(p))
+    basis = [_shift(b, j, min(s, top - _top(b))) for b, s in zip(basis, lifts)]
+    for order in ORDERS:
+        rem, quo = _reduce(p, basis, order)
+        expected_rem, expected_quo = _division_reference(p, basis, order)
+        assert rem == expected_rem
+        assert quo == expected_quo
+
+
+def test_packed_division_fields_and_fallback(monkeypatch):
+    # no field divides across its neighbours (z packs into the top field, x
+    # into the bottom one); exponents up to the field limit divide on packed
+    # monomials, and one past it, in an operand or arising from a product on
+    # the way, sends the division to the tuples
+    x, y, z = (Polynomial.var(VT, n) for n in VT.names)
+    calls = []
+    real = exactpoly._reduce_tuples
+
+    def recording(p, basis, order):
+        calls.append(p)
+        return real(p, basis, order)
+
+    monkeypatch.setattr(exactpoly, "_reduce_tuples", recording)
+    limit = exactpoly._FIELD
+    cases = [(x * y, [z], grevlex_order(), False),
+             (y * z, [x], grevlex_order(), False),
+             (x ** limit, [x - y], grevlex_order(), False),
+             (x ** (limit + 1), [x - y], grevlex_order(), True),
+             (x ** 2, [x - y ** limit], lex_order(), True)]
+    for p, basis, order, tuples in cases:
+        calls.clear()
+        assert _reduce(p, basis, order) == _division_reference(p, basis, order)
+        assert calls == ([p] if tuples else [])

@@ -142,6 +142,59 @@ class TestBasisReuse:
         assert len(set(keys)) == len(keys)
         assert len(keys) == 61
 
+    def test_theorem33_builds_each_basis_once(self, theorem33_bases):
+        # the eq_3_55 consistency check and the eq_3_55 claim share one basis
+        keys = [key for key, _, _, _ in theorem33_bases]
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == 13
+
+
+def _is_reduced(gb) -> bool:
+    """No term of an element is divisible by another element's leading monomial."""
+    lms = [p.leading_term(gb.order)[0] for p in gb.polys]
+    return not any(ideal._divides(lm, m) for i, p in enumerate(gb.polys) for m in p.terms
+                   for j, lm in enumerate(lms) if j != i)
+
+
+@pytest.fixture(scope="module")
+def theorem33_bases():
+    """Each ``groebner`` call of a theorem33 replay: its key, its generator
+    ids, whether the basis it returned is reduced, and the number of
+    ``_reduce`` calls made while it ran."""
+    calls = []
+    reduces = [0]
+    real_groebner, real_reduce = ideal.groebner, ideal._reduce
+
+    def counting(*args):
+        reduces[0] += 1
+        return real_reduce(*args)
+
+    def recording(gens, order=None, limits=Limits(), degree_bound=None):
+        before = reduces[0]
+        gb = real_groebner(gens, order, limits, degree_bound)
+        key = (tuple(r.poly for r in gens), order, degree_bound,
+               limits.max_basis, limits.max_pairs)
+        calls.append((key, gens.ids(), _is_reduced(gb), reduces[0] - before))
+        return gb
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideal, "groebner", recording)
+        mp.setattr(ideal, "_reduce", counting)
+        assert run_builtin("theorem33", Config()).verdict() == "documented-discrepancy"
+    return calls
+
+
+class TestGroebnerWork:
+    def test_every_basis_is_reduced(self, theorem33_bases):
+        assert all(reduced for _, _, reduced, _ in theorem33_bases)
+
+    def test_eq_3_60_basis_reduces_each_element_once(self, theorem33_bases):
+        # one division per generator (11) and per S-pair left by the
+        # criteria (32), then one pass of inter-reduction over the 26
+        # elements; a pass restarted after every change would make more
+        (count,) = [n for _, ids, _, n in theorem33_bases if "t60" in ids]
+        assert count == 69
+
 
 class TestStageIndependence:
     def test_theorem_chain_does_not_need_lemma31(self, theorem33_run):
