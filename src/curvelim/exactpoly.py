@@ -16,19 +16,22 @@ Coefficients are stored as plain ints whenever the value is integral and as
 are canonical either way.  The zero polynomial has an empty term dict.
 
 The kernels work on monomials packed into one int (Monagan & Pearce, CASC
-2007 and JSC 2011) and fall back to exponent tuples only where a packed field
-would overflow:
+2007 and JSC 2011), an exponent per field of 1, 2, 4 or 8 bytes, the fewest
+that hold the operands' exponents below each field's top bit (the guard); an
+exponent past 2**63 - 1 raises PolyError:
 
-  sum_of_products   sum of a*b over pairs in one term dict, a byte per
-                    variable, so a monomial product is one addition (the
-                    product operator is its one-pair case); tuples when
-                    some pair's largest exponents sum past 255
+  sum_of_products   sum of a*b over pairs in one term dict, the fields sized
+                    by the largest sum of a pair's largest exponents, so a
+                    monomial product is one addition (the product operator
+                    is its one-pair case)
   _reduce           full division, each monomial keyed by one int that is
                     additive, ordered like the monomial order, and holds the
-                    exponents in guarded bytes, so a leading term is a max,
+                    exponents in guarded fields, so a leading term is a max,
                     a quotient a subtraction and a divisibility test a
-                    subtraction and a mask; divisors' packed terms cached on
-                    them; tuples past exponent 127
+                    subtraction and a mask; the fields sized by the largest
+                    exponent of the dividend and divisors, and doubled when a
+                    product on the way reaches a guard bit; divisors' packed
+                    terms cached on them
 
 Text syntax (parser and printer): ASCII identifiers, integer literals, the
 operators + - * ^ and parentheses.  Implicit multiplication is not accepted.
@@ -40,9 +43,12 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from bisect import insort
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from functools import lru_cache
+from itertools import chain
+from operator import le, mul, neg
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -117,26 +123,24 @@ class VarTable:
 # ---------------------------------------------------------------------------
 
 class MonomialOrder:
-    """Total order on exponent tuples, exposed as a sort key for ``max``/``sorted``.
-
-    kind is one of 'lex', 'grevlex', or 'block' (front variable set eliminated
-    first, grevlex within each block).  ``lex_order()`` and ``grevlex_order()``
+    """Total order on exponent tuples, exposed as a sort key for ``max``/``sorted``:
+    lex, grevlex, or a block order (front variable set eliminated first,
+    grevlex within each block).  ``lex_order()`` and ``grevlex_order()``
     return one shared instance each, so a polynomial's cached leading term
     (keyed on the order object) is reused across callers.
 
-    Each order is also linear in the exponents: ``linear(n)`` gives integer
-    weights w for n variables such that ``sum(e_i * w_i)`` is larger exactly
-    when ``key(e)`` is, for exponents up to ``_FIELD``.  Division keys
+    Each order is also linear in the exponents: ``linear(n, base)`` gives
+    integer weights w for n variables such that ``sum(e_i * w_i)`` is larger
+    exactly when ``key(e)`` is, for exponents below ``base``.  Division keys
     monomials by it (``_packing``).
     """
 
-    def __init__(self, kind: str, key: Callable[[Exponents], tuple], tag: str,
-                 linear: Callable[[int], tuple]):
-        self.kind = kind
+    def __init__(self, key: Callable[[Exponents], tuple], tag: str,
+                 linear: Callable[[int, int], tuple]):
         self.key = key
         self.tag = tag  # stable textual identity, used for caches / reports
         self.linear = linear
-        self._packings: dict = {}  # n -> _packing(self, n)
+        self._packings: dict = {}  # (n, width) -> _packing(self, n, width)
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.tag})"
@@ -152,13 +156,13 @@ def _grevlex_key(e: Exponents) -> tuple:
     return (sum(e), tuple(map(neg, reversed(e))))
 
 
-def _grevlex_linear(n: int) -> tuple:
-    # total degree above a base-256 number whose digit i is -e_i
-    return tuple(256 ** n - 256 ** i for i in range(n))
+def _grevlex_linear(n: int, base: int) -> tuple:
+    # total degree above a number whose digit i is -e_i
+    return tuple(base ** n - base ** i for i in range(n))
 
 
-_LEX = MonomialOrder("lex", tuple, "lex", lambda n: tuple(256 ** (n - 1 - i) for i in range(n)))
-_GREVLEX = MonomialOrder("grevlex", _grevlex_key, "grevlex", _grevlex_linear)
+_LEX = MonomialOrder(tuple, "lex", lambda n, base: tuple(base ** (n - 1 - i) for i in range(n)))
+_GREVLEX = MonomialOrder(_grevlex_key, "grevlex", _grevlex_linear)
 
 
 def lex_order() -> MonomialOrder:
@@ -183,17 +187,17 @@ def block_order(table: VarTable, front: Iterable[str]) -> MonomialOrder:
         get = e.__getitem__
         return (_grevlex_key(tuple(map(get, fidx))), _grevlex_key(tuple(map(get, bidx))))
 
-    def linear(n: int) -> tuple:
+    def linear(n: int, base: int) -> tuple:
         # the front's grevlex weights above room for the back's, whose total
-        # degree (at most _FIELD per variable) stays below 256**len(bidx)
+        # degree (below base per variable) stays below base**len(bidx)
         w = [0] * n
-        for i, wi in zip(fidx, _grevlex_linear(len(fidx))):
-            w[i] = wi * 256 ** (2 * len(bidx))
-        for i, wi in zip(bidx, _grevlex_linear(len(bidx))):
+        for i, wi in zip(fidx, _grevlex_linear(len(fidx), base)):
+            w[i] = wi * base ** (2 * len(bidx))
+        for i, wi in zip(bidx, _grevlex_linear(len(bidx), base)):
             w[i] = wi
         return tuple(w)
 
-    return MonomialOrder("block", key, f"block({','.join(sorted(front))})", linear)
+    return MonomialOrder(key, f"block({','.join(sorted(front))})", linear)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +208,9 @@ class Polynomial:
     """Immutable sparse polynomial over a VarTable.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  All arithmetic is
-    exact; operands must share a table.  The leading term, and the packed
-    terms division uses (``_packed``), are cached for the order object they
-    were last asked for.
+    exact; operands must share a table.  The leading term is cached for the
+    order object it was last asked for, and the packed terms division uses
+    (``_packed``) for the order and field width, next to the largest exponent.
     """
 
     __slots__ = ("table", "terms", "_hash", "_lt", "_pk")
@@ -225,7 +229,7 @@ class Polynomial:
         self.terms = clean
         self._hash = None
         self._lt = None  # (order, (monomial, coefficient)) of the last leading_term
-        self._pk = None  # (order, _packed(order)) of the last _packed
+        self._pk = None  # (largest exponent, order, width, _packed(order, width))
 
     # -- constructors -------------------------------------------------------
 
@@ -381,23 +385,28 @@ class Polynomial:
         self._lt = (order, term)
         return term
 
-    def _packed(self, order: MonomialOrder):
+    def _max_exponent(self) -> int:
+        """The largest exponent, 0 without terms; cached with ``_packed``."""
+        if self._pk is None:
+            self._pk = (_top(self.terms), None, 0, None)
+        return self._pk[0]
+
+    def _packed(self, order: MonomialOrder, width: int) -> tuple:
         """``(K(lm), P(lm), lc, [(K(m), c) for every other term])`` under
-        ``order`` with the packing of ``_packing``, or None without variables
-        or when an exponent exceeds ``_FIELD``: this polynomial's form as a
-        divisor in ``_reduce``."""
-        cached = self._pk
-        if cached is not None and cached[0] is order:
-            return cached[1]
+        ``order`` with the packing of ``_packing`` at ``width`` bytes per
+        field: this polynomial's form as a divisor in ``_reduce``, cached for
+        the (order, width) last asked."""
+        top = self._max_exponent()
+        _, cached_order, cached_width, packed = self._pk
+        if cached_order is order and cached_width == width:
+            return packed
         lm, lc = self.leading_term(order)
         n = len(self.table)
-        packed = None
-        if n and _top(self.terms) <= _FIELD:
-            weights = _packing(order, n)
-            klm = sum(map(mul, lm, weights))
-            packed = (klm, klm & ((1 << 8 * n) - 1), lc,
-                      [(sum(map(mul, m, weights)), c) for m, c in self.terms.items() if m != lm])
-        self._pk = (order, packed)
+        weights = _packing(order, n, width)
+        klm = sum(map(mul, lm, weights))
+        packed = (klm, klm & ((1 << 8 * width * n) - 1), lc,
+                  [(sum(map(mul, m, weights)), c) for m, c in self.terms.items() if m != lm])
+        self._pk = (top, order, width, packed)
         return packed
 
     def coeff_in(self, name: str, power: int) -> "Polynomial":
@@ -631,39 +640,48 @@ def _coeff_text(c: Fraction) -> str:
 # products
 # ---------------------------------------------------------------------------
 
+# struct's code for an unsigned field of each width in bytes
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _top(terms: dict) -> int:
-    """The largest exponent in a nonempty term dict over at least one variable."""
-    return max(map(max, terms))
+    """The largest exponent in a term dict, 0 without terms or variables."""
+    return max(chain.from_iterable(terms), default=0)
+
+
+def _width(top: int) -> int:
+    """The fewest bytes per field, 1, 2, 4 or 8, that hold exponents up to
+    ``top`` below the field's top bit, the guard (Monagan & Pearce, CASC 2007
+    and JSC 2011)."""
+    for width in _STRUCT_CODES:
+        if top < 1 << 8 * width - 1:
+            return width
+    raise PolyError(f"exponent {top} is past 2**63 - 1, the largest a packed field holds")
+
+
+@lru_cache(maxsize=None)
+def _fields(n: int, width: int) -> struct.Struct:
+    """Packs n exponents into fields of ``width`` bytes, exponent i in field
+    i counted from the least significant end, and unpacks them again."""
+    return struct.Struct(f"<{n}{_STRUCT_CODES[width]}")
 
 
 def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
     """``sum(a * b for a, b in pairs)``, every operand over ``table``,
-    accumulated in one term dict.  Each exponent tuple is packed into one int,
-    a byte per variable, so a monomial product is one integer addition; when
-    the largest exponents of some pair's operands sum past 255 a byte would
-    carry into its neighbour, and the tuples are added entry by entry
-    instead."""
+    accumulated in one term dict.  Each exponent tuple is packed into one int
+    (``_fields``), the fields sized by the largest sum of a pair's largest
+    exponents (``_width``), so no field carries into its neighbour and a
+    monomial product is one integer addition."""
     pairs = [(a.terms, b.terms) if len(a.terms) >= len(b.terms) else (b.terms, a.terms)
              for a, b in pairs if a.terms and b.terms]
+    fields = _fields(len(table), _width(max([_top(a) + _top(b) for a, b in pairs], default=0)))
+    pack, join = fields.pack, int.from_bytes
     out: dict = {}
     get = out.get
-    n = len(table)
-    if n and any(_top(a) + _top(b) > 255 for a, b in pairs):
-        for a, b in pairs:
-            for mb, cb in b.items():
-                for ma, ca in a.items():
-                    mm = tuple(map(add, ma, mb))
-                    s = get(mm, 0) + ca * cb
-                    if s:
-                        out[mm] = s
-                    else:
-                        del out[mm]
-        return Polynomial._of(table, {m: _norm_coeff(c) for m, c in out.items()})
-    pack = int.from_bytes
     for a, b in pairs:
-        pa = [(pack(bytes(m), "big"), c) for m, c in a.items()]
+        pa = [(join(pack(*m), "little"), c) for m, c in a.items()]
         for mb, cb in b.items():
-            kb = pack(bytes(mb), "big")
+            kb = join(pack(*mb), "little")
             for ka, ca in pa:
                 k = ka + kb
                 s = get(k, 0) + ca * cb
@@ -671,7 +689,8 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
                     out[k] = s
                 else:
                     del out[k]
-    return Polynomial._of(table, {tuple(k.to_bytes(n, "big")): _norm_coeff(c)
+    unpack, size = fields.unpack, fields.size
+    return Polynomial._of(table, {unpack(k.to_bytes(size, "little")): _norm_coeff(c)
                                   for k, c in out.items()})
 
 
@@ -679,21 +698,18 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
 # division
 # ---------------------------------------------------------------------------
 
-# The largest exponent a packed division field holds: each variable gets a
-# byte whose top bit is a guard (Monagan & Pearce, CASC 2007 and JSC 2011).
-_FIELD = 127
-
-
-def _packing(order: MonomialOrder, n: int) -> tuple:
+def _packing(order: MonomialOrder, n: int, width: int) -> tuple:
     """Weights k, one per variable, packing a monomial e into the int
-    ``K(e) = sum(e_i * k_i) = R(e) * 256**n + P(e)``, where R is the order's
-    linear form and P puts e_i in byte i.  For exponents up to ``_FIELD``
-    K is additive, orders monomials as ``order.key`` does, and its low 8n bits
-    are P, on which divisibility is one subtraction and one mask."""
-    weights = order._packings.get(n)
+    ``K(e) = sum(e_i * k_i) = R(e) * B**n + P(e)`` with ``B = 256**width``,
+    where R is the order's linear form and P puts e_i in field i of
+    ``_fields(n, width)``.  For exponents below the guard bit K is additive,
+    orders monomials as ``order.key`` does, and its low ``8 * width * n``
+    bits are P, on which divisibility is one subtraction and one mask."""
+    weights = order._packings.get((n, width))
     if weights is None:
-        weights = tuple(w * 256 ** n + 256 ** i for i, w in enumerate(order.linear(n)))
-        order._packings[n] = weights
+        base = 256 ** width
+        weights = tuple(w * base ** n + base ** i for i, w in enumerate(order.linear(n, base)))
+        order._packings[n, width] = weights
     return weights
 
 
@@ -708,33 +724,33 @@ def _reduce(p: Polynomial, basis: list, order: MonomialOrder):
 
     Terms are taken in descending order; each goes to the remainder or is
     cancelled by the first basis element whose leading monomial divides it.
-    The dividend runs on packed monomials (``_packing``, the divisors' packed
-    terms cached on them by ``Polynomial._packed``); only an exponent past
-    ``_FIELD``, in an operand or arising on the way, sends the whole division
-    to the tuple loop ``_reduce_tuples``.
+    Monomials are packed (``_packing``) in fields sized by the largest
+    exponent of the dividend and the divisors (cached on each divisor with
+    its packed terms, ``Polynomial._packed``); a product on the way that
+    reaches a guard bit restarts the division at double the width.
     """
-    packs = [b._packed(order) for b in basis]
-    n = len(p.table)
-    if n and p.terms and None not in packs and _top(p.terms) <= _FIELD:
-        done = _reduce_packed(p, packs, _packing(order, n))
+    width = _width(max([_top(p.terms), *(b._max_exponent() for b in basis)]))
+    while True:
+        done = _reduce_packed(p, [b._packed(order, width) for b in basis], order, width)
         if done is not None:
             return done
-    return _reduce_tuples(p, basis, order)
+        width = _width(1 << 8 * width - 1)  # the next width up, PolyError past 8
 
 
-def _reduce_packed(p: Polynomial, packs: list, weights: tuple):
-    """``_reduce`` on packed monomials, or None once a product needs a field
-    past ``_FIELD``.  ``work`` maps the dividend's packed monomials to their
-    coefficients and ``queue`` holds them in ascending order, so its last
-    entry is the leading term; an entry whose term has since cancelled is
-    skipped when it comes up.  With ``guard`` the top bit of every field,
+def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int):
+    """``_reduce`` at ``width`` bytes per field, or None once a product
+    reaches a guard bit.  ``work`` maps the dividend's packed monomials to
+    their coefficients and ``queue`` holds them in ascending order, so its
+    last entry is the leading term; an entry whose term has since cancelled
+    is skipped when it comes up.  With ``guard`` the top bit of every field,
     ``lm`` divides ``m`` exactly when ``((P(m) | guard) - P(lm)) & guard``
     is ``guard``: a field whose exponent in ``lm`` is larger borrows its
-    guard bit, and no field borrows from its neighbour.  A product whose
-    field reaches the guard bit is an exponent past ``_FIELD``."""
+    guard bit, and no field borrows from its neighbour."""
     n = len(p.table)
-    mask = (1 << 8 * n) - 1
-    guard = int.from_bytes(b"\x80" * n, "little")
+    weights = _packing(order, n, width)
+    fields = _fields(n, width)
+    mask = (1 << 8 * fields.size) - 1
+    guard = int.from_bytes(fields.pack(*[1 << 8 * width - 1] * n), "little")
     work = {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
     queue = sorted(work)
     remainder: dict = {}
@@ -759,7 +775,7 @@ def _reduce_packed(p: Polynomial, packs: list, weights: tuple):
             old = work.get(mk)
             if old is None:
                 if mk & guard:
-                    return None  # an exponent past _FIELD
+                    return None  # restart at a wider field
                 work[mk] = _norm_coeff(-qc * bc)
                 insort(queue, mk)
             else:
@@ -768,55 +784,13 @@ def _reduce_packed(p: Polynomial, packs: list, weights: tuple):
                     work[mk] = _norm_coeff(s)
                 else:
                     del work[mk]
-    table = p.table
+    table, unpack, size = p.table, fields.unpack, fields.size
 
     def unpacked(terms: dict) -> Polynomial:
-        return Polynomial._of(table, {tuple((k & mask).to_bytes(n, "little")): c
+        return Polynomial._of(table, {unpack((k & mask).to_bytes(size, "little")): c
                                       for k, c in terms.items()})
 
     return unpacked(remainder), [unpacked(f) for f in factors]
-
-
-def _reduce_tuples(p: Polynomial, basis: list, order: MonomialOrder):
-    """``_reduce`` on exponent tuples, for exponents past ``_FIELD``.
-    ``queue`` holds ``(order.key(m), m)`` for the dividend's monomials in
-    ascending order."""
-    key = order.key
-    lts = [b.leading_term(order) for b in basis]
-    work = dict(p.terms)
-    queue = sorted((key(m), m) for m in work)
-    remainder: dict = {}
-    factors: list = [{} for _ in basis]
-    while queue:
-        m = queue.pop()[1]
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        for hit, (lm, lc) in enumerate(lts):
-            if _divides(lm, m):
-                break
-        else:
-            remainder[m] = c
-            continue
-        q = tuple(map(sub, m, lm))
-        qc = _norm_coeff(Fraction(c) / lc)
-        factors[hit][q] = qc
-        for bm, bc in basis[hit].terms.items():
-            if bm == lm:
-                continue  # cancels the dividend's leading term
-            mm = tuple(map(add, bm, q))
-            old = work.get(mm)
-            if old is None:
-                work[mm] = _norm_coeff(-qc * bc)
-                insort(queue, (key(mm), mm))
-            else:
-                s = old - qc * bc
-                if s:
-                    work[mm] = _norm_coeff(s)
-                else:
-                    del work[mm]
-    table = p.table
-    return Polynomial._of(table, remainder), [Polynomial._of(table, f) for f in factors]
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,6 @@ def normal_form(p: Polynomial, basis: GroebnerBasis):
     return remainder, factors
 
 
-def generator_cofactors(factors: List[Polynomial], basis: GroebnerBasis) -> Dict[str, Polynomial]:
-    """Convert basis-element cofactors into original-generator cofactors."""
-    return _provenance(basis.gens.table, zip(factors, basis.reps))
-
-
 def membership(
     p: Polynomial,
     gens: GeneratorSet,
@@ -448,7 +443,7 @@ def membership(
         b = basis_for(target)
         rem, factors = normal_form(target, b)
         if rem.is_zero():
-            return Certificate(p, generator_cofactors(factors, b), gens,
+            return Certificate(p, _provenance(b.gens.table, zip(factors, b.reps)), gens,
                                multiplier=mult, power=k)
         if mult is None:
             break

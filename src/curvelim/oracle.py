@@ -20,8 +20,6 @@ trial), and evaluates each compiled operand over the whole block at once
 (``_columns``): it walks the sorted terms as a trie, keeping a stack of
 column products along the current factor prefix, so each trie node costs one
 column product; the power columns x_i^e mod p are built once per block.
-``_eval``, the value at a single point, is the same kernel on one-entry
-columns.
 
 Evaluation points come from counter-mode hashing of (seed, label, trial,
 variable), so verdicts are independent of execution order and fully
@@ -219,12 +217,6 @@ def _columns(compiled: Compiled, powers: Powers, n: int, prime: int) -> List[int
             acc = [a + c * t for a, t in zip(acc, top)]
         prev = factors
     return [a % prime for a in acc]
-
-
-def _eval(compiled: Compiled, x: Sequence[int], prime: int) -> int:
-    """Value mod the prime at the point ``x``, residues indexed by table
-    position: the column kernel at one point."""
-    return _columns(compiled, {(i, 1): [v] for i, v in enumerate(x)}, 1, prime)[0]
 
 
 def _total_degree(poly) -> int:

@@ -868,11 +868,12 @@ def run_theorem33(config: Config) -> StageResult:
                                " transcription; inherited from the (3.60) discrepancy")
 
     # (3.64) cross-multiplied, with the certified coefficient
+    Q = mk("200*H^3 + 25*R*H - 200*c*H - 3*K")
+    FG72 = (mk("(56*H^3 + R*H - 12*c*H + K)*(408*H^2 - 78*c + 13*R)")
+            - mk("72*H^2*(200*H^3 + 25*R*H - 200*c*H - 3*K)"))
     derived_64 = (mk("lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
-                     " + lam2*lam3*(lam4 + 2*H)*u4")
-                  * mk("200*H^3 + 25*R*H - 200*c*H - 3*K")
-                  - mk("h1") * (mk("(56*H^3 + R*H - 12*c*H + K)*(408*H^2 - 78*c + 13*R)")
-                                - mk("72*H^2*(200*H^3 + 25*R*H - 200*c*H - 3*K)")))
+                     " + lam2*lam3*(lam4 + 2*H)*u4") * Q
+                  - mk("h1") * FG72)
     run.claim("eq_3_64_derived", derived_64, ["eq_3_59", "eq_3_60_derived", "K_def", "s_def"],
               citation="eq (3.64)", quote=registry.entry("eq_3_64").quote,
               note="cross-multiplied ratio of e_1(K) to e_1(H), certified coefficient")
@@ -882,9 +883,6 @@ def run_theorem33(config: Config) -> StageResult:
     run.result.derived["eq_3_64_derived"] = derived_64
 
     # (3.65): total K-derivative of (3.62) along the flow, denominators cleared
-    Q = mk("200*H^3 + 25*R*H - 200*c*H - 3*K")
-    FG72 = (mk("(56*H^3 + R*H - 12*c*H + K)*(408*H^2 - 78*c + 13*R)")
-            - mk("72*H^2*(200*H^3 + 25*R*H - 200*c*H - 3*K)"))
     derived_65 = derived_62.partial("H") * Q + derived_62.partial("K") * FG72
     run.derive("t65", d1, "eq_3_62_derived",
                citation="before eq (3.65)",
@@ -989,7 +987,7 @@ def endgame_eliminate(p: Polynomial, q: Polynomial) -> Tuple[Polynomial, dict]:
 
 
 def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> StageResult:
-    run = StageRunner.paper("endgame", config)
+    run = StageRunner("endgame", config, load_paper_symbols().table)
     if theorem33 is None:
         theorem33 = run_theorem33(config)
     if "eq_3_65_derived" not in theorem33.derived:  # built from the derived (3.62)

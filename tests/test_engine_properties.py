@@ -1,9 +1,9 @@
 """Property tests for the arithmetic, division and Groebner core: the packed
 product and sum of products against a schoolbook product, clean results from
 every kernel, the one-pass constant substitution, the division identity,
-packed division against a tuple-loop division, exact division, the Groebner
-property of a reduced basis, independence of generator order, and the
-per-order leading-term cache."""
+packed division against a tuple-loop division and the field widths it packs
+at, exact division, the Groebner property of a reduced basis, independence of
+generator order, and the per-order leading-term cache."""
 
 from fractions import Fraction
 from functools import reduce
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import curvelim.exactpoly as exactpoly
 from curvelim.exactpoly import (
-    DomainError, Polynomial, VarTable, block_order, grevlex_order, lex_order, sum_of_products,
+    DomainError, PolyError, Polynomial, VarTable, block_order, grevlex_order, lex_order,
+    sum_of_products,
 )
 from curvelim.ideal import GeneratorSet, Relation, _divides, _reduce, groebner, verify_spolys
 
@@ -131,12 +132,13 @@ def _assert_clean(p):
 
 
 @SETTINGS
-@given(_poly(3, 5), _poly(3, 5), st.sampled_from([254, 255, 256]),
+@given(_poly(3, 5), _poly(3, 5), st.sampled_from([126, 127, 128, 254, 255, 256]),
        st.integers(0, len(VT) - 1), st.integers(3, 240))
 def test_packed_product_matches_schoolbook(a, b, top, j, s):
     # lift both operands along variable j until their largest exponents sum to
-    # ``top``: below, at and above what one byte per variable holds
-    a = _shift(a, j, s)
+    # ``top``: at and past the largest a one-byte field holds below its guard
+    # bit, and around 255
+    a = _shift(a, j, min(s, top - 6))
     b = _shift(b, j, top - _top(a) - max(m[j] for m in b.terms))
     assert _top(a) + _top(b) == top
     product = a * b
@@ -169,16 +171,19 @@ def test_constant_substitution_sums_the_coefficients(p, name, v):
 
 @SETTINGS
 @given(st.lists(st.tuples(_poly(3, 4), _poly(3, 4)), min_size=1, max_size=3),
-       st.sampled_from([254, 255, 256]), st.integers(0, len(VT) - 1), st.integers(3, 240))
+       st.sampled_from([126, 127, 128, 254, 255, 256]), st.integers(0, len(VT) - 1),
+       st.integers(3, 240))
 def test_sum_of_products_matches_schoolbook(pairs, top, j, s):
     # lift the first pair as in the product test, so that its largest
-    # exponents sum to ``top``: past 255 the whole sum runs on tuples
+    # exponents sum to ``top``; the fields are sized for the whole sum, so the
+    # lifted pair is also summed last
     (a, b), rest = pairs[0], pairs[1:]
-    a = _shift(a, j, s)
+    a = _shift(a, j, min(s, top - 6))
     b = _shift(b, j, top - _top(a) - max(m[j] for m in b.terms))
     pairs = [(a, b)] + rest
     expected = reduce(lambda acc, ab: acc + _schoolbook(*ab), pairs, Polynomial.zero(VT))
     assert sum_of_products(VT, pairs) == expected
+    assert sum_of_products(VT, rest + [(a, b)]) == expected
     assert sum_of_products(VT, pairs + [(-a, b)]) == expected - _schoolbook(a, b)
 
 
@@ -212,9 +217,10 @@ def _division_reference(p, basis, order):
        st.integers(0, len(VT) - 1), st.lists(st.integers(0, 126), min_size=3, max_size=3))
 def test_packed_division_matches_tuple_division(p, basis, top, j, lifts):
     # lift the dividend along variable j until its largest exponent is
-    # ``top``, at and past the largest a packed field holds, and the divisors
-    # by less; each polynomial is divided under every order in turn, so the
-    # divisors' packed forms are asked for one order after another
+    # ``top``, at and past the largest a one-byte field holds, and the
+    # divisors by less; each polynomial is divided under every order in
+    # turn, so the divisors' packed forms are asked for one order after
+    # another
     p = _shift(p, j, top - _top(p))
     basis = [_shift(b, j, min(s, top - _top(b))) for b, s in zip(basis, lifts)]
     for order in ORDERS:
@@ -224,27 +230,43 @@ def test_packed_division_matches_tuple_division(p, basis, top, j, lifts):
         assert quo == expected_quo
 
 
-def test_packed_division_fields_and_fallback(monkeypatch):
+def test_division_field_widths(monkeypatch):
     # no field divides across its neighbours (z packs into the top field, x
-    # into the bottom one); exponents up to the field limit divide on packed
-    # monomials, and one past it, in an operand or arising from a product on
-    # the way, sends the division to the tuples
+    # into the bottom one); the width is the fewest bytes that hold every
+    # exponent of the dividend and the divisors below the guard bit, and a
+    # product on the way that reaches it restarts the division at double the
+    # width, up to 8 bytes
     x, y, z = (Polynomial.var(VT, n) for n in VT.names)
-    calls = []
-    real = exactpoly._reduce_tuples
+    widths = []
+    real = exactpoly._reduce_packed
 
-    def recording(p, basis, order):
-        calls.append(p)
-        return real(p, basis, order)
+    def recording(p, packs, order, width):
+        widths.append(width)
+        return real(p, packs, order, width)
 
-    monkeypatch.setattr(exactpoly, "_reduce_tuples", recording)
-    limit = exactpoly._FIELD
-    cases = [(x * y, [z], grevlex_order(), False),
-             (y * z, [x], grevlex_order(), False),
-             (x ** limit, [x - y], grevlex_order(), False),
-             (x ** (limit + 1), [x - y], grevlex_order(), True),
-             (x ** 2, [x - y ** limit], lex_order(), True)]
-    for p, basis, order, tuples in cases:
-        calls.clear()
+    monkeypatch.setattr(exactpoly, "_reduce_packed", recording)
+    grevlex, lex = grevlex_order(), lex_order()
+    cases = [(x * y, [z], grevlex, [1]),
+             (y * z, [x], grevlex, [1]),
+             (x ** 127, [x - y], grevlex, [1]),
+             (x ** 128, [x - y], grevlex, [2]),
+             (x * y, [x - y ** 200], lex, [2]),
+             (x ** 2, [x - y ** 127], lex, [1, 2]),
+             (x ** 3, [x - y ** 127], lex, [1, 2]),
+             (x * y ** 40000, [x - z], lex, [4]),
+             (x ** 2, [x - y ** 32767], lex, [2, 4]),
+             (x * y ** 2 ** 31, [x - z], lex, [8]),
+             (x ** 2, [x - y ** (2 ** 31 - 1)], lex, [4, 8])]
+    for p, basis, order, expected in cases:
+        widths.clear()
         assert _reduce(p, basis, order) == _division_reference(p, basis, order)
-        assert calls == ([p] if tuples else [])
+        assert widths == expected
+    top = 2 ** 63 - 1
+    x_top, y_top = (Polynomial(VT, {e: 1}) for e in [(top, 0, 0), (0, top, 0)])
+    assert _reduce(x_top, [y], grevlex) == (x_top, [Polynomial.zero(VT)])
+    with pytest.raises(PolyError):  # a restart past 8 bytes
+        _reduce(x ** 2, [x - y_top], lex)
+    with pytest.raises(PolyError):  # a dividend past the largest field
+        _reduce(Polynomial(VT, {(top + 1, 0, 0): 1}), [y], grevlex)
+    with pytest.raises(PolyError):  # a product past it
+        x_top * x

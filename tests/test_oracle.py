@@ -241,7 +241,8 @@ _prime = st.sampled_from([DEFAULT_PRIME, *oracle._extra_primes()])
 def test_compiled_evaluation_matches_exactpoly(p, prime, data):
     x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
     expected = p.evaluate(dict(zip(VT5.names, x)), modulus=prime)
-    assert oracle._eval(oracle._compile(p, prime), x, prime) == expected
+    columns = {(i, 1): [v] for i, v in enumerate(x)}
+    assert oracle._columns(oracle._compile(p, prime), columns, 1, prime) == [expected]
 
 
 VT1 = VarTable(["s"])
