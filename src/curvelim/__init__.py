@@ -35,7 +35,6 @@ from .frame import (
     DerivationRuleTable,
     EquationRegistry,
     SymbolTable,
-    check_rule_consistency,
     load_paper_axioms,
     load_paper_symbols,
     load_rule_tables,

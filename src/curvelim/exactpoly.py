@@ -437,7 +437,8 @@ class Polynomial:
     def substitute(self, name: str, value: "Polynomial") -> "Polynomial":
         """Replace every occurrence of ``name`` by ``value``, expanded and
         normalized.  A constant value is substituted in one pass over the
-        terms; any other by Horner in that variable."""
+        terms; any other by Horner in that variable, stepping between the
+        degrees present by powers of the value."""
         if name not in self.table:
             raise PolyError(f"unknown variable {name!r}")
         if isinstance(value, (int, Fraction)):
@@ -464,13 +465,11 @@ class Polynomial:
         parts = self.as_univariate(name)
         if not parts:
             return self
-        top = max(parts)
-        acc = Polynomial.zero(self.table)
-        for p in range(top, -1, -1):
-            acc = acc * value
-            if p in parts:
-                acc = acc + parts[p]
-        return acc
+        degrees = sorted(parts, reverse=True)
+        acc = parts[degrees[0]]
+        for hi, lo in zip(degrees, degrees[1:]):
+            acc = acc * value ** (hi - lo) + parts[lo]
+        return acc * value ** degrees[-1] if degrees[-1] else acc
 
     def evaluate(self, assignment: Mapping[str, Coeff], modulus: Optional[int] = None):
         """Exact value at a rational point; with ``modulus`` (a prime) its

@@ -28,7 +28,7 @@ weighted-homogeneous, which the ideal layer exploits for degree truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
 from .ideal import (
@@ -77,8 +77,7 @@ _SYMBOLS: List[Tuple[str, int, str]] = [
 
 
 class SymbolTable:
-    """The fixed pipeline variable table plus semantic annotations and the
-    defining relations for the grouped quantities K and s."""
+    """The fixed pipeline variable table plus semantic annotations."""
 
     def __init__(self):
         names = [n for n, _, _ in _SYMBOLS]
@@ -91,12 +90,6 @@ class SymbolTable:
 
     def var(self, name: str) -> Polynomial:
         return Polynomial.var(self.table, name)
-
-    def defining_relations(self) -> List[Relation]:
-        return [
-            Relation("K_def", self.poly("K - lam2*lam3*lam4")),
-            Relation("s_def", self.poly("s - (u2 + u3 + u4)")),
-        ]
 
 
 def load_paper_symbols() -> SymbolTable:
@@ -425,6 +418,68 @@ def load_paper_axioms(symbols: Optional[SymbolTable] = None) -> List[Axiom]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# index permutations (for the e3/e4 replays)
+# ---------------------------------------------------------------------------
+
+PERM_2_3 = {
+    "lam2": "lam3", "lam3": "lam2",
+    "u2": "u3", "u3": "u2",
+    "v3": "o223", "o223": "v3",
+    "v4": "o443", "o443": "v4",
+    "d2_u2_1": "d3_u3_1", "d3_u3_1": "d2_u2_1",
+    "d2v3": "d3o223", "d3o223": "d2v3",
+    "d2v4": "d3o443", "d3o443": "d2v4",
+}
+
+PERM_2_4 = {
+    "lam2": "lam4", "lam4": "lam2",
+    "u2": "u4", "u4": "u2",
+    "v3": "o334", "o334": "v3",
+    "v4": "o224", "o224": "v4",
+    "d2_u2_1": "d4_u4_1", "d4_u4_1": "d2_u2_1",
+    "d2v3": "d4o334", "d4o334": "d2v3",
+    "d2v4": "d4o224", "d4o224": "d2v4",
+}
+
+
+def permute_polynomial(p: Polynomial, mapping: Dict[str, str]) -> Polynomial:
+    """Rename variables according to the (involutive) index permutation."""
+    table = p.table
+    idx_map = {}
+    for i, name in enumerate(table.names):
+        idx_map[i] = table.index[mapping.get(name, name)]
+    out = {}
+    for m, coef in p.terms.items():
+        mm = [0] * len(table)
+        for i, e in enumerate(m):
+            if e:
+                mm[idx_map[i]] += e
+        out[tuple(mm)] = coef
+    return Polynomial(table, out)
+
+
+# the frame directions e2, e3, e4, each as the index permutation that carries
+# the e2 replay to it
+DIRECTIONS: Dict[int, Dict[str, str]] = {2: {}, 3: PERM_2_3, 4: PERM_2_4}
+
+
+def transverse_pair(perm: Dict[str, str]) -> List[str]:
+    """A direction's transverse coefficients, the images of v3 and v4, by name."""
+    return sorted(perm.get(v, v) for v in ("v3", "v4"))
+
+
+def permuted_saturation_ids(records: Sequence[SaturationRecord],
+                            perm: Dict[str, str]) -> Dict[str, str]:
+    """Where ``perm`` carries each saturation id: to the record whose
+    multiplier is +- the permuted multiplier."""
+    def sid_of(image: Polynomial) -> str:
+        signed = (image, -image)
+        return next(r.sid for r in records if r.multiplier in signed)
+
+    return {r.sid: sid_of(permute_polynomial(r.multiplier, perm)) for r in records}
+
+
 def curvature_difference_records(mk: Callable[[str], Polynomial]) -> List[SaturationRecord]:
     """The pairwise differences of the principal curvatures (with lam1 = -2H),
     parsed by ``mk`` over the caller's table."""
@@ -436,21 +491,20 @@ def curvature_difference_records(mk: Callable[[str], Polynomial]) -> List[Satura
 
 def nondegeneracy_records(symbols: SymbolTable) -> List[SaturationRecord]:
     """The quantities the source derivation divides by: pairwise differences of the
-    principal curvatures (with lam1 = -2H), e_1(H), and the sum of squared
-    differences (nonzero since the curvatures are mutually distinct reals)."""
+    principal curvatures (with lam1 = -2H), e_1(H), the sum of squared
+    differences (nonzero since the curvatures are mutually distinct reals), and
+    each direction's transverse coefficients, nonzero as branch hypotheses."""
     mk = symbols.poly
+    # an annotation ends with the frame name, e.g. "connection coefficient w33_2"
+    branches = [SaturationRecord(f"{x}_nonzero", mk(x),
+                                 f"branch hypothesis: {symbols.annotations[x].split()[-1]} != 0")
+                for perm in DIRECTIONS.values() for x in transverse_pair(perm)]
     return curvature_difference_records(mk) + [
         SaturationRecord("h1_nonzero", mk("h1"), "e_1(H) != 0"),
         SaturationRecord("sos_distinct",
                          mk("(lam2 - lam3)^2 + (lam2 - lam4)^2 + (lam3 - lam4)^2"),
                          "sum of squares of differences of mutually distinct reals"),
-        SaturationRecord("v3_nonzero", mk("v3"), "branch hypothesis: w33_2 != 0"),
-        SaturationRecord("v4_nonzero", mk("v4"), "branch hypothesis: w44_2 != 0"),
-        SaturationRecord("o223_nonzero", mk("o223"), "branch hypothesis: w22_3 != 0"),
-        SaturationRecord("o443_nonzero", mk("o443"), "branch hypothesis: w44_3 != 0"),
-        SaturationRecord("o224_nonzero", mk("o224"), "branch hypothesis: w22_4 != 0"),
-        SaturationRecord("o334_nonzero", mk("o334"), "branch hypothesis: w33_4 != 0"),
-    ]
+    ] + branches
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +569,22 @@ class DerivationRuleTable:
             out = out + p.partial(sym) * img
         return out, fresh
 
+    def permuted(self, name: str, perm: Dict[str, str], citation: str) -> "DerivationRuleTable":
+        """The operator conjugated by the index permutation ``perm``: the rule
+        for perm(x) is the permuted rule for x, a fresh symbol permuted too."""
+        def image(img):
+            if isinstance(img, Fresh):
+                return Fresh(perm.get(img.symbol, img.symbol))
+            return permute_polynomial(img, perm)
+
+        return DerivationRuleTable(name, self.symbols, {
+            perm.get(sym, sym): image(img) for sym, img in self.rules.items()}, citation)
+
 
 def load_rule_tables(symbols: Optional[SymbolTable] = None) -> Dict[str, DerivationRuleTable]:
     """The four derivation operators: D1 along e1 and D2/D3/D4 along e2/e3/e4
-    (D3, D4 by index permutation of D2, as the closing symmetry argument of
-    the second lemma requires)."""
+    (D3, D4 as D2 conjugated by each direction's index permutation, as the
+    closing symmetry argument of the second lemma requires)."""
     symbols = symbols or load_paper_symbols()
     d1 = DerivationRuleTable("D1", symbols, {
         "c": "0", "R": "0",
@@ -560,74 +625,10 @@ def load_rule_tables(symbols: Optional[SymbolTable] = None) -> Dict[str, Derivat
              " + lam2*lam4*(-(lam2 - lam3)*v3) + lam2*lam3*(-(lam2 - lam4)*v4)",
         "s": "d2_u2_1 + (u3 - u2)*v3 + (u4 - u2)*v4",
     }, "eqs (3.4), (3.7), (3.11), (3.22)-(3.23), (3.28)")
-    d3 = DerivationRuleTable("D3", symbols, {
-        "c": "0", "R": "0",
-        "H": "0",
-        "h1": "0",
-        "lam2": "-(lam3 - lam2)*o223",
-        "lam4": "-(lam3 - lam4)*o443",
-        "lam3": "(lam3 - lam2)*o223 + (lam3 - lam4)*o443",
-        "u2": "(u2 - u3)*o223",
-        "u4": "(u4 - u3)*o443",
-        "u3": Fresh("d3_u3_1"),
-        "o223": Fresh("d3o223"),
-        "o443": Fresh("d3o443"),
-    }, "index permutation 2<->3 of the e2 table ('with some similar discussions')")
-    d4 = DerivationRuleTable("D4", symbols, {
-        "c": "0", "R": "0",
-        "H": "0",
-        "h1": "0",
-        "lam2": "-(lam4 - lam2)*o224",
-        "lam3": "-(lam4 - lam3)*o334",
-        "lam4": "(lam4 - lam2)*o224 + (lam4 - lam3)*o334",
-        "u2": "(u2 - u4)*o224",
-        "u3": "(u3 - u4)*o334",
-        "u4": Fresh("d4_u4_1"),
-        "o224": Fresh("d4o224"),
-        "o334": Fresh("d4o334"),
-    }, "index permutation 2<->4 of the e2 table ('with some similar discussions')")
-    return {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
-
-
-# ---------------------------------------------------------------------------
-# index permutations (for the e3/e4 replays)
-# ---------------------------------------------------------------------------
-
-PERM_2_3 = {
-    "lam2": "lam3", "lam3": "lam2",
-    "u2": "u3", "u3": "u2",
-    "v3": "o223", "o223": "v3",
-    "v4": "o443", "o443": "v4",
-    "d2_u2_1": "d3_u3_1", "d3_u3_1": "d2_u2_1",
-    "d2v3": "d3o223", "d3o223": "d2v3",
-    "d2v4": "d3o443", "d3o443": "d2v4",
-}
-
-PERM_2_4 = {
-    "lam2": "lam4", "lam4": "lam2",
-    "u2": "u4", "u4": "u2",
-    "v3": "o334", "o334": "v3",
-    "v4": "o224", "o224": "v4",
-    "d2_u2_1": "d4_u4_1", "d4_u4_1": "d2_u2_1",
-    "d2v3": "d4o334", "d4o334": "d2v3",
-    "d2v4": "d4o224", "d4o224": "d2v4",
-}
-
-
-def permute_polynomial(p: Polynomial, mapping: Dict[str, str]) -> Polynomial:
-    """Rename variables according to the (involutive) index permutation."""
-    table = p.table
-    idx_map = {}
-    for i, name in enumerate(table.names):
-        idx_map[i] = table.index[mapping.get(name, name)]
-    out = {}
-    for m, coef in p.terms.items():
-        mm = [0] * len(table)
-        for i, e in enumerate(m):
-            if e:
-                mm[idx_map[i]] += e
-        out[tuple(mm)] = coef
-    return Polynomial(table, out)
+    return {"D1": d1, "D2": d2, **{
+        f"D{k}": d2.permuted(f"D{k}", perm, f"index permutation 2<->{k} of the e2 table"
+                             " ('with some similar discussions')")
+        for k, perm in DIRECTIONS.items() if perm}}
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +691,3 @@ def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limit
             ("eq_3_30", trace),
             ("eq_3_55", reduction)]
 
-
-def check_rule_consistency(symbols: Optional[SymbolTable] = None) -> List[Tuple[str, bool, str]]:
-    """Runs every rule-consistency check: (equation id, ok, message)."""
-    return [(eid, *check()) for eid, check in rule_consistency_checks(symbols)]

@@ -71,8 +71,7 @@ from .ideal import (
 from .frame import (
     ENGINE_VERSION,
     EquationRegistry,
-    PERM_2_3,
-    PERM_2_4,
+    DIRECTIONS,
     SymbolTable,
     curvature_difference_records,
     load_paper_axioms,
@@ -80,7 +79,9 @@ from .frame import (
     load_rule_tables,
     nondegeneracy_records,
     permute_polynomial,
+    permuted_saturation_ids,
     rule_consistency_checks,
+    transverse_pair,
 )
 from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificate
 
@@ -580,34 +581,6 @@ def run_lemma31(config: Config) -> StageResult:
 # stage: the case analysis (transverse coefficients vanish)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _LemmaCase:
-    """Names for one direction's replay of the case analysis (e2, e3 or e4)."""
-
-    tag: str
-    rule: str
-    perm: Optional[dict]
-    sum_axiom_quote: str
-    hyp_a: str   # saturation id of the first transverse coefficient
-    hyp_b: str
-    concl_a: str
-    concl_b: str
-
-
-def _lemma32_cases() -> List[_LemmaCase]:
-    return [
-        _LemmaCase("e2", "D2", None,
-                   "e_2(\\omega_{22}^1+\\omega_{33}^1+\\omega_{44}^1)=0",
-                   "v3_nonzero", "v4_nonzero", "v3", "v4"),
-        _LemmaCase("e3", "D3", PERM_2_3,
-                   "with some similar discussions (e_3 case)",
-                   "o223_nonzero", "o443_nonzero", "o223", "o443"),
-        _LemmaCase("e4", "D4", PERM_2_4,
-                   "with some similar discussions (e_4 case)",
-                   "o224_nonzero", "o334_nonzero", "o224", "o334"),
-    ]
-
-
 def run_lemma32(config: Config) -> StageResult:
     """The claim that the transverse connection coefficients vanish, by
     contradiction: assuming one nonzero forces e_1(H) = 0."""
@@ -628,34 +601,30 @@ def run_lemma32(config: Config) -> StageResult:
                citation="before eq (3.40)", quote="Acting e_1 on both sides of (3.3)")
     run.claim_registry("eq_3_40", ["d1_eq_3_3", "eq_3_30", "eq_3_11", "eq_3_3"])
 
-    # how the pairwise-difference saturation ids transform under the replays
-    perm_sat = {
-        "e2": {},
-        "e3": {"lam2_m_lam4": "lam3_m_lam4", "lam3_m_lam4": "lam2_m_lam4"},
-        "e4": {"lam2_m_lam3": "lam3_m_lam4", "lam3_m_lam4": "lam2_m_lam3"},
-    }
-
-    for case in _lemma32_cases():
-        tag = case.tag
-        perm = case.perm
-        psat = perm_sat[tag]
-        dd = rules[case.rule]
-
-        prefix = f"{tag}_" if tag != "e2" else ""
+    for k, perm in DIRECTIONS.items():
+        tag = f"e{k}"
+        dd = rules[f"D{k}"]
+        # how the replay moves the pairwise-difference saturation ids
+        psat = permuted_saturation_ids(list(run.sats.values()), perm)
+        prefix = f"{tag}_" if perm else ""
 
         def sid(eid: str) -> str:
             return f"{prefix}{eid}"
 
         sum_axiom = dd.apply(mk("u2 + u3 + u4"))[0]
-        run.assume(sid("eq_3_29"), sum_axiom, "eq (3.29)" if tag == "e2"
-                   else "eq (3.29), permuted replay", case.sum_axiom_quote,
-                   note="the source derivation differentiates (3.27) along the direction and uses"
-                        " (3.28); the implicit commutation of the derivatives is part"
-                        " of the citation" if tag == "e2" else "")
+        if perm:
+            run.assume(sid("eq_3_29"), sum_axiom, "eq (3.29), permuted replay",
+                       f"with some similar discussions (e_{k} case)")
+        else:
+            run.assume(sid("eq_3_29"), sum_axiom, "eq (3.29)",
+                       "e_2(\\omega_{22}^1+\\omega_{33}^1+\\omega_{44}^1)=0",
+                       note="the source derivation differentiates (3.27) along the direction"
+                            " and uses (3.28); the implicit commutation of the derivatives"
+                            " is part of the citation")
         run.derive(sid("d_eq_3_30"), dd, "eq_3_30",
                    citation="eqs (3.31)-(3.32)",
                    quote="Now acting e_2 on both sides of the above equation")
-        elim_u = "u2" if tag == "e2" else ("u3" if tag == "e3" else "u4")
+        elim_u = perm.get("u2", "u2")
         run.claim_registry("eq_3_33",
                            [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
                            sid=sid("eq_3_33"), perm=perm,
@@ -673,11 +642,10 @@ def run_lemma32(config: Config) -> StageResult:
         run.claim_registry("eq_3_35", [sid("d1_eq_3_34")], sid=sid("eq_3_35"), perm=perm)
 
         # case split: one of the two transverse coefficients nonzero
-        def ps(sat_id: str) -> str:
-            return psat.get(sat_id, sat_id)
-
+        pair = transverse_pair(perm)
         closures = {}
-        for hyp, branch in ((case.hyp_a, "a"), (case.hyp_b, "b")):
+        for name in pair:
+            hyp = f"{name}_nonzero"
             bid = f"{sid('branch')}_{hyp}"
             run.annotate(f"{bid}_open",
                          f"branch hypothesis: {run.sats[hyp].multiplier.to_text()} != 0",
@@ -689,21 +657,21 @@ def run_lemma32(config: Config) -> StageResult:
                                           perm=perm)
 
             bclaim("eq_3_36", [sid("eq_3_33"), sid("eq_3_34")],
-                   [hyp, ps("lam2_m_lam3"), ps("lam2_m_lam4")])
+                   [hyp, psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
             bclaim("eq_3_37", [sid("eq_3_34"), sid("eq_3_35")],
-                   [hyp, ps("lam2_m_lam3"), ps("lam2_m_lam4")])
+                   [hyp, psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
             run.eliminate_step(f"{bid}_eliminate_u",
                                [f"{bid}_eq_3_36", f"{bid}_eq_3_37"], [elim_u],
                                citation="display before eq (3.38)",
                                quote="Eliminating \\omega_{22}^1 between (3.36)"
                                      " and (3.37)")
             bclaim("disp_3_38", [f"{bid}_eq_3_36", f"{bid}_eq_3_37"],
-                   [ps("lam3_m_lam4")],
+                   [psat["lam3_m_lam4"]],
                    note="content-free form of the eliminant; the elimination's"
                         " stray difference factor is divided out")
             bclaim("eq_3_38", [f"{bid}_disp_3_38"],
-                   [ps("lam2_m_lam3"), ps("lam2_m_lam4")])
-            bclaim("eq_3_39", [f"{bid}_eq_3_36", f"{bid}_eq_3_38"], [ps("lam3_m_lam4")])
+                   [psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
+            bclaim("eq_3_39", [f"{bid}_eq_3_36", f"{bid}_eq_3_38"], [psat["lam3_m_lam4"]])
             bclaim("eq_3_41", ["eq_3_40", f"{bid}_eq_3_38", f"{bid}_eq_3_39"], [])
             bclaim("eq_3_42a", [f"{bid}_eq_3_41"], ["sos_distinct"])
             bclaim("eq_3_42b", [f"{bid}_eq_3_42a", f"{bid}_eq_3_39"], [])
@@ -717,16 +685,16 @@ def run_lemma32(config: Config) -> StageResult:
                                     " contradicts to the first expression of (3.4)",
                               add_as=f"{bid}_one", status="branch-closed")
             if ccert is not None:
-                closures[hyp] = ccert
+                closures[name] = ccert
         if len(closures) == 2:
-            for hyp, name in ((case.hyp_a, case.concl_a), (case.hyp_b, case.concl_b)):
+            for name in pair:
                 with run.step(f"{sid('conclude')}_{name}", "case_split", "after eq (3.42)",
                               "Therefore, we conclude \\omega_{33}^2=\\omega_{44}^2=0",
                               conclusion=f"{name} = 0",
                               reason=f"branch assuming {name} != 0 reaches the unit"
                                      " ideal; all other multipliers used are"
                                      " pointwise nonzero") as rec:
-                    rec.certificate_digest = closures[hyp].digest()
+                    rec.certificate_digest = closures[name].digest()
                     run.add(name, mk(name))
                     run.result.conclusions[name] = mk(name)
         run.annotate(sid("lambda_const"),
@@ -751,8 +719,8 @@ def run_theorem33(config: Config) -> StageResult:
         note = registry.entry(ax.aid).note
         run.assume(ax.aid, ax.poly, ax.citation, ax.quote, note=note)
     # the vanishing transverse coefficients, with the rule table each is differentiated by
-    vanishing = {"v3": "D2", "v4": "D2", "o223": "D3", "o443": "D3",
-                 "o224": "D4", "o334": "D4"}
+    vanishing = {name: f"D{k}" for k, perm in DIRECTIONS.items()
+                 for name in transverse_pair(perm)}
     for name in vanishing:
         run.assume(f"lemma32_{name}", mk(name), "Lemma 3.2",
                    "then e_i(\\lambda_j)=0 for i=2, 3, 4",

@@ -5,6 +5,7 @@ packed division against a tuple-loop division and the field widths it packs
 at, exact division, the Groebner property of a reduced basis, independence of
 generator order, and the per-order leading-term cache."""
 
+import heapq
 from fractions import Fraction
 from functools import reduce
 
@@ -187,14 +188,31 @@ def test_sum_of_products_matches_schoolbook(pairs, top, j, s):
     assert sum_of_products(VT, pairs + [(-a, b)]) == expected - _schoolbook(a, b)
 
 
+class _Descending:
+    """A monomial's order key, compared backwards so that a heap pops the
+    largest monomial first."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
 def _division_reference(p, basis, order):
     """Full division on exponent tuples: the largest term left goes to the
     first basis element whose leading monomial divides it, else to the
     remainder."""
     lts = [b.leading_term(order) for b in basis]
     work, rem, quo = dict(p.terms), {}, [{} for _ in basis]
-    while work:
-        m = max(work, key=order.key)
+    # every monomial in ``work`` is on the heap; one popped after it cancelled
+    # (or a second copy, pushed when it came back) is skipped
+    heap = [(_Descending(order.key(m)), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        if m not in work:
+            continue
         c = work.pop(m)
         for h, (lm, lc) in enumerate(lts):
             if all(x >= y for x, y in zip(m, lm)):
@@ -203,6 +221,8 @@ def _division_reference(p, basis, order):
                 for bm, bc in basis[h].terms.items():
                     if bm != lm:
                         mm = tuple(x + y for x, y in zip(bm, q))
+                        if mm not in work:
+                            heapq.heappush(heap, (_Descending(order.key(mm)), mm))
                         work[mm] = work.get(mm, 0) - quo[h][q] * bc
                         if not work[mm]:
                             del work[mm]
