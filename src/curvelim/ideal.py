@@ -478,14 +478,19 @@ def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
 
 def verify_spolys(gb: GroebnerBasis) -> bool:
     """Check the defining Groebner property: every S-polynomial of basis pairs
-    (below the degree bound, if truncated) reduces to zero."""
+    (below the degree bound, if truncated) reduces to zero.  A pair with
+    coprime leading monomials is skipped: its S-polynomial reduces to zero
+    over the pair alone (Buchberger's first criterion), within its own
+    degree, so truncated bases need it no more than full ones."""
     order = gb.order
     table = gb.gens.table
+    lts = [q.leading_term(order)[0] for q in gb.polys]
     for i in range(len(gb.polys)):
         for j in range(i):
-            lcm = _mono_lcm(gb.polys[i].leading_term(order)[0],
-                            gb.polys[j].leading_term(order)[0])
+            lcm = _mono_lcm(lts[i], lts[j])
             if gb.degree_bound is not None and _wdeg(table, lcm) > gb.degree_bound:
+                continue
+            if lcm == tuple(map(add, lts[i], lts[j])):
                 continue
             _, _, s = _spoly(gb.polys[i], gb.polys[j], lcm, order)
             rem, _ = _reduce(s, gb.polys, order)

@@ -14,21 +14,25 @@ inverse, and the (table position, exponent) pairs of its nonzero exponents.
 Terms are sorted by those pairs, so consecutive terms share factor prefixes.
 Compiled forms live only for the call.
 
-Evaluation is columnar.  The check derives the points of a block of at most
-``_BLOCK`` trials, holds one column of residues per variable (one entry per
-trial), and evaluates each compiled operand over the whole block at once
+Evaluation is columnar.  The check walks the trials in blocks of at most
+``_BLOCK``, holds one column of residues per variable (one entry per trial),
+and evaluates each compiled operand over the whole block at once
 (``_columns``): it walks the sorted terms as a trie, keeping a stack of
 column products along the current factor prefix, so each trie node costs one
 column product; the power columns x_i^e mod p are built once per block.
 
-Evaluation points come from counter-mode hashing of (seed, label, trial,
-variable), so verdicts are independent of execution order and fully
-reproducible.
+Evaluation points come from seeded hashing: each variable's column of a block
+is one SHAKE-256 stream keyed by (seed, label, variable, block), read as
+128-bit words (``_column``; ``_point_values`` is the word-by-word reference).
+A value depends only on (seed, label, trial, variable, prime): not on the
+other variables, the trial count or the execution order, so verdicts are
+fully reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,35 +116,64 @@ def _rejection_limit(prime: int) -> int:
     return (1 << 128) - ((1 << 128) % prime)
 
 
+# trials evaluated together, and the words of one point stream: a constant of
+# the point derivation, not the trial count; the default trial count is one block
+_BLOCK = 100
+
+
 def _point_values(seed: int, label: str, trial: int, variables: Sequence[str],
                   prime: int, limit: int) -> List[int]:
-    """Counter-mode point derivation: for each variable, the first 128-bit
-    SHA-256 draw of f"{seed}|{label}|{trial}|{var}|{counter}" below ``limit``,
-    reduced mod the prime.  The "{seed}|{label}|{trial}|" prefix is encoded
-    once per trial."""
-    return _draw(f"{seed}|{label}|{trial}|".encode(), variables, _first_tags(variables),
-                 prime, limit)
+    """The point of one trial, word by word; the reference for ``_column``.
+
+    A variable's values come from one SHAKE-256 stream per block of
+    ``_BLOCK`` trials: its value at ``trial`` is word ``trial % _BLOCK`` (16
+    bytes, big-endian) of the stream keyed f"{seed}|{label}|{var}|{block}",
+    block = trial // _BLOCK.  A word at or above ``limit`` is replaced by the
+    first word below it of the streams keyed
+    f"{seed}|{label}|{var}|{trial}|{counter}", counter = 1, 2, ... (``_redraw``);
+    the result is reduced mod the prime.  A value depends on nothing but
+    (seed, label, trial, variable, prime)."""
+    block, k = divmod(trial, _BLOCK)
+    out = []
+    for var in variables:
+        x = int.from_bytes(_stream(seed, label, var, block).digest(16 * (k + 1))[-16:], "big")
+        if x >= limit:
+            x = _redraw(seed, label, var, trial, limit)
+        out.append(x % prime)
+    return out
 
 
-def _first_tags(variables: Sequence[str]) -> List[bytes]:
-    """The encoded "{var}|0" tag of each variable's first draw."""
-    return [f"{var}|0".encode() for var in variables]
+def _stream(seed: int, label: str, var: str, block: int):
+    """The SHAKE-256 stream of one variable's words over a block of trials."""
+    return hashlib.shake_256(f"{seed}|{label}|{var}|{block}".encode())
 
 
-def _draw(prefix: bytes, variables: Sequence[str], tags: Sequence[bytes], prime: int,
-          limit: int) -> List[int]:
-    """``_point_values`` given the encoded trial prefix and the first-draw
-    tags.  A draw at or above the limit moves its variable's counter."""
-    sha256 = hashlib.sha256
-    draws = [int.from_bytes(sha256(prefix + tag).digest()[:16], "big") for tag in tags]
-    for k, x in enumerate(draws):
-        counter = 0
-        while x >= limit:
-            counter += 1
-            tag = f"{variables[k]}|{counter}".encode()
-            x = int.from_bytes(sha256(prefix + tag).digest()[:16], "big")
-        draws[k] = x % prime
-    return draws
+def _redraw(seed: int, label: str, var: str, trial: int, limit: int) -> int:
+    """The counter-keyed replacement of a block word at or above the limit."""
+    counter = 0
+    while True:
+        counter += 1
+        key = f"{seed}|{label}|{var}|{trial}|{counter}".encode()
+        x = int.from_bytes(hashlib.shake_256(key).digest(16), "big")
+        if x < limit:
+            return x
+
+
+def _column(seed: int, label: str, var: str, block: int, n: int, prime: int,
+            limit: int) -> List[int]:
+    """The values of one variable at the first ``n`` trials of a block, as
+    ``_point_values`` gives them: one stream read, unpacked into 64-bit
+    halves, each word reduced as hi * (2**64 mod p) + lo.  Only a block whose
+    largest high half could put a word at or above the limit is checked word
+    by word."""
+    halves = struct.unpack(f">{2 * n}Q", _stream(seed, label, var, block).digest(16 * n))
+    hi, lo = halves[0::2], halves[1::2]
+    if max(hi) >= limit >> 64:
+        start = block * _BLOCK
+        return [(x if x < limit else _redraw(seed, label, var, start + k, limit)) % prime
+                for k, x in enumerate(h << 64 | l for h, l in zip(hi, lo))]
+    m = (1 << 64) % prime
+    return [(h * m + l) % prime for h, l in zip(hi, lo)]
 
 
 def sample_point(cfg: SpotCheckConfig, label: str, trial: int,
@@ -158,9 +191,6 @@ Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
 # values of x_i^e mod p, one per point.  The caller supplies the exponent-1
 # columns; ``_columns`` adds the powers it needs.
 Powers = Dict[Tuple[int, int], List[int]]
-
-# trials evaluated together; the default trial count is one block
-_BLOCK = 100
 
 
 def _compile(poly, prime: int) -> Compiled:
@@ -243,7 +273,11 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
         operands.append(cert.multiplier)
     if any(q.table != tgt.table for q in operands):
         raise OracleError("certificate operands live over different variable tables")
-    variables = sorted(set().union(*(q.variables() for q in operands)))
+    # the table positions of the variables any operand uses, in one pass over
+    # all their monomials
+    by_variable = zip(*(m for q in operands for m in q.terms))
+    positions = [i for i, exps in enumerate(by_variable) if any(exps)]
+    variables = [tgt.table.names[i] for i in positions]
     deg = _total_degree(tgt)
     if power:
         deg += power * _total_degree(cert.multiplier)
@@ -274,21 +308,18 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
                              per_trial_bound=Fraction(max(deg, 1), p))
     at = sides(p)
     limit = _rejection_limit(p)
-    positions = [tgt.table.index[v] for v in variables]
-    tags = _first_tags(variables)
     confirmers = None
     for start in range(0, cfg.trials, _BLOCK):
-        trials = range(start, min(start + _BLOCK, cfg.trials))
-        points = [_draw(f"{cfg.seed}|{label}|{trial}|".encode(), variables, tags, p, limit)
-                  for trial in trials]
-        powers = {(i, 1): list(col) for i, col in zip(positions, zip(*points))}
-        lhs, rhs = at(powers, len(points))
-        for trial, values, a, b in zip(trials, points, lhs, rhs):
+        n = min(_BLOCK, cfg.trials - start)
+        cols = [_column(cfg.seed, label, v, start // _BLOCK, n, p, limit) for v in variables]
+        lhs, rhs = at({(i, 1): col for i, col in zip(positions, cols)}, n)
+        for k, (a, b) in enumerate(zip(lhs, rhs)):
             if a != b:
                 if confirmers is None:
                     confirmers = [(q, sides(q)) for q in _extra_primes()]
-                result.failures.append(_witness(label, trial, variables, positions, values,
-                                                (a - b) % p, confirmers))
+                result.failures.append(_witness(label, start + k, variables, positions,
+                                                [col[k] for col in cols], (a - b) % p,
+                                                confirmers))
     return result
 
 

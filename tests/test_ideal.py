@@ -79,6 +79,35 @@ class TestGroebner:
             groebner(gs, limits=Limits(max_basis=1, max_pairs=2))
 
 
+class TestSpolyGuard:
+    # z^2 - t, x*y - u, x^2 - y, u*x - y^2, y^3 - u^2: of the 10 pairs, 6 have
+    # coprime leading monomials
+    def _basis(self):
+        gb = groebner(gens(VT, a=poly("x^2 - y"), b=poly("x*y - u"), c=poly("z^2 - t")))
+        assert gb.printed() == ["z^2 - t", "x*y - u", "x^2 - y", "u*x - y^2", "y^3 - u^2"]
+        return gb
+
+    def test_coprime_pairs_are_not_reduced(self, monkeypatch):
+        gb = self._basis()
+        calls = []
+        real_reduce = ideal._reduce
+
+        def counting(p, basis, order):
+            calls.append(p)
+            return real_reduce(p, basis, order)
+
+        monkeypatch.setattr(ideal, "_reduce", counting)
+        assert verify_spolys(gb)
+        assert len(calls) == 4
+
+    def test_basis_missing_an_element_fails(self):
+        gb = self._basis()
+        k = gb.printed().index("u*x - y^2")
+        lost = ideal.GroebnerBasis(gb.gens, gb.order, gb.polys[:k] + gb.polys[k + 1:],
+                                   gb.reps[:k] + gb.reps[k + 1:])
+        assert not verify_spolys(lost)
+
+
 class TestNormalForm:
     def test_generator_reduces_to_zero(self):
         g = poly("x^2 + y - 1")

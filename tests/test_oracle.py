@@ -201,32 +201,113 @@ class TestCertificateWitness:
             check_certificate(cert, cfg=SpotCheckConfig(trials=1))
 
 
+def _word(seed, label, var, trial, limit=None):
+    """Word trial % 100 of the variable's SHAKE-256 stream for the block of
+    100 trials, read big-endian; at or above ``limit``, the counter-keyed
+    redraw."""
+    block, k = divmod(trial, 100)
+    stream = hashlib.shake_256(f"{seed}|{label}|{var}|{block}".encode()).digest(1600)
+    x = int.from_bytes(stream[16 * k:16 * k + 16], "big")
+    counter = 0
+    while limit is not None and x >= limit:
+        counter += 1
+        redraw = hashlib.shake_256(f"{seed}|{label}|{var}|{trial}|{counter}".encode())
+        x = int.from_bytes(redraw.digest(16), "big")
+    return x
+
+
 class TestPointDerivation:
     def test_residues_pinned(self):
-        # computed with the per-call sha256 derivation before the prefix was shared
-        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 7,
-                            ["H", "lam2", "w243"]) == {
-            "H": 18220066877491813132,
-            "lam2": 17544590369760152721,
-            "w243": 11729888483910255759,
+        # one SHAKE-256 stream per variable and block of 100 trials
+        pinned = {
+            "H": 4722416746096636505,
+            "lam2": 15237121447191697420,
+            "w243": 8452324355312816409,
         }
-        assert sample_point(SpotCheckConfig(), "x", 0, ["a"]) == {"a": 12084719764361784346}
+        assert {v: _word(11, "lemma32.eq_3_40", v, 7) % DEFAULT_PRIME
+                for v in pinned} == pinned
+        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 7,
+                            ["H", "lam2", "w243"]) == pinned
+        assert _word(11, "lemma32.eq_3_40", "H", 207) % DEFAULT_PRIME == 2066967313280347629
+        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 207,
+                            ["H"]) == {"H": 2066967313280347629}
+        assert _word(0, "x", "a", 0) % DEFAULT_PRIME == 10132368151470742927
+        assert sample_point(SpotCheckConfig(), "x", 0, ["a"]) == {"a": 10132368151470742927}
 
     def test_rejection_follows_the_counter(self):
         # a limit of 2**127 rejects about half the draws, so the counter moves
         limit, prime = 1 << 127, DEFAULT_PRIME
         variables = [f"v{i}" for i in range(12)]
-        expected = []
-        for var in variables:
-            counter = 0
-            while True:
-                h = hashlib.sha256(f"3|lab|5|{var}|{counter}".encode()).digest()
-                x = int.from_bytes(h[:16], "big")
-                if x < limit:
-                    expected.append(x % prime)
-                    break
-                counter += 1
+        expected = [_word(3, "lab", var, 5, limit) % prime for var in variables]
         assert oracle._point_values(3, "lab", 5, variables, prime, limit) == expected
+
+
+class TestConstantCertificate:
+    def test_true_constant_identity_passes(self):
+        cert = _certificate(poly("2"), {"g": (poly("2"), poly("1"))})
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=150))
+        assert res.verdict == "pass" and res.trials == 150
+
+    def test_false_constant_identity_fails_every_trial(self):
+        res = check_certificate(_Claimed(poly("2"), {"g": (poly("1"), poly("1"))}),
+                                cfg=SpotCheckConfig(trials=150))
+        assert [w["trial"] for w in res.failures] == list(range(150))
+        for w in res.failures:
+            assert w["point"] == {}
+            assert int(w["residue"]) == 1
+            assert [c["residue"] for c in w["confirmations"]] == [1, 1, 1]
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` in the oracle and counts its stream calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def shake_256(self, data):
+        self.calls += 1
+        return hashlib.shake_256(data)
+
+
+class TestPointStability:
+    def test_value_ignores_the_other_variables(self):
+        cfg = SpotCheckConfig(seed=5)
+        for trial in (0, 99, 100, 341):
+            alone = sample_point(cfg, "ctx", trial, ["y"])
+            assert sample_point(cfg, "ctx", trial, ["x", "y", "z"])["y"] == alone["y"]
+        # the same in the sweep: a claim in y alone, and one in x, y and z
+        narrow = check_certificate(_Claimed(poly("y"), {"g": (poly("1"), poly("1"))}),
+                                   cfg=SpotCheckConfig(seed=5, trials=120), label="ctx")
+        wide = check_certificate(_Claimed(poly("y + x*z"), {"g": (poly("1"), poly("x*z"))}),
+                                 cfg=SpotCheckConfig(seed=5, trials=120), label="ctx")
+        assert len(narrow.failures) == len(wide.failures) == 120
+        assert [w["point"]["y"] for w in narrow.failures] == \
+            [w["point"]["y"] for w in wide.failures]
+
+    def test_witnesses_ignore_the_trial_count(self):
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
+                               Relation("g2", poly("y - x"))])
+        bad = _PlantedCofactor(membership(poly("y^2 - 1"), gs), poly("z"))
+        short = check_certificate(bad, cfg=SpotCheckConfig(seed=9, trials=100), label="count")
+        long = check_certificate(bad, cfg=SpotCheckConfig(seed=9, trials=250), label="count")
+        assert len(short.failures) == 100 and len(long.failures) == 250
+        assert long.failures[:100] == short.failures
+
+    def test_one_stream_per_variable_and_block(self, monkeypatch):
+        counting = _CountingHashlib()
+        monkeypatch.setattr(oracle, "hashlib", counting)
+        cert = _certificate(poly("x*y*z"), {"g": (poly("z"), poly("x*y"))})
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=250))
+        assert res.verdict == "pass"
+        assert counting.calls == 3 * 3   # three variables, blocks of 100, 100 and 50
+
+    def test_column_matches_the_reference_under_rejection(self):
+        # a limit of 2**127 sends the column through the word-by-word redraws
+        limit, prime = 1 << 127, DEFAULT_PRIME
+        for block, n in ((0, 100), (2, 37)):
+            column = oracle._column(3, "lab", "v0", block, n, prime, limit)
+            assert column == [oracle._point_values(3, "lab", 100 * block + k, ["v0"],
+                                                   prime, limit)[0] for k in range(n)]
 
 
 VT5 = VarTable(["a", "b", "c", "d", "e"])
