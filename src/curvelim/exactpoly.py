@@ -613,14 +613,14 @@ class Polynomial:
                     factors.append(self.table.names[i])
                 elif e > 1:
                     factors.append(f"{self.table.names[i]}^{e}")
-            mag = abs(Fraction(c))
+            mag = abs(c)
             if not factors:
                 body = _coeff_text(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
                 body = "*".join([_coeff_text(mag)] + factors)
-            sign = "-" if Fraction(c) < 0 else "+"
+            sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -629,7 +629,9 @@ class Polynomial:
         return out
 
 
-def _coeff_text(c: Fraction) -> str:
+def _coeff_text(c: Coeff) -> str:
+    if type(c) is int:
+        return str(c)
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"

@@ -7,12 +7,12 @@ variable tables of ``exactpoly.Polynomial`` values, and never calls polynomial
 arithmetic, the ideal machinery or the exactpoly evaluator, so a bug in the
 symbolic reduction path cannot hide itself here.
 
-``check_certificate`` is the one check.  It compiles every operand of the
-certificate once for its prime (``_compile``): each term becomes its
-coefficient mod p, with a rational coefficient mapped through the modular
-inverse, and the (table position, exponent) pairs of its nonzero exponents.
-Terms are sorted by those pairs, so consecutive terms share factor prefixes.
-Compiled forms live only for the call.
+``check_certificate`` is the one check, and ``check_certificates`` runs a
+sweep of them.  Each operand (target, multiplier, cofactor, generator) is
+compiled for the prime (``_compile``): each term becomes its coefficient mod
+p, with a rational coefficient mapped through the modular inverse, and the
+(table position, exponent) pairs of its nonzero exponents.  Terms are sorted
+by those pairs, so consecutive terms share factor prefixes.
 
 Evaluation is columnar.  The check walks the trials in blocks of at most
 ``_BLOCK``, holds one column of residues per variable (one entry per trial),
@@ -22,19 +22,27 @@ column products along the current factor prefix, so each trie node costs one
 column product; the power columns x_i^e mod p are built once per block.
 
 Evaluation points come from seeded hashing: each variable's column of a block
-is one SHAKE-256 stream keyed by (seed, label, variable, block), read as
-128-bit words (``_column``; ``_point_values`` is the word-by-word reference).
-A value depends only on (seed, label, trial, variable, prime): not on the
-other variables, the trial count or the execution order, so verdicts are
-fully reproducible.
+is one SHAKE-256 stream keyed by (seed, variable, block), read as 128-bit
+words (``_column``; ``_point_values`` is the word-by-word reference).  A
+value depends only on (seed, trial, variable, prime): not on the certificate,
+the other variables, the trial count or the execution order, so verdicts are
+fully reproducible.  Every check of a sweep therefore reads the same points,
+and a sweep (``_Sweep``) derives each variable's column of a block once and
+compiles and evaluates each distinct operand once per block, however many
+certificates use it; an operand is known by its table's names and its term
+dict, and a column is dropped after its last use.  Schwartz's bound needs
+points independent of the polynomial checked, which these are; it does not
+need different certificates to see different points.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # 2**64 - 59: a published prime comfortably above 2**61.
@@ -121,65 +129,62 @@ def _rejection_limit(prime: int) -> int:
 _BLOCK = 100
 
 
-def _point_values(seed: int, label: str, trial: int, variables: Sequence[str],
-                  prime: int, limit: int) -> List[int]:
+def _point_values(seed: int, trial: int, variables: Sequence[str], prime: int,
+                  limit: int) -> List[int]:
     """The point of one trial, word by word; the reference for ``_column``.
 
     A variable's values come from one SHAKE-256 stream per block of
     ``_BLOCK`` trials: its value at ``trial`` is word ``trial % _BLOCK`` (16
-    bytes, big-endian) of the stream keyed f"{seed}|{label}|{var}|{block}",
+    bytes, big-endian) of the stream keyed f"{seed}|{var}|{block}",
     block = trial // _BLOCK.  A word at or above ``limit`` is replaced by the
-    first word below it of the streams keyed
-    f"{seed}|{label}|{var}|{trial}|{counter}", counter = 1, 2, ... (``_redraw``);
-    the result is reduced mod the prime.  A value depends on nothing but
-    (seed, label, trial, variable, prime)."""
+    first word below it of the streams keyed f"{seed}|{var}|{trial}|{counter}",
+    counter = 1, 2, ... (``_redraw``); the result is reduced mod the prime.  A
+    value depends on nothing but (seed, trial, variable, prime), so every
+    check of a sweep sees the same point at a trial."""
     block, k = divmod(trial, _BLOCK)
     out = []
     for var in variables:
-        x = int.from_bytes(_stream(seed, label, var, block).digest(16 * (k + 1))[-16:], "big")
+        x = int.from_bytes(_stream(seed, var, block).digest(16 * (k + 1))[-16:], "big")
         if x >= limit:
-            x = _redraw(seed, label, var, trial, limit)
+            x = _redraw(seed, var, trial, limit)
         out.append(x % prime)
     return out
 
 
-def _stream(seed: int, label: str, var: str, block: int):
+def _stream(seed: int, var: str, block: int):
     """The SHAKE-256 stream of one variable's words over a block of trials."""
-    return hashlib.shake_256(f"{seed}|{label}|{var}|{block}".encode())
+    return hashlib.shake_256(f"{seed}|{var}|{block}".encode())
 
 
-def _redraw(seed: int, label: str, var: str, trial: int, limit: int) -> int:
+def _redraw(seed: int, var: str, trial: int, limit: int) -> int:
     """The counter-keyed replacement of a block word at or above the limit."""
     counter = 0
     while True:
         counter += 1
-        key = f"{seed}|{label}|{var}|{trial}|{counter}".encode()
+        key = f"{seed}|{var}|{trial}|{counter}".encode()
         x = int.from_bytes(hashlib.shake_256(key).digest(16), "big")
         if x < limit:
             return x
 
 
-def _column(seed: int, label: str, var: str, block: int, n: int, prime: int,
-            limit: int) -> List[int]:
+def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> List[int]:
     """The values of one variable at the first ``n`` trials of a block, as
     ``_point_values`` gives them: one stream read, unpacked into 64-bit
     halves, each word reduced as hi * (2**64 mod p) + lo.  Only a block whose
     largest high half could put a word at or above the limit is checked word
     by word."""
-    halves = struct.unpack(f">{2 * n}Q", _stream(seed, label, var, block).digest(16 * n))
+    halves = struct.unpack(f">{2 * n}Q", _stream(seed, var, block).digest(16 * n))
     hi, lo = halves[0::2], halves[1::2]
     if max(hi) >= limit >> 64:
         start = block * _BLOCK
-        return [(x if x < limit else _redraw(seed, label, var, start + k, limit)) % prime
+        return [(x if x < limit else _redraw(seed, var, start + k, limit)) % prime
                 for k, x in enumerate(h << 64 | l for h, l in zip(hi, lo))]
     m = (1 << 64) % prime
     return [(h * m + l) % prime for h, l in zip(hi, lo)]
 
 
-def sample_point(cfg: SpotCheckConfig, label: str, trial: int,
-                 variables: Sequence[str]) -> Dict[str, int]:
-    values = _point_values(cfg.seed, label, trial, variables, cfg.prime,
-                           _rejection_limit(cfg.prime))
+def sample_point(cfg: SpotCheckConfig, trial: int, variables: Sequence[str]) -> Dict[str, int]:
+    values = _point_values(cfg.seed, trial, variables, cfg.prime, _rejection_limit(cfg.prime))
     return dict(zip(variables, values))
 
 
@@ -253,8 +258,111 @@ def _total_degree(poly) -> int:
     return max((sum(m) for m in poly.terms), default=0)
 
 
+def _operands(cert) -> Tuple[List, int]:
+    """A certificate's polynomials in the order of the check: the target, the
+    multiplier when a power applies, then the cofactor and the generator of
+    each pair by id; and that power (0 without a multiplier)."""
+    power = cert.power if cert.multiplier is not None else 0
+    operands = [cert.target]
+    if power:
+        operands.append(cert.multiplier)
+    for rid in sorted(cert.pairs):
+        operands += (cert.pairs[rid], cert.generator_poly(rid))
+    return operands, power
+
+
+class _Sweep:
+    """The evaluations that the checks of one sweep share, for the working
+    prime.  All checks read the same points, so a variable's column of a
+    block is derived once (``variable``), and the column of an operand that
+    several certificates use (a generator, a derived relation that was a
+    target before) is compiled and evaluated once per block (``column``).
+    ``uses`` counts each distinct operand's occurrences in the checks to
+    come, told apart by ``key``; the column of an operand used again is kept
+    until its last use, and a compiled form until its last block is
+    evaluated (in the check that first uses it, which walks the blocks in
+    order).  Kept columns are machine words where the prime is below 2**64
+    (the default), a fifth of the memory of a list of ints; the power
+    columns x_i^e live only for one check, as in a check alone."""
+
+    def __init__(self, cfg: SpotCheckConfig, certs):
+        self.seed, self.prime, self.trials = cfg.seed, cfg.prime, cfg.trials
+        self.limit = _rejection_limit(cfg.prime)
+        self.blocks = -(-cfg.trials // _BLOCK)
+        # a residue of a prime below 2**64 fits a machine word
+        self.keep = partial(array, "Q") if cfg.prime < 1 << 64 else list
+        # (table names, hash of the terms) -> the distinct term dicts of that hash
+        self.seen: Dict[Tuple[Tuple[str, ...], int], List[dict]] = {}
+        self.uses: Dict[tuple, int] = {}
+        for cert in certs:
+            for q in _operands(cert)[0]:
+                key = self.key(q)
+                self.uses[key] = self.uses.get(key, 0) + 1
+        # key -> compiled form, while blocks remain to evaluate
+        self.compiled: Dict[tuple, Compiled] = {}
+        # (key, block) -> [column, uses left]
+        self.columns: Dict[tuple, list] = {}
+        self.variables: Dict[Tuple[str, int], Sequence[int]] = {}
+
+    def key(self, poly) -> Tuple[Tuple[str, ...], int, int]:
+        """An operand's identity: its table's names, the hash of its terms,
+        and which of the distinct term dicts of that hash it is.  A hit on
+        the hash is confirmed by term-dict equality, since different terms
+        can share a hash (``hash(-1) == hash(-2)``)."""
+        names, terms = poly.table.names, poly.terms
+        h = hash(frozenset(terms.items()))
+        same_hash = self.seen.setdefault((names, h), [])
+        for i, other in enumerate(same_hash):
+            if other == terms:
+                return names, h, i
+        same_hash.append(terms)
+        return names, h, len(same_hash) - 1
+
+    def size(self, block: int) -> int:
+        return min(_BLOCK, self.trials - block * _BLOCK)
+
+    def variable(self, name: str, block: int) -> Sequence[int]:
+        col = self.variables.get((name, block))
+        if col is None:
+            col = self.variables[name, block] = self.keep(_column(
+                self.seed, name, block, self.size(block), self.prime, self.limit))
+        return col
+
+    def column(self, poly, block: int, powers: Powers) -> Sequence[int]:
+        key = self.key(poly)
+        entry = self.columns.get((key, block))
+        if entry is not None:
+            entry[1] -= 1
+            if not entry[1]:
+                del self.columns[key, block]
+            return entry[0]
+        compiled = self.compiled.pop(key, None)
+        if compiled is None:
+            compiled = _compile(poly, self.prime)
+        if block + 1 < self.blocks:
+            self.compiled[key] = compiled
+        col = _columns(compiled, powers, self.size(block), self.prime)
+        if self.uses[key] > 1:
+            self.columns[key, block] = [self.keep(col), self.uses[key] - 1]
+        return col
+
+
+def _sides(cols: Sequence[Sequence[int]], power: int, n: int, prime: int):
+    """The (lhs, rhs) columns mod the prime from the operand columns in the
+    order of ``_operands``."""
+    it = iter(cols)
+    lhs = next(it)
+    if power:
+        lhs = [a * pow(m, power, prime) % prime for a, m in zip(lhs, next(it))]
+    rhs = [0] * n
+    for cof, gen in zip(it, it):
+        rhs = [r + a * b for r, a, b in zip(rhs, cof, gen)]
+    return lhs, [r % prime for r in rhs]
+
+
 def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
-                      label: str = "certificate") -> SpotCheckResult:
+                      label: str = "certificate", sweep: Optional[_Sweep] = None
+                      ) -> SpotCheckResult:
     """Spot-check a certificate-shaped object:
 
         multiplier**power * target  ==  sum(cofactor_i * generator_i)
@@ -262,74 +370,68 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     by comparing both sides at cfg.trials seeded points mod cfg.prime, one
     block of trials at a time.  ``cert`` needs attributes target, multiplier,
     power, pairs (id -> cofactor) and generator_poly(id), as ideal.Certificate
-    has.  The operands are compiled once for the working prime and, at the
-    first failure, once for each confirmation prime.
+    has.  ``sweep`` holds the columns shared with the other checks of
+    ``check_certificates``; alone, a check makes its own.  At the first
+    failure every operand is compiled once for each confirmation prime.
     """
+    operands, power = _operands(cert)
     tgt = cert.target
-    parts = [(cert.pairs[rid], cert.generator_poly(rid)) for rid in sorted(cert.pairs)]
-    power = cert.power if cert.multiplier is not None else 0
-    operands = [tgt, *(q for part in parts for q in part)]
-    if power:
-        operands.append(cert.multiplier)
     if any(q.table != tgt.table for q in operands):
         raise OracleError("certificate operands live over different variable tables")
+    if sweep is None:
+        sweep = _Sweep(cfg, [cert])
     # the table positions of the variables any operand uses, in one pass over
     # all their monomials
     by_variable = zip(*(m for q in operands for m in q.terms))
     positions = [i for i, exps in enumerate(by_variable) if any(exps)]
-    variables = [tgt.table.names[i] for i in positions]
+    names = tgt.table.names
+    variables = [names[i] for i in positions]
     deg = _total_degree(tgt)
     if power:
         deg += power * _total_degree(cert.multiplier)
-    for cof, gp in parts:
-        deg = max(deg, _total_degree(cof) + _total_degree(gp))
-
-    def sides(prime):
-        """Compile every operand for ``prime``; returns the evaluator of the
-        (lhs, rhs) columns mod the prime over a block of n points."""
-        ct = _compile(tgt, prime)
-        cm = _compile(cert.multiplier, prime) if power else None
-        cparts = [(_compile(cof, prime), _compile(gp, prime)) for cof, gp in parts]
-
-        def at(powers, n):
-            lhs = _columns(ct, powers, n, prime)
-            if cm is not None:
-                lhs = [a * pow(m, power, prime) % prime
-                       for a, m in zip(lhs, _columns(cm, powers, n, prime))]
-            rhs = [0] * n
-            for cc, cg in cparts:
-                rhs = [r + a * b for r, a, b in zip(rhs, _columns(cc, powers, n, prime),
-                                                    _columns(cg, powers, n, prime))]
-            return lhs, [r % prime for r in rhs]
-        return at
+    pairs = operands[2 if power else 1:]
+    for cof, gen in zip(pairs[0::2], pairs[1::2]):
+        deg = max(deg, _total_degree(cof) + _total_degree(gen))
 
     p = cfg.prime
     result = SpotCheckResult(label, cfg.trials, total_degree=deg,
                              per_trial_bound=Fraction(max(deg, 1), p))
-    at = sides(p)
-    limit = _rejection_limit(p)
     confirmers = None
-    for start in range(0, cfg.trials, _BLOCK):
-        n = min(_BLOCK, cfg.trials - start)
-        cols = [_column(cfg.seed, label, v, start // _BLOCK, n, p, limit) for v in variables]
-        lhs, rhs = at({(i, 1): col for i, col in zip(positions, cols)}, n)
+    for block in range(sweep.blocks):
+        n = sweep.size(block)
+        powers = {(i, 1): list(sweep.variable(names[i], block)) for i in positions}
+        lhs, rhs = _sides([sweep.column(q, block, powers) for q in operands], power, n, p)
         for k, (a, b) in enumerate(zip(lhs, rhs)):
             if a != b:
                 if confirmers is None:
-                    confirmers = [(q, sides(q)) for q in _extra_primes()]
-                result.failures.append(_witness(label, start + k, variables, positions,
-                                                [col[k] for col in cols], (a - b) % p,
-                                                confirmers))
+                    confirmers = [(extra, [_compile(q, extra) for q in operands])
+                                  for extra in _extra_primes()]
+                result.failures.append(_witness(
+                    label, block * _BLOCK + k, variables, positions,
+                    [powers[i, 1][k] for i in positions], (a - b) % p, power, confirmers))
     return result
 
 
+def check_certificates(items: Sequence[Tuple[str, object]],
+                       cfg: SpotCheckConfig = SpotCheckConfig()) -> List[SpotCheckResult]:
+    """Spot-check (label, certificate) pairs as one sweep, in their order: one
+    ``check_certificate`` per certificate, all reading one point set and one
+    ``_Sweep`` of shared columns.  Schwartz's bound holds per certificate,
+    since the points are independent of every polynomial checked; that no two
+    checks share points is not needed."""
+    items = list(items)
+    sweep = _Sweep(cfg, [cert for _, cert in items])
+    return [check_certificate(cert, cfg=cfg, label=label, sweep=sweep) for label, cert in items]
+
+
 def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequence[int],
-             values: Sequence[int], residue: int, confirmers) -> dict:
+             values: Sequence[int], residue: int, power: int, confirmers) -> dict:
     """Failure record; the residue is re-checked at three further primes so a
     reported witness is never an artifact of the working modulus."""
     confirm = []
-    for extra, at in confirmers:
-        (a,), (b,) = at({(i, 1): [v % extra] for i, v in zip(positions, values)}, 1)
+    for extra, compiled in confirmers:
+        point = {(i, 1): [v % extra] for i, v in zip(positions, values)}
+        (a,), (b,) = _sides([_columns(c, point, 1, extra) for c in compiled], power, 1, extra)
         confirm.append({"prime": extra, "residue": (a - b) % extra})
     return {
         "label": label,

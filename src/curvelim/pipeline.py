@@ -83,7 +83,7 @@ from .frame import (
     rule_consistency_checks,
     transverse_pair,
 )
-from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificate
+from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificates
 
 STAGES = ("lemma31", "lemma32", "theorem33", "endgame")
 
@@ -1068,17 +1068,14 @@ def canonical_digest(report: dict) -> str:
 def _spot_check(stages: Sequence[StageResult],
                 cfg: SpotCheckConfig) -> Dict[str, SpotCheckResult]:
     """The oracle sweep: re-check every certificate of the run by modular
-    evaluation, labelled <stage>.<sid>, and attach each result to its step."""
-    results = {}
+    evaluation in one ``check_certificates`` call, labelled <stage>.<sid>, and
+    attach each result to its step."""
+    labelled = [(f"{s.name}.{sid}", cert) for s in stages for sid, cert in s.identities.items()]
+    results = dict(zip([label for label, _ in labelled], check_certificates(labelled, cfg)))
     for s in stages:
-        by_sid: Dict[str, List[StepRecord]] = {}
         for rec in s.records:
-            by_sid.setdefault(rec.sid, []).append(rec)
-        for sid, cert in s.identities.items():
-            label = f"{s.name}.{sid}"
-            results[label] = res = check_certificate(cert, cfg=cfg, label=label)
-            for rec in by_sid.get(sid, ()):
-                rec.details["spot_check"] = res.as_dict()
+            if rec.sid in s.identities:
+                rec.details["spot_check"] = results[f"{s.name}.{rec.sid}"].as_dict()
     return results
 
 

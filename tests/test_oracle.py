@@ -93,10 +93,10 @@ class TestIdentity:
 class TestDeterminism:
     def test_point_sequences_reproducible(self):
         cfg = SpotCheckConfig(seed=42)
-        a = sample_point(cfg, "step", 3, ["x", "y"])
-        b = sample_point(cfg, "step", 3, ["x", "y"])
+        a = sample_point(cfg, 3, ["x", "y"])
+        b = sample_point(cfg, 3, ["x", "y"])
         assert a == b
-        c = sample_point(SpotCheckConfig(seed=43), "step", 3, ["x", "y"])
+        c = sample_point(SpotCheckConfig(seed=43), 3, ["x", "y"])
         assert a != c
 
     def test_verdicts_reproducible(self):
@@ -188,7 +188,7 @@ class TestCertificateWitness:
         rid = sorted(bad.pairs)[0]
         diff = poly("z") * bad.generator_poly(rid)   # rhs - lhs of the planted identity
         for w in res.failures:
-            point = sample_point(cfg, "blocks", w["trial"], ["x", "y", "z"])
+            point = sample_point(cfg, w["trial"], ["x", "y", "z"])
             assert w["point"] == {v: str(x) for v, x in point.items()}
             assert int(w["residue"]) == (-diff).evaluate(point, modulus=cfg.prime) != 0
             assert len(w["confirmations"]) == 3
@@ -201,45 +201,43 @@ class TestCertificateWitness:
             check_certificate(cert, cfg=SpotCheckConfig(trials=1))
 
 
-def _word(seed, label, var, trial, limit=None):
+def _word(seed, var, trial, limit=None):
     """Word trial % 100 of the variable's SHAKE-256 stream for the block of
     100 trials, read big-endian; at or above ``limit``, the counter-keyed
-    redraw."""
+    redraw.  No certificate label enters the key."""
     block, k = divmod(trial, 100)
-    stream = hashlib.shake_256(f"{seed}|{label}|{var}|{block}".encode()).digest(1600)
+    stream = hashlib.shake_256(f"{seed}|{var}|{block}".encode()).digest(1600)
     x = int.from_bytes(stream[16 * k:16 * k + 16], "big")
     counter = 0
     while limit is not None and x >= limit:
         counter += 1
-        redraw = hashlib.shake_256(f"{seed}|{label}|{var}|{trial}|{counter}".encode())
+        redraw = hashlib.shake_256(f"{seed}|{var}|{trial}|{counter}".encode())
         x = int.from_bytes(redraw.digest(16), "big")
     return x
 
 
 class TestPointDerivation:
     def test_residues_pinned(self):
-        # one SHAKE-256 stream per variable and block of 100 trials
+        # one SHAKE-256 stream per variable and block of 100 trials, keyed
+        # by (seed, variable, block)
         pinned = {
-            "H": 4722416746096636505,
-            "lam2": 15237121447191697420,
-            "w243": 8452324355312816409,
+            "H": 14617367087848974939,
+            "lam2": 10065103855340368458,
+            "w243": 13446889871559849298,
         }
-        assert {v: _word(11, "lemma32.eq_3_40", v, 7) % DEFAULT_PRIME
-                for v in pinned} == pinned
-        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 7,
-                            ["H", "lam2", "w243"]) == pinned
-        assert _word(11, "lemma32.eq_3_40", "H", 207) % DEFAULT_PRIME == 2066967313280347629
-        assert sample_point(SpotCheckConfig(seed=11), "lemma32.eq_3_40", 207,
-                            ["H"]) == {"H": 2066967313280347629}
-        assert _word(0, "x", "a", 0) % DEFAULT_PRIME == 10132368151470742927
-        assert sample_point(SpotCheckConfig(), "x", 0, ["a"]) == {"a": 10132368151470742927}
+        assert {v: _word(11, v, 7) % DEFAULT_PRIME for v in pinned} == pinned
+        assert sample_point(SpotCheckConfig(seed=11), 7, ["H", "lam2", "w243"]) == pinned
+        assert _word(11, "H", 207) % DEFAULT_PRIME == 2166028831751433683
+        assert sample_point(SpotCheckConfig(seed=11), 207, ["H"]) == {"H": 2166028831751433683}
+        assert _word(0, "a", 0) % DEFAULT_PRIME == 2786768390957895017
+        assert sample_point(SpotCheckConfig(), 0, ["a"]) == {"a": 2786768390957895017}
 
     def test_rejection_follows_the_counter(self):
         # a limit of 2**127 rejects about half the draws, so the counter moves
         limit, prime = 1 << 127, DEFAULT_PRIME
         variables = [f"v{i}" for i in range(12)]
-        expected = [_word(3, "lab", var, 5, limit) % prime for var in variables]
-        assert oracle._point_values(3, "lab", 5, variables, prime, limit) == expected
+        expected = [_word(3, var, 5, limit) % prime for var in variables]
+        assert oracle._point_values(3, 5, variables, prime, limit) == expected
 
 
 class TestConstantCertificate:
@@ -273,8 +271,8 @@ class TestPointStability:
     def test_value_ignores_the_other_variables(self):
         cfg = SpotCheckConfig(seed=5)
         for trial in (0, 99, 100, 341):
-            alone = sample_point(cfg, "ctx", trial, ["y"])
-            assert sample_point(cfg, "ctx", trial, ["x", "y", "z"])["y"] == alone["y"]
+            alone = sample_point(cfg, trial, ["y"])
+            assert sample_point(cfg, trial, ["x", "y", "z"])["y"] == alone["y"]
         # the same in the sweep: a claim in y alone, and one in x, y and z
         narrow = check_certificate(_Claimed(poly("y"), {"g": (poly("1"), poly("1"))}),
                                    cfg=SpotCheckConfig(seed=5, trials=120), label="ctx")
@@ -305,9 +303,146 @@ class TestPointStability:
         # a limit of 2**127 sends the column through the word-by-word redraws
         limit, prime = 1 << 127, DEFAULT_PRIME
         for block, n in ((0, 100), (2, 37)):
-            column = oracle._column(3, "lab", "v0", block, n, prime, limit)
-            assert column == [oracle._point_values(3, "lab", 100 * block + k, ["v0"],
-                                                   prime, limit)[0] for k in range(n)]
+            column = oracle._column(3, "v0", block, n, prime, limit)
+            assert column == [oracle._point_values(3, 100 * block + k, ["v0"], prime, limit)[0]
+                              for k in range(n)]
+
+
+@pytest.fixture(scope="module")
+def lemma32_items():
+    """lemma32's (label, certificate) pairs, in the order of its sweep."""
+    from curvelim.pipeline import Config, run_builtin
+    return list(run_builtin("lemma32", Config(trials=1)).identities().items())
+
+
+class _Counting:
+    """Wraps an oracle function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _recording_sweeps(monkeypatch):
+    """Record every ``_Sweep`` that the oracle makes."""
+    sweeps = []
+
+    class Recording(oracle._Sweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self)
+
+    monkeypatch.setattr(oracle, "_Sweep", Recording)
+    return sweeps
+
+
+class TestSweep:
+    def test_sweep_matches_lone_checks(self, lemma32_items):
+        cfg = SpotCheckConfig(trials=250)
+        swept = oracle.check_certificates(lemma32_items, cfg)
+        alone = [check_certificate(cert, cfg=cfg, label=label) for label, cert in lemma32_items]
+        assert [r.as_dict() for r in swept] == [r.as_dict() for r in alone]
+        assert [r.label for r in swept] == [label for label, _ in lemma32_items]
+
+    def test_planted_cofactor_fails_alone(self):
+        # three certificates over the same two generators; only the middle
+        # one carries a bad cofactor
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
+                               Relation("g2", poly("y - x"))])
+        bad = _PlantedCofactor(membership(poly("y^2 - 1"), gs), poly("z"))
+        items = [("good.a", membership(poly("x^2 - 1"), gs)), ("bad", bad),
+                 ("good.b", membership(poly("y^2 - 1"), gs))]
+        cfg = SpotCheckConfig(seed=4, trials=150)
+        res = oracle.check_certificates(items, cfg)
+        assert [r.verdict for r in res] == ["pass", "fail", "pass"]
+        assert [w["trial"] for w in res[1].failures] == list(range(150))
+        for w in res[1].failures:
+            assert w["label"] == "bad" and int(w["residue"]) != 0
+            assert [c["prime"] for c in w["confirmations"]] == list(oracle._extra_primes())
+            assert all(c["residue"] != 0 for c in w["confirmations"])
+        assert res[1].failures == check_certificate(bad, cfg=cfg, label="bad").failures
+
+    def test_hash_colliding_operands_keep_their_columns(self, monkeypatch):
+        # hash(-1) == hash(-2), so -x and -2*x have keys of one hash; a hit
+        # on the hash alone would give -2*x the column of -x and fail b
+        assert hash(frozenset(poly("-x").terms.items())) == \
+            hash(frozenset(poly("-2*x").terms.items()))
+        columns = _Counting(oracle._columns)
+        monkeypatch.setattr(oracle, "_columns", columns)
+        items = [("a", _Claimed(poly("-x"), {"g": (poly("1"), poly("-x"))})),
+                 ("b", _Claimed(poly("-2*x"), {"g": (poly("2"), poly("-x"))}))]
+        res = oracle.check_certificates(items, SpotCheckConfig(trials=20))
+        assert [r.verdict for r in res] == ["pass", "pass"]
+        assert columns.calls == 4   # -x, 1, -2*x and 2
+
+    def test_same_terms_over_other_tables_keep_their_columns(self, monkeypatch):
+        # "x" over (x, y, z) and "y" over (y, x, z) have one term dict
+        yxz = VarTable(["y", "x", "z"])
+        assert poly("x").terms == parse_polynomial("y", yxz).terms
+        columns = _Counting(oracle._columns)
+        monkeypatch.setattr(oracle, "_columns", columns)
+        other = {"g": (parse_polynomial("y", yxz), parse_polynomial("x", yxz))}
+        items = [("a", _Claimed(poly("x"), {"g": (poly("1"), poly("x"))})),
+                 ("b", _Claimed(parse_polynomial("x*y", yxz), other))]
+        res = oracle.check_certificates(items, SpotCheckConfig(trials=20))
+        assert [r.verdict for r in res] == ["pass", "pass"]
+        assert columns.calls == 5   # x and 1; x*y, y and x over (y, x, z)
+
+    def test_prime_above_a_machine_word(self):
+        # kept columns are lists, not 64-bit words, for a prime above 2**64
+        prime = 2 ** 89 - 1
+        gs = GeneratorSet(VT, [Relation("g1", poly("x - 1")),
+                               Relation("g2", poly("y - x"))])
+        items = [("good", membership(poly("x^2 - 1"), gs)),
+                 ("bad", _PlantedCofactor(membership(poly("y^2 - 1"), gs), poly("z")))]
+        cfg = SpotCheckConfig(trials=120, prime=prime)
+        good, bad = oracle.check_certificates(items, cfg)
+        assert good.verdict == "pass" and len(bad.failures) == 120
+        assert max(int(x) for w in bad.failures for x in w["point"].values()) >= 2 ** 64
+
+    def test_every_column_is_released(self, monkeypatch, lemma32_items):
+        sweeps = _recording_sweeps(monkeypatch)
+        oracle.check_certificates(lemma32_items, SpotCheckConfig(trials=250))
+        check_certificate(lemma32_items[0][1], cfg=SpotCheckConfig(trials=150))
+        assert len(sweeps) == 2
+        for sweep in sweeps:
+            assert sweep.columns == {} and sweep.compiled == {}
+
+    def test_one_stream_per_variable_and_one_column_per_operand(self, monkeypatch,
+                                                               lemma32_items):
+        counting = _CountingHashlib()
+        monkeypatch.setattr(oracle, "hashlib", counting)
+        columns = _Counting(oracle._columns)
+        monkeypatch.setattr(oracle, "_columns", columns)
+        for trials, blocks in ((100, 1), (250, 3)):
+            counting.calls = columns.calls = 0
+            res = oracle.check_certificates(lemma32_items, SpotCheckConfig(trials=trials))
+            assert all(r.verdict == "pass" for r in res)
+            assert counting.calls == 17 * blocks     # distinct variables
+            assert columns.calls == 146 * blocks     # distinct operands
+
+    def test_shared_columns_match_exactpoly(self, monkeypatch, lemma32_items):
+        # every distinct operand's column, at the point every check of the
+        # sweep reads, against the engine's own modular evaluation
+        cfg = SpotCheckConfig(seed=2)
+        seen = {}
+        real = oracle._Sweep.column
+
+        def recording(self, q, block, powers):
+            col = real(self, q, block, powers)
+            seen.setdefault((q.table.names, frozenset(q.terms.items())), (q, col))
+            return col
+
+        monkeypatch.setattr(oracle._Sweep, "column", recording)
+        oracle.check_certificates(lemma32_items, cfg)
+        assert len(seen) == 146
+        for trial in (0, 57, 99):
+            for q, col in seen.values():
+                point = sample_point(cfg, trial, q.table.names)
+                assert col[trial] == q.evaluate(point, modulus=cfg.prime)
 
 
 VT5 = VarTable(["a", "b", "c", "d", "e"])

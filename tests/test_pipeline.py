@@ -9,6 +9,7 @@ import pytest
 
 import curvelim.frame as frame
 import curvelim.ideal as ideal
+import curvelim.oracle as oracle
 import curvelim.pipeline as pipeline
 from curvelim.exactpoly import DomainError, parse_polynomial
 from curvelim.frame import EquationRegistry, load_paper_symbols
@@ -346,16 +347,18 @@ class TestOracleInVerdict:
 
     @staticmethod
     def _failing(monkeypatch, bad):
-        """Make the spot check labelled ``bad`` fail."""
-        real = pipeline.check_certificate
+        """Make the spot check labelled ``bad`` fail.  The sweep calls
+        ``oracle.check_certificate`` once per certificate, with keyword
+        arguments after the certificate."""
+        real = oracle.check_certificate
 
-        def one_fails(cert, cfg=None, label=""):
-            res = real(cert, cfg=cfg, label=label)
-            if label == bad:
-                res.failures.append({"label": label})
+        def one_fails(cert, **kwargs):
+            res = real(cert, **kwargs)
+            if kwargs["label"] == bad:
+                res.failures.append({"label": bad})
             return res
 
-        monkeypatch.setattr(pipeline, "check_certificate", one_fails)
+        monkeypatch.setattr(oracle, "check_certificate", one_fails)
 
     def test_oracle_failure_fails_the_verdict(self, monkeypatch):
         bad = "lemma31.eq_3_12_w111"
