@@ -404,12 +404,11 @@ _AXIOM_IDS = ["eq_3_3", "eq_3_11", "K_def", "s_def", "eq_3_24", "eq_3_25",
               "eq_3_26", "eq_3_29", "eq_3_46", "eq_3_47"]
 
 
-def load_paper_axioms(symbols: Optional[SymbolTable] = None) -> List[Axiom]:
+def load_paper_axioms(symbols: SymbolTable) -> List[Axiom]:
     """Polynomial axioms of the replay (constraints, curvature components,
     defining relations).  Derivative-shaped inputs ((3.17)-(3.23), (3.27),
     (3.28), (3.4)) live in the rule tables; the linear Codazzi system
     (3.6)-(3.9) lives in the dedicated first stage."""
-    symbols = symbols or load_paper_symbols()
     reg = EquationRegistry(symbols)
     out = []
     for aid in _AXIOM_IDS:
@@ -581,11 +580,10 @@ class DerivationRuleTable:
             perm.get(sym, sym): image(img) for sym, img in self.rules.items()}, citation)
 
 
-def load_rule_tables(symbols: Optional[SymbolTable] = None) -> Dict[str, DerivationRuleTable]:
+def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
     """The four derivation operators: D1 along e1 and D2/D3/D4 along e2/e3/e4
     (D3, D4 as D2 conjugated by each direction's index permutation, as the
     closing symmetry argument of the second lemma requires)."""
-    symbols = symbols or load_paper_symbols()
     d1 = DerivationRuleTable("D1", symbols, {
         "c": "0", "R": "0",
         "H": "h1",
@@ -635,7 +633,7 @@ def load_rule_tables(symbols: Optional[SymbolTable] = None) -> Dict[str, Derivat
 # rule-table consistency
 # ---------------------------------------------------------------------------
 
-def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limits = Limits(),
+def rule_consistency_checks(symbols: SymbolTable, limits: Limits = Limits(),
                             cache: Optional[dict] = None
                             ) -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
     """The printed restatements that pin the rule-table encoding, each as an
@@ -651,7 +649,6 @@ def rule_consistency_checks(symbols: Optional[SymbolTable] = None, limits: Limit
       under ``limits``, its basis from ``cache`` when that holds it (see
       ``ideal.membership``).
     """
-    symbols = symbols or load_paper_symbols()
     reg = EquationRegistry(symbols)
     d1 = load_rule_tables(symbols)["D1"]
     mk = symbols.poly

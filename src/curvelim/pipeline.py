@@ -7,8 +7,8 @@ Step semantics
 --------------
 Every step goes through ``StageRunner.step``, which makes the step's record,
 times it and appends it to the stage.  An algebra error raised in a step (a
-``PolyError``, which includes a prerequisite relation that an earlier failed
-step never produced) becomes a ``failure`` record and a resource ceiling a
+``PolyError``, which includes reading a relation that is unknown or that an
+earlier step never produced) becomes a ``failure`` record and a resource ceiling a
 ``resource-fail`` record, never an exception, so the stage goes on and its
 report is written.
 
@@ -47,7 +47,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .exactpoly import (
     DomainError,
@@ -140,6 +141,7 @@ class StepRecord:
     fresh_cancelled: List[str] = field(default_factory=list)
     timing_ms: int = 0
     details: Dict[str, object] = field(default_factory=dict)
+    certificate: Optional[Certificate] = None  # re-checked by the oracle; not in the report
 
     def ok(self) -> bool:
         return self.status in GOOD_STATUSES
@@ -173,12 +175,17 @@ class StageResult:
     name: str
     records: List[StepRecord] = field(default_factory=list)
     annotations: List[str] = field(default_factory=list)
-    identities: Dict[str, Certificate] = field(default_factory=dict)  # by step id
     derived: Dict[str, Polynomial] = field(default_factory=dict)
     conclusions: Dict[str, Polynomial] = field(default_factory=dict)
 
     def verdict(self) -> str:
         return _worst(r.verdict() for r in self.records)
+
+    @property
+    def identities(self) -> Mapping[str, Certificate]:
+        """The certificates kept on the step records, by step id (read-only)."""
+        return MappingProxyType({r.sid: r.certificate for r in self.records
+                                 if r.certificate is not None})
 
 
 # a polynomial, or a function building it inside the step that uses it, so
@@ -242,10 +249,10 @@ class StageRunner:
     def _require(self, rids: Sequence[str]) -> None:
         missing = [rid for rid in rids if rid not in self.gens]
         if missing:
-            raise PolyError(f"prerequisite relations missing (earlier step failed): {missing}")
+            raise PolyError(f"relations not in the knowledge ideal: {missing}")
 
     def _certify(self, rec: StepRecord, cert: Certificate) -> None:
-        self.result.identities[rec.sid] = cert
+        rec.certificate = cert
         rec.certificate_digest = cert.digest()
         rec.multiplier_power = cert.power
         rec.multiplier_text = cert.multiplier.to_text() if cert.power else ""
@@ -346,12 +353,13 @@ class StageRunner:
         return self.claim(sid or eid, lambda: self.printed(eid, perm), via, sat_ids,
                           citation=citation, quote=quote, note=note, minted=minted)
 
-    def match_printed(self, sid: str, derived: Optional[Polynomial], eid: str,
+    def match_printed(self, sid: str, derived: Optional[Built], eid: str,
                       perm: Optional[Dict[str, str]] = None, **details) -> str:
         """Compare a constructed polynomial against the registry transcription
         of ``eid``, permuted by ``perm`` in a permuted replay."""
         with self.step(sid, "match_printed", *self._cite(eid), registry_id=eid,
                        **details) as rec:
+            derived = derived() if callable(derived) else derived
             if derived is None:
                 raise PolyError("nothing to compare: the step building it failed")
             status, found = match_printed(derived, self.printed(eid, perm))
@@ -413,14 +421,14 @@ class StageRunner:
             if problems:
                 raise PolyError("; ".join(problems))
 
-    def assert_nonzero(self, sid: str, poly: Polynomial, citation: str = "",
+    def assert_nonzero(self, sid: str, poly: Built, citation: str = "",
                        quote: str = "", **details) -> None:
         """Record whether a constructed polynomial is nonzero, with its term
         count and any further ``details``."""
-        with self.step(sid, "assert_nonzero", citation, quote,
-                       "failure" if poly.is_zero() else "nonzero",
-                       **details, term_count=len(poly.terms)):
-            pass
+        with self.step(sid, "assert_nonzero", citation, quote, **details) as rec:
+            poly = poly() if callable(poly) else poly
+            rec.status = "failure" if poly.is_zero() else "nonzero"
+            rec.details["term_count"] = len(poly.terms)
 
     def rule_consistency(self) -> None:
         for eid, check in rule_consistency_checks(self.symbols, self.config.limits, self.bases):
@@ -1011,7 +1019,7 @@ def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> Stag
 class RunResult:
     stages: List[StageResult]
     config: Config
-    oracle: Dict[str, SpotCheckResult] = field(default_factory=dict)  # by <stage>.<sid>
+    oracle: List[SpotCheckResult] = field(default_factory=list)  # labelled <stage>.<sid>
 
     def verdict(self) -> str:
         """The stages' verdicts on the one ladder, a failed spot check counting
@@ -1020,7 +1028,7 @@ class RunResult:
         return _worst([s.verdict() for s in self.stages] + oracle)
 
     def oracle_failures(self) -> List[str]:
-        return [label for label, res in self.oracle.items() if res.verdict != "pass"]
+        return [res.label for res in self.oracle if res.verdict != "pass"]
 
     def identities(self) -> Dict[str, Certificate]:
         out = {}
@@ -1065,17 +1073,15 @@ def canonical_digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(clone, sort_keys=True).encode()).hexdigest()
 
 
-def _spot_check(stages: Sequence[StageResult],
-                cfg: SpotCheckConfig) -> Dict[str, SpotCheckResult]:
-    """The oracle sweep: re-check every certificate of the run by modular
-    evaluation in one ``check_certificates`` call, labelled <stage>.<sid>, and
-    attach each result to its step."""
-    labelled = [(f"{s.name}.{sid}", cert) for s in stages for sid, cert in s.identities.items()]
-    results = dict(zip([label for label, _ in labelled], check_certificates(labelled, cfg)))
-    for s in stages:
-        for rec in s.records:
-            if rec.sid in s.identities:
-                rec.details["spot_check"] = results[f"{s.name}.{rec.sid}"].as_dict()
+def _spot_check(stages: Sequence[StageResult], cfg: SpotCheckConfig) -> List[SpotCheckResult]:
+    """The oracle sweep: re-check each step record's certificate, exactly once,
+    in one ``check_certificates`` call labelled <stage>.<sid>, and attach each
+    result to its step."""
+    certified = [(f"{s.name}.{rec.sid}", rec) for s in stages for rec in s.records
+                 if rec.certificate is not None]
+    results = check_certificates([(label, rec.certificate) for label, rec in certified], cfg)
+    for (_, rec), res in zip(certified, results):
+        rec.details["spot_check"] = res.as_dict()
     return results
 
 
@@ -1151,6 +1157,7 @@ def parse_script(text: str) -> Script:
     saturations: List[Tuple[str, str, str, int]] = []
     stages: List[ScriptStage] = []
     seen_symbols = False
+    weights_line = 0
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1162,14 +1169,16 @@ def parse_script(text: str) -> Script:
             if seen_symbols:
                 raise ScriptError("duplicate SYMBOLS section", ln)
             seen_symbols = True
-            if rest == "paper":
-                symbols_mode = "paper"
-            else:
-                symbols_mode = "custom"
-                custom_names = rest.split()
-                if not custom_names:
-                    raise ScriptError("SYMBOLS needs 'paper' or a variable list", ln)
+            if not rest:
+                raise ScriptError("SYMBOLS needs 'paper' or a variable list", ln)
+            if rest != "paper":
+                symbols_mode, custom_names = "custom", rest.split()
+                try:
+                    VarTable(custom_names)
+                except PolyError as exc:
+                    raise ScriptError(str(exc), ln)
         elif head == "WEIGHTS":
+            weights_line = ln
             try:
                 custom_weights = [int(w) for w in rest.split()]
             except ValueError:
@@ -1187,6 +1196,8 @@ def parse_script(text: str) -> Script:
         elif head == "STAGE":
             if not rest:
                 raise ScriptError("STAGE needs a name", ln)
+            if any(st.name == rest for st in stages):
+                raise ScriptError(f"duplicate STAGE name {rest!r}", ln)
             stages.append(ScriptStage(rest))
         elif head == "STEP":
             if not stages:
@@ -1197,10 +1208,18 @@ def parse_script(text: str) -> Script:
             sid, kind = fields[0], fields[1]
             if kind not in _STEP_KINDS:
                 raise ScriptError(f"unknown step kind {kind!r}", ln)
+            if any(st.sid == sid for st in stages[-1].steps):
+                raise ScriptError(f"duplicate step id {sid!r} in stage {stages[-1].name!r}", ln)
             arg = fields[2] if len(fields) > 2 else ""
             stages[-1].steps.append(ScriptStep(sid, kind, arg, ln))
         else:
             raise ScriptError(f"unknown directive {head!r}", ln)
+    if custom_weights is not None:
+        if symbols_mode == "paper":
+            raise ScriptError("WEIGHTS needs a custom SYMBOLS list", weights_line)
+        if len(custom_weights) != len(custom_names):
+            raise ScriptError(f"WEIGHTS gives {len(custom_weights)} weights for"
+                              f" {len(custom_names)} symbols", weights_line)
     return Script(symbols_mode, custom_names, custom_weights, axioms, saturations, stages)
 
 
@@ -1220,22 +1239,75 @@ def _split_member_args(arg: str, line: int) -> Tuple[str, List[str], List[str]]:
     return target.strip(), via, sat
 
 
+def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
+                  mk: Callable[[str, int], Polynomial]) -> Callable[[], object]:
+    """One STEP line as a call on its stage's runner.  A bad axiom id, rule
+    table, saturation id, variable or registry id raises ScriptError here;
+    relations and transcriptions are read inside the step, as failure records."""
+    arg, line = step.arg, step.line
+
+    def registry_id(target: str) -> str:
+        eid = target[1:]
+        if run.registry is None or eid not in run.registry:
+            raise ScriptError(f"unknown registry id {eid!r}", line)
+        return eid
+
+    if step.kind == "assume":
+        if arg not in axioms:
+            raise ScriptError(f"unknown axiom id {arg!r}", line)
+        # the relation is referenced by its axiom id from later steps
+        return partial(run.assume, arg, *axioms[arg])
+    if step.kind == "derive":
+        parts = arg.split()
+        if len(parts) != 2:
+            raise ScriptError("derive wants 'rule source_id'", line)
+        if parts[0] not in run.rules:
+            raise ScriptError(f"unknown rule table {parts[0]!r}", line)
+        return partial(run.derive, step.sid, run.rules[parts[0]], parts[1])
+    if step.kind == "assert_member":
+        target, via, sat_ids = _split_member_args(arg, line)
+        for sid in sat_ids:
+            if sid not in run.sats:
+                raise ScriptError(f"unknown saturation id {sid!r}", line)
+        built = (partial(run.printed, registry_id(target)) if target.startswith("@")
+                 else mk(target, line))
+        return partial(run.claim, step.sid, built, via, sat_ids)
+    if step.kind == "eliminate_vars":
+        if " FROM " not in arg:
+            raise ScriptError("eliminate_vars wants 'vars FROM ids'", line)
+        vpart, _, gpart = arg.partition(" FROM ")
+        vs = [v.strip() for v in vpart.split(",") if v.strip()]
+        for v in vs:
+            if v not in run.gens.table:
+                raise ScriptError(f"unknown variable {v!r}", line)
+        via = [g.strip() for g in gpart.split(",") if g.strip()]
+        return partial(run.eliminate_step, step.sid, via, vs)
+    if step.kind == "match_printed":
+        parts = arg.split()
+        if len(parts) != 2:
+            raise ScriptError("match_printed wants 'relation_id @registry_id'", line)
+        if not parts[1].startswith("@"):
+            raise ScriptError("match target must be @registry_id", line)
+        return partial(run.match_printed, step.sid, partial(run.poly_of, parts[0]),
+                       registry_id(parts[1]))
+    if step.kind == "assert_nonzero":
+        return partial(run.assert_nonzero, step.sid, partial(run.poly_of, arg), relation=arg)
+    return partial(run.annotate, step.sid, arg)
+
+
 def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
-    """Execute a parsed script.  Parse/shape errors raise ScriptError; algebra
-    failures are recorded in the report like the builtin stages."""
+    """Execute a parsed script in two phases.  Resolve turns every step of
+    every stage into a call on its stage's runner, so a shape error raises
+    ScriptError before any stage runs; apply makes the calls, and algebra
+    failures are recorded in the report like the built-in stages' ones."""
     config = config or Config()
     oracle_cfg = config.oracle_config()
     if script.symbols_mode == "paper":
         symbols = load_paper_symbols()
-        table = symbols.table
-        sats = nondegeneracy_records(symbols)
+        table, sats = symbols.table, nondegeneracy_records(symbols)
     else:
-        try:
-            table = VarTable(script.custom_names, script.custom_weights)
-        except PolyError as exc:
-            raise ScriptError(str(exc), 1)
-        symbols = None
-        sats = []
+        symbols, sats = None, []
+        table = VarTable(script.custom_names, script.custom_weights)
 
     def mk(text: str, line: int) -> Polynomial:
         try:
@@ -1243,89 +1315,20 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         except PolyError as exc:
             raise ScriptError(f"bad polynomial: {exc}", line)
 
-    extra_sats = list(sats)
-    for sid, ptext, just, ln in script.saturations:
-        extra_sats.append(SaturationRecord(sid, mk(ptext, ln), just))
-    axioms = {}
-    for aid, ptext, citation, quote, ln in script.axioms:
-        axioms[aid] = (mk(ptext, ln), citation, quote)
+    sats += [SaturationRecord(sid, mk(ptext, ln), just)
+             for sid, ptext, just, ln in script.saturations]
+    axioms = {aid: (mk(ptext, ln), citation, quote)
+              for aid, ptext, citation, quote, ln in script.axioms}
     if symbols is not None:
         for ax in load_paper_axioms(symbols):
             axioms.setdefault(ax.aid, (ax.poly, ax.citation, ax.quote))
 
-    def printed(run: StageRunner, eid: str, line: int) -> Polynomial:
-        if run.registry is None or eid not in run.registry:
-            raise ScriptError(f"unknown registry id {eid!r}", line)
-        try:
-            return run.registry.poly(eid)
-        except PolyError as exc:
-            raise ScriptError(str(exc), line)
-
-    stages_out: List[StageResult] = []
+    plan = []
     for sstage in script.stages:
-        run = StageRunner(sstage.name, config, table, extra_sats, symbols)
-        for step in sstage.steps:
-            arg = step.arg
-            if step.kind == "assume":
-                aid = arg.strip()
-                if aid not in axioms:
-                    raise ScriptError(f"unknown axiom id {aid!r}", step.line)
-                poly, citation, quote = axioms[aid]
-                # the relation is referenced by its axiom id from later steps
-                run.assume(aid, poly, citation, quote)
-            elif step.kind == "derive":
-                parts = arg.split()
-                if len(parts) != 2:
-                    raise ScriptError("derive wants 'rule source_id'", step.line)
-                rname, source = parts
-                if rname not in run.rules:
-                    raise ScriptError(f"unknown rule table {rname!r}", step.line)
-                if source not in run.gens:
-                    raise ScriptError(f"unknown relation {source!r}", step.line)
-                run.derive(step.sid, run.rules[rname], source)
-            elif step.kind == "assert_member":
-                target_text, via, sat_ids = _split_member_args(arg, step.line)
-                target = (printed(run, target_text[1:], step.line)
-                          if target_text.startswith("@") else mk(target_text, step.line))
-                for rid in via:
-                    if rid not in run.gens:
-                        raise ScriptError(f"unknown relation {rid!r}", step.line)
-                known_sats = {s.sid for s in extra_sats}
-                for sid_ in sat_ids:
-                    if sid_ not in known_sats:
-                        raise ScriptError(f"unknown saturation id {sid_!r}", step.line)
-                run.claim(step.sid, target, via, sat_ids)
-            elif step.kind == "eliminate_vars":
-                if " FROM " not in arg:
-                    raise ScriptError("eliminate_vars wants 'vars FROM ids'", step.line)
-                vpart, _, gpart = arg.partition(" FROM ")
-                vs = [v.strip() for v in vpart.split(",") if v.strip()]
-                via = [g.strip() for g in gpart.split(",") if g.strip()]
-                for v in vs:
-                    if v not in table:
-                        raise ScriptError(f"unknown variable {v!r}", step.line)
-                for rid in via:
-                    if rid not in run.gens:
-                        raise ScriptError(f"unknown relation {rid!r}", step.line)
-                run.eliminate_step(step.sid, via, vs)
-            elif step.kind == "match_printed":
-                parts = arg.split()
-                if len(parts) != 2:
-                    raise ScriptError("match_printed wants 'relation_id @registry_id'",
-                                      step.line)
-                rid, target_text = parts
-                if rid not in run.gens:
-                    raise ScriptError(f"unknown relation {rid!r}", step.line)
-                if not target_text.startswith("@"):
-                    raise ScriptError("match target must be @registry_id", step.line)
-                printed(run, target_text[1:], step.line)
-                run.match_printed(step.sid, run.poly_of(rid), target_text[1:])
-            elif step.kind == "assert_nonzero":
-                rid = arg.strip()
-                if rid not in run.gens:
-                    raise ScriptError(f"unknown relation {rid!r}", step.line)
-                run.assert_nonzero(step.sid, run.poly_of(rid), relation=rid)
-            elif step.kind == "annotate":
-                run.annotate(step.sid, arg)
-        stages_out.append(run.result)
-    return RunResult(stages_out, config, _spot_check(stages_out, oracle_cfg))
+        run = StageRunner(sstage.name, config, table, sats, symbols)
+        plan.append((run, [_resolve_step(run, step, axioms, mk) for step in sstage.steps]))
+    for _, calls in plan:
+        for call in calls:
+            call()
+    stages = [run.result for run, _ in plan]
+    return RunResult(stages, config, _spot_check(stages, oracle_cfg))

@@ -191,3 +191,36 @@ class TestReportCommand:
         assert "stage lemma31: success" in out
         assert "mismatches: 0" in out
         assert "certificate digests:" in out
+
+
+class TestScriptReports:
+    def test_failed_claim_then_its_reader_writes_the_report(self, tmp_path):
+        script = tmp_path / "reader.ds"
+        script.write_text(
+            "SYMBOLS x y\n"
+            "AXIOM ax | x | toy | x vanishes\n"
+            "STAGE s\n"
+            "STEP a assume ax\n"
+            "STEP c assert_member y USING ax\n"
+            "STEP d assert_nonzero c\n"
+            "STEP e annotate the run goes on\n")
+        path = tmp_path / "reader.json"
+        rc = run_cli(["verify", "--script", str(script), "--report", str(path),
+                      "--trials", "2"])
+        assert rc == 1
+        rep = json.loads(path.read_text())
+        steps = {s["id"]: s for s in rep["stages"][0]["steps"]}
+        assert steps["c"]["status"] == "not-member"
+        assert steps["d"]["status"] == "failure"
+        assert "'c'" in steps["d"]["details"]["error"]
+        assert steps["e"]["status"] == "annotation"
+        assert rep["verdict"] == "failure"
+
+    def test_weights_under_paper_symbols_exit_2_naming_the_line(self, tmp_path, capsys):
+        script = tmp_path / "weights.ds"
+        script.write_text("SYMBOLS paper\nSTAGE s\nWEIGHTS 1 2\n")
+        path = tmp_path / "w.json"
+        rc = run_cli(["verify", "--script", str(script), "--report", str(path)])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not path.exists()

@@ -2,6 +2,7 @@
 format."""
 
 import ast
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import curvelim.frame as frame
 import curvelim.ideal as ideal
 import curvelim.oracle as oracle
 import curvelim.pipeline as pipeline
-from curvelim.exactpoly import DomainError, parse_polynomial
+from curvelim.exactpoly import DomainError, VarTable, parse_polynomial
 from curvelim.frame import EquationRegistry, load_paper_symbols
 from curvelim.ideal import Certificate, Limits
 from curvelim.pipeline import (
@@ -482,3 +483,146 @@ class TestReportShape:
         clone = json.loads(json.dumps(rep))
         clone["stages"][0]["steps"][0]["timing_ms"] = 123456
         assert canonical_digest(clone) == rep["canonical_digest"]
+
+
+class TestScriptResolution:
+    """A script is resolved, every stage of it, before any stage runs: shape
+    errors raise ScriptError naming their line, while a relation that is
+    unknown or never produced, and a transcription that does not parse, are
+    read inside the step and become failure records."""
+
+    TWO_STAGES = ("SYMBOLS x y\nAXIOM ax | x | toy | x\n"
+                  "STAGE one\nSTEP a assume ax\nSTEP b assert_member x*y USING ax\n"
+                  "STAGE two\n")
+
+    def _counting_membership(self, monkeypatch):
+        calls = []
+        real = pipeline.membership
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "membership", counted)
+        return calls
+
+    def test_unknown_axiom_in_a_later_stage_raises_before_any_membership(self, monkeypatch):
+        calls = self._counting_membership(monkeypatch)
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(self.TWO_STAGES + "STEP c assume ghost\n"), Config(trials=2))
+        assert err.value.line == 7 and "ghost" in str(err.value)
+        assert calls == []
+        run_script(parse_script(self.TWO_STAGES + "STEP c assume ax\n"), Config(trials=2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", [
+        "SYMBOLS x y\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+        "STEP c assert_member y USING ax\nSTEP d assert_nonzero c\n",
+        "SYMBOLS x y\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+        "STEP c assert_member y USING ax\nSTEP d eliminate_vars x FROM ax,c\n",
+        "SYMBOLS x y\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+        "STEP c assert_member y USING ax\nSTEP d assert_member x*y USING ax,c\n",
+        "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\nSTEP d derive D1 c\n",
+        "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\nSTEP d match_printed c @eq_3_30\n",
+    ], ids=["assert_nonzero", "eliminate_vars", "assert_member", "derive", "match_printed"])
+    def test_missing_relation_is_a_failure_record(self, text):
+        result = run_script(parse_script(text), Config(trials=2))
+        recs = {r.sid: r for r in result.stages[0].records}
+        assert recs["d"].status == "failure"
+        assert "'c'" in recs["d"].details["error"]
+        assert result.verdict() == "failure"
+
+    def test_unparseable_transcription_is_a_failure_record(self, monkeypatch):
+        _corrupt(monkeypatch, "eq_3_30", " +* v3")
+        text = ("SYMBOLS paper\nSTAGE s\nSTEP a1 assume eq_3_11\nSTEP a2 derive D1 eq_3_11\n"
+                "STEP a3 assert_member @eq_3_30 USING a2\nSTEP a4 match_printed a2 @eq_3_30\n")
+        result = run_script(parse_script(text), Config(trials=2))
+        statuses = {r.sid: r.status for r in result.stages[0].records}
+        assert statuses == {"eq_3_11": "assumed", "a2": "verified",
+                            "a3": "failure", "a4": "failure"}
+
+    @pytest.mark.parametrize("text, line, words", [
+        ("SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTAGE s\n", 5, "duplicate STAGE"),
+        ("SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTEP a annotate two\n", 4, "duplicate step"),
+        ("SYMBOLS x y\nWEIGHTS 1\n", 2, "WEIGHTS gives 1 weights for 2"),
+        ("WEIGHTS 1 2\nSYMBOLS x y z\n", 1, "WEIGHTS gives 2 weights for 3"),
+        ("SYMBOLS paper\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
+        ("# no SYMBOLS line: the paper world\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
+        ("# a repeated name\nSYMBOLS x y x\n", 2, "duplicate variable names"),
+    ], ids=["stage", "step", "weights-short", "weights-first", "weights-paper",
+            "weights-default-paper", "symbols-repeated"])
+    def test_shape_errors_name_their_line(self, text, line, words):
+        with pytest.raises(ScriptError) as err:
+            parse_script(text)
+        assert err.value.line == line
+        assert words in str(err.value)
+
+    def test_same_step_id_in_two_stages_is_allowed(self):
+        text = "SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTEP a annotate two\n"
+        assert [len(s.steps) for s in parse_script(text).stages] == [1, 1]
+
+    def test_documented_step_kinds_are_the_interpreted_ones(self):
+        doc = Path(__file__).resolve().parent.parent / "docs" / "script-format.md"
+        section = doc.read_text().split("## Step kinds", 1)[1].split("\n## ", 1)[0]
+        documented = {line.split()[2] for line in section.splitlines()
+                      if line.startswith("STEP ")}
+        assert documented == pipeline._STEP_KINDS
+
+
+def _digested(report: dict) -> int:
+    return sum(1 for stage in report["stages"] for step in stage["steps"]
+               if step["certificate_digest"])
+
+
+class TestCertificatesOnRecords:
+    """Each certificate lives on its step record, so the sweep checks every
+    one exactly once, whatever the step ids."""
+
+    def test_lemma31_checks_every_digest(self):
+        rep = run_builtin("lemma31", Config(trials=2)).report()
+        assert rep["oracle"]["checked"] == _digested(rep) > 0
+
+    def test_example_script_checks_every_digest(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "example.ds").read_text()
+        rep = run_script(parse_script(text), Config(trials=2)).report()
+        assert rep["oracle"]["checked"] == _digested(rep) > 0
+
+    def _repeated(self, cfg):
+        table = VarTable(["x", "y"])
+        mk = lambda t: parse_polynomial(t, table)
+        run = pipeline.StageRunner("rep", cfg, table)
+        run.assume("ax", mk("x"), "toy", "x")
+        run.claim("c", mk("x*y"), ["ax"])
+        run.claim("c", mk("x^2"), ["ax"])
+        return run
+
+    def test_a_repeated_step_id_keeps_both_certificates(self):
+        cfg = Config(trials=2)
+        run = self._repeated(cfg)
+        oracle_results = pipeline._spot_check([run.result], cfg.oracle_config())
+        rr = pipeline.RunResult([run.result], cfg, oracle_results)
+        rep = rr.report()
+        assert rep["oracle"]["checked"] == _digested(rep) == 2
+        assert [res.label for res in rr.oracle] == ["rep.c", "rep.c"]
+        assert all("spot_check" in r.details for r in run.result.records[1:])
+
+    def test_a_bad_certificate_under_a_repeated_id_is_caught(self):
+        cfg = Config(trials=2)
+        run = self._repeated(cfg)
+        first = run.result.records[1]
+        bad = copy.copy(first.certificate)   # x*y = (y + 1)*x, planted past the constructor
+        bad.pairs = {"ax": bad.pairs["ax"] + 1}
+        first.certificate = bad
+        rr = pipeline.RunResult([run.result], cfg,
+                                pipeline._spot_check([run.result], cfg.oracle_config()))
+        assert rr.oracle_failures() == ["rep.c"]
+        assert [r.details["spot_check"]["verdict"] for r in run.result.records[1:]] == [
+            "fail", "pass"]
+        assert rr.verdict() == "failure"
+
+    def test_identities_is_a_read_only_view(self, lemma32_result):
+        view = lemma32_result.identities
+        assert set(view) == {r.sid for r in lemma32_result.records if r.certificate}
+        with pytest.raises(TypeError):
+            view["planted"] = view["eq_3_30"]
+        assert "certificate" not in lemma32_result.records[0].as_dict()
