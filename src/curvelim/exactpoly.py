@@ -98,6 +98,10 @@ class VarTable:
             if len(weights) != len(names):
                 raise PolyError("weights length mismatch")
             self.weights = tuple(int(w) for w in weights)
+            # membership truncates bases at the target's weight, which is
+            # sound only when no multiplier monomial has negative weight
+            if min(self.weights, default=0) < 0:
+                raise PolyError("weights must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.names)

@@ -31,14 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
-from .ideal import (
-    GeneratorSet,
-    Limits,
-    Relation,
-    SaturationRecord,
-    membership,
-    NOT_MEMBER,
-)
+from .ideal import SaturationRecord
 
 ENGINE_VERSION = "0.1.0"
 
@@ -400,18 +393,19 @@ class Axiom:
             raise PolyError(f"axiom {self.aid!r} misses citation or quote")
 
 
-_AXIOM_IDS = ["eq_3_3", "eq_3_11", "K_def", "s_def", "eq_3_24", "eq_3_25",
-              "eq_3_26", "eq_3_29", "eq_3_46", "eq_3_47"]
+# the printed equations the replay assumes: constraints, curvature components, definitions
+PAPER_AXIOM_IDS = ["eq_3_3", "eq_3_11", "K_def", "s_def", "eq_3_24", "eq_3_25",
+                   "eq_3_26", "eq_3_29", "eq_3_46", "eq_3_47"]
 
 
 def load_paper_axioms(symbols: SymbolTable) -> List[Axiom]:
-    """Polynomial axioms of the replay (constraints, curvature components,
-    defining relations).  Derivative-shaped inputs ((3.17)-(3.23), (3.27),
+    """The axioms ``PAPER_AXIOM_IDS``, each parsed with its citation and
+    quote.  Derivative-shaped inputs ((3.17)-(3.23), (3.27),
     (3.28), (3.4)) live in the rule tables; the linear Codazzi system
     (3.6)-(3.9) lives in the dedicated first stage."""
     reg = EquationRegistry(symbols)
     out = []
-    for aid in _AXIOM_IDS:
+    for aid in PAPER_AXIOM_IDS:
         e = reg.entry(aid)
         out.append(Axiom(aid, reg.poly(aid), e.citation, e.quote, e.role))
     return out
@@ -525,11 +519,9 @@ class DerivationRuleTable:
     those derivatives).
     """
 
-    def __init__(self, name: str, symbols: SymbolTable,
-                 rules: Dict[str, object], citation: str):
+    def __init__(self, name: str, symbols: SymbolTable, rules: Dict[str, object]):
         self.name = name
         self.symbols = symbols
-        self.citation = citation
         self.rules: Dict[str, object] = {}
         for sym, img in rules.items():
             if sym not in symbols.table:
@@ -568,7 +560,7 @@ class DerivationRuleTable:
             out = out + p.partial(sym) * img
         return out, fresh
 
-    def permuted(self, name: str, perm: Dict[str, str], citation: str) -> "DerivationRuleTable":
+    def permuted(self, name: str, perm: Dict[str, str]) -> "DerivationRuleTable":
         """The operator conjugated by the index permutation ``perm``: the rule
         for perm(x) is the permuted rule for x, a fresh symbol permuted too."""
         def image(img):
@@ -577,13 +569,15 @@ class DerivationRuleTable:
             return permute_polynomial(img, perm)
 
         return DerivationRuleTable(name, self.symbols, {
-            perm.get(sym, sym): image(img) for sym, img in self.rules.items()}, citation)
+            perm.get(sym, sym): image(img) for sym, img in self.rules.items()})
 
 
 def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
     """The four derivation operators: D1 along e1 and D2/D3/D4 along e2/e3/e4
     (D3, D4 as D2 conjugated by each direction's index permutation, as the
-    closing symmetry argument of the second lemma requires)."""
+    closing symmetry argument of the second lemma requires: "with some similar
+    discussions")."""
+    # eqs (3.7), (3.17)-(3.21), (3.27); constants: R constant hypothesis
     d1 = DerivationRuleTable("D1", symbols, {
         "c": "0", "R": "0",
         "H": "h1",
@@ -606,7 +600,8 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "K": "lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
              " + lam2*lam3*(lam4 + 2*H)*u4",
         "s": "u2^2 + u3^2 + u4^2 - 2*H*(lam2 + lam3 + lam4) + 3*c",
-    }, "eqs (3.7), (3.17)-(3.21), (3.27); constants: R constant hypothesis")
+    })
+    # eqs (3.4), (3.7), (3.11), (3.22)-(3.23), (3.28)
     d2 = DerivationRuleTable("D2", symbols, {
         "c": "0", "R": "0",
         "H": "0",
@@ -622,69 +617,6 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "K": "lam3*lam4*((lam2 - lam3)*v3 + (lam2 - lam4)*v4)"
              " + lam2*lam4*(-(lam2 - lam3)*v3) + lam2*lam3*(-(lam2 - lam4)*v4)",
         "s": "d2_u2_1 + (u3 - u2)*v3 + (u4 - u2)*v4",
-    }, "eqs (3.4), (3.7), (3.11), (3.22)-(3.23), (3.28)")
-    return {"D1": d1, "D2": d2, **{
-        f"D{k}": d2.permuted(f"D{k}", perm, f"index permutation 2<->{k} of the e2 table"
-                             " ('with some similar discussions')")
-        for k, perm in DIRECTIONS.items() if perm}}
-
-
-# ---------------------------------------------------------------------------
-# rule-table consistency
-# ---------------------------------------------------------------------------
-
-def rule_consistency_checks(symbols: SymbolTable, limits: Limits = Limits(),
-                            cache: Optional[dict] = None
-                            ) -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
-    """The printed restatements that pin the rule-table encoding, each as an
-    equation id and a deferred check returning (ok, message).
-
-    * eqs (3.50)-(3.52): applying the e1 operator twice to each principal
-      curvature and assembling the printed combination must give the zero
-      polynomial identically.
-    * eq (3.30): the e1 image of the trace relation (3.11) must equal the
-      registry polynomial up to sign.
-    * eq (3.55)/(3.40): the e1 image of (3.3), reduced modulo (3.30), (3.11)
-      and (3.3), must reproduce the registry polynomial; its membership runs
-      under ``limits``, its basis from ``cache`` when that holds it (see
-      ``ideal.membership``).
-    """
-    reg = EquationRegistry(symbols)
-    d1 = load_rule_tables(symbols)["D1"]
-    mk = symbols.poly
-    lam1 = mk("-2*H")
-
-    def curvature(lam_name: str, u_name: str) -> Tuple[bool, str]:
-        lam = symbols.var(lam_name)
-        u = symbols.var(u_name)
-        first, _ = d1.apply(lam)
-        second, _ = d1.apply(first)
-        d1_lam1, _ = d1.apply(lam1)
-        combo = second + u * d1_lam1 + 2 * (lam1 - lam) * u * u + (lam1 - lam) * (lam1 * lam + mk("c"))
-        ok = combo.is_zero()
-        return ok, ("rule expansion of the printed combination is 0"
-                    if ok else f"nonzero residue: {combo.to_text()}")
-
-    def trace() -> Tuple[bool, str]:
-        img_3_11, _ = d1.apply(reg.poly("eq_3_11"))
-        ok = img_3_11 == -reg.poly("eq_3_30")
-        return ok, "e1 image of (3.11) equals -(3.30)" if ok else "sign convention broken"
-
-    def reduction() -> Tuple[bool, str]:
-        img_3_3, _ = d1.apply(reg.poly("eq_3_3"))
-        gens = GeneratorSet(symbols.table, [
-            Relation("d1_eq_3_3", img_3_3),
-            Relation("eq_3_30", reg.poly("eq_3_30")),
-            Relation("eq_3_11", reg.poly("eq_3_11")),
-            Relation("eq_3_3", reg.poly("eq_3_3")),
-        ])
-        ok = membership(reg.poly("eq_3_55"), gens, limits=limits, cache=cache) != NOT_MEMBER
-        return ok, ("e1 image of (3.3) reduces to (3.55) modulo (3.30),(3.11),(3.3)"
-                    if ok else "reduction failed")
-
-    return [("eq_3_50", lambda: curvature("lam2", "u2")),
-            ("eq_3_51", lambda: curvature("lam3", "u3")),
-            ("eq_3_52", lambda: curvature("lam4", "u4")),
-            ("eq_3_30", trace),
-            ("eq_3_55", reduction)]
-
+    })
+    return {"D1": d1, "D2": d2, **{f"D{k}": d2.permuted(f"D{k}", perm)
+                                   for k, perm in DIRECTIONS.items() if perm}}

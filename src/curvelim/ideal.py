@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactpoly import (
     MonomialOrder,
@@ -134,23 +134,23 @@ class SaturationRecord:
 class Certificate:
     """Exact witness that multiplier**power * target lies in an ideal.
 
-    ``pairs`` maps generator id -> cofactor polynomial.  Construction verifies
-    the defining identity term-by-term and refuses invalid certificates.
+    ``identity`` maps generator id -> (cofactor, generator polynomial);
+    ``pairs`` keeps id -> cofactor, zero cofactors dropped.  Construction
+    verifies the identity term-by-term and refuses invalid certificates.
     """
 
     def __init__(
         self,
         target: Polynomial,
-        pairs: Dict[str, Polynomial],
-        gens: GeneratorSet,
+        identity: Dict[str, Tuple[Polynomial, Polynomial]],
         multiplier: Optional[Polynomial] = None,
         power: int = 0,
     ):
         self.target = target
-        self.pairs = {k: v for k, v in pairs.items() if not v.is_zero()}
+        self.pairs = {k: cof for k, (cof, _) in identity.items() if not cof.is_zero()}
         self.multiplier = multiplier if power else None
         self.power = power if multiplier is not None else 0
-        self._gen_polys = {rid: gens.get(rid).poly for rid in self.pairs}
+        self._gen_polys = {rid: identity[rid][1] for rid in self.pairs}
         lhs = target * (self.multiplier ** self.power) if self.power else target
         rhs = sum_of_products(target.table,
                               [(cof, self._gen_polys[rid]) for rid, cof in self.pairs.items()])
@@ -423,7 +423,7 @@ def membership(
     cheap.
     """
     if p.is_zero():
-        return Certificate(p, {}, gens)
+        return Certificate(p, {})
     mult = None
     if saturations:
         mult = Polynomial.const(p.table, 1)
@@ -443,7 +443,9 @@ def membership(
         b = basis_for(target)
         rem, factors = normal_form(target, b)
         if rem.is_zero():
-            return Certificate(p, _provenance(b.gens.table, zip(factors, b.reps)), gens,
+            cofactors = _provenance(b.gens.table, zip(factors, b.reps))
+            return Certificate(p, {rid: (cof, gens.get(rid).poly)
+                                   for rid, cof in cofactors.items()},
                                multiplier=mult, power=k)
         if mult is None:
             break

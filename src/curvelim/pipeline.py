@@ -73,15 +73,14 @@ from .frame import (
     ENGINE_VERSION,
     EquationRegistry,
     DIRECTIONS,
+    PAPER_AXIOM_IDS,
     SymbolTable,
     curvature_difference_records,
-    load_paper_axioms,
     load_paper_symbols,
     load_rule_tables,
     nondegeneracy_records,
     permute_polynomial,
     permuted_saturation_ids,
-    rule_consistency_checks,
     transverse_pair,
 )
 from .oracle import DEFAULT_PRIME, SpotCheckConfig, SpotCheckResult, check_certificates
@@ -107,16 +106,6 @@ class Config:
     def oracle_config(self) -> SpotCheckConfig:
         """The oracle settings; raises OracleError when they are invalid."""
         return SpotCheckConfig(self.seed, self.trials, self.modulus)
-
-
-def _identity(target: Polynomial, pairs: Dict[str, Tuple[Polynomial, Polynomial]],
-              multiplier: Optional[Polynomial] = None, power: int = 0) -> Certificate:
-    """Certificate of an exact identity built by a step itself (a chain-rule
-    image, a resultant, a chain derivative): ``pairs`` maps a name to
-    (cofactor, part), and the parts stand in as the generators."""
-    gens = GeneratorSet(target.table, [Relation(k, part) for k, (_, part) in pairs.items()])
-    return Certificate(target, {k: cof for k, (cof, _) in pairs.items()}, gens,
-                       multiplier, power)
 
 
 # the verdict ladder, worst first: a stage or a run takes the worst of its parts
@@ -295,7 +284,7 @@ class StageRunner:
                 img = rule.image_of(v)
                 if not img.is_zero():
                     pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
-            ident = _identity(image, pairs)
+            ident = Certificate(image, pairs)
             rec.fresh_minted = sorted(fresh)
             if image.is_zero():
                 rec.certificate_digest = ident.digest()
@@ -431,7 +420,40 @@ class StageRunner:
             rec.details["term_count"] = len(poly.terms)
 
     def rule_consistency(self) -> None:
-        for eid, check in rule_consistency_checks(self.symbols, self.config.limits, self.bases):
+        """One ``consistency_<eid>`` step per printed restatement that pins
+        the D1 encoding: (3.50)-(3.52), D1 applied twice to each principal
+        curvature in the printed combination, is identically zero; D1 of
+        (3.11) is -(3.30); D1 of (3.3) reduces to (3.55) modulo (3.30),
+        (3.11) and (3.3), on the stage's basis cache."""
+        d1, mk = self.rules["D1"], self.symbols.poly
+        lam1 = mk("-2*H")
+
+        def curvature(i: int) -> Tuple[bool, str]:
+            lam, u = self.symbols.var(f"lam{i}"), self.symbols.var(f"u{i}")
+            second, _ = d1.apply(d1.apply(lam)[0])
+            combo = (second + u * d1.apply(lam1)[0] + 2 * (lam1 - lam) * u * u
+                     + (lam1 - lam) * (lam1 * lam + mk("c")))
+            ok = combo.is_zero()
+            return ok, ("rule expansion of the printed combination is 0"
+                        if ok else f"nonzero residue: {combo.to_text()}")
+
+        def trace() -> Tuple[bool, str]:
+            ok = d1.apply(self.printed("eq_3_11"))[0] == -self.printed("eq_3_30")
+            return ok, "e1 image of (3.11) equals -(3.30)" if ok else "sign convention broken"
+
+        def reduction() -> Tuple[bool, str]:
+            gens = GeneratorSet(self.gens.table, [
+                Relation("d1_eq_3_3", d1.apply(self.printed("eq_3_3"))[0]),
+                *(Relation(eid, self.printed(eid)) for eid in ("eq_3_30", "eq_3_11", "eq_3_3")),
+            ])
+            ok = membership(self.printed("eq_3_55"), gens, limits=self.config.limits,
+                            cache=self.bases) != NOT_MEMBER
+            return ok, ("e1 image of (3.3) reduces to (3.55) modulo (3.30),(3.11),(3.3)"
+                        if ok else "reduction failed")
+
+        for eid, check in [("eq_3_50", partial(curvature, 2)), ("eq_3_51", partial(curvature, 3)),
+                           ("eq_3_52", partial(curvature, 4)), ("eq_3_30", trace),
+                           ("eq_3_55", reduction)]:
             with self.step(f"consistency_{eid}", "check_rule_consistency",
                            *self._cite(eid), status="consistent") as rec:
                 ok, note = check()
@@ -723,9 +745,9 @@ def run_theorem33(config: Config) -> StageResult:
     d1 = rules["D1"]
     mk = symbols.poly
 
-    for ax in load_paper_axioms(symbols):
-        note = registry.entry(ax.aid).note
-        run.assume(ax.aid, ax.poly, ax.citation, ax.quote, note=note)
+    for aid in PAPER_AXIOM_IDS:
+        e = registry.entry(aid)
+        run.assume(aid, partial(run.printed, aid), e.citation, e.quote, note=e.note)
     # the vanishing transverse coefficients, with the rule table each is differentiated by
     vanishing = {name: f"D{k}" for k, perm in DIRECTIONS.items()
                  for name in transverse_pair(perm)}
@@ -818,8 +840,8 @@ def run_theorem33(config: Config) -> StageResult:
         rs = resultant(e53, derived_60, "s")
         f1 = e53.coeff_in("s", 1)
         g1 = derived_60.coeff_in("s", 1)
-        return -rs, _identity(rs, {"eq_3_60_derived": (f1, derived_60),
-                                   "eq_3_53": (-g1, e53)})
+        return -rs, Certificate(rs, {"eq_3_60_derived": (f1, derived_60),
+                                     "eq_3_53": (-g1, e53)})
 
     derived_61 = run.construct("eq_3_61_derived", "resultant", "eq (3.61)",
                                registry.entry("eq_3_61").quote, build_61,
@@ -866,7 +888,7 @@ def run_theorem33(config: Config) -> StageResult:
                      " dH/dK from (3.63) and (3.64)")
     run.construct("eq_3_65_derived", "derive_chain", "eq (3.65)",
                   registry.entry("eq_3_65").quote,
-                  lambda: (derived_65, _identity(
+                  lambda: (derived_65, Certificate(
                       derived_65,
                       {"t65": (Q, run.poly_of("t65")),
                        "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
@@ -943,7 +965,7 @@ def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
         "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
         "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
     }
-    return derived, _identity(derived, pairs, multiplier=h1, power=1)
+    return derived, Certificate(derived, pairs, multiplier=h1, power=1)
 
 
 # ---------------------------------------------------------------------------
@@ -962,10 +984,8 @@ def endgame_eliminate(p: Polynomial, q: Polynomial) -> Tuple[Polynomial, dict]:
                              "resultant_terms": len(res.terms)}
 
 
-def run_endgame(config: Config, theorem33: Optional[StageResult] = None) -> StageResult:
+def run_endgame(config: Config, theorem33: StageResult) -> StageResult:
     run = StageRunner("endgame", config, load_paper_symbols().table)
-    if theorem33 is None:
-        theorem33 = run_theorem33(config)
     if "eq_3_65_derived" not in theorem33.derived:  # built from the derived (3.62)
         with run.step("endgame_inputs", "eliminate_vars", "after eq (3.65)", "",
                       status="failure", error="main-chain stage did not produce the"
@@ -1183,6 +1203,8 @@ def parse_script(text: str) -> Script:
                 custom_weights = [int(w) for w in rest.split()]
             except ValueError:
                 raise ScriptError("WEIGHTS must be integers", ln)
+            if any(w < 0 for w in custom_weights):
+                raise ScriptError("WEIGHTS must be nonnegative", ln)
         elif head == "AXIOM":
             parts = [p.strip() for p in rest.split("|")]
             if len(parts) != 4:
@@ -1253,10 +1275,13 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
         return eid
 
     if step.kind == "assume":
-        if arg not in axioms:
+        # the relation is referenced by its axiom id from later steps; a
+        # script AXIOM shadows a paper axiom of the same id
+        if arg in axioms:
+            return partial(run.assume, arg, *axioms[arg])
+        if run.registry is None or arg not in PAPER_AXIOM_IDS:
             raise ScriptError(f"unknown axiom id {arg!r}", line)
-        # the relation is referenced by its axiom id from later steps
-        return partial(run.assume, arg, *axioms[arg])
+        return partial(run.assume, arg, partial(run.printed, arg), *run._cite(arg))
     if step.kind == "derive":
         parts = arg.split()
         if len(parts) != 2:
@@ -1291,6 +1316,8 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
         return partial(run.match_printed, step.sid, partial(run.poly_of, parts[0]),
                        registry_id(parts[1]))
     if step.kind == "assert_nonzero":
+        if len(arg.split()) != 1:
+            raise ScriptError("assert_nonzero wants one relation id", line)
         return partial(run.assert_nonzero, step.sid, partial(run.poly_of, arg), relation=arg)
     return partial(run.annotate, step.sid, arg)
 
@@ -1319,9 +1346,6 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
              for sid, ptext, just, ln in script.saturations]
     axioms = {aid: (mk(ptext, ln), citation, quote)
               for aid, ptext, citation, quote, ln in script.axioms}
-    if symbols is not None:
-        for ax in load_paper_axioms(symbols):
-            axioms.setdefault(ax.aid, (ax.poly, ax.citation, ax.quote))
 
     plan = []
     for sstage in script.stages:

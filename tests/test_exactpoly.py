@@ -257,6 +257,12 @@ class TestOrders:
         assert p.weighted_degree() == 3
         assert not parse_polynomial("H + K", wt).is_weighted_homogeneous()
 
+    def test_negative_weight_rejected(self):
+        # membership's weight truncation needs nonnegative weights; weight 0 is fine
+        assert VarTable(["x", "y"], [1, 0]).weights == (1, 0)
+        with pytest.raises(PolyError, match="nonnegative"):
+            VarTable(["x", "y"], [1, -1])
+
 
 def test_trusted_constructor_stays_in_exactpoly():
     # Polynomial._of and object.__new__(Polynomial) skip normalization; only

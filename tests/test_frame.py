@@ -18,8 +18,8 @@ from curvelim.frame import (
     nondegeneracy_records,
     permute_polynomial,
     permuted_saturation_ids,
-    rule_consistency_checks,
 )
+from curvelim.pipeline import Config, StageRunner
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +202,13 @@ class TestRuleTables:
 
 
 class TestConsistency:
-    def test_all_checks_pass(self, symbols):
-        checks = rule_consistency_checks(symbols)
-        assert len(checks) == 5
-        for eid, check in checks:
-            ok, msg = check()
-            assert ok, (eid, msg)
+    def test_all_checks_pass(self):
+        run = StageRunner.paper("consistency", Config())
+        run.rule_consistency()
+        records = run.result.records
+        assert len(records) == 5
+        for rec in records:
+            assert rec.status == "consistent", (rec.sid, rec.details)
 
     def test_rule_identities_zero(self, symbols, rules):
         # the printed second-derivative restatements expand to the zero
@@ -252,6 +253,16 @@ def test_index_permutations_stay_in_frame():
             if name in ("PERM_2_3", "PERM_2_4"):
                 offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_frame_takes_only_saturation_records_from_ideal():
+    # frame.py holds the paper's data; the stage runner does the algebra on it
+    import curvelim.frame as frame
+    imported = [alias.name for node in ast.walk(ast.parse(Path(frame.__file__).read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "ideal"
+                for alias in node.names]
+    assert imported == ["SaturationRecord"]
 
 
 def _random_frame_poly(symbols, rng, names):

@@ -61,8 +61,7 @@ class _Claimed:
 
 def _certificate(target, pairs):
     """An exact Certificate over the generators named in ``pairs``."""
-    gens = GeneratorSet(VT, [Relation(rid, gen) for rid, (_, gen) in pairs.items()])
-    return Certificate(target, {rid: cof for rid, (cof, _) in pairs.items()}, gens)
+    return Certificate(target, pairs)
 
 
 class TestIdentity:

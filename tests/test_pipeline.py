@@ -281,6 +281,16 @@ class TestFailedStepsAreRecords:
         assert "position" in recs[eid].details["error"]
         assert recs["e4_lambda_const"].status == "annotation"
 
+    def test_unparseable_paper_axiom(self, monkeypatch):
+        # each paper axiom is parsed inside its assume step
+        _corrupt(monkeypatch, "eq_3_24", " +* v3")
+        rr = run_builtin("theorem33", Config(trials=2))
+        recs = {r.sid: r for r in rr.stages[0].records}
+        assert recs["eq_3_24"].status == "failure"
+        assert "position" in recs["eq_3_24"].details["error"]
+        assert recs["eq_3_25"].status == "assumed"
+        assert rr.verdict() == "failure"
+
     def test_lost_s_pair_is_a_failure_not_a_refutation(self, monkeypatch):
         # Groebner loses the pair of x^2 - y and x*y - 1, whose S-polynomial
         # is the target; without the check on the basis the claim would read
@@ -541,6 +551,30 @@ class TestScriptResolution:
         assert statuses == {"eq_3_11": "assumed", "a2": "verified",
                             "a3": "failure", "a4": "failure"}
 
+    def test_unparseable_paper_axiom_is_a_failure_record(self, monkeypatch):
+        _corrupt(monkeypatch, "eq_3_24", " +* v3")
+        text = "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_24\nSTEP b assume eq_3_25\n"
+        result = run_script(parse_script(text), Config(trials=2))
+        statuses = {r.sid: r.status for r in result.stages[0].records}
+        assert statuses == {"eq_3_24": "failure", "eq_3_25": "assumed"}
+        assert result.verdict() == "failure"
+
+    def test_script_axiom_shadows_a_paper_axiom(self):
+        text = ("SYMBOLS paper\nAXIOM eq_3_11 | H | mine | H vanishes\n"
+                "STAGE s\nSTEP a assume eq_3_11\nSTEP b assume eq_3_3\n")
+        recs = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        assert [(r.sid, r.citation, r.status) for r in recs] == [
+            ("eq_3_11", "mine", "assumed"), ("eq_3_3", "eq (3.3) with (3.2)", "assumed")]
+
+    @pytest.mark.parametrize("arg", ["", " a b"], ids=["none", "two"])
+    def test_assert_nonzero_takes_one_relation(self, arg):
+        text = ("SYMBOLS x\nAXIOM a | x | toy | x\nAXIOM b | x | toy | x\n"
+                f"STAGE s\nSTEP d assert_nonzero{arg}\n")
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(text), Config(trials=2))
+        assert err.value.line == 5
+        assert "assert_nonzero wants one relation id" in str(err.value)
+
     @pytest.mark.parametrize("text, line, words", [
         ("SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTAGE s\n", 5, "duplicate STAGE"),
         ("SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTEP a annotate two\n", 4, "duplicate step"),
@@ -549,8 +583,9 @@ class TestScriptResolution:
         ("SYMBOLS paper\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
         ("# no SYMBOLS line: the paper world\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
         ("# a repeated name\nSYMBOLS x y x\n", 2, "duplicate variable names"),
+        ("SYMBOLS x y\nWEIGHTS 1 -1\n", 2, "WEIGHTS must be nonnegative"),
     ], ids=["stage", "step", "weights-short", "weights-first", "weights-paper",
-            "weights-default-paper", "symbols-repeated"])
+            "weights-default-paper", "symbols-repeated", "weights-negative"])
     def test_shape_errors_name_their_line(self, text, line, words):
         with pytest.raises(ScriptError) as err:
             parse_script(text)
