@@ -15,6 +15,11 @@ Coefficients are stored as plain ints whenever the value is integral and as
 ``fractions.Fraction`` otherwise; the two compare and hash equal, so term sets
 are canonical either way.  The zero polynomial has an empty term dict.
 
+The kernels compute in integers: an operand's coefficients are cleared of
+denominators (``_cleared``), the work is integer arithmetic, and a result
+over a common denominator other than 1 makes one ``Fraction`` per output
+term that needs one (``_over``).
+
 The kernels work on monomials packed into one int (Monagan & Pearce, CASC
 2007 and JSC 2011), an exponent per field of 1, 2, 4 or 8 bytes, the fewest
 that hold the operands' exponents below each field's top bit (the guard); an
@@ -23,22 +28,28 @@ exponent past 2**63 - 1 raises PolyError:
   sum_of_products   sum of a*b over pairs in one term dict, the fields sized
                     by the largest sum of a pair's largest exponents, so a
                     monomial product is one addition (the product operator
-                    is its one-pair case)
-  _reduce           full division, each monomial keyed by one int that is
+                    is its one-pair case); integer products over the lcm of
+                    the pairs' denominators
+  _divide           fraction-free full division, ``D*p == r + sum(f_i*b_i)``
+                    in integers, the work scaled by ``lc/gcd(c, lc)`` when a
+                    divisor's leading coefficient lc does not divide the
+                    term c; each monomial keyed by one int that is
                     additive, ordered like the monomial order, and holds the
                     exponents in guarded fields, so a leading term is a max,
                     a quotient a subtraction and a divisibility test a
                     subtraction and a mask; the fields sized by the largest
                     exponent of the dividend and divisors, and doubled when a
                     product on the way reaches a guard bit; divisors' packed
-                    terms cached on them
+                    terms cached on them.  ``_reduce`` divides its results by
+                    D, the rational division (exact division runs on it)
+  _at_constant      a variable set to a rational constant a/b, in integers
+                    over ``b**max_e``, one division per output term
 
 Text syntax (parser and printer): ASCII identifiers, integer literals, the
 operators + - * ^ and parentheses.  Implicit multiplication is not accepted.
 The printer emits terms in descending order under the active monomial order,
 so parse -> print -> parse round-trips to an identical term set.
 """
-
 from __future__ import annotations
 
 import math
@@ -361,14 +372,13 @@ class Polynomial:
         if not self.terms:
             return 0
         w = self.table.weights
-        return max(sum(e * wi for e, wi in zip(m, w)) for m in self.terms)
+        return max([sum(map(mul, m, w)) for m in self.terms])
 
     def is_weighted_homogeneous(self) -> bool:
         if not self.terms:
             return True
         w = self.table.weights
-        degs = {sum(e * wi for e, wi in zip(m, w)) for m in self.terms}
-        return len(degs) == 1
+        return len({sum(map(mul, m, w)) for m in self.terms}) == 1
 
     def degree_in(self, name: str) -> int:
         if name not in self.table:
@@ -396,20 +406,22 @@ class Polynomial:
         return self._pk[0]
 
     def _packed(self, order: MonomialOrder, width: int) -> tuple:
-        """``(K(lm), P(lm), lc, [(K(m), c) for every other term])`` under
+        """``(K(lm), P(lm), lc, [(K(m), c) for every other term], d)`` under
         ``order`` with the packing of ``_packing`` at ``width`` bytes per
-        field: this polynomial's form as a divisor in ``_reduce``, cached for
-        the (order, width) last asked."""
+        field, the coefficients those of ``d * self``, integers (d from
+        ``_cleared``): this polynomial's form as a divisor in ``_divide``,
+        cached for the (order, width) last asked."""
         top = self._max_exponent()
         _, cached_order, cached_width, packed = self._pk
         if cached_order is order and cached_width == width:
             return packed
-        lm, lc = self.leading_term(order)
+        lm = self.leading_term(order)[0]
+        d, terms = _cleared(self.terms)
         n = len(self.table)
         weights = _packing(order, n, width)
         klm = sum(map(mul, lm, weights))
-        packed = (klm, klm & ((1 << 8 * width * n) - 1), lc,
-                  [(sum(map(mul, m, weights)), c) for m, c in self.terms.items() if m != lm])
+        packed = (klm, klm & ((1 << 8 * width * n) - 1), terms[lm],
+                  [(sum(map(mul, m, weights)), c) for m, c in terms.items() if m != lm], d)
         self._pk = (top, order, width, packed)
         return packed
 
@@ -441,8 +453,8 @@ class Polynomial:
     def substitute(self, name: str, value: "Polynomial") -> "Polynomial":
         """Replace every occurrence of ``name`` by ``value``, expanded and
         normalized.  A constant value is substituted in one pass over the
-        terms; any other by Horner in that variable, stepping between the
-        degrees present by powers of the value."""
+        terms (``_at_constant``); any other by Horner in that variable,
+        stepping between the degrees present by powers of the value."""
         if name not in self.table:
             raise PolyError(f"unknown variable {name!r}")
         if isinstance(value, (int, Fraction)):
@@ -450,22 +462,7 @@ class Polynomial:
         self._check(value)
         zero = self.table.zero_exp()
         if value.terms.keys() <= {zero}:
-            v = value.terms.get(zero, 0)
-            i = self.table.index[name]
-            out: dict = {}
-            for m, c in self.terms.items():
-                e = m[i]
-                if e:
-                    if not v:
-                        continue
-                    c = c * v ** e
-                    m = m[:i] + (0,) + m[i + 1:]
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            return Polynomial._of(self.table, {m: _norm_coeff(c) for m, c in out.items()})
+            return self._at_constant(self.table.index[name], value.terms.get(zero, 0))
         parts = self.as_univariate(name)
         if not parts:
             return self
@@ -474,6 +471,31 @@ class Polynomial:
         for hi, lo in zip(degrees, degrees[1:]):
             acc = acc * value ** (hi - lo) + parts[lo]
         return acc * value ** degrees[-1] if degrees[-1] else acc
+
+    def _at_constant(self, i: int, v: Coeff) -> "Polynomial":
+        """Variable i set to the constant ``v = a/b``, in integers: with
+        ``d * self`` integral and e_max the largest exponent of the variable,
+        each term ``c * x_i**e`` adds ``c * a**e * b**(e_max - e)`` to its
+        monomial, and the sums are divided by ``d * b**e_max``, one division
+        per output term (``_over``)."""
+        d, terms = _cleared(self.terms)
+        a, b = v.numerator, v.denominator
+        exponents = {m[i] for m in terms} | {0}
+        top = max(exponents)
+        powers = {e: a ** e * b ** (top - e) for e in exponents}
+        out: dict = {}
+        for m, c in terms.items():
+            e = m[i]
+            if e:
+                if not a:
+                    continue
+                m = m[:i] + (0,) + m[i + 1:]
+            s = out.get(m, 0) + c * powers[e]
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _over(Polynomial._of(self.table, out), d * powers[0])
 
     def evaluate(self, assignment: Mapping[str, Coeff], modulus: Optional[int] = None):
         """Exact value at a rational point; with ``modulus`` (a prime) its
@@ -671,20 +693,53 @@ def _fields(n: int, width: int) -> struct.Struct:
     return struct.Struct(f"<{n}{_STRUCT_CODES[width]}")
 
 
+def _cleared(terms: dict) -> tuple:
+    """``(d, {m: d * c})``, d the least positive integer that makes every
+    coefficient an integer; ``(1, terms)`` itself when they all are."""
+    if Fraction not in set(map(type, terms.values())):
+        return 1, terms
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def _over(p: Polynomial, den: int) -> Polynomial:
+    """``p / den`` for p with integer coefficients and a nonzero integer
+    ``den``: an int where den divides the coefficient, else one Fraction."""
+    if den == 1:
+        return p
+    out = {}
+    for m, c in p.terms.items():
+        q, r = divmod(c, den)
+        out[m] = Fraction(c, den) if r else q
+    return Polynomial._of(p.table, out)
+
+
 def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
     """``sum(a * b for a, b in pairs)``, every operand over ``table``,
     accumulated in one term dict.  Each exponent tuple is packed into one int
     (``_fields``), the fields sized by the largest sum of a pair's largest
     exponents (``_width``), so no field carries into its neighbour and a
-    monomial product is one integer addition."""
-    pairs = [(a.terms, b.terms) if len(a.terms) >= len(b.terms) else (b.terms, a.terms)
+    monomial product is one integer addition.  The operands' denominators are
+    cleared (``_cleared``) and the products summed as integers over the least
+    common denominator of the pairs, which divides each output term once at
+    the end (``_over``)."""
+    pairs = [(a, b) if len(a.terms) >= len(b.terms) else (b, a)
              for a, b in pairs if a.terms and b.terms]
-    fields = _fields(len(table), _width(max([_top(a) + _top(b) for a, b in pairs], default=0)))
+    fields = _fields(len(table), _width(max([a._max_exponent() + b._max_exponent()
+                                             for a, b in pairs], default=0)))
+    cleared = []
+    for a, b in pairs:
+        da, ta = _cleared(a.terms)
+        db, tb = _cleared(b.terms)
+        cleared.append((da * db, ta, tb))
+    den = math.lcm(*[d for d, _, _ in cleared])
     pack, join = fields.pack, int.from_bytes
     out: dict = {}
     get = out.get
-    for a, b in pairs:
+    for d, a, b in cleared:
         pa = [(join(pack(*m), "little"), c) for m, c in a.items()]
+        if d != den:
+            pa = [(k, c * (den // d)) for k, c in pa]
         for mb, cb in b.items():
             kb = join(pack(*mb), "little")
             for ka, ca in pa:
@@ -695,8 +750,8 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple]) -> Polynomial:
                 else:
                     del out[k]
     unpack, size = fields.unpack, fields.size
-    return Polynomial._of(table, {unpack(k.to_bytes(size, "little")): _norm_coeff(c)
-                                  for k, c in out.items()})
+    return _over(Polynomial._of(table, {unpack(k.to_bytes(size, "little")): c
+                                        for k, c in out.items()}), den)
 
 
 # ---------------------------------------------------------------------------
@@ -723,34 +778,60 @@ def _divides(b: tuple, a: tuple) -> bool:
     return all(map(le, b, a))
 
 
-def _reduce(p: Polynomial, basis: list, order: MonomialOrder):
-    """Full division: p == remainder + sum(factors[i] * basis[i]), with no
-    remainder term divisible by any basis leading term.
+def _divide(p: Polynomial, basis: list, order: MonomialOrder) -> tuple:
+    """Fraction-free full division: ``(D, remainder, factors)`` with
+    ``D * p == remainder + sum(factors[i] * basis[i])``, D a positive integer,
+    the remainder and factors with integer coefficients, and no remainder
+    term divisible by any basis leading term.
 
     Terms are taken in descending order; each goes to the remainder or is
     cancelled by the first basis element whose leading monomial divides it.
-    Monomials are packed (``_packing``) in fields sized by the largest
-    exponent of the dividend and the divisors (cached on each divisor with
-    its packed terms, ``Polynomial._packed``); a product on the way that
-    reaches a guard bit restarts the division at double the width.
+    That is the rational division's choice for every term, so dividing the
+    remainder and factors by D gives its results (``_reduce``).  The dividend
+    and divisors are cleared of denominators (``_cleared``; a divisor's
+    multiplier is folded into its factor).  Monomials are packed
+    (``_packing``) in fields sized by the largest exponent of the dividend
+    and the divisors (cached on each divisor with its packed terms,
+    ``Polynomial._packed``); a product on the way that reaches a guard bit
+    restarts the division at double the width.
     """
-    width = _width(max([_top(p.terms), *(b._max_exponent() for b in basis)]))
+    den, terms = _cleared(p.terms)
+    numerator = Polynomial._of(p.table, terms) if den != 1 else p
+    width = _width(max([p._max_exponent(), *(b._max_exponent() for b in basis)]))
     while True:
-        done = _reduce_packed(p, [b._packed(order, width) for b in basis], order, width)
+        packs = [b._packed(order, width) for b in basis]
+        done = _reduce_packed(numerator, packs, order, width)
         if done is not None:
-            return done
+            break
         width = _width(1 << 8 * width - 1)  # the next width up, PolyError past 8
+    scale, remainder, factors = done
+    return scale * den, remainder, [f * d if d != 1 else f for f, (*_, d) in zip(factors, packs)]
+
+
+def _reduce(p: Polynomial, basis: list, order: MonomialOrder) -> tuple:
+    """Full division over the rationals: ``(remainder, factors)`` with
+    ``p == remainder + sum(factors[i] * basis[i])``, those of ``_divide``
+    divided by its D."""
+    scale, remainder, factors = _divide(p, basis, order)
+    return _over(remainder, scale), [_over(f, scale) for f in factors]
 
 
 def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int):
-    """``_reduce`` at ``width`` bytes per field, or None once a product
-    reaches a guard bit.  ``work`` maps the dividend's packed monomials to
-    their coefficients and ``queue`` holds them in ascending order, so its
-    last entry is the leading term; an entry whose term has since cancelled
-    is skipped when it comes up.  With ``guard`` the top bit of every field,
-    ``lm`` divides ``m`` exactly when ``((P(m) | guard) - P(lm)) & guard``
-    is ``guard``: a field whose exponent in ``lm`` is larger borrows its
-    guard bit, and no field borrows from its neighbour."""
+    """``_divide`` of p, whose coefficients are integers, by the divisors'
+    packed forms at ``width`` bytes per field: ``(D, remainder, factors)``,
+    or None once a product reaches a guard bit.
+
+    ``work`` maps the dividend's packed monomials to their coefficients
+    times the scale D so far, and ``queue`` holds them in ascending order, so
+    its last entry is the leading term; an entry whose term has since
+    cancelled is skipped when it comes up.  A term c that the divisor's
+    leading coefficient lc does not divide first scales D and the work by
+    ``|lc| / gcd(c, lc)``.  Each remainder and quotient term is recorded at
+    the scale of its time and brought to the final D at the end, by the
+    scales that came after it.  With ``guard`` the top bit of every field,
+    ``lm`` divides ``m`` exactly when ``((P(m) | guard) - P(lm)) & guard`` is
+    ``guard``: a field whose exponent in ``lm`` is larger borrows its guard
+    bit, and no field borrows from its neighbour."""
     n = len(p.table)
     weights = _packing(order, n, width)
     fields = _fields(n, width)
@@ -758,44 +839,63 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
     guard = int.from_bytes(fields.pack(*[1 << 8 * width - 1] * n), "little")
     work = {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
     queue = sorted(work)
-    remainder: dict = {}
-    factors: list = [{} for _ in packs]
+    plms = [pk[1] for pk in packs]
+    remainder: list = []  # (packed monomial, coefficient), as recorded
+    quotient: list = []  # (divisor index, packed monomial, coefficient), as recorded
+    rescales: list = []  # (up, len(quotient), len(remainder)) as the work is scaled by up
     while queue:
         k = queue.pop()
         c = work.pop(k, 0)
         if not c:
             continue
         kg = (k & mask) | guard
-        for hit, (klm, plm, lc, tail) in enumerate(packs):
+        for hit, plm in enumerate(plms):
             if (kg - plm) & guard == guard:
                 break
         else:
-            remainder[k] = c
+            remainder.append((k, c))
             continue
+        klm, _, lc, tail, _ = packs[hit]
+        qc, r = divmod(c, lc)
+        if r:
+            g = math.gcd(c, lc)
+            up = abs(lc) // g
+            rescales.append((up, len(quotient), len(remainder)))
+            work = {key: v * up for key, v in work.items()}
+            qc = c // g if lc > 0 else -c // g
         q = k - klm
-        qc = _norm_coeff(Fraction(c) / lc)
-        factors[hit][q] = qc
+        quotient.append((hit, q, qc))
         for bk, bc in tail:
             mk = bk + q
             old = work.get(mk)
             if old is None:
                 if mk & guard:
                     return None  # restart at a wider field
-                work[mk] = _norm_coeff(-qc * bc)
+                work[mk] = -qc * bc
                 insort(queue, mk)
             else:
                 s = old - qc * bc
                 if s:
-                    work[mk] = _norm_coeff(s)
+                    work[mk] = s
                 else:
                     del work[mk]
+    rem: dict = {}
+    factors: list = [{} for _ in packs]
+    scale, hi_q, hi_r = 1, len(quotient), len(remainder)
+    for up, lo_q, lo_r in reversed([(1, 0, 0)] + rescales):
+        for hit, q, c in quotient[lo_q:hi_q]:
+            factors[hit][q] = c * scale
+        for k, c in remainder[lo_r:hi_r]:
+            rem[k] = c * scale
+        scale *= up
+        hi_q, hi_r = lo_q, lo_r
     table, unpack, size = p.table, fields.unpack, fields.size
 
     def unpacked(terms: dict) -> Polynomial:
         return Polynomial._of(table, {unpack((k & mask).to_bytes(size, "little")): c
                                       for k, c in terms.items()})
 
-    return unpacked(remainder), [unpacked(f) for f in factors]
+    return scale, unpacked(rem), [unpacked(f) for f in factors]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Ideal-theoretic engine: Groebner bases with cofactor tracking, normal forms,
 membership certificates and variable elimination.
 
-Buchberger with both standard criteria.  Each S-pair is keyed once, when it
-is created, by the order key of its lcm and pushed on a heap; the pair with the
-smallest lcm (ties broken by index) is processed first.  Division is
-``exactpoly._reduce``, on packed monomials.  The provenance of a new basis
-element, a combination of generators, is built only once its remainder is
-known to be nonzero, one ``exactpoly.sum_of_products`` per generator id.
+Buchberger with both standard criteria, in integers.  Each S-pair is keyed
+once, when it is created, by the order key of its lcm and pushed on a heap;
+the pair with the smallest lcm (ties broken by index) is processed first.
+Basis elements are primitive integer polynomials, an S-polynomial is
+``lc_j/g * m_i*p_i - lc_i/g * m_j*p_j`` with g the gcd of the leading
+coefficients, and division is the fraction-free ``exactpoly._divide``, on
+packed monomials; a remainder's content is divided out in integers.  The
+provenance of a new basis element, a combination of generators, is built only
+once its remainder is known to be nonzero, one ``exactpoly.sum_of_products``
+per generator id, as integer cofactors over one positive denominator, cut by
+their gcd; it becomes the rational ``GroebnerBasis.reps`` once, at the end.
 After minimalization one pass of tail inter-reduction gives the reduced
-basis (Becker & Weispfenning, *Groebner Bases*, 1993, 5.6).  For
+basis (Becker & Weispfenning, *Groebner Bases*, 1993, 5.6).  ``normal_form``
+gives the rational remainder and cofactors (``exactpoly._reduce``).  For
 weighted-homogeneous generator sets an optional degree bound truncates the
 pair queue (a valid d-Groebner basis, sufficient to decide membership of
 targets up to that weighted degree).  ``membership`` sets that bound itself,
@@ -35,10 +41,10 @@ certificates always refer back to the caller's generators.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactpoly import (
@@ -46,7 +52,9 @@ from .exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
+    _divide,
     _divides,
+    _over,
     _reduce,
     block_order,
     grevlex_order,
@@ -195,9 +203,6 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.polys)
 
-    def contains_one(self) -> bool:
-        return any(not p.is_zero() and p.total_degree() == 0 for p in self.polys)
-
     def printed(self) -> List[str]:
         return [p.to_text(self.order) for p in self.polys]
 
@@ -225,18 +230,23 @@ def _mono_lcm(a: tuple, b: tuple) -> tuple:
 
 
 def _wdeg(table: VarTable, mono: tuple) -> int:
-    return sum(e * w for e, w in zip(mono, table.weights))
+    return sum(map(mul, mono, table.weights))
 
 
 def _spoly(pi: Polynomial, pj: Polynomial, lcm: tuple, order: MonomialOrder):
-    """``(fi, fj, s)`` with ``s = fi*pi - fj*pj`` the S-polynomial of pi and pj:
-    fi and fj are the monomials taking each leading term to ``lcm`` with
-    coefficient 1."""
+    """``(fi, fj, s)`` with ``s = fi*pi - fj*pj`` an S-polynomial of pi and
+    pj: fi and fj are the monomials taking each leading term to ``lcm``, with
+    coefficients ``lc_j/g`` and ``lc_i/g`` for g the gcd of integer leading
+    coefficients (1 for rational ones), so s is integral when pi and pj
+    are."""
     lmi, lci = pi.leading_term(order)
     lmj, lcj = pj.leading_term(order)
-    fi = Polynomial(pi.table, {tuple(map(sub, lcm, lmi)): Fraction(1) / Fraction(lci)})
-    fj = Polynomial(pj.table, {tuple(map(sub, lcm, lmj)): Fraction(1) / Fraction(lcj)})
-    return fi, fj, fi * pi - fj * pj
+    if type(lci) is type(lcj) is int:
+        g = math.gcd(lci, lcj)
+        lci, lcj = lci // g, lcj // g
+    fi = Polynomial(pi.table, {tuple(map(sub, lcm, lmi)): lcj})
+    fj = Polynomial(pj.table, {tuple(map(sub, lcm, lmj)): lci})
+    return fi, fj, sum_of_products(pi.table, [(fi, pi), (-fj, pj)])
 
 
 def _rep_check(p: Polynomial, rep: Dict[str, Polynomial], gens: GeneratorSet) -> None:
@@ -254,6 +264,13 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     smallest indices) is taken next.  ``pairs`` holds the pairs still waiting,
     for the chain criterion.
 
+    The work is in integers.  Each element is primitive with a positive
+    leading coefficient, S-polynomials are integral (``_spoly``), division is
+    fraction-free (``_divide``), and each element's provenance is integer
+    cofactors over one positive denominator, ``(den, {rid: cofactor})`` with
+    ``den * element == sum(cofactor * generator)``, cut by their gcd.  The
+    provenance becomes rational once, at the end.
+
     ``degree_bound`` (weighted degree): honored only when every generator is
     weighted-homogeneous; pairs above the bound are discarded, yielding a
     truncated basis valid for membership up to the bound.
@@ -266,26 +283,35 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         degree_bound = None
 
     basis: List[Polynomial] = []
-    reps: List[Dict[str, Polynomial]] = []
+    reps: List[tuple] = []  # (den, {rid: cofactor}) of each basis element
     lts: List[tuple] = []  # leading monomial of each basis element
 
-    def normalized(red: Polynomial, sources: list, fac: List[Polynomial], freps: list):
-        """``red`` made primitive with a positive leading coefficient, and its
-        provenance, where ``red == sum(f * q) - sum(fac[h] * q_h)`` over each
-        ``(f, provenance of q)`` in ``sources`` and ``freps[h]`` is the
-        provenance of q_h.  The scale goes into the factors, so that each
-        cofactor is one ``sum_of_products``."""
-        scale = Fraction(1) / red.content()
-        if red.leading_term(order)[1] < 0:
-            scale = -scale
-        terms = [(f * scale, rep) for f, rep in sources]
-        terms += [(f * -scale, rep) for f, rep in zip(fac, freps) if f]
-        return red * scale, _provenance(table, terms)
+    def normalized(red: Polynomial, scale: int, sources: list, fac: List[Polynomial],
+                   freps: list):
+        """``red`` divided by its content, with a positive leading
+        coefficient, and its provenance, where ``scale * sum(f * q) == red +
+        sum(fac[h] * q_h)`` over each ``(f, provenance of q)`` in ``sources``
+        and ``freps[h]`` is the provenance of q_h.  Over the lcm of the
+        denominators involved, each cofactor is one ``sum_of_products``, the
+        integer scales folded into the factors."""
+        content = math.gcd(*red.terms.values())
+        sign = -1 if red.leading_term(order)[1] < 0 else 1
+        used = [(f, rep) for f, rep in zip(fac, freps) if f]
+        common = math.lcm(*[den for _, (den, _) in sources], *[den for _, (den, _) in used])
+        terms = [(f * (sign * scale * (common // den)), cofs) for f, (den, cofs) in sources]
+        terms += [(f * (-sign * (common // den)), cofs) for f, (den, cofs) in used]
+        cofs = _provenance(table, terms)
+        den = content * common
+        cut = math.gcd(den, *[c for cof in cofs.values() for c in cof.terms.values()])
+        if cut != 1:
+            den //= cut
+            cofs = {rid: _over(cof, cut) for rid, cof in cofs.items()}
+        return _over(red, sign * content), (den, cofs)
 
     pairs = set()
     queue: List[tuple] = []
 
-    def push(p: Polynomial, rep: Dict[str, Polynomial]) -> None:
+    def push(p: Polynomial, rep: tuple) -> None:
         lm = p.leading_term(order)[0]
         new = len(basis)
         for k, lk in enumerate(lts):
@@ -299,9 +325,9 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
 
     one = Polynomial.const(table, 1)
     for r in gens:
-        red, fac = _reduce(r.poly, basis, order)
+        scale, red, fac = _divide(r.poly, basis, order)
         if red:
-            push(*normalized(red, [(one, {r.rid: one})], fac, reps))
+            push(*normalized(red, scale, [(one, (1, {r.rid: one}))], fac, reps))
 
     processed = 0
     while queue:
@@ -328,9 +354,9 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         fi, fj, s = _spoly(basis[i], basis[j], lcm, order)
         if s.is_zero():
             continue
-        red, fac = _reduce(s, basis, order)
+        scale, red, fac = _divide(s, basis, order)
         if red:
-            push(*normalized(red, [(fi, reps[i]), (-fj, reps[j])], fac, reps))
+            push(*normalized(red, scale, [(fi, reps[i]), (-fj, reps[j])], fac, reps))
 
     # minimalize: drop elements whose leading term another's divides
     drop = set()
@@ -349,16 +375,19 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
     # element is reduced depends only on this fixed set of leading monomials:
     # an element once reduced stays reduced when a later one changes.
     for i in range(len(basis)):
-        red, fac = _reduce(basis[i], basis[:i] + basis[i + 1:], order)
+        scale, red, fac = _divide(basis[i], basis[:i] + basis[i + 1:], order)
         if red != basis[i]:
-            basis[i], reps[i] = normalized(red, [(one, reps[i])], fac, reps[:i] + reps[i + 1:])
+            basis[i], reps[i] = normalized(red, scale, [(one, reps[i])], fac,
+                                           reps[:i] + reps[i + 1:])
 
     idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
     basis = [basis[i] for i in idx]
     reps = [reps[i] for i in idx]
-    for p, rep in zip(basis, reps):
-        _rep_check(p, rep, gens)
-    return GroebnerBasis(gens, order, basis, reps, degree_bound)
+    for p, (den, cofs) in zip(basis, reps):
+        _rep_check(p * den, cofs, gens)
+    return GroebnerBasis(gens, order, basis,
+                         [{rid: _over(cof, den) for rid, cof in cofs.items()}
+                          for den, cofs in reps], degree_bound)
 
 
 # The largest basis a cache keeps, counted in terms of its elements and their
@@ -495,8 +524,7 @@ def verify_spolys(gb: GroebnerBasis) -> bool:
             if lcm == tuple(map(add, lts[i], lts[j])):
                 continue
             _, _, s = _spoly(gb.polys[i], gb.polys[j], lcm, order)
-            rem, _ = _reduce(s, gb.polys, order)
-            if not rem.is_zero():
+            if _divide(s, gb.polys, order)[1]:
                 return False
     return True
 
@@ -507,6 +535,6 @@ def _spans_generators(gb: GroebnerBasis) -> bool:
     for r in gb.gens:
         if gb.degree_bound is not None and r.poly.weighted_degree() > gb.degree_bound:
             continue
-        if not _reduce(r.poly, gb.polys, gb.order)[0].is_zero():
+        if _divide(r.poly, gb.polys, gb.order)[1]:
             return False
     return True

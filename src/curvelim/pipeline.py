@@ -286,11 +286,10 @@ class StageRunner:
                     pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
             ident = Certificate(image, pairs)
             rec.fresh_minted = sorted(fresh)
+            self._certify(rec, ident)
             if image.is_zero():
-                rec.certificate_digest = ident.digest()
                 rec.details["image"] = "0"
                 return None
-            self._certify(rec, ident)
             self.add(sid, image)
             return image
 

@@ -2,10 +2,11 @@
 product and sum of products against a schoolbook product, clean results from
 every kernel, the one-pass constant substitution, the division identity,
 packed division against a tuple-loop division and the field widths it packs
-at, exact division, the Groebner property of a reduced basis, independence of
-generator order, and the per-order leading-term cache."""
+at, the fraction-free division's integer identity and its rational results
+against a schoolbook division, exact division, the Groebner property of a
+reduced basis, independence of generator order, and the per-order
+leading-term cache."""
 
-import heapq
 from fractions import Fraction
 from functools import reduce
 
@@ -18,7 +19,10 @@ from curvelim.exactpoly import (
     DomainError, PolyError, Polynomial, VarTable, block_order, grevlex_order, lex_order,
     sum_of_products,
 )
-from curvelim.ideal import GeneratorSet, Relation, _divides, _reduce, groebner, verify_spolys
+from curvelim.ideal import (
+    GeneratorSet, Relation, _divide, _divides, _reduce, groebner, verify_spolys,
+)
+from tests_division import division_reference
 
 VT = VarTable(["x", "y", "z"])
 ORDERS = [grevlex_order(), lex_order(), block_order(VT, ["x"])]
@@ -188,50 +192,6 @@ def test_sum_of_products_matches_schoolbook(pairs, top, j, s):
     assert sum_of_products(VT, pairs + [(-a, b)]) == expected - _schoolbook(a, b)
 
 
-class _Descending:
-    """A monomial's order key, compared backwards so that a heap pops the
-    largest monomial first."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-
-def _division_reference(p, basis, order):
-    """Full division on exponent tuples: the largest term left goes to the
-    first basis element whose leading monomial divides it, else to the
-    remainder."""
-    lts = [b.leading_term(order) for b in basis]
-    work, rem, quo = dict(p.terms), {}, [{} for _ in basis]
-    # every monomial in ``work`` is on the heap; one popped after it cancelled
-    # (or a second copy, pushed when it came back) is skipped
-    heap = [(_Descending(order.key(m)), m) for m in work]
-    heapq.heapify(heap)
-    while heap:
-        m = heapq.heappop(heap)[1]
-        if m not in work:
-            continue
-        c = work.pop(m)
-        for h, (lm, lc) in enumerate(lts):
-            if all(x >= y for x, y in zip(m, lm)):
-                q = tuple(x - y for x, y in zip(m, lm))
-                quo[h][q] = Fraction(c) / lc
-                for bm, bc in basis[h].terms.items():
-                    if bm != lm:
-                        mm = tuple(x + y for x, y in zip(bm, q))
-                        if mm not in work:
-                            heapq.heappush(heap, (_Descending(order.key(mm)), mm))
-                        work[mm] = work.get(mm, 0) - quo[h][q] * bc
-                        if not work[mm]:
-                            del work[mm]
-                break
-        else:
-            rem[m] = c
-    return Polynomial(VT, rem), [Polynomial(VT, f) for f in quo]
-
-
 @SETTINGS
 @given(_poly(4, 6), _basis_size(1, 3), st.sampled_from([126, 127, 128]),
        st.integers(0, len(VT) - 1), st.lists(st.integers(112, 126), min_size=3, max_size=3))
@@ -248,9 +208,31 @@ def test_packed_division_matches_tuple_division(p, basis, top, j, lifts):
     basis = [_shift(b, j, min(s, top - _top(b))) for b, s in zip(basis, lifts)]
     for order in ORDERS:
         rem, quo = _reduce(p, basis, order)
-        expected_rem, expected_quo = _division_reference(p, basis, order)
+        expected_rem, expected_quo = division_reference(p, basis, order)
         assert rem == expected_rem
         assert quo == expected_quo
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_rational_poly(4, 6).filter(bool),
+       st.lists(_rational_poly(2, 3).filter(bool), min_size=1, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.sampled_from(ORDERS),
+       st.sampled_from([None, 126, 127, 128]), st.integers(0, len(VT) - 1),
+       st.lists(st.integers(112, 126), min_size=3, max_size=3))
+def test_integer_division_matches_rational_schoolbook(p, basis, negative, order, top, j, lifts):
+    # rational dividend and divisors, each divisor's leading coefficient of
+    # the drawn sign; with ``top`` lifted as in the packed-division test, so
+    # that products pass a guard bit and restart the division wider
+    basis = [b if (b.leading_term(order)[1] < 0) == neg else -b
+             for b, neg in zip(basis, negative)]
+    if top is not None:
+        p = _shift(p, j, top - _top(p))
+        basis = [_shift(b, j, min(s, top - _top(b))) for b, s in zip(basis, lifts)]
+    scale, rem, factors = _divide(p, basis, order)
+    assert type(scale) is int and scale > 0
+    assert all(type(c) is int for f in [rem, *factors] for c in f.terms.values())
+    assert p * scale == rem + sum_of_products(VT, list(zip(factors, basis)))
+    assert _reduce(p, basis, order) == division_reference(p, basis, order)
 
 
 def test_division_field_widths(monkeypatch):
@@ -276,13 +258,15 @@ def test_division_field_widths(monkeypatch):
              (x * y, [x - y ** 200], lex, [2]),
              (x ** 2, [x - y ** 127], lex, [1, 2]),
              (x ** 3, [x - y ** 127], lex, [1, 2]),
+             (x ** 2 * Fraction(1, 2), [y ** 127 * Fraction(1, 5) - x * Fraction(2, 3)], lex,
+              [1, 2]),
              (x * y ** 40000, [x - z], lex, [4]),
              (x ** 2, [x - y ** 32767], lex, [2, 4]),
              (x * y ** 2 ** 31, [x - z], lex, [8]),
              (x ** 2, [x - y ** (2 ** 31 - 1)], lex, [4, 8])]
     for p, basis, order, expected in cases:
         widths.clear()
-        assert _reduce(p, basis, order) == _division_reference(p, basis, order)
+        assert _reduce(p, basis, order) == division_reference(p, basis, order)
         assert widths == expected
     top = 2 ** 63 - 1
     x_top, y_top = (Polynomial(VT, {e: 1}) for e in [(top, 0, 0), (0, top, 0)])

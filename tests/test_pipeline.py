@@ -4,6 +4,7 @@ format."""
 import ast
 import copy
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,7 +147,7 @@ class TestBasisReuse:
 
     def test_theorem33_builds_each_basis_once(self, theorem33_bases):
         # the eq_3_55 consistency check and the eq_3_55 claim share one basis
-        keys = [key for key, _, _, _ in theorem33_bases]
+        keys = [key for key, *_ in theorem33_bases]
         assert len(set(keys)) == len(keys)
         assert len(keys) == 13
 
@@ -158,44 +159,68 @@ def _is_reduced(gb) -> bool:
                    for j, lm in enumerate(lms) if j != i)
 
 
+# every arithmetic operator of ``Fraction``
+_FRACTION_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                 "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__pos__",
+                 "__neg__", "__abs__"]
+
+
 @pytest.fixture(scope="module")
 def theorem33_bases():
     """Each ``groebner`` call of a theorem33 replay: its key, its generator
-    ids, whether the basis it returned is reduced, and the number of
-    ``_reduce`` calls made while it ran."""
+    ids, whether the basis it returned is reduced, the number of ``_divide``
+    calls made while it ran, and the number of ``Fraction`` operations."""
     calls = []
-    reduces = [0]
-    real_groebner, real_reduce = ideal.groebner, ideal._reduce
+    divides = [0]
+    fraction_ops = [0]
+    real_groebner, real_divide = ideal.groebner, ideal._divide
 
     def counting(*args):
-        reduces[0] += 1
-        return real_reduce(*args)
+        divides[0] += 1
+        return real_divide(*args)
+
+    def counted(real):
+        def op(*args):
+            fraction_ops[0] += 1
+            return real(*args)
+        return op
 
     def recording(gens, order=None, limits=Limits(), degree_bound=None):
-        before = reduces[0]
+        before = divides[0], fraction_ops[0]
         gb = real_groebner(gens, order, limits, degree_bound)
         key = (tuple(r.poly for r in gens), order, degree_bound,
                limits.max_basis, limits.max_pairs)
-        calls.append((key, gens.ids(), _is_reduced(gb), reduces[0] - before))
+        calls.append((key, gens.ids(), _is_reduced(gb), divides[0] - before[0],
+                      fraction_ops[0] - before[1]))
         return gb
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideal, "groebner", recording)
-        mp.setattr(ideal, "_reduce", counting)
+        mp.setattr(ideal, "_divide", counting)
+        for name in _FRACTION_OPS:
+            mp.setattr(Fraction, name, counted(getattr(Fraction, name)))
         assert run_builtin("theorem33", Config()).verdict() == "documented-discrepancy"
     return calls
 
 
 class TestGroebnerWork:
     def test_every_basis_is_reduced(self, theorem33_bases):
-        assert all(reduced for _, _, reduced, _ in theorem33_bases)
+        assert all(reduced for _, _, reduced, *_ in theorem33_bases)
 
     def test_eq_3_60_basis_reduces_each_element_once(self, theorem33_bases):
         # one division per generator (11) and per S-pair left by the
         # criteria (32), then one pass of inter-reduction over the 26
         # elements; a pass restarted after every change would make more
-        (count,) = [n for _, ids, _, n in theorem33_bases if "t60" in ids]
+        (count,) = [n for _, ids, _, n, _ in theorem33_bases if "t60" in ids]
         assert count == 69
+
+    def test_eq_3_60_basis_runs_in_integers(self, theorem33_bases):
+        # fraction-free division, integral S-polynomials and integer
+        # provenance: no Fraction operation while the basis is built; the
+        # provenance is made rational at the end by Fraction's constructor
+        (ops,) = [n for _, ids, _, _, n in theorem33_bases if "t60" in ids]
+        assert ops == 0
 
 
 class TestStageIndependence:
@@ -621,6 +646,16 @@ class TestCertificatesOnRecords:
         text = (Path(__file__).resolve().parent.parent / "docs" / "example.ds").read_text()
         rep = run_script(parse_script(text), Config(trials=2)).report()
         assert rep["oracle"]["checked"] == _digested(rep) > 0
+
+    def test_a_zero_image_keeps_its_certificate(self):
+        # D1 maps K_def to zero; the chain-rule identity behind the zero
+        # image is a certificate like any other, so the sweep checks it
+        text = "SYMBOLS paper\nSTAGE zero\nSTEP K_def assume K_def\nSTEP d derive D1 K_def\n"
+        rep = run_script(parse_script(text), Config(trials=2)).report()
+        (step,) = [s for s in rep["stages"][0]["steps"] if s["id"] == "d"]
+        assert step["details"]["image"] == "0"
+        assert step["details"]["spot_check"]["verdict"] == "pass"
+        assert rep["oracle"]["checked"] == _digested(rep) == 1
 
     def _repeated(self, cfg):
         table = VarTable(["x", "y"])
