@@ -45,6 +45,12 @@ exponent past 2**63 - 1 raises PolyError:
   _at_constant      a variable set to a rational constant a/b, in integers
                     over ``b**max_e``, one division per output term
 
+Resultants run on coefficient lists in the eliminated variable: ``pseudo_rem``
+is Knuth's pseudo-division (Algorithm R), and ``resultant`` the subresultant
+pseudo-remainder sequence of Collins (JACM 1967) and Brown & Traub (JACM
+1971), one pseudo-division and one exact division per step, which gives the
+Sylvester determinant, sign included.
+
 Text syntax (parser and printer): ASCII identifiers, integer literals, the
 operators + - * ^ and parentheses.  Implicit multiplication is not accepted.
 The printer emits terms in descending order under the active monomial order,
@@ -86,8 +92,8 @@ class VarTable:
     """Fixed ordered list of variable names.
 
     The order is part of the algebra's identity: monomial orders, printers and
-    the Sylvester construction all reference variable indices.  Tables are
-    immutable.
+    the coefficient lists of a resultant all reference variable indices.
+    Tables are immutable.
     """
 
     __slots__ = ("names", "index", "weights")
@@ -550,26 +556,21 @@ class Polynomial:
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients;
         0 for the zero polynomial.  Sign is carried by the primitive part."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num = math.gcd(num, abs(f.numerator))
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return Fraction(num, den)
+        den, terms = _cleared(self.terms)
+        return Fraction(math.gcd(*terms.values()), den)
 
     def primitive(self) -> "Polynomial":
         """Content-free version of self with positive leading coefficient under
-        grevlex; the zero polynomial is returned unchanged."""
+        grevlex; the zero polynomial is returned unchanged.  In integers: the
+        coefficients cleared of denominators (``_cleared``), divided exactly
+        by their gcd, signed like the leading coefficient."""
         if not self.terms:
             return self
-        p = self * (1 / self.content())
-        _, lc = p.leading_term(_GREVLEX)
-        if lc < 0:
-            p = -p
-        return p
+        _, terms = _cleared(self.terms)
+        g = math.gcd(*terms.values())
+        if self.leading_term(_GREVLEX)[1] < 0:
+            g = -g
+        return Polynomial._of(self.table, {m: c // g for m, c in terms.items()})
 
     # -- division --------------------------------------------------------------
 
@@ -587,34 +588,48 @@ class Polynomial:
     def pseudo_rem(self, divisor: "Polynomial", name: str) -> tuple:
         """Pseudo remainder in the main variable ``name``.
 
-        Returns (mult, quo, rem) with  mult * self == quo * divisor + rem  and
-        deg_name(rem) < deg_name(divisor); mult is a power of divisor's leading
-        coefficient (a polynomial in the remaining variables).
+        Returns (mult, quo, rem) with  mult * self == quo * divisor + rem,
+        deg_name(rem) < deg_name(divisor) and mult == lc**(m - n + 1), lc the
+        divisor's leading coefficient in ``name`` (a polynomial in the
+        remaining variables) and m, n the degrees of self and divisor; mult
+        is 1 and rem is self when m < n.
+
+        Knuth's Algorithm R (TAOCP vol. 2, 4.6.1) on the coefficient lists in
+        ``name``: step k = m-n, ..., 0 takes the quotient's coefficient from
+        the current top coefficient t, then sets a_j = lc*a_j - t*b_(j-k) for
+        the n coefficients below it.  The coefficients below those owe a
+        factor lc per step, paid with one power of lc when a step reaches
+        them.
         """
+        self._check(divisor)
         n = divisor.degree_in(name)
         if n < 0:
             raise DomainError("pseudo-division by zero")
-        lc_d = divisor.coeff_in(name, n)
-        x = Polynomial.var(self.table, name)
-        rem = self
-        quo = Polynomial.zero(self.table)
-        mult = Polynomial.const(self.table, 1)
-        while rem.degree_in(name) >= n and not rem.is_zero():
-            m = rem.degree_in(name)
-            lc_r = rem.coeff_in(name, m)
-            rem = lc_d * rem - lc_r * divisor * x ** (m - n)
-            quo = lc_d * quo + lc_r * x ** (m - n)
-            mult = mult * lc_d
-        return mult, quo, rem
-
-    # -- gcd ---------------------------------------------------------------------
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Polynomial gcd via a primitive subresultant-style remainder sequence,
-        recursing on coefficient contents.  Result is primitive with positive
-        leading coefficient (grevlex)."""
-        self._check(other)
-        return _poly_gcd(self, other).primitive()
+        table = self.table
+        m = self.degree_in(name)
+        if m < n:
+            return Polynomial.const(table, 1), Polynomial.zero(table), self
+        zero = Polynomial.zero(table)
+        parts = self.as_univariate(name)
+        a = [parts.get(j, zero) for j in range(m + 1)]
+        parts = divisor.as_univariate(name)
+        b = [parts.get(j, zero) for j in range(n)]
+        powers = [Polynomial.const(table, 1), parts[n]]  # lc**e
+        for _ in range(m - n):
+            powers.append(powers[-1] * parts[n])
+        owed = [0] * (m + 1)  # factors lc that a_j has not been multiplied by
+        quo = [zero] * (m - n + 1)
+        for k in range(m - n, -1, -1):
+            top = a[n + k] * powers[owed[n + k]] if owed[n + k] else a[n + k]
+            quo[k] = top * powers[k] if k else top
+            for j in range(k, n + k):
+                a[j] = sum_of_products(table, ((powers[owed[j] + 1], a[j]), (-top, b[j - k])))
+                owed[j] = 0
+            for j in range(k):
+                owed[j] += 1
+        i = table.index[name]
+        return (powers[m - n + 1], _from_univariate(table, i, quo),
+                _from_univariate(table, i, a[:n]))
 
     # -- printing / parsing --------------------------------------------------------
 
@@ -899,128 +914,60 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
 
 
 # ---------------------------------------------------------------------------
-# gcd
-# ---------------------------------------------------------------------------
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    shared = sorted(a.variables() | b.variables(), key=lambda n: a.table.index[n])
-    main = None
-    for v in shared:
-        if a.degree_in(v) > 0 or b.degree_in(v) > 0:
-            main = v
-            break
-    if main is None:
-        # both constants
-        ca, cb = a.content(), b.content()
-        g = Fraction(math.gcd(ca.numerator * cb.denominator, cb.numerator * ca.denominator),
-                     ca.denominator * cb.denominator)
-        return Polynomial.const(a.table, g)
-    f, g = a, b
-    if f.degree_in(main) < g.degree_in(main):
-        f, g = g, f
-
-    def cont(p: Polynomial) -> Polynomial:
-        coeffs = list(p.as_univariate(main).values())
-        acc = coeffs[0]
-        for c in coeffs[1:]:
-            acc = _poly_gcd(acc, c)
-            if acc.total_degree() == 0 and not acc.is_zero():
-                break
-        return acc
-
-    cf, cg = cont(f), cont(g)
-    f = f.exact_divide(cf)
-    g = g.exact_divide(cg)
-    ccontent = _poly_gcd(cf, cg)
-    while True:
-        if g.degree_in(main) < 0 or g.is_zero():
-            break
-        _, _, r = f.pseudo_rem(g, main)
-        if r.is_zero():
-            f = g
-            g = Polynomial.zero(a.table)
-            break
-        r = r.exact_divide(cont(r)) if r.degree_in(main) >= 0 else r
-        if r.degree_in(main) <= 0:
-            # nontrivial remainder free of the main variable: gcd has degree 0 in main
-            f = Polynomial.const(a.table, 1)
-            g = Polynomial.zero(a.table)
-            break
-        f, g = g, r
-    return f.primitive() * ccontent
-
-
-# ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
 
-def sylvester_matrix(p: Polynomial, q: Polynomial, name: str) -> list:
-    """Sylvester matrix of p, q in the variable ``name``.
-
-    Row convention: deg(q) rows of p's coefficients above deg(p) rows of q's,
-    coefficients listed from the leading power down.
-    """
-    m = p.degree_in(name)
-    n = q.degree_in(name)
-    if m <= 0 or n <= 0:
-        raise DomainError("resultant requires positive degree in the chosen variable")
-    pc = p.as_univariate(name)
-    qc = q.as_univariate(name)
-    size = m + n
-    zero = Polynomial.zero(p.table)
-    rows = []
-    for shift in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[shift + k] = pc.get(m - k, zero)
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[shift + k] = qc.get(n - k, zero)
-        rows.append(row)
-    return rows
-
-
-def _bareiss_det(rows: list, table: VarTable) -> Polynomial:
-    """Fraction-free Bareiss determinant of a square matrix of polynomials."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = Polynomial.const(table, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = None
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                return Polynomial.zero(table)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_divide(prev)
-            a[i][k] = Polynomial.zero(table)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+def _from_univariate(table: VarTable, i: int, coeffs: list) -> Polynomial:
+    """``sum(coeffs[e] * x_i**e)`` for coefficients free of variable i, the
+    inverse of ``Polynomial.as_univariate``."""
+    out = {}
+    for e, c in enumerate(coeffs):
+        for m, v in c.terms.items():
+            out[m[:i] + (e,) + m[i + 1:]] = v
+    return Polynomial._of(table, out)
 
 
 def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
-    """Determinant of the Sylvester matrix of p and q with respect to ``name``
-    (fraction-free elimination; exactly the determinant, sign included)."""
+    """Determinant of the Sylvester matrix of p and q with respect to
+    ``name``, sign included, by the subresultant pseudo-remainder sequence
+    (Collins, JACM 1967; Brown & Traub, JACM 1971; Cohen, GTM 138, Alg.
+    3.3.7, without content removal).
+
+    With A the operand of larger degree: each step sets R = prem(A, B),
+    A <- B and B <- R / (g * h**delta), delta the degree drop, then g <- lc(A)
+    and h <- g**delta / h**(delta - 1); the divisions are exact.  The sign
+    flips when the two degrees of a step, or of the initial swap, are both
+    odd.  A zero remainder gives 0; at B free of ``name`` the resultant is
+    ``sign * B**deg(A) / h**(deg(A) - 1)``."""
     if p.table != q.table:
         raise PolyError("operands live over different variable tables")
     if name not in p.table:
         raise PolyError(f"unknown variable {name!r}")
-    return _bareiss_det(sylvester_matrix(p, q, name), p.table)
+    m, n = p.degree_in(name), q.degree_in(name)
+    if m <= 0 or n <= 0:
+        raise DomainError("resultant requires positive degree in the chosen variable")
+    sign = -1 if m & n & 1 and m < n else 1
+    a, b = (p, q) if m >= n else (q, p)
+    m, n = max(m, n), min(m, n)
+    one = Polynomial.const(p.table, 1)
+    g = h = one
+    while n > 0:
+        if m & n & 1:
+            sign = -sign
+        delta = m - n
+        _, _, r = a.pseudo_rem(b, name)
+        if r.is_zero():
+            return r
+        divisor = g * h ** delta
+        a, b = b, r if divisor == one else r.exact_divide(divisor)
+        m, n = n, b.degree_in(name)
+        g = a.coeff_in(name, m)
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = (g ** delta).exact_divide(h ** (delta - 1))
+    res = b ** m if m == 1 else (b ** m).exact_divide(h ** (m - 1))
+    return res if sign == 1 else -res
 
 
 # ---------------------------------------------------------------------------

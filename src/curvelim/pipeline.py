@@ -973,7 +973,12 @@ def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
 
 def endgame_eliminate(p: Polynomial, q: Polynomial) -> Tuple[Polynomial, dict]:
     """Resultant of p and q with respect to K, content-normalized, plus a trace:
-    the inputs' K-degrees and term counts and the resultant's term count."""
+    the inputs' K-degrees and term counts and the resultant's term count.
+
+    ``resultant`` runs the subresultant chain (Collins 1967, Brown & Traub
+    1971).  The trace's ``mode`` stays ``"sylvester-resultant"`` because the
+    value is that determinant, sign included, and the canonical report must
+    not change."""
     if p.degree_in("K") <= 0 or q.degree_in("K") <= 0:
         raise DomainError("endgame elimination needs positive degree in K")
     res = resultant(p, q, "K")

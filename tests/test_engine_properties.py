@@ -4,25 +4,28 @@ every kernel, the one-pass constant substitution, the division identity,
 packed division against a tuple-loop division and the field widths it packs
 at, the fraction-free division's integer identity and its rational results
 against a schoolbook division, exact division, the Groebner property of a
-reduced basis, independence of generator order, and the per-order
-leading-term cache."""
+reduced basis, independence of generator order, the per-order leading-term
+cache, the subresultant chain against the Sylvester determinant with the
+pseudo-remainder's contract, and the primitive part in integers."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvelim.exactpoly as exactpoly
 from curvelim.exactpoly import (
     DomainError, PolyError, Polynomial, VarTable, block_order, grevlex_order, lex_order,
-    sum_of_products,
+    parse_polynomial, resultant, sum_of_products,
 )
 from curvelim.ideal import (
     GeneratorSet, Relation, _divide, _divides, _reduce, groebner, verify_spolys,
 )
 from tests_division import division_reference
+from tests_resultant import sylvester_resultant
 
 VT = VarTable(["x", "y", "z"])
 ORDERS = [grevlex_order(), lex_order(), block_order(VT, ["x"])]
@@ -277,3 +280,71 @@ def test_division_field_widths(monkeypatch):
         _reduce(Polynomial(VT, {(top + 1, 0, 0): 1}), [y], grevlex)
     with pytest.raises(PolyError):  # a product past it
         x_top * x
+
+
+_COEFF = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def _operand(draw, lo, hi, stride=1):
+    """A polynomial in x**stride of degree lo..hi over VT, with int and
+    Fraction coefficients; its coefficients in x polynomials in y, z, the
+    leading and the constant one nonzero, so x is no common factor."""
+    deg = draw(st.integers(lo, hi))
+    mono = st.tuples(st.integers(0, deg).map(lambda e: e * stride), st.integers(0, 2),
+                     st.integers(0, 1))
+    terms = draw(st.dictionaries(mono, _COEFF, max_size=3))
+    for e in (deg * stride, 0):
+        terms[(e, draw(st.integers(0, 1)), draw(st.integers(0, 1)))] = draw(_COEFF)
+    return Polynomial(VT, terms)
+
+
+@st.composite
+def _resultant_operands(draw):
+    """Two operands in x, times a planted common factor or not, or two in
+    x**2, every degree step of whose chain is a gap of at least 2, down to
+    a remainder free of x."""
+    if draw(st.booleans()):
+        return draw(_operand(2, 3, 2)), draw(_operand(1, 2, 2))
+    a, b = draw(_operand(1, 5)), draw(_operand(1, 3))
+    common = draw(st.one_of(st.none(), _operand(1, 2)))
+    return (a, b) if common is None else (a * common, b * common)
+
+
+def _vt(text):
+    return parse_polynomial(text, VT)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_resultant_operands())
+@example((_vt("x*y + 1"), _vt("2*x - z")))
+@example((_vt("x - y"), _vt("3*x^3*y + x*z - 1")))
+@example((_vt("(x - y)*(2*x + 1)"), _vt("(x - y)*z")))
+def test_resultant_is_the_sylvester_determinant(operands):
+    for p, q in (operands, operands[::-1]):
+        assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
+        m, n = p.degree_in("x"), q.degree_in("x")
+        mult, quo, rem = p.pseudo_rem(q, "x")
+        assert mult * p == quo * q + rem
+        assert rem.degree_in("x") < n
+        assert mult == q.coeff_in("x", n) ** max(m - n + 1, 0)
+
+
+@SETTINGS
+@given(_rational_poly(3, 5))
+def test_primitive_part_in_integers(p):
+    # the content from each coefficient's numerator and denominator, and the
+    # primitive part as p over it, signed by the grevlex leading coefficient
+    num = den = 0
+    for c in p.terms.values():
+        num = math.gcd(num, Fraction(c).numerator)
+        den = math.lcm(den or 1, Fraction(c).denominator)
+    content = Fraction(num, den or 1)
+    assert p.content() == content
+    prim = p.primitive()
+    if not p:
+        assert prim == p
+        return
+    assert all(type(c) is int for c in prim.terms.values())
+    assert prim.leading_term(grevlex_order())[1] > 0
+    assert prim in (p * (1 / content), -p * (1 / content))

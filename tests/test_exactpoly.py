@@ -19,9 +19,9 @@ from curvelim.exactpoly import (
     lex_order,
     parse_polynomial,
     resultant,
-    sylvester_matrix,
 )
 from curvelim.frame import load_paper_symbols
+from tests_resultant import poly_gcd, sylvester_matrix
 
 VT = VarTable(["x", "y", "z", "H", "K", "c", "lam1", "lam2"])
 
@@ -156,16 +156,16 @@ class TestContentGcd:
         assert p.primitive() == poly("2*x + 3")
 
     def test_two_argument_gcd(self):
-        assert poly("x^2 - 1").gcd(poly("x - 1")) == poly("x - 1")
+        assert poly_gcd(poly("x^2 - 1"), poly("x - 1")) == poly("x - 1")
 
     def test_gcd_with_zero(self):
         p = poly("4*x + 6")
-        assert p.gcd(Polynomial.zero(VT)) == poly("2*x + 3")
+        assert poly_gcd(p, Polynomial.zero(VT)) == poly("2*x + 3")
 
     def test_multivariate_gcd(self):
         a = poly("(x + y)*(x - 2*y)")
         b = poly("(x + y)*(x + 3*y)")
-        assert a.gcd(b) == poly("x + y")
+        assert poly_gcd(a, b) == poly("x + y")
 
 
 class TestResultant:
@@ -179,7 +179,8 @@ class TestResultant:
         assert resultant(poly("x^2 + 1"), poly("x + 1"), "x") == poly("2")
 
     def test_row_convention(self):
-        # deg(q) rows of p's coefficients above deg(p) rows of q's
+        # the reference's matrix: deg(q) rows of p's coefficients above deg(p)
+        # rows of q's
         rows = sylvester_matrix(poly("K - H"), poly("K + H"), "K")
         assert rows[0][0] == poly("1") and rows[0][1] == poly("-H")
         assert rows[1][0] == poly("1") and rows[1][1] == poly("H")
@@ -280,6 +281,21 @@ def test_trusted_constructor_stays_in_exactpoly():
                     and node.func.attr == "__new__"
                     and any(isinstance(a, ast.Name) and a.id == "Polynomial" for a in node.args)):
                 offenders.append(f"{path.name}:{node.lineno}: __new__(Polynomial)")
+    assert offenders == []
+
+
+def test_reference_algorithms_stay_in_tests():
+    # the Sylvester matrix, the Bareiss determinant and the polynomial gcd are
+    # references the tests compare the subresultant chain against; the
+    # package keeps one resultant path
+    import curvelim.exactpoly as exactpoly
+    package = Path(exactpoly.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and any(word in node.name.lower() for word in ("sylvester", "bareiss", "gcd"))):
+                offenders.append(f"{path.name}:{node.lineno}: {node.name}")
     assert offenders == []
 
 

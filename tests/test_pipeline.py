@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import curvelim.exactpoly as exactpoly
 import curvelim.frame as frame
 import curvelim.ideal as ideal
 import curvelim.oracle as oracle
@@ -221,6 +222,24 @@ class TestGroebnerWork:
         # provenance is made rational at the end by Fraction's constructor
         (ops,) = [n for _, ids, _, _, n in theorem33_bases if "t60" in ids]
         assert ops == 0
+
+
+class TestEndgameWork:
+    def test_eliminate_k_runs_three_steps_and_two_divisions(self, theorem33_run, monkeypatch):
+        # K-degrees 3 and 4: the subresultant chain makes one pseudo-remainder
+        # per degree step and divides the second and third by g*h**delta; the
+        # Sylvester determinant by Bareiss made 91 exact divisions
+        derived = theorem33_run.stages[0].derived
+        calls = {"exact_divide": 0, "pseudo_rem": 0}
+        for name in calls:
+            real = getattr(exactpoly.Polynomial, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(exactpoly.Polynomial, name, counting)
+        endgame_eliminate(derived["eq_3_62_derived"], derived["eq_3_65_derived"])
+        assert calls == {"exact_divide": 2, "pseudo_rem": 3}
 
 
 class TestStageIndependence:
