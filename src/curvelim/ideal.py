@@ -1,47 +1,62 @@
 """Ideal-theoretic engine: Groebner bases with cofactor tracking, normal forms,
 membership certificates and variable elimination.
 
-Buchberger with both standard criteria, in integers.  Each S-pair is keyed
-once, when it is created, by the order key of its lcm and pushed on a heap;
-the pair with the smallest lcm (ties broken by index) is processed first.
-Basis elements are primitive integer polynomials, an S-polynomial is
-``lc_j/g * m_i*p_i - lc_i/g * m_j*p_j`` with g the gcd of the leading
-coefficients, and division is the fraction-free ``exactpoly._divide``, on
-packed monomials; a remainder's content is divided out in integers.  The
-provenance of a new basis element, a combination of generators, is built only
-once its remainder is known to be nonzero, one ``exactpoly.sum_of_products``
-per generator id, as integer cofactors over one positive denominator, cut by
-their gcd; it becomes the rational ``GroebnerBasis.reps`` once, at the end.
-After minimalization one pass of tail inter-reduction gives the reduced
-basis (Becker & Weispfenning, *Groebner Bases*, 1993, 5.6).  ``normal_form``
-gives the rational remainder and cofactors (``exactpoly._reduce``).  For
-weighted-homogeneous generator sets an optional degree bound truncates the
-pair queue (a valid d-Groebner basis, sufficient to decide membership of
-targets up to that weighted degree).  ``membership`` sets that bound itself,
-at the weight of a weighted-homogeneous target; no caller chooses it.
+Buchberger with both standard criteria, in integers, as one resumable run
+(``_Buchberger``) per generator polynomials, order and ceilings.  Each S-pair
+is keyed by the order key of its lcm when it joins a heap; the pair with the
+smallest lcm (ties broken by index) is processed first.  Basis elements are
+primitive integer polynomials, an S-polynomial is ``lc_j/g * m_i*p_i -
+lc_i/g * m_j*p_j`` with g the gcd of the leading coefficients, and division
+is the fraction-free ``exactpoly._divide``, on packed monomials; a
+remainder's content is divided out in integers.  The provenance of a new
+basis element, a combination of generators, is built only once its
+remainder is known to be nonzero, one ``exactpoly.sum_of_products`` per
+generator, as integer cofactors over one positive denominator, cut by their
+gcd.  For weighted-homogeneous generator sets the run is truncated at a
+weighted degree: pairs above it wait, and join the heap when a query raises
+the bound.  Run out at a bound, the elements are a d-Groebner basis,
+sufficient to decide membership of targets up to that weighted degree.
 
-A "not a member" answer is given only after the basis it rests on has been
-checked to be a Groebner basis of the generators.
+``groebner`` finishes a run: it runs it out at its bound, then minimalizes
+it and inter-reduces the tails in one pass, which gives the reduced basis
+(Becker & Weispfenning, *Groebner Bases*, 1993, 5.6), and its provenance
+becomes the rational ``GroebnerBasis.reps``.  ``normal_form`` gives the
+rational remainder and cofactors (``exactpoly._reduce``).
 
-``membership`` and ``eliminate`` take an optional ``cache`` dict, which a
-caller keeps for the life of one stage: a basis (of at most ``_CACHED_TERMS``
-terms) already built for the same generator polynomials, whatever their ids,
-order, degree bound and ceilings is served from it, with its provenance
-renamed to the caller's generator ids.
+``membership`` needs no finished basis: a certificate only needs the
+target's remainder to reach zero over some elements of the ideal.  It
+divides the target by the run's elements so far and advances the run one
+element at a time, and stops as soon as the remainder is zero; the
+certificate comes from that partial basis.  It truncates the run at the
+weight of a weighted-homogeneous target, m**k * p at power k; no caller
+chooses the bound.  Completeness is needed only to refute: when no pair of
+lcm weight up to the target's is left, the target is not a member at that
+power, and a "not a member" answer is given only after the run, finished at
+each weight tried, has been checked to be a Groebner basis of the
+generators.
+
+``membership``, ``groebner`` and ``eliminate`` take an optional ``cache``
+dict, which a caller keeps for the life of one stage: a run over the same
+generator polynomials, whatever their ids, order and ceilings is continued
+from it by any later query, at any bound, with its provenance given the
+caller's generator ids.  A run that hit a ceiling leaves the cache, and so
+does one of more than ``_CACHED_TERMS`` terms after its query.
 
 Every returned Certificate's identity
 
     multiplier**power * target  ==  sum(cofactor_i * generator_i)
 
 is re-checked exactly on construction (its right-hand side one
-``sum_of_products``), so a Certificate object in hand is proof.  Cofactors are tracked through basis construction and normal form, so
-certificates always refer back to the caller's generators.
+``sum_of_products``), so a Certificate object in hand is proof.  Cofactors
+are tracked through basis construction and division, so certificates always
+refer back to the caller's generators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, mul, sub
@@ -187,6 +202,15 @@ class Certificate:
 NOT_MEMBER = "not-member"
 
 
+def multiplier_of(saturations: Sequence[SaturationRecord]) -> Optional[Polynomial]:
+    """The product of the saturation multipliers, in their order; None for
+    none."""
+    mult = None
+    for s in saturations:
+        mult = s.multiplier if mult is None else mult * s.multiplier
+    return mult
+
+
 class GroebnerBasis:
     """Reduced (possibly degree-truncated) Groebner basis with provenance:
     ``reps[i]`` expresses ``polys[i]`` as a combination of the generators."""
@@ -209,19 +233,19 @@ class GroebnerBasis:
 
 # -- representation helpers ---------------------------------------------------
 
-def _provenance(table: VarTable, terms: Iterable[tuple]) -> Dict[str, Polynomial]:
+def _provenance(table: VarTable, terms: Iterable[tuple]) -> Dict[int, Polynomial]:
     """The provenance of ``sum(f * q)`` over ``(f, provenance of q)`` in
-    ``terms``: one ``sum_of_products`` per generator id, zero cofactors
-    dropped."""
-    by_id: Dict[str, list] = {}
+    ``terms``: one ``sum_of_products`` per generator position, zero
+    cofactors dropped."""
+    by_gen: Dict[int, list] = {}
     for f, rep in terms:
-        for rid, cof in rep.items():
-            by_id.setdefault(rid, []).append((f, cof))
-    out: Dict[str, Polynomial] = {}
-    for rid, pairs in by_id.items():
+        for k, cof in rep.items():
+            by_gen.setdefault(k, []).append((f, cof))
+    out: Dict[int, Polynomial] = {}
+    for k, pairs in by_gen.items():
         cof = sum_of_products(table, pairs)
         if cof:
-            out[rid] = cof
+            out[k] = cof
     return out
 
 
@@ -249,44 +273,57 @@ def _spoly(pi: Polynomial, pj: Polynomial, lcm: tuple, order: MonomialOrder):
     return fi, fj, sum_of_products(pi.table, [(fi, pi), (-fj, pj)])
 
 
-def _rep_check(p: Polynomial, rep: Dict[str, Polynomial], gens: GeneratorSet) -> None:
-    if sum_of_products(p.table, [(cof, gens.get(rid).poly) for rid, cof in rep.items()]) != p:
+def _rep_check(p: Polynomial, rep: Dict[int, Polynomial], gens: Sequence[Polynomial]) -> None:
+    if sum_of_products(p.table, [(cof, gens[k]) for k, cof in rep.items()]) != p:
         raise PolyError("internal error: generator provenance lost")
 
 
-def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
-             limits: Limits = Limits(), degree_bound: Optional[int] = None) -> GroebnerBasis:
-    """Reduced Groebner basis (Buchberger, both criteria), deterministic for
-    fixed input and order.
-
-    Pairs wait on a heap keyed by ``(order.key(lcm), i, j)``, computed once
-    when the pair is created, so the pair with the smallest lcm (then the
-    smallest indices) is taken next.  ``pairs`` holds the pairs still waiting,
-    for the chain criterion.
+class _Buchberger:
+    """A resumable Buchberger run (both criteria) over fixed generator
+    polynomials, order and ceilings, deterministic for fixed input.
 
     The work is in integers.  Each element is primitive with a positive
     leading coefficient, S-polynomials are integral (``_spoly``), division is
     fraction-free (``_divide``), and each element's provenance is integer
-    cofactors over one positive denominator, ``(den, {rid: cofactor})`` with
-    ``den * element == sum(cofactor * generator)``, cut by their gcd.  The
-    provenance becomes rational once, at the end.
+    cofactors over one positive denominator, ``(den, {k: cofactor})`` with
+    ``den * element == sum(cofactor * gens[k])`` over generator positions k,
+    cut by their gcd.
 
-    ``degree_bound`` (weighted degree): honored only when every generator is
-    weighted-homogeneous; pairs above the bound are discarded, yielding a
-    truncated basis valid for membership up to the bound.
+    Pairs wait on a heap keyed by ``(order.key(lcm), i, j)``, computed when
+    the pair joins it, so the pair with the smallest lcm (then the smallest
+    indices) is taken next; ``pairs`` holds every pair still waiting, for the
+    chain criterion.  When every generator is weighted-homogeneous the run is
+    truncated at ``bound``, a weighted degree: a pair whose lcm weighs more
+    waits in ``deferred`` and joins the heap when ``raise_bound`` lifts the
+    bound to its weight.  Once the heap is empty the elements are a Groebner
+    basis up to the bound: every polynomial of the ideal of weight at most
+    the bound reduces to zero over them.  Any other run is unbounded
+    (``bound`` None).  ``Limits`` bounds the elements and the pairs processed
+    over the life of the run.
     """
-    if len(gens) == 0:
-        raise PolyError("empty generator set")
-    order = order or grevlex_order()
-    table = gens.table
-    if degree_bound is not None and not all(r.poly.is_weighted_homogeneous() for r in gens):
-        degree_bound = None
 
-    basis: List[Polynomial] = []
-    reps: List[tuple] = []  # (den, {rid: cofactor}) of each basis element
-    lts: List[tuple] = []  # leading monomial of each basis element
+    def __init__(self, gens: Sequence[Polynomial], order: MonomialOrder, limits: Limits):
+        self.gens = gens
+        self.table = gens[0].table
+        self.order = order
+        self.limits = limits
+        self.bound = -1 if all(p.is_weighted_homogeneous() for p in gens) else None
+        self.basis: List[Polynomial] = []
+        self.reps: List[tuple] = []  # (den, {generator position: cofactor}) of each element
+        self.lts: List[tuple] = []  # leading monomial of each element
+        self.pairs = set()
+        self.queue: List[tuple] = []
+        self.deferred: List[tuple] = []  # (weight, lcm, i, j) above the bound
+        self.processed = 0
+        self.terms = 0  # terms of the elements and their provenance
+        self.checked = set()  # elements whose provenance passed ``_rep_check``
+        one = Polynomial.const(self.table, 1)
+        for k, p in enumerate(gens):
+            scale, red, fac = _divide(p, self.basis, order)
+            if red:
+                self.push(*self.normalized(red, scale, [(one, (1, {k: one}))], fac, self.reps))
 
-    def normalized(red: Polynomial, scale: int, sources: list, fac: List[Polynomial],
+    def normalized(self, red: Polynomial, scale: int, sources: list, fac: List[Polynomial],
                    freps: list):
         """``red`` divided by its content, with a positive leading
         coefficient, and its provenance, where ``scale * sum(f * q) == red +
@@ -295,130 +332,220 @@ def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
         denominators involved, each cofactor is one ``sum_of_products``, the
         integer scales folded into the factors."""
         content = math.gcd(*red.terms.values())
-        sign = -1 if red.leading_term(order)[1] < 0 else 1
+        sign = -1 if red.leading_term(self.order)[1] < 0 else 1
         used = [(f, rep) for f, rep in zip(fac, freps) if f]
         common = math.lcm(*[den for _, (den, _) in sources], *[den for _, (den, _) in used])
         terms = [(f * (sign * scale * (common // den)), cofs) for f, (den, cofs) in sources]
         terms += [(f * (-sign * (common // den)), cofs) for f, (den, cofs) in used]
-        cofs = _provenance(table, terms)
+        cofs = _provenance(self.table, terms)
         den = content * common
         cut = math.gcd(den, *[c for cof in cofs.values() for c in cof.terms.values()])
         if cut != 1:
             den //= cut
-            cofs = {rid: _over(cof, cut) for rid, cof in cofs.items()}
+            cofs = {k: _over(cof, cut) for k, cof in cofs.items()}
         return _over(red, sign * content), (den, cofs)
 
-    pairs = set()
-    queue: List[tuple] = []
+    def push(self, p: Polynomial, rep: tuple) -> None:
+        lm = p.leading_term(self.order)[0]
+        new = len(self.basis)
+        for k, lk in enumerate(self.lts):
+            self.pairs.add((k, new))
+            self.enqueue(_mono_lcm(lk, lm), k, new)
+        self.basis.append(p)
+        self.reps.append(rep)
+        self.lts.append(lm)
+        self.terms += len(p.terms) + sum(len(cof.terms) for cof in rep[1].values())
+        if len(self.basis) > self.limits.max_basis:
+            raise ResourceExhausted("basis size", self.limits.max_basis)
 
-    def push(p: Polynomial, rep: tuple) -> None:
-        lm = p.leading_term(order)[0]
-        new = len(basis)
-        for k, lk in enumerate(lts):
-            pairs.add((k, new))
-            heappush(queue, (order.key(_mono_lcm(lk, lm)), k, new))
-        basis.append(p)
-        reps.append(rep)
-        lts.append(lm)
-        if len(basis) > limits.max_basis:
-            raise ResourceExhausted("basis size", limits.max_basis)
+    def enqueue(self, lcm: tuple, i: int, j: int) -> None:
+        """Put pair (i, j) on the heap, or in ``deferred`` above the bound."""
+        if self.bound is not None:
+            w = _wdeg(self.table, lcm)
+            if w > self.bound:
+                self.deferred.append((w, lcm, i, j))
+                return
+        heappush(self.queue, (self.order.key(lcm), i, j))
 
-    one = Polynomial.const(table, 1)
-    for r in gens:
-        scale, red, fac = _divide(r.poly, basis, order)
-        if red:
-            push(*normalized(red, scale, [(one, (1, {r.rid: one}))], fac, reps))
+    def raise_bound(self, bound: Optional[int]) -> None:
+        """Lift the truncation to ``bound`` (None: no truncation); a bound
+        below the current one, or any bound of an unbounded run, changes
+        nothing.  The deferred pairs it reaches join the heap."""
+        if self.bound is None or (bound is not None and bound <= self.bound):
+            return
+        self.bound = bound
+        waiting, self.deferred = self.deferred, []
+        for _, lcm, i, j in waiting:
+            self.enqueue(lcm, i, j)
 
-    processed = 0
-    while queue:
-        processed += 1
-        if processed > limits.max_pairs:
-            raise ResourceExhausted("pair count", limits.max_pairs)
-        _, i, j = heappop(queue)
-        pairs.discard((i, j))
-        lmi, lmj = lts[i], lts[j]
-        lcm = _mono_lcm(lmi, lmj)
-        if degree_bound is not None and _wdeg(table, lcm) > degree_bound:
-            continue
-        if lcm == tuple(map(add, lmi, lmj)):
-            continue  # coprime leading monomials: S-poly reduces to zero
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lts[k], lcm):
+    def advance(self) -> bool:
+        """Process pairs until one adds an element (True), or until none is
+        left on the heap (False)."""
+        lts = self.lts
+        while self.queue:
+            self.processed += 1
+            if self.processed > self.limits.max_pairs:
+                raise ResourceExhausted("pair count", self.limits.max_pairs)
+            _, i, j = heappop(self.queue)
+            self.pairs.discard((i, j))
+            lmi, lmj = lts[i], lts[j]
+            lcm = _mono_lcm(lmi, lmj)
+            if lcm == tuple(map(add, lmi, lmj)):
+                continue  # coprime leading monomials: S-poly reduces to zero
+            if any(k != i and k != j and _divides(lts[k], lcm)
+                   and (min(i, k), max(i, k)) not in self.pairs
+                   and (min(j, k), max(j, k)) not in self.pairs
+                   for k in range(len(lts))):
+                continue  # chain criterion
+            fi, fj, s = _spoly(self.basis[i], self.basis[j], lcm, self.order)
+            if s.is_zero():
                 continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                chain = True
-                break
-        if chain:
-            continue
-        fi, fj, s = _spoly(basis[i], basis[j], lcm, order)
-        if s.is_zero():
-            continue
-        scale, red, fac = _divide(s, basis, order)
-        if red:
-            push(*normalized(red, scale, [(fi, reps[i]), (-fj, reps[j])], fac, reps))
+            scale, red, fac = _divide(s, self.basis, self.order)
+            if red:
+                self.push(*self.normalized(red, scale, [(fi, self.reps[i]), (-fj, self.reps[j])],
+                                           fac, self.reps))
+                return True
+        return False
 
-    # minimalize: drop elements whose leading term another's divides
-    drop = set()
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i == j or j in drop:
-                continue
-            if _divides(lts[j], lts[i]):
-                drop.add(i)
-                break
-    basis = [b for i, b in enumerate(basis) if i not in drop]
-    reps = [r for i, r in enumerate(reps) if i not in drop]
+    def check(self, i: int) -> None:
+        """``_rep_check`` on element i, once."""
+        if i not in self.checked:
+            den, cofs = self.reps[i]
+            _rep_check(self.basis[i] * den, cofs, self.gens)
+            self.checked.add(i)
 
-    # inter-reduce the tails, in one pass.  Now no leading monomial divides
-    # another, and reducing a tail keeps its leading term, so whether an
-    # element is reduced depends only on this fixed set of leading monomials:
-    # an element once reduced stays reduced when a later one changes.
-    for i in range(len(basis)):
-        scale, red, fac = _divide(basis[i], basis[:i] + basis[i + 1:], order)
-        if red != basis[i]:
-            basis[i], reps[i] = normalized(red, scale, [(one, reps[i])], fac,
-                                           reps[:i] + reps[i + 1:])
+    def cofactors(self, target: Polynomial, bound: Optional[int]):
+        """``{k: c}`` with ``target == sum(c * gens[k])``, or None when the run
+        at ``bound`` has no pair left and the target's remainder is nonzero.
+        For weighted-homogeneous generators and a target of weight at most
+        ``bound``, None means the target is not in the ideal.
 
-    idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
-    basis = [basis[i] for i in idx]
-    reps = [reps[i] for i in idx]
-    for p, (den, cofs) in zip(basis, reps):
-        _rep_check(p * den, cofs, gens)
-    return GroebnerBasis(gens, order, basis,
-                         [{rid: _over(cof, den) for rid, cof in cofs.items()}
-                          for den, cofs in reps], degree_bound)
+        The target is divided by the elements so far, and while its remainder
+        is nonzero the run advances one element at a time; the remainder is
+        divided again only when the new leading monomial divides one of its
+        terms, and its quotients are added to the earlier ones."""
+        self.raise_bound(bound)
+        order = self.order
+        scale, rem, factors = _divide(target, self.basis, order)
+        while rem:
+            if not self.advance():
+                return None
+            lm = self.lts[-1]
+            if any(_divides(lm, m) for m in rem.terms):
+                more, rem, extra = _divide(rem, self.basis, order)
+                if more != 1:
+                    scale *= more
+                    factors = [f * more for f in factors]
+                factors += [Polynomial.zero(self.table)] * (len(extra) - len(factors))
+                factors = [f + g for f, g in zip(factors, extra)]
+        used = [(f, i) for i, f in enumerate(factors) if f]
+        for _, i in used:
+            self.check(i)
+        common = math.lcm(*[self.reps[i][0] for _, i in used])
+        cofs = _provenance(self.table, [(f * (common // self.reps[i][0]), self.reps[i][1])
+                                        for f, i in used])
+        return {k: _over(cof, scale * common) for k, cof in cofs.items()}
+
+    def groebner_basis(self, gens: GeneratorSet, degree_bound: Optional[int]) -> GroebnerBasis:
+        """The run out at ``degree_bound`` (at least its current bound), then
+        minimalized, tail inter-reduced and rep-checked, with its provenance
+        over the ids of ``gens``, whose polynomials are the run's.  A
+        truncated basis may hold elements above its bound (generators, or
+        elements of an earlier query at a larger bound)."""
+        self.raise_bound(degree_bound)
+        while self.advance():
+            pass
+        polys, reps = self.reduced_basis()
+        ids = gens.ids()
+        return GroebnerBasis(gens, self.order, polys,
+                             [{ids[k]: cof for k, cof in rep.items()} for rep in reps],
+                             None if self.bound is None else degree_bound)
+
+    def reduced_basis(self) -> tuple:
+        """The reduced basis of the elements and its rational provenance."""
+        order, lts = self.order, self.lts
+        # minimalize: drop elements whose leading term another's divides
+        drop = set()
+        for i in range(len(lts)):
+            for j in range(len(lts)):
+                if i == j or j in drop:
+                    continue
+                if _divides(lts[j], lts[i]):
+                    drop.add(i)
+                    break
+        index = [i for i in range(len(lts)) if i not in drop]
+        basis = [self.basis[i] for i in index]
+        reps = [self.reps[i] for i in index]
+
+        # inter-reduce the tails, in one pass.  Now no leading monomial divides
+        # another, and reducing a tail keeps its leading term, so whether an
+        # element is reduced depends only on this fixed set of leading monomials:
+        # an element once reduced stays reduced when a later one changes.
+        one = Polynomial.const(self.table, 1)
+        for i in range(len(basis)):
+            scale, red, fac = _divide(basis[i], basis[:i] + basis[i + 1:], order)
+            if red != basis[i]:
+                basis[i], reps[i] = self.normalized(red, scale, [(one, reps[i])], fac,
+                                                    reps[:i] + reps[i + 1:])
+                index[i] = None  # no longer an element of the run
+
+        idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
+        for i in idx:
+            if index[i] is None:
+                den, cofs = reps[i]
+                _rep_check(basis[i] * den, cofs, self.gens)
+            else:
+                self.check(index[i])
+        return ([basis[i] for i in idx],
+                [{k: _over(cof, den) for k, cof in cofs.items()}
+                 for den, cofs in (reps[i] for i in idx)])
 
 
-# The largest basis a cache keeps, counted in terms of its elements and their
-# provenance together.  Case branches re-claim small bases (the largest one the
-# replay reuses has 118 terms); a large basis kept to the end of a stage that
-# never asks for it again only raises the stage's peak memory.
+# The largest run a cache keeps after a query, counted in terms of its
+# elements and their provenance together.  Case branches re-claim small
+# ideals; a large run kept to the end of a stage that never asks for it again
+# only raises the stage's peak memory.
 _CACHED_TERMS = 1000
 
 
-def _basis(gens: GeneratorSet, order: MonomialOrder, limits: Limits,
-           degree_bound: Optional[int], cache: Optional[dict]) -> GroebnerBasis:
-    """``groebner(gens, order, limits, degree_bound)``, reused from ``cache``
-    when a basis of the same generator polynomials, in the same positions, was
-    built under the same order, degree bound and ceilings.  The ids are not
-    part of the key; a reused basis gets the caller's generator set, its
-    provenance renamed position by position.  Only a basis of at most
-    ``_CACHED_TERMS`` terms is kept."""
-    if cache is None:
-        return groebner(gens, order, limits, degree_bound)
-    key = (tuple(r.poly for r in gens), order, degree_bound, limits)
-    built = cache.get(key)
-    if built is None:
-        built = groebner(gens, order, limits, degree_bound)
-        terms = sum(len(p.terms) for p in built.polys)
-        terms += sum(len(cof.terms) for rep in built.reps for cof in rep.values())
-        if terms <= _CACHED_TERMS:
-            cache[key] = built
-        return built
-    rename = dict(zip(built.gens.ids(), gens.ids()))
-    reps = [{rename[rid]: cof for rid, cof in rep.items()} for rep in built.reps]
-    return GroebnerBasis(gens, built.order, built.polys, reps, built.degree_bound)
+@contextmanager
+def _run(gens: GeneratorSet, order: MonomialOrder, limits: Limits, cache: Optional[dict]):
+    """The Buchberger run over the polynomials of ``gens``, in their
+    positions, under ``order`` and ``limits``: the one in ``cache`` when it
+    holds one, else a new one, which joins the cache.  The ids are not part
+    of the key.  After the query a run of more than ``_CACHED_TERMS`` terms
+    leaves the cache, and so does a run that hit a ceiling."""
+    if len(gens) == 0:
+        raise PolyError("empty generator set")
+    key = (tuple(r.poly for r in gens), order, limits)
+    run = cache.get(key) if cache is not None else None
+    if run is None:
+        run = _Buchberger(key[0], order, limits)
+        if cache is not None:
+            cache[key] = run
+    try:
+        yield run
+    except ResourceExhausted:
+        if cache is not None:
+            cache.pop(key, None)
+        raise
+    if cache is not None and run.terms > _CACHED_TERMS:
+        cache.pop(key, None)
+
+
+def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
+             limits: Limits = Limits(), degree_bound: Optional[int] = None,
+             cache: Optional[dict] = None) -> GroebnerBasis:
+    """Reduced Groebner basis (Buchberger, both criteria), deterministic for
+    fixed input and order, with the provenance of each element over the ids of
+    ``gens``; from the run in ``cache`` when it holds one (see ``_run``).
+
+    ``degree_bound`` (weighted degree): honored only when every generator is
+    weighted-homogeneous; pairs above the bound are not processed, yielding a
+    truncated basis valid for membership up to the bound.
+    """
+    with _run(gens, order or grevlex_order(), limits, cache) as run:
+        return run.groebner_basis(gens, degree_bound)
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis):
@@ -438,51 +565,44 @@ def membership(
 ):
     """Certificate that m**k * p lies in the ideal of ``gens``, where m is the
     product of the declared saturation multipliers and k <= max_power is
-    minimal (iterative deepening); the string NOT_MEMBER otherwise.  Bases
-    come from ``cache`` when it holds them (see ``_basis``).
+    minimal (iterative deepening); the string NOT_MEMBER otherwise.  Every
+    power is tried on one Buchberger run, from ``cache`` when it holds one
+    (see ``_run``), which stops as soon as the target's remainder is zero.
 
-    NOT_MEMBER is returned only after every basis it rests on passes
-    ``verify_spolys`` and reduces every generator to zero; a basis that fails
-    raises ``PolyError``, so a lost S-pair never reads as a refutation.
-
-    When the target and the multiplier are weighted-homogeneous, each basis is
+    When the target and the multiplier are weighted-homogeneous, the run is
     truncated at the weight of the target actually being tried, m**k * p: for
-    weighted-homogeneous generators that decides membership, and ``groebner``
+    weighted-homogeneous generators that decides membership, and the run
     ignores the bound for any others.  The common case (power 0 or 1) stays
     cheap.
+
+    NOT_MEMBER is returned only after the run, finished at each weight tried
+    (``_Buchberger.groebner_basis``), passes ``verify_spolys`` and reduces
+    every generator to zero there; a basis that fails raises ``PolyError``,
+    so a lost S-pair never reads as a refutation.
     """
     if p.is_zero():
         return Certificate(p, {})
-    mult = None
-    if saturations:
-        mult = Polynomial.const(p.table, 1)
-        for s in saturations:
-            mult = mult * s.multiplier
+    mult = multiplier_of(saturations)
     bounded = p.is_weighted_homogeneous() and (mult is None or mult.is_weighted_homogeneous())
-    bases: dict = {}
-
-    def basis_for(target: Polynomial):
-        key = target.weighted_degree() if bounded else None
-        if key not in bases:
-            bases[key] = _basis(gens, grevlex_order(), limits, key, cache)
-        return bases[key]
-
-    target = p
-    for k in range(max_power + 1):
-        b = basis_for(target)
-        rem, factors = normal_form(target, b)
-        if rem.is_zero():
-            cofactors = _provenance(b.gens.table, zip(factors, b.reps))
-            return Certificate(p, {rid: (cof, gens.get(rid).poly)
-                                   for rid, cof in cofactors.items()},
-                               multiplier=mult, power=k)
-        if mult is None:
-            break
-        target = target * mult
-    for b in bases.values():
-        if not (verify_spolys(b) and _spans_generators(b)):
-            raise PolyError("internal error: a not-member answer rests on a basis that"
-                            " fails the Groebner check")
+    tried = []
+    with _run(gens, grevlex_order(), limits, cache) as run:
+        target = p
+        for k in range(max_power + 1):
+            bound = target.weighted_degree() if bounded else None
+            cofactors = run.cofactors(target, bound)
+            if cofactors is not None:
+                ids = gens.ids()
+                return Certificate(p, {ids[i]: (cof, run.gens[i]) for i, cof in cofactors.items()},
+                                   multiplier=mult, power=k)
+            tried.append(bound)
+            if mult is None:
+                break
+            target = target * mult
+        for bound in dict.fromkeys(tried):
+            b = run.groebner_basis(gens, bound)
+            if not (verify_spolys(b) and _spans_generators(b)):
+                raise PolyError("internal error: a not-member answer rests on a basis that"
+                                " fails the Groebner check")
     return NOT_MEMBER
 
 
@@ -490,13 +610,13 @@ def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
               limits: Limits = Limits(), degree_bound: Optional[int] = None,
               cache: Optional[dict] = None) -> GeneratorSet:
     """Generators of the elimination ideal (front variables removed), via a
-    block-order Groebner basis (from ``cache`` when it holds it); ids elim_1,
-    elim_2, ... in basis order."""
+    block-order Groebner basis (from ``cache`` when it holds its run); ids
+    elim_1, elim_2, ... in basis order."""
     for v in front_vars:
         if v not in gens.table:
             raise PolyError(f"unknown variable {v!r}")
     order = block_order(gens.table, front_vars)
-    gb = _basis(gens, order, limits, degree_bound, cache)
+    gb = groebner(gens, order, limits, degree_bound, cache)
     front_idx = [gens.table.index[v] for v in front_vars]
     out = GeneratorSet(gens.table)
     n = 0

@@ -19,7 +19,8 @@ Evaluation is columnar.  The check walks the trials in blocks of at most
 and evaluates each compiled operand over the whole block at once
 (``_columns``): it walks the sorted terms as a trie, keeping a stack of
 column products along the current factor prefix, so each trie node costs one
-column product; the power columns x_i^e mod p are built once per block.
+column product; the power columns x_i^e mod p are built once per block of a
+sweep, each as x_i^(e-1) * x_i, and shared by its checks (``_Powers``).
 
 Evaluation points come from seeded hashing: each variable's column of a block
 is one SHAKE-256 stream keyed by (seed, variable, block), read as 128-bit
@@ -183,19 +184,28 @@ def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> 
     return [(h * m + l) % prime for h, l in zip(hi, lo)]
 
 
-def sample_point(cfg: SpotCheckConfig, trial: int, variables: Sequence[str]) -> Dict[str, int]:
-    values = _point_values(cfg.seed, trial, variables, cfg.prime, _rejection_limit(cfg.prime))
-    return dict(zip(variables, values))
-
-
 # A polynomial prepared for one prime: (coefficient mod p, ((var_index, exponent), ...))
 # per term, with var_index the position in the polynomial's table, sorted by factors.
 Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
 
-# Residue columns of one block of points, keyed by (var_index, exponent): the
-# values of x_i^e mod p, one per point.  The caller supplies the exponent-1
-# columns; ``_columns`` adds the powers it needs.
-Powers = Dict[Tuple[int, int], List[int]]
+
+class _Powers(dict):
+    """Residue columns of one block of points, keyed by (var_index,
+    exponent): the values of x_i^e mod p, one per point.  The caller puts in
+    the exponent-1 columns; x_i^e is made on first use as x_i^(e-1) * x_i
+    and kept (by ``keep``)."""
+
+    def __init__(self, columns: Dict[Tuple[int, int], Sequence[int]], prime: int, keep=list):
+        super().__init__(columns)
+        self.prime, self.keep = prime, keep
+
+    def __missing__(self, f: Tuple[int, int]) -> Sequence[int]:
+        i, e = f
+        if e < 2:
+            raise KeyError(f)
+        p = self.prime
+        col = self[f] = self.keep([a * b % p for a, b in zip(self[i, e - 1], self[i, 1])])
+        return col
 
 
 def _compile(poly, prime: int) -> Compiled:
@@ -213,7 +223,7 @@ def _compile(poly, prime: int) -> Compiled:
     return out
 
 
-def _columns(compiled: Compiled, powers: Powers, n: int, prime: int) -> List[int]:
+def _columns(compiled: Compiled, powers: _Powers, n: int, prime: int) -> List[int]:
     """Values mod the prime at the ``n`` points whose columns ``powers``
     holds.  ``stack[k]`` is the column product of the first k factors of the
     term before (None for the empty product), kept for the factors a term
@@ -229,13 +239,7 @@ def _columns(compiled: Compiled, powers: Powers, n: int, prime: int) -> List[int
                 break
             k += 1
         del stack[k + 1:]
-        cols = []
-        for f in factors[len(stack) - 1:]:
-            col = powers.get(f)
-            if col is None:
-                i, e = f
-                col = powers[f] = [pow(v, e, prime) for v in powers[(i, 1)]]
-            cols.append(col)
+        cols = [powers[f] for f in factors[len(stack) - 1:]]
         top = stack[-1]
         if cols:
             for col in cols[:-1]:
@@ -282,8 +286,9 @@ class _Sweep:
     until its last use, and a compiled form until its last block is
     evaluated (in the check that first uses it, which walks the blocks in
     order).  Kept columns are machine words where the prime is below 2**64
-    (the default), a fifth of the memory of a list of ints; the power
-    columns x_i^e live only for one check, as in a check alone."""
+    (the default), a fifth of the memory of a list of ints.  The power
+    columns x_i^e of a block (``powers``) are kept the same way, for every
+    check of the sweep."""
 
     def __init__(self, cfg: SpotCheckConfig, certs):
         self.seed, self.prime, self.trials = cfg.seed, cfg.prime, cfg.trials
@@ -303,6 +308,8 @@ class _Sweep:
         # (key, block) -> [column, uses left]
         self.columns: Dict[tuple, list] = {}
         self.variables: Dict[Tuple[str, int], Sequence[int]] = {}
+        # (table names, block) -> the power columns of that block
+        self.power_columns: Dict[Tuple[Tuple[str, ...], int], _Powers] = {}
 
     def key(self, poly) -> Tuple[Tuple[str, ...], int, int]:
         """An operand's identity: its table's names, the hash of its terms,
@@ -328,7 +335,18 @@ class _Sweep:
                 self.seed, name, block, self.size(block), self.prime, self.limit))
         return col
 
-    def column(self, poly, block: int, powers: Powers) -> Sequence[int]:
+    def powers(self, names: Tuple[str, ...], positions: Sequence[int], block: int) -> _Powers:
+        """The power columns of a block over a table of ``names``, holding the
+        variable columns at ``positions``."""
+        powers = self.power_columns.get((names, block))
+        if powers is None:
+            powers = self.power_columns[names, block] = _Powers({}, self.prime, self.keep)
+        for i in positions:
+            if (i, 1) not in powers:
+                powers[i, 1] = self.variable(names[i], block)
+        return powers
+
+    def column(self, poly, block: int, powers: _Powers) -> Sequence[int]:
         key = self.key(poly)
         entry = self.columns.get((key, block))
         if entry is not None:
@@ -399,7 +417,7 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     confirmers = None
     for block in range(sweep.blocks):
         n = sweep.size(block)
-        powers = {(i, 1): list(sweep.variable(names[i], block)) for i in positions}
+        powers = sweep.powers(names, positions, block)
         lhs, rhs = _sides([sweep.column(q, block, powers) for q in operands], power, n, p)
         for k, (a, b) in enumerate(zip(lhs, rhs)):
             if a != b:
@@ -430,7 +448,7 @@ def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequen
     reported witness is never an artifact of the working modulus."""
     confirm = []
     for extra, compiled in confirmers:
-        point = {(i, 1): [v % extra] for i, v in zip(positions, values)}
+        point = _Powers({(i, 1): [v % extra] for i, v in zip(positions, values)}, extra)
         (a,), (b,) = _sides([_columns(c, point, 1, extra) for c in compiled], power, 1, extra)
         confirm.append({"prime": extra, "residue": (a - b) % extra})
     return {

@@ -66,8 +66,9 @@ from .ideal import (
     Relation,
     ResourceExhausted,
     SaturationRecord,
-    membership,
     eliminate,
+    membership,
+    multiplier_of,
 )
 from .frame import (
     ENGINE_VERSION,
@@ -184,10 +185,18 @@ Built = Union[Polynomial, Callable[[], Polynomial]]
 
 class StageRunner:
     """One stage's knowledge ideal -- the relations verified so far -- and its
-    step records.  Every step goes through ``step``.  ``bases`` holds the
-    Groebner bases its claims and eliminations built, so a later step over
-    the same generator polynomials reuses them (``ideal._basis``); it lives
-    as long as the stage."""
+    step records.  Every step goes through ``step``.
+
+    ``bases`` is the stage's cache of Buchberger runs (``ideal._run``), one
+    per generator polynomials, order and ceilings, whatever their ids: a
+    claim or elimination over the same polynomials continues the run an
+    earlier step left, at any degree bound, instead of starting over.  A run
+    larger than ``ideal._CACHED_TERMS`` terms leaves it after its step.
+    ``claimed`` keeps each certificate a claim produced, by target,
+    generator polynomials and multiplier, so that a claim whose data are the
+    image of an earlier claim's under a variable permutation carries its
+    certificate over (``claim``'s ``perm``).  Both live as long as the
+    stage."""
 
     def __init__(self, name: str, config: Config, table: VarTable,
                  sats: Sequence[SaturationRecord] = (),
@@ -200,6 +209,7 @@ class StageRunner:
         self.registry = EquationRegistry(symbols) if symbols else None
         self.rules = load_rule_tables(symbols) if symbols else {}
         self.bases: dict = {}
+        self.claimed: Dict[tuple, Tuple[List[str], Certificate]] = {}
 
     @classmethod
     def paper(cls, name: str, config: Config) -> "StageRunner":
@@ -296,11 +306,14 @@ class StageRunner:
     def claim(self, sid: str, target: Built, via: Sequence[str],
               sat_ids: Sequence[str] = (), citation: str = "", quote: str = "",
               note: str = "", add_as: Optional[str] = None, status: str = "verified",
-              minted: Optional[str] = None, **details) -> Optional[Certificate]:
+              minted: Optional[str] = None, perm: Optional[Dict[str, str]] = None,
+              **details) -> Optional[Certificate]:
         """Membership of a target in the knowledge ideal; adds it (as
         ``add_as``) on success, recorded with ``status``.  ``minted`` names a
         fresh symbol of the derivation, recorded as cancelled when the target
-        does not contain it."""
+        does not contain it.  In a replay permuted by ``perm``, a claim that
+        is the image of an earlier one (``carried``) takes its certificate
+        from it."""
         add_as = add_as or sid
         with self.step(sid, "assert_member", citation, quote, status, **details) as rec:
             target = target() if callable(target) else target
@@ -308,14 +321,19 @@ class StageRunner:
                 cancelled = minted not in target.variables()
                 rec.details["fresh_symbol_cancelled"] = cancelled
             self._require(via)
-            cert = membership(target, self.gens.subset(list(via)),
-                              saturations=[self.sats[s] for s in sat_ids],
-                              max_power=self.config.max_power, limits=self.config.limits,
-                              cache=self.bases)
+            gens = self.gens.subset(list(via))
+            sats = [self.sats[s] for s in sat_ids]
+            mult = multiplier_of(sats)
+            cert = self.carried(target, gens, mult, perm) if perm else None
+            if cert is None:
+                cert = membership(target, gens, saturations=sats,
+                                  max_power=self.config.max_power, limits=self.config.limits,
+                                  cache=self.bases)
             if cert == NOT_MEMBER:
                 rec.status = "not-member"
                 rec.details.update(via=list(via), saturations=list(sat_ids))
                 return None
+            self.claimed[target, tuple(r.poly for r in gens), mult] = (gens.ids(), cert)
             if add_as not in self.gens:
                 self.add(add_as, target)
             self._certify(rec, cert)
@@ -330,6 +348,36 @@ class StageRunner:
                 rec.details["fresh_symbols_in_target"] = minted
             return cert
 
+    def carried(self, target: Polynomial, gens: GeneratorSet, mult: Optional[Polynomial],
+                perm: Dict[str, str]) -> Optional[Certificate]:
+        """The certificate of an earlier claim carried over by ``perm``: one
+        whose target (up to sign), generator polynomials (position by
+        position) and multiplier (up to sign) ``perm`` takes to these.  A
+        variable permutation is a ring automorphism, so the permuted
+        cofactors, with the signs, certify this claim at the same power,
+        which stays minimal; the certificate is rebuilt, so its identity is
+        checked again.  None when no earlier claim matches; a negative answer
+        is never carried."""
+        back = {image: name for name, image in perm.items()}
+        polys = tuple(permute_polynomial(r.poly, back) for r in gens)
+        t = permute_polynomial(target, back)
+        m = permute_polynomial(mult, back) if mult is not None else None
+        for t_sign, m_sign in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            if m is None and m_sign < 0:
+                continue
+            found = self.claimed.get((t * t_sign, polys, m * m_sign if m is not None else None))
+            if found is not None:
+                break
+        else:
+            return None
+        ids, cert = found
+        sign = t_sign * m_sign ** cert.power
+        rename = dict(zip(ids, gens.ids()))
+        return Certificate(target, {rename[rid]: (permute_polynomial(cof, perm) * sign,
+                                                  gens.get(rename[rid]).poly)
+                                    for rid, cof in cert.pairs.items()},
+                           multiplier=mult, power=cert.power)
+
     def claim_registry(self, eid: str, via: Sequence[str], sat_ids: Sequence[str] = (),
                        note: str = "", sid: Optional[str] = None,
                        perm: Optional[Dict[str, str]] = None,
@@ -339,7 +387,8 @@ class StageRunner:
         inside the step, so an unparseable one makes a failure record."""
         citation, quote = self._cite(eid)
         return self.claim(sid or eid, lambda: self.printed(eid, perm), via, sat_ids,
-                          citation=citation, quote=quote, note=note, minted=minted)
+                          citation=citation, quote=quote, note=note, minted=minted,
+                          perm=perm)
 
     def match_printed(self, sid: str, derived: Optional[Built], eid: str,
                       perm: Optional[Dict[str, str]] = None, **details) -> str:
@@ -712,7 +761,7 @@ def run_lemma32(config: Config) -> StageResult:
                               citation="after eq (3.42)",
                               quote="Combining (3.30) with (3.42) gives e_1(H)=0, which"
                                     " contradicts to the first expression of (3.4)",
-                              add_as=f"{bid}_one", status="branch-closed")
+                              add_as=f"{bid}_one", status="branch-closed", perm=perm)
             if ccert is not None:
                 closures[name] = ccert
         if len(closures) == 2:

@@ -50,8 +50,10 @@ def test_install_then_uninstall_restores_every_attribute(tracer):
 
 
 def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
-    # membership and eliminate reach groebner through the basis cache; every
-    # basis actually built is still one ideal.groebner span
+    # membership and eliminate reach their Buchberger runs through the stage
+    # cache, and only a finished basis is an ideal.groebner span: one per
+    # elimination, none a repeat.  A claim's basis work is membership's own
+    # time, and the e3/e4 claims carried over from e2 make no membership call
     import curvelim.pipeline as pipeline
 
     runners = []
@@ -69,6 +71,9 @@ def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
     finally:
         t.uninstall()
     assert result.verdict() == "success"
-    spans = [row for row in t.rows if row[2] == "ideal.groebner"]
-    assert len(spans) == sum(len(r.bases) for r in runners) == 61
-    assert not any(repeat for _, _, _, _, _, _, _, (repeat, _) in spans)
+    spans = {name: [row for row in t.rows if row[2] == name]
+             for name in ("ideal.groebner", "ideal.eliminate", "ideal.membership")}
+    assert len(spans["ideal.groebner"]) == len(spans["ideal.eliminate"]) == 6
+    assert not any(repeat for _, _, _, _, _, _, _, (repeat, _) in spans["ideal.groebner"])
+    assert len(spans["ideal.membership"]) == 25
+    assert sum(len(r.bases) for r in runners) == 18

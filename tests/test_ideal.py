@@ -180,18 +180,17 @@ class TestMembership:
     def test_basis_of_a_smaller_ideal_raises(self, monkeypatch):
         # a basis missing an element still passes the S-polynomial check, so
         # the generators must also reduce to zero
-        real_groebner = ideal.groebner
+        real_basis = ideal._Buchberger.groebner_basis
 
-        def dropping(*args, **kwargs):
-            gb = real_groebner(*args, **kwargs)
-            gb.polys.pop()
-            gb.reps.pop()
-            return gb
+        def dropping(run, gens, degree_bound):
+            gb = real_basis(run, gens, degree_bound)
+            return ideal.GroebnerBasis(gb.gens, gb.order, gb.polys[:-1], gb.reps[:-1],
+                                       gb.degree_bound)
 
-        monkeypatch.setattr(ideal, "groebner", dropping)
+        monkeypatch.setattr(ideal._Buchberger, "groebner_basis", dropping)
         gs = gens(VT, g1=poly("x"), g2=poly("y"))
         with pytest.raises(PolyError, match="internal error"):
-            membership(poly("x"), gs)
+            membership(poly("z"), gs)
 
     def test_derivation_step_shape(self):
         # a derivative image certifies the printed relation with a unit cofactor
@@ -207,19 +206,19 @@ class TestMembership:
 
 
 class TestDerivedBound:
-    """``membership`` truncates each basis at the weight of the target it
-    tries, m**k * p, exactly when the target and the multiplier are
+    """``membership`` queries its Buchberger run at the weight of the target
+    it tries, m**k * p, exactly when the target and the multiplier are
     weighted-homogeneous."""
 
     def _bounds(self, monkeypatch):
         bounds = []
-        real = ideal.groebner
+        real = ideal._Buchberger.cofactors
 
-        def recording(gens, order=None, limits=Limits(), degree_bound=None):
-            bounds.append(degree_bound)
-            return real(gens, order, limits, degree_bound)
+        def recording(run, target, bound):
+            bounds.append(bound)
+            return real(run, target, bound)
 
-        monkeypatch.setattr(ideal, "groebner", recording)
+        monkeypatch.setattr(ideal._Buchberger, "cofactors", recording)
         return bounds
 
     def test_homogeneous_target_gets_its_weight_per_power(self, monkeypatch):
@@ -236,22 +235,23 @@ class TestDerivedBound:
         sat = SaturationRecord("m", poly(multiplier), "test")
         assert membership(poly(target), gens(VT, g=poly("x^2*y")),
                           saturations=[sat]) == NOT_MEMBER
-        assert bounds == [None]
+        assert bounds == [None] * 9  # powers 0 to max_power
 
 
 class TestBasisReuse:
-    """A cache dict shared by calls reuses a basis built for the same generator
-    polynomials, order, degree bound and ceilings, whatever the ids."""
+    """A cache dict shared by calls keeps one Buchberger run per generator
+    polynomials, order and ceilings, whatever the ids and degree bounds: a
+    later call continues it instead of starting a new one."""
 
     def _counting(self, monkeypatch):
         built = []
-        real = ideal.groebner
+        real = ideal._Buchberger.__init__
 
-        def counting(*args, **kwargs):
-            built.append(args[0].ids())
-            return real(*args, **kwargs)
+        def counting(run, polys, order, limits):
+            built.append((polys, order))
+            real(run, polys, order, limits)
 
-        monkeypatch.setattr(ideal, "groebner", counting)
+        monkeypatch.setattr(ideal._Buchberger, "__init__", counting)
         return built
 
     def test_hit_over_renamed_ids_matches_a_cold_call(self, monkeypatch):
@@ -263,7 +263,7 @@ class TestBasisReuse:
                            cache=cache)
         hit = membership(target, gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1")),
                          cache=cache)
-        assert built == [["g1", "g2"]]
+        assert len(built) == 1
         assert sorted(first.pairs) == ["g1", "g2"] and sorted(hit.pairs) == ["a", "b"]
         assert hit.digest() == cold.digest()
 
@@ -275,16 +275,16 @@ class TestBasisReuse:
         assert len(built) == 1
         assert [r.poly for r in out1] == [r.poly for r in out2]
 
-    def test_other_order_or_bound_is_a_miss(self, monkeypatch):
+    def test_other_order_is_a_miss_other_bound_a_hit(self, monkeypatch):
         built = self._counting(monkeypatch)
         cache = {}
         g = poly("x - t")
         eliminate(gens(VT, g=g), ["t"], cache=cache)
         eliminate(gens(VT, g=g), ["x"], cache=cache)
         membership(g, gens(VT, g=g), cache=cache)                 # bound 1
-        membership(poly("t*x - t^2"), gens(VT, g=g), cache=cache)  # bound 2
-        membership(poly("x^2 - t*x"), gens(VT, g=g), cache=cache)  # bound 2 again: a hit
-        assert len(built) == 4
+        membership(poly("t*x - t^2"), gens(VT, g=g), cache=cache)  # bound 2: the same run
+        membership(poly("x^2 - t*x"), gens(VT, g=g), cache=cache)  # bound 2 again
+        assert len(built) == 3
 
     def test_large_basis_is_not_kept(self, monkeypatch):
         built = self._counting(monkeypatch)
@@ -301,6 +301,16 @@ class TestBasisReuse:
         assert membership(poly("x^3 - 2*x*y"), gs, cache=cache) != NOT_MEMBER
         with pytest.raises(ResourceExhausted):
             membership(poly("x^3 - 2*x*y"), gs, limits=Limits(max_basis=1), cache=cache)
+
+    def test_a_run_that_hits_a_ceiling_leaves_the_cache(self):
+        # x*y is in the ideal, but only after more pairs than the ceiling
+        # allows; the run must not serve a later call half-built
+        cache = {}
+        gs = gens(VT, a=poly("x^3 - 2*x*y"), b=poly("x^2*y - 2*y^2 + x"))
+        with pytest.raises(ResourceExhausted):
+            membership(poly("x*y"), gs, limits=Limits(max_pairs=2), cache=cache)
+        assert cache == {}
+        assert membership(poly("x*y"), gs, limits=Limits(max_pairs=3), cache=cache) != NOT_MEMBER
 
     def test_not_member_on_a_cached_basis_runs_both_guards(self, monkeypatch):
         checked = []

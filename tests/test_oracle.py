@@ -19,7 +19,6 @@ from curvelim.oracle import (
     SpotCheckConfig,
     check_certificate,
     is_probable_prime,
-    sample_point,
 )
 
 VT = VarTable(["x", "y", "z"])
@@ -27,6 +26,14 @@ VT = VarTable(["x", "y", "z"])
 
 def poly(text):
     return parse_polynomial(text, VT)
+
+
+def sample_point(cfg, trial, variables):
+    """The point of one trial, by variable name, from the oracle's word-by-word
+    reference derivation."""
+    values = oracle._point_values(cfg.seed, trial, variables, cfg.prime,
+                                  oracle._rejection_limit(cfg.prime))
+    return dict(zip(variables, values))
 
 
 class TestConfig:
@@ -456,7 +463,7 @@ _prime = st.sampled_from([DEFAULT_PRIME, *oracle._extra_primes()])
 def test_compiled_evaluation_matches_exactpoly(p, prime, data):
     x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
     expected = p.evaluate(dict(zip(VT5.names, x)), modulus=prime)
-    columns = {(i, 1): [v] for i, v in enumerate(x)}
+    columns = oracle._Powers({(i, 1): [v] for i, v in enumerate(x)}, prime)
     assert oracle._columns(oracle._compile(p, prime), columns, 1, prime) == [expected]
 
 
@@ -481,7 +488,8 @@ def _columns_case(draw):
 @given(_columns_case())
 def test_column_kernel_matches_exactpoly_at_each_point(case):
     p, prime, points = case
-    powers = {(i, 1): [x[i] for x in points] for i in range(len(p.table))}
+    powers = oracle._Powers({(i, 1): [x[i] for x in points] for i in range(len(p.table))},
+                            prime)
     expected = [p.evaluate(dict(zip(p.table.names, x)), modulus=prime) for x in points]
     assert oracle._columns(oracle._compile(p, prime), powers, len(points), prime) == expected
 

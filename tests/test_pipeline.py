@@ -129,28 +129,53 @@ class TestLemma32:
             assert recs[sid].status == "matched-up-to-content", sid
 
 
-class TestBasisReuse:
-    def test_lemma32_builds_each_basis_once(self, monkeypatch):
-        # the case branches and permuted replays re-claim the same algebra
-        # under new ids; the stage's cache builds each basis once
-        keys = []
-        real = ideal.groebner
+def _runs_built(mp):
+    """Record the key of every Buchberger run built: its generator
+    polynomials, order and ceilings."""
+    keys = []
+    real = ideal._Buchberger.__init__
 
-        def recording(gens, order=None, limits=Limits(), degree_bound=None):
-            keys.append((tuple(r.poly for r in gens), order, degree_bound,
-                         limits.max_basis, limits.max_pairs))
-            return real(gens, order, limits, degree_bound)
+    def recording(run, polys, order, limits):
+        keys.append((polys, order, limits))
+        real(run, polys, order, limits)
 
-        monkeypatch.setattr(ideal, "groebner", recording)
+    mp.setattr(ideal._Buchberger, "__init__", recording)
+    return keys
+
+
+@pytest.fixture(scope="module")
+def lemma32_work():
+    """A lemma32 replay: the key of each Buchberger run built, and each
+    basis ``groebner`` returned."""
+    bases = []
+    real_groebner = ideal.groebner
+
+    def recording(gens, *args, **kwargs):
+        gb = real_groebner(gens, *args, **kwargs)
+        bases.append(gb)
+        return gb
+
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _runs_built(mp)
+        mp.setattr(ideal, "groebner", recording)
         assert run_lemma32(Config()).verdict() == "success"
-        assert len(set(keys)) == len(keys)
-        assert len(keys) == 61
+    return runs, bases
 
-    def test_theorem33_builds_each_basis_once(self, theorem33_bases):
-        # the eq_3_55 consistency check and the eq_3_55 claim share one basis
-        keys = [key for key, *_ in theorem33_bases]
-        assert len(set(keys)) == len(keys)
-        assert len(keys) == 13
+
+class TestBasisReuse:
+    def test_lemma32_builds_each_basis_once(self, lemma32_work):
+        # the case branches re-claim the same algebra under new ids, and the
+        # e3/e4 replays carry the e2 certificates over; the stage's cache
+        # builds each run once, for 25 claims and 6 eliminations
+        runs, _ = lemma32_work
+        assert len(set(runs)) == len(runs)
+        assert len(runs) == 18
+
+    def test_theorem33_builds_each_basis_once(self, theorem33_work):
+        # the eq_3_55 consistency check and the eq_3_55 claim share one run
+        runs = theorem33_work["runs"]
+        assert len(set(runs)) == len(runs)
+        assert len(runs) == 13
 
 
 def _is_reduced(gb) -> bool:
@@ -168,14 +193,15 @@ _FRACTION_OPS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmu
 
 
 @pytest.fixture(scope="module")
-def theorem33_bases():
-    """Each ``groebner`` call of a theorem33 replay: its key, its generator
-    ids, whether the basis it returned is reduced, the number of ``_divide``
-    calls made while it ran, and the number of ``Fraction`` operations."""
-    calls = []
+def theorem33_work():
+    """A theorem33 replay: the key of each Buchberger run built (``runs``),
+    and for each ``membership`` call its generator ids, the number of
+    ``_divide`` calls and the number of ``Fraction`` operations made while
+    it ran (``claims``)."""
+    claims = []
     divides = [0]
     fraction_ops = [0]
-    real_groebner, real_divide = ideal.groebner, ideal._divide
+    real_membership, real_divide = ideal.membership, ideal._divide
 
     def counting(*args):
         divides[0] += 1
@@ -187,40 +213,44 @@ def theorem33_bases():
             return real(*args)
         return op
 
-    def recording(gens, order=None, limits=Limits(), degree_bound=None):
+    def recording(p, gens, *args, **kwargs):
         before = divides[0], fraction_ops[0]
-        gb = real_groebner(gens, order, limits, degree_bound)
-        key = (tuple(r.poly for r in gens), order, degree_bound,
-               limits.max_basis, limits.max_pairs)
-        calls.append((key, gens.ids(), _is_reduced(gb), divides[0] - before[0],
-                      fraction_ops[0] - before[1]))
-        return gb
+        cert = real_membership(p, gens, *args, **kwargs)
+        claims.append((gens.ids(), divides[0] - before[0], fraction_ops[0] - before[1]))
+        return cert
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideal, "groebner", recording)
+        runs = _runs_built(mp)
+        mp.setattr(pipeline, "membership", recording)
         mp.setattr(ideal, "_divide", counting)
         for name in _FRACTION_OPS:
             mp.setattr(Fraction, name, counted(getattr(Fraction, name)))
         assert run_builtin("theorem33", Config()).verdict() == "documented-discrepancy"
-    return calls
+    return {"runs": runs, "claims": claims}
 
 
 class TestGroebnerWork:
-    def test_every_basis_is_reduced(self, theorem33_bases):
-        assert all(reduced for _, _, reduced, *_ in theorem33_bases)
+    def test_every_basis_is_reduced(self, lemma32_work):
+        # the six eliminations of the case branches finish their runs
+        _, bases = lemma32_work
+        assert len(bases) == 6
+        assert all(_is_reduced(gb) for gb in bases)
 
-    def test_eq_3_60_basis_reduces_each_element_once(self, theorem33_bases):
-        # one division per generator (11) and per S-pair left by the
-        # criteria (32), then one pass of inter-reduction over the 26
-        # elements; a pass restarted after every change would make more
-        (count,) = [n for _, ids, _, n, _ in theorem33_bases if "t60" in ids]
-        assert count == 69
+    def test_eq_3_60_basis_reduces_each_element_once(self, theorem33_work):
+        # the claim stops at its certificate: one division per generator
+        # (11), one per S-pair the run takes before the target's remainder
+        # is zero (3, each adding an element), and 4 of the target (one
+        # first, then one after each new element whose leading monomial
+        # divides a term of the remainder); the full 26-element basis, with
+        # its inter-reduction, made 69
+        (count,) = [n for ids, n, _ in theorem33_work["claims"] if "t60" in ids]
+        assert count == 18
 
-    def test_eq_3_60_basis_runs_in_integers(self, theorem33_bases):
+    def test_eq_3_60_basis_runs_in_integers(self, theorem33_work):
         # fraction-free division, integral S-polynomials and integer
-        # provenance: no Fraction operation while the basis is built; the
-        # provenance is made rational at the end by Fraction's constructor
-        (ops,) = [n for _, ids, _, _, n in theorem33_bases if "t60" in ids]
+        # provenance: no Fraction operation in the whole claim; the
+        # cofactors are made rational at the end by Fraction's constructor
+        (ops,) = [n for ids, _, n in theorem33_work["claims"] if "t60" in ids]
         assert ops == 0
 
 
