@@ -41,8 +41,7 @@ exponent past 2**63 - 1 raises PolyError:
                     exponent of the dividend and divisors, and doubled when a
                     product on the way reaches a guard bit; divisors' packed
                     terms cached on them.  ``_reduce`` divides its results by
-                    D, the rational division (exact division runs on it,
-                    except by a one-term divisor, term by term)
+                    D, the rational division (exact division runs on it)
   _at_constant      a variable set to a rational constant a/b, in integers
                     over ``b**max_e``, one division per output term
 
@@ -66,7 +65,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import le, mul, neg, sub
+from operator import le, mul, neg
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -577,25 +576,10 @@ class Polynomial:
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
         """Exact multivariate division (``_reduce`` by the one divisor under
-        grevlex); raises DomainError if not divisible.  A one-term divisor
-        c*m divides term by term: each monomial must be a multiple of m, and
-        each coefficient is divided by c, exactly over the rationals."""
+        grevlex); raises DomainError if not divisible."""
         self._check(divisor)
         if divisor.is_zero():
             raise DomainError("division by zero polynomial")
-        if len(divisor.terms) == 1:
-            ((dm, dc),) = divisor.terms.items()
-            out = {}
-            for m, c in self.terms.items():
-                q = tuple(map(sub, m, dm))
-                if min(q, default=0) < 0:
-                    raise DomainError("not exactly divisible")
-                if type(c) is int and type(dc) is int:
-                    qc, r = divmod(c, dc)
-                    out[q] = Fraction(c, dc) if r else qc
-                else:
-                    out[q] = _norm_coeff(Fraction(c) / dc)
-            return Polynomial._of(self.table, out)
         rem, (quo,) = _reduce(self, [divisor], _GREVLEX)
         if rem:
             raise DomainError("not exactly divisible")

@@ -32,7 +32,7 @@ weight of a weighted-homogeneous target, m**k * p at power k; no caller
 chooses the bound.  Completeness is needed only to refute: when no pair of
 lcm weight up to the target's is left, the target is not a member at that
 power, and a "not a member" answer is given only after the run, finished at
-each weight tried, has been checked to be a Groebner basis of the
+the last weight tried, has been checked to be a Groebner basis of the
 generators.
 
 ``membership``, ``groebner`` and ``eliminate`` take an optional ``cache``
@@ -575,16 +575,17 @@ def membership(
     ignores the bound for any others.  The common case (power 0 or 1) stays
     cheap.
 
-    NOT_MEMBER is returned only after the run, finished at each weight tried
-    (``_Buchberger.groebner_basis``), passes ``verify_spolys`` and reduces
-    every generator to zero there; a basis that fails raises ``PolyError``,
-    so a lost S-pair never reads as a refutation.
+    NOT_MEMBER is returned only after the run, finished at the last weight
+    tried (``_Buchberger.groebner_basis``), passes ``verify_spolys`` and
+    reduces every generator to zero there; a basis that fails raises
+    ``PolyError``, so a lost S-pair never reads as a refutation.  The last
+    power alone carries the answer: if m**k * p were in the ideal for a
+    smaller k, m**max_power * p would be too.
     """
     if p.is_zero():
         return Certificate(p, {})
     mult = multiplier_of(saturations)
     bounded = p.is_weighted_homogeneous() and (mult is None or mult.is_weighted_homogeneous())
-    tried = []
     with _run(gens, grevlex_order(), limits, cache) as run:
         target = p
         for k in range(max_power + 1):
@@ -594,15 +595,13 @@ def membership(
                 ids = gens.ids()
                 return Certificate(p, {ids[i]: (cof, run.gens[i]) for i, cof in cofactors.items()},
                                    multiplier=mult, power=k)
-            tried.append(bound)
             if mult is None:
                 break
             target = target * mult
-        for bound in dict.fromkeys(tried):
-            b = run.groebner_basis(gens, bound)
-            if not (verify_spolys(b) and _spans_generators(b)):
-                raise PolyError("internal error: a not-member answer rests on a basis that"
-                                " fails the Groebner check")
+        b = run.groebner_basis(gens, bound)
+        if not (verify_spolys(b) and _spans_generators(b)):
+            raise PolyError("internal error: a not-member answer rests on a basis that"
+                            " fails the Groebner check")
     return NOT_MEMBER
 
 

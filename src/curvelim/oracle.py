@@ -20,7 +20,8 @@ and evaluates each compiled operand over the whole block at once
 (``_columns``): it walks the sorted terms as a trie, keeping a stack of
 column products along the current factor prefix, so each trie node costs one
 column product; the power columns x_i^e mod p are built once per block of a
-sweep, each as x_i^(e-1) * x_i, and shared by its checks (``_Powers``).
+sweep, each as x_i^(e-1) * x_i (by one ``pow`` per entry when e is far above
+the powers held), and shared by its checks (``_Powers``).
 
 Evaluation points come from seeded hashing: each variable's column of a block
 is one SHAKE-256 stream keyed by (seed, variable, block), read as 128-bit
@@ -189,11 +190,19 @@ def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> 
 Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
 
 
+# a power more than this many steps above the highest one held is made by one
+# ``pow`` per entry, not by a chain of column products
+_POWER_STEPS = 8
+
+
 class _Powers(dict):
     """Residue columns of one block of points, keyed by (var_index,
     exponent): the values of x_i^e mod p, one per point.  The caller puts in
-    the exponent-1 columns; x_i^e is made on first use as x_i^(e-1) * x_i
-    and kept (by ``keep``)."""
+    the exponent-1 columns.  On first use x_i^e is made from the highest
+    power h of x_i held: as x_i^(h+1), ..., x_i^e, each the one before times
+    x_i, when e - h is at most ``_POWER_STEPS``, else by one ``pow`` per
+    entry.  Either way the residues are the same; the columns made are kept
+    (by ``keep``)."""
 
     def __init__(self, columns: Dict[Tuple[int, int], Sequence[int]], prime: int, keep=list):
         super().__init__(columns)
@@ -203,8 +212,14 @@ class _Powers(dict):
         i, e = f
         if e < 2:
             raise KeyError(f)
-        p = self.prime
-        col = self[f] = self.keep([a * b % p for a, b in zip(self[i, e - 1], self[i, 1])])
+        p, base = self.prime, self[i, 1]
+        h = max(k for j, k in self if j == i and k < e)
+        if e - h > _POWER_STEPS:
+            col = self[f] = self.keep([pow(a, e, p) for a in base])
+            return col
+        col = self[i, h]
+        for k in range(h + 1, e + 1):
+            col = self[i, k] = self.keep([a * b % p for a, b in zip(col, base)])
         return col
 
 

@@ -79,32 +79,6 @@ def test_exact_divide_refuses_a_remainder(a, b):
         (a * b + 1).exact_divide(b)
 
 
-def _one_term():
-    mono = st.tuples(*[st.integers(0, 2)] * len(VT))
-    coeff = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=3)).filter(bool)
-    return st.builds(lambda m, c: Polynomial(VT, {m: c}), mono, coeff)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_rational_poly(3, 5), _one_term(), _rational_poly(3, 2), st.booleans())
-@example(Polynomial(VT, {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}),
-         Polynomial(VT, {(0, 0, 1): -4}), Polynomial(VT, {(1, 0, 0): 1}), False)
-@example(Polynomial(VT, {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}),
-         Polynomial(VT, {(0, 0, 1): -4}), Polynomial(VT, {(1, 0, 0): 1}), True)
-def test_one_term_exact_divide_matches_packed_division(a, divisor, extra, exact):
-    # a one-term divisor divides term by term; the packed division (``_reduce``
-    # by the one divisor) decides the same quotient, or that there is none
-    p = a * divisor + (Polynomial.zero(VT) if exact else extra)
-    rem, (quo,) = _reduce(p, [divisor], grevlex_order())
-    if rem:
-        with pytest.raises(DomainError):
-            p.exact_divide(divisor)
-    else:
-        out = p.exact_divide(divisor)
-        assert out == quo
-        _assert_clean(out)
-
-
 @SETTINGS
 @given(_basis_size(1, 3), st.sampled_from(ORDERS))
 def test_groebner_has_the_groebner_property(polys, order):

@@ -334,6 +334,22 @@ class TestBasisReuse:
         assert membership(poly("x"), gs, cache=cache) == NOT_MEMBER
         assert checked == [("verify_spolys", ["a", "b"]), ("_spans_generators", ["a", "b"])]
 
+    def test_not_member_over_several_powers_checks_the_last_bound_once(self, monkeypatch):
+        # y, x*y, ..., x^3*y are tried at weights 1 to 4; the check at weight
+        # 4 covers the smaller ones, so the basis is checked once, there
+        bounds = []
+        real_verify = ideal.verify_spolys
+
+        def verify(gb):
+            bounds.append(gb.degree_bound)
+            return real_verify(gb)
+
+        monkeypatch.setattr(ideal, "verify_spolys", verify)
+        sat = [SaturationRecord("x_nz", poly("x"), "planted")]
+        assert membership(poly("y"), gens(VT, g=poly("x^5*y")), saturations=sat,
+                          max_power=3) == NOT_MEMBER
+        assert bounds == [4]
+
     def test_lost_s_pair_in_a_cached_basis_raises(self, monkeypatch):
         # the basis cached by the first claim lost the pair whose S-polynomial
         # is the second target; the guard still refuses the negative

@@ -13,7 +13,7 @@ constructor and the oracle."""
 
 from itertools import product
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelim.exactpoly import Polynomial, VarTable
@@ -89,8 +89,25 @@ def _reference(target, gens, mult):
     return None
 
 
+# three quadrics over which the cubic-weight target needs four new elements
+# of the run before its remainder reaches zero
+_T3 = VarTable(["x0", "x1", "x2"])
+_DEEP = (
+    _T3,
+    [Polynomial(_T3, {(1, 0, 1): 1, (1, 1, 0): 3, (0, 2, 0): 2}),
+     Polynomial(_T3, {(1, 0, 1): 1, (0, 1, 1): -1, (0, 0, 2): 3}),
+     Polynomial(_T3, {(2, 0, 0): 1, (0, 0, 2): -2, (0, 2, 0): 3})],
+    Polynomial(_T3, {(1, 0, 0): 1}),
+    Polynomial(_T3, {(1, 2, 1): 2, (0, 4, 0): -4, (2, 1, 1): 3, (2, 2, 0): 3, (0, 3, 1): 2,
+                     (0, 2, 2): -6, (2, 0, 2): 7, (1, 1, 2): -3, (1, 0, 3): 5, (4, 0, 0): -2,
+                     (3, 0, 1): 2}),
+)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_system())
+@example(_DEEP + ([],))
+@example(_DEEP + ([(Polynomial(_T3, {(0, 1, 1): 1, (0, 0, 2): 1}), True)],))
 def test_a_shared_run_answers_as_a_cold_basis(system):
     assume(system is not None)
     table, polys, mult, target, earlier = system

@@ -96,6 +96,38 @@ class TestIdentity:
         assert res.per_trial_bound < Fraction(1, 2 ** 40)
 
 
+class TestPowerColumns:
+    def test_high_exponent_identity_passes(self):
+        cert = _certificate(poly("x^2000 - y"), {"g": (poly("1"), poly("x^2000 - y"))})
+        res = check_certificate(cert, cfg=SpotCheckConfig(trials=150))
+        assert res.verdict == "pass"
+
+    def test_high_exponent_witness_confirmed(self):
+        cfg = SpotCheckConfig(trials=3)
+        res = check_certificate(_Claimed(poly("x^2000"), {"g": (poly("1"), poly("x^1999"))}),
+                                cfg=cfg)
+        assert res.verdict == "fail" and len(res.failures) == 3
+        for w in res.failures:
+            point = {v: int(x) for v, x in w["point"].items()}
+            diff = poly("x^2000 - x^1999")
+            assert int(w["residue"]) == diff.evaluate(point, modulus=cfg.prime)
+            for c in w["confirmations"]:
+                q = c["prime"]
+                assert c["residue"] == diff.evaluate({v: x % q for v, x in point.items()},
+                                                     modulus=q) != 0
+
+    def test_columns_match_pow_and_far_powers_keep_one_column(self):
+        prime = DEFAULT_PRIME
+        base = [3, 5, prime - 2]
+        powers = oracle._Powers({(0, 1): list(base)}, prime)
+        for e in (2, 5, 2000, 2003, 12, 4):
+            assert powers[0, e] == [pow(a, e, prime) for a in base]
+        # x^2..x^5 by steps, x^2000 by pow, x^2001..x^2003 by steps from it,
+        # x^6..x^12 by steps from x^5
+        assert sorted(e for _, e in powers) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                                2000, 2001, 2002, 2003]
+
+
 class TestDeterminism:
     def test_point_sequences_reproducible(self):
         cfg = SpotCheckConfig(seed=42)
