@@ -503,41 +503,6 @@ class Polynomial:
                 del out[m]
         return _over(Polynomial._of(self.table, out), d * powers[0])
 
-    def evaluate(self, assignment: Mapping[str, Coeff], modulus: Optional[int] = None):
-        """Exact value at a rational point; with ``modulus`` (a prime) its
-        residue, every rational coefficient and point value mapped through the
-        modular inverse of its denominator.
-
-        Every variable occurring in the polynomial must be assigned.
-        """
-        for v in self.variables():
-            if v not in assignment:
-                raise PolyError(f"assignment misses variable {v!r}")
-        idx = {self.table.index[v]: assignment[v] for v in self.variables()}
-        if modulus is None:
-            total = Fraction(0)
-            for m, c in self.terms.items():
-                t = Fraction(c)
-                for i, val in idx.items():
-                    if m[i]:
-                        t *= Fraction(val) ** m[i]
-                total += t
-            return _norm_coeff(total)
-
-        def residue(v: Coeff) -> int:
-            v = Fraction(v)
-            return v.numerator * pow(v.denominator, -1, modulus) % modulus
-
-        point = {i: residue(val) for i, val in idx.items()}
-        total = 0
-        for m, c in self.terms.items():
-            t = residue(c)
-            for i, val in point.items():
-                if m[i]:
-                    t = t * pow(val, m[i], modulus) % modulus
-            total = (total + t) % modulus
-        return total
-
     def partial(self, name: str) -> "Polynomial":
         """Formal partial derivative."""
         if name not in self.table:

@@ -576,7 +576,9 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
     """The four derivation operators: D1 along e1 and D2/D3/D4 along e2/e3/e4
     (D3, D4 as D2 conjugated by each direction's index permutation, as the
     closing symmetry argument of the second lemma requires: "with some similar
-    discussions")."""
+    discussions").  The rows of the defined symbols K and s are computed:
+    for a definition x - f in the registry, the row of x is the Leibniz
+    image of f."""
     # eqs (3.7), (3.17)-(3.21), (3.27); constants: R constant hypothesis
     d1 = DerivationRuleTable("D1", symbols, {
         "c": "0", "R": "0",
@@ -596,10 +598,6 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "o224": "u2*o224",
         "o334": "u3*o334",
         "h1": "(u2 + u3 + u4)*h1 + H*(8*c + 16*H^2 - R)",
-        # Leibniz images of the defined quantities
-        "K": "lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
-             " + lam2*lam3*(lam4 + 2*H)*u4",
-        "s": "u2^2 + u3^2 + u4^2 - 2*H*(lam2 + lam3 + lam4) + 3*c",
     })
     # eqs (3.4), (3.7), (3.11), (3.22)-(3.23), (3.28)
     d2 = DerivationRuleTable("D2", symbols, {
@@ -614,9 +612,10 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "u2": Fresh("d2_u2_1"),
         "v3": Fresh("d2v3"),
         "v4": Fresh("d2v4"),
-        "K": "lam3*lam4*((lam2 - lam3)*v3 + (lam2 - lam4)*v4)"
-             " + lam2*lam4*(-(lam2 - lam3)*v3) + lam2*lam3*(-(lam2 - lam4)*v4)",
-        "s": "d2_u2_1 + (u3 - u2)*v3 + (u4 - u2)*v4",
     })
+    registry = EquationRegistry(symbols)
+    for table in (d1, d2):
+        for sym, eid in (("K", "K_def"), ("s", "s_def")):
+            table.rules[sym] = table.apply(symbols.var(sym) - registry.poly(eid))[0]
     return {"D1": d1, "D2": d2, **{f"D{k}": d2.permuted(f"D{k}", perm)
                                    for k, perm in DIRECTIONS.items() if perm}}

@@ -17,11 +17,16 @@ weighted degree: pairs above it wait, and join the heap when a query raises
 the bound.  Run out at a bound, the elements are a d-Groebner basis,
 sufficient to decide membership of targets up to that weighted degree.
 
-``groebner`` finishes a run: it runs it out at its bound, then minimalizes
-it and inter-reduces the tails in one pass, which gives the reduced basis
-(Becker & Weispfenning, *Groebner Bases*, 1993, 5.6), and its provenance
-becomes the rational ``GroebnerBasis.reps``.  ``normal_form`` gives the
-rational remainder and cofactors (``exactpoly._reduce``).
+``groebner`` finishes a run with no truncation
+(``_Buchberger.groebner_basis``, which membership's not-member guard calls
+at a bound): it runs it out, then minimalizes it and inter-reduces the tails
+in one pass, which gives the reduced basis (Becker & Weispfenning, *Groebner
+Bases*, 1993, 5.6), and its provenance becomes the rational
+``GroebnerBasis.reps``.  ``normal_form`` gives the rational remainder and
+cofactors (``exactpoly._reduce``).  The built-in replay calls neither
+``groebner`` nor ``eliminate``: its claims are memberships, and its
+eliminations of variables are certified members
+(``pipeline.StageRunner.eliminated_members``).
 
 ``membership`` needs no finished basis: a certificate only needs the
 target's remainder to reach zero over some elements of the ideal.  It
@@ -39,8 +44,7 @@ generators.
 dict, which a caller keeps for the life of one stage: a run over the same
 generator polynomials, whatever their ids, order and ceilings is continued
 from it by any later query, at any bound, with its provenance given the
-caller's generator ids.  A run that hit a ceiling leaves the cache, and so
-does one of more than ``_CACHED_TERMS`` terms after its query.
+caller's generator ids.  A run that hit a ceiling leaves the cache.
 
 Every returned Certificate's identity
 
@@ -315,7 +319,6 @@ class _Buchberger:
         self.queue: List[tuple] = []
         self.deferred: List[tuple] = []  # (weight, lcm, i, j) above the bound
         self.processed = 0
-        self.terms = 0  # terms of the elements and their provenance
         self.checked = set()  # elements whose provenance passed ``_rep_check``
         one = Polynomial.const(self.table, 1)
         for k, p in enumerate(gens):
@@ -354,7 +357,6 @@ class _Buchberger:
         self.basis.append(p)
         self.reps.append(rep)
         self.lts.append(lm)
-        self.terms += len(p.terms) + sum(len(cof.terms) for cof in rep[1].values())
         if len(self.basis) > self.limits.max_basis:
             raise ResourceExhausted("basis size", self.limits.max_basis)
 
@@ -501,20 +503,12 @@ class _Buchberger:
                  for den, cofs in (reps[i] for i in idx)])
 
 
-# The largest run a cache keeps after a query, counted in terms of its
-# elements and their provenance together.  Case branches re-claim small
-# ideals; a large run kept to the end of a stage that never asks for it again
-# only raises the stage's peak memory.
-_CACHED_TERMS = 1000
-
-
 @contextmanager
 def _run(gens: GeneratorSet, order: MonomialOrder, limits: Limits, cache: Optional[dict]):
     """The Buchberger run over the polynomials of ``gens``, in their
     positions, under ``order`` and ``limits``: the one in ``cache`` when it
     holds one, else a new one, which joins the cache.  The ids are not part
-    of the key.  After the query a run of more than ``_CACHED_TERMS`` terms
-    leaves the cache, and so does a run that hit a ceiling."""
+    of the key.  A run that hit a ceiling leaves the cache."""
     if len(gens) == 0:
         raise PolyError("empty generator set")
     key = (tuple(r.poly for r in gens), order, limits)
@@ -529,23 +523,15 @@ def _run(gens: GeneratorSet, order: MonomialOrder, limits: Limits, cache: Option
         if cache is not None:
             cache.pop(key, None)
         raise
-    if cache is not None and run.terms > _CACHED_TERMS:
-        cache.pop(key, None)
 
 
 def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
-             limits: Limits = Limits(), degree_bound: Optional[int] = None,
-             cache: Optional[dict] = None) -> GroebnerBasis:
+             limits: Limits = Limits(), cache: Optional[dict] = None) -> GroebnerBasis:
     """Reduced Groebner basis (Buchberger, both criteria), deterministic for
     fixed input and order, with the provenance of each element over the ids of
-    ``gens``; from the run in ``cache`` when it holds one (see ``_run``).
-
-    ``degree_bound`` (weighted degree): honored only when every generator is
-    weighted-homogeneous; pairs above the bound are not processed, yielding a
-    truncated basis valid for membership up to the bound.
-    """
+    ``gens``; from the run in ``cache`` when it holds one (see ``_run``)."""
     with _run(gens, order or grevlex_order(), limits, cache) as run:
-        return run.groebner_basis(gens, degree_bound)
+        return run.groebner_basis(gens, None)
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis):
@@ -606,8 +592,7 @@ def membership(
 
 
 def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
-              limits: Limits = Limits(), degree_bound: Optional[int] = None,
-              cache: Optional[dict] = None) -> GeneratorSet:
+              limits: Limits = Limits(), cache: Optional[dict] = None) -> GeneratorSet:
     """Generators of the elimination ideal (front variables removed), via a
     block-order Groebner basis (from ``cache`` when it holds its run); ids
     elim_1, elim_2, ... in basis order."""
@@ -615,7 +600,7 @@ def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
         if v not in gens.table:
             raise PolyError(f"unknown variable {v!r}")
     order = block_order(gens.table, front_vars)
-    gb = groebner(gens, order, limits, degree_bound, cache)
+    gb = groebner(gens, order, limits, cache=cache)
     front_idx = [gens.table.index[v] for v in front_vars]
     out = GeneratorSet(gens.table)
     n = 0

@@ -4,8 +4,9 @@ evaluation (Schwartz-Zippel).
 This module deliberately re-implements polynomial evaluation on its own.
 It imports nothing from ``curvelim``: it reads the raw term dictionaries and
 variable tables of ``exactpoly.Polynomial`` values, and never calls polynomial
-arithmetic, the ideal machinery or the exactpoly evaluator, so a bug in the
-symbolic reduction path cannot hide itself here.
+arithmetic or the ideal machinery, so a bug in the symbolic reduction path
+cannot hide itself here.  Its test references, a term-by-term evaluator and
+the word-by-word point derivation, are in ``tests/tests_evaluation.py``.
 
 ``check_certificate`` is the one check, and ``check_certificates`` runs a
 sweep of them.  Each operand (target, multiplier, cofactor, generator) is
@@ -25,16 +26,16 @@ the powers held), and shared by its checks (``_Powers``).
 
 Evaluation points come from seeded hashing: each variable's column of a block
 is one SHAKE-256 stream keyed by (seed, variable, block), read as 128-bit
-words (``_column``; ``_point_values`` is the word-by-word reference).  A
-value depends only on (seed, trial, variable, prime): not on the certificate,
-the other variables, the trial count or the execution order, so verdicts are
-fully reproducible.  Every check of a sweep therefore reads the same points,
-and a sweep (``_Sweep``) derives each variable's column of a block once and
-compiles and evaluates each distinct operand once per block, however many
-certificates use it; an operand is known by its table's names and its term
-dict, and a column is dropped after its last use.  Schwartz's bound needs
-points independent of the polynomial checked, which these are; it does not
-need different certificates to see different points.
+words (``_column``).  A value depends only on (seed, trial, variable,
+prime): not on the certificate, the other variables, the trial count or the
+execution order, so verdicts are fully reproducible.  Every check of a sweep
+therefore reads the same points, and a sweep (``_Sweep``) derives each
+variable's column of a block once and compiles and evaluates each distinct
+operand once per block, however many certificates use it; an operand is
+known by its table's names and its term dict, and a column is dropped after
+its last use.  Schwartz's bound needs points independent of the polynomial
+checked, which these are; it does not need different certificates to see
+different points.
 """
 
 from __future__ import annotations
@@ -131,28 +132,6 @@ def _rejection_limit(prime: int) -> int:
 _BLOCK = 100
 
 
-def _point_values(seed: int, trial: int, variables: Sequence[str], prime: int,
-                  limit: int) -> List[int]:
-    """The point of one trial, word by word; the reference for ``_column``.
-
-    A variable's values come from one SHAKE-256 stream per block of
-    ``_BLOCK`` trials: its value at ``trial`` is word ``trial % _BLOCK`` (16
-    bytes, big-endian) of the stream keyed f"{seed}|{var}|{block}",
-    block = trial // _BLOCK.  A word at or above ``limit`` is replaced by the
-    first word below it of the streams keyed f"{seed}|{var}|{trial}|{counter}",
-    counter = 1, 2, ... (``_redraw``); the result is reduced mod the prime.  A
-    value depends on nothing but (seed, trial, variable, prime), so every
-    check of a sweep sees the same point at a trial."""
-    block, k = divmod(trial, _BLOCK)
-    out = []
-    for var in variables:
-        x = int.from_bytes(_stream(seed, var, block).digest(16 * (k + 1))[-16:], "big")
-        if x >= limit:
-            x = _redraw(seed, var, trial, limit)
-        out.append(x % prime)
-    return out
-
-
 def _stream(seed: int, var: str, block: int):
     """The SHAKE-256 stream of one variable's words over a block of trials."""
     return hashlib.shake_256(f"{seed}|{var}|{block}".encode())
@@ -170,11 +149,14 @@ def _redraw(seed: int, var: str, trial: int, limit: int) -> int:
 
 
 def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> List[int]:
-    """The values of one variable at the first ``n`` trials of a block, as
-    ``_point_values`` gives them: one stream read, unpacked into 64-bit
-    halves, each word reduced as hi * (2**64 mod p) + lo.  Only a block whose
-    largest high half could put a word at or above the limit is checked word
-    by word."""
+    """The values of one variable at the first ``n`` trials of a block.
+
+    The value at trial ``block * _BLOCK + k`` is word k (16 bytes,
+    big-endian) of the stream keyed f"{seed}|{var}|{block}"; a word at or
+    above ``limit`` is replaced by ``_redraw``'s; the result is reduced mod
+    the prime.  The stream is read once and unpacked into 64-bit halves, each
+    word reduced as hi * (2**64 mod p) + lo.  Only a block whose largest high
+    half could put a word at or above the limit is checked word by word."""
     halves = struct.unpack(f">{2 * n}Q", _stream(seed, var, block).digest(16 * n))
     hi, lo = halves[0::2], halves[1::2]
     if max(hi) >= limit >> 64:

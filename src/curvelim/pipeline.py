@@ -189,9 +189,9 @@ class StageRunner:
 
     ``bases`` is the stage's cache of Buchberger runs (``ideal._run``), one
     per generator polynomials, order and ceilings, whatever their ids: a
-    claim or elimination over the same polynomials continues the run an
-    earlier step left, at any degree bound, instead of starting over.  A run
-    larger than ``ideal._CACHED_TERMS`` terms leaves it after its step.
+    claim or a script's ``eliminate_step`` over the same polynomials
+    continues the run an earlier step left, at any degree bound, instead of
+    starting over; only a run that hit a ceiling leaves it.
     ``claimed`` keeps each certificate a claim produced, by target,
     generator polynomials and multiplier, so that a claim whose data are the
     image of an earlier claim's under a variable permutation carries its
@@ -451,8 +451,12 @@ class StageRunner:
                 cert = self.result.identities.get(rid)
                 if cert is None:
                     problems.append(f"{rid} is not certified")
-                elif cert.power or not set(cert.used_generators()) <= set(via):
-                    problems.append(f"{rid} is certified outside the ideal of {list(via)}")
+                    continue
+                outside = sorted(set(cert.used_generators()) - set(via))
+                if cert.power:
+                    problems.append(f"{rid} is certified at multiplier power {cert.power}")
+                elif outside:
+                    problems.append(f"{rid} is certified over {outside}, outside {list(via)}")
                 elif set(front_vars) & set(cert.target.variables()):
                     problems.append(f"{rid} contains an eliminated variable")
             if problems:
@@ -738,15 +742,15 @@ def run_lemma32(config: Config) -> StageResult:
                    [hyp, psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
             bclaim("eq_3_37", [sid("eq_3_34"), sid("eq_3_35")],
                    [hyp, psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
-            run.eliminate_step(f"{bid}_eliminate_u",
-                               [f"{bid}_eq_3_36", f"{bid}_eq_3_37"], [elim_u],
-                               citation="display before eq (3.38)",
-                               quote="Eliminating \\omega_{22}^1 between (3.36)"
-                                     " and (3.37)")
             bclaim("disp_3_38", [f"{bid}_eq_3_36", f"{bid}_eq_3_37"],
                    [psat["lam3_m_lam4"]],
-                   note="content-free form of the eliminant; the elimination's"
-                        " stray difference factor is divided out")
+                   note="content-free form of the eliminant; the next step checks"
+                        " that it is free of the eliminated coefficient")
+            run.eliminated_members(f"{bid}_eliminate_u", [f"{bid}_disp_3_38"],
+                                   [f"{bid}_eq_3_36", f"{bid}_eq_3_37"], [elim_u],
+                                   citation="display before eq (3.38)",
+                                   quote="Eliminating \\omega_{22}^1 between (3.36)"
+                                         " and (3.37)")
             bclaim("eq_3_38", [f"{bid}_disp_3_38"],
                    [psat["lam2_m_lam3"], psat["lam2_m_lam4"]])
             bclaim("eq_3_39", [f"{bid}_eq_3_36", f"{bid}_eq_3_38"], [psat["lam3_m_lam4"]])

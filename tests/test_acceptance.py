@@ -29,7 +29,7 @@ _RESULTS = []
 # certificate_digest) over every step of the seed-0 replay, in order.  It pins
 # each certificate's cofactors: a change to the engine that moves a cofactor
 # path changes it, and must be listed in CHANGES.md with the new value.
-REPLAY_CERTIFICATES_SHA256 = "85440a7a56487af3a50231ab12e72d9185eee2d7d5440ffd5abd693cc017329b"
+REPLAY_CERTIFICATES_SHA256 = "ec9b9f69538517774c6fbedd77236a4fe00fa35afcbb9ca1d7fd408e7841ca43"
 
 
 def _report(criterion, ok, note):

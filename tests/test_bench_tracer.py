@@ -50,10 +50,11 @@ def test_install_then_uninstall_restores_every_attribute(tracer):
 
 
 def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
-    # membership and eliminate reach their Buchberger runs through the stage
-    # cache, and only a finished basis is an ideal.groebner span: one per
-    # elimination, none a repeat.  A claim's basis work is membership's own
-    # time, and the e3/e4 claims carried over from e2 make no membership call
+    # membership reaches its Buchberger runs through the stage cache, and
+    # only a finished basis is an ideal.groebner span: the case branches'
+    # eliminations are certified members, so there is none.  A claim's basis
+    # work is membership's own time, and the e3/e4 claims carried over from
+    # e2 make no membership call
     import curvelim.pipeline as pipeline
 
     runners = []
@@ -73,7 +74,6 @@ def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
     assert result.verdict() == "success"
     spans = {name: [row for row in t.rows if row[2] == name]
              for name in ("ideal.groebner", "ideal.eliminate", "ideal.membership")}
-    assert len(spans["ideal.groebner"]) == len(spans["ideal.eliminate"]) == 6
-    assert not any(repeat for _, _, _, _, _, _, _, (repeat, _) in spans["ideal.groebner"])
+    assert len(spans["ideal.groebner"]) == len(spans["ideal.eliminate"]) == 0
     assert len(spans["ideal.membership"]) == 25
-    assert sum(len(r.bases) for r in runners) == 18
+    assert sum(len(r.bases) for r in runners) == 15

@@ -179,6 +179,20 @@ class TestRuleTables:
                 img, _ = rules[name].apply(registry.poly(eid))
                 assert img.is_zero(), (name, eid)
 
+    def test_defined_rows_as_once_typed(self, symbols, rules):
+        # the computed K and s rows of D1 and D2 equal the text the tables
+        # once stored for them
+        typed = {
+            ("D1", "K"): "lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
+                         " + lam2*lam3*(lam4 + 2*H)*u4",
+            ("D1", "s"): "u2^2 + u3^2 + u4^2 - 2*H*(lam2 + lam3 + lam4) + 3*c",
+            ("D2", "K"): "lam3*lam4*((lam2 - lam3)*v3 + (lam2 - lam4)*v4)"
+                         " + lam2*lam4*(-(lam2 - lam3)*v3) + lam2*lam3*(-(lam2 - lam4)*v4)",
+            ("D2", "s"): "d2_u2_1 + (u3 - u2)*v3 + (u4 - u2)*v4",
+        }
+        for (name, sym), text in typed.items():
+            assert rules[name].image_of(sym) == symbols.poly(text), (name, sym)
+
     def test_permuted_saturation_ids(self, symbols):
         # the table lemma32 once carried by hand for the ids it permutes
         by_hand = {

@@ -16,9 +16,10 @@ from itertools import product
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from curvelim.exactpoly import Polynomial, VarTable
+import curvelim.ideal as ideal
+from curvelim.exactpoly import Polynomial, VarTable, grevlex_order
 from curvelim.ideal import (
-    NOT_MEMBER, Certificate, GeneratorSet, Relation, SaturationRecord, groebner, membership,
+    NOT_MEMBER, Certificate, GeneratorSet, Limits, Relation, SaturationRecord, membership,
     normal_form,
 )
 from curvelim.oracle import SpotCheckConfig, check_certificate
@@ -82,7 +83,8 @@ def _reference(target, gens, mult):
     by a cold truncated basis and normal form at each power; None if none."""
     tried = target
     for k in range(MAX_POWER + 1):
-        gb = groebner(gens, degree_bound=tried.weighted_degree())
+        run = ideal._Buchberger([r.poly for r in gens], grevlex_order(), Limits())
+        gb = run.groebner_basis(gens, tried.weighted_degree())
         if normal_form(tried, gb)[0].is_zero():
             return k
         tried = tried * mult

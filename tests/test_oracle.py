@@ -20,6 +20,7 @@ from curvelim.oracle import (
     check_certificate,
     is_probable_prime,
 )
+from tests_evaluation import evaluate, point_values
 
 VT = VarTable(["x", "y", "z"])
 
@@ -31,8 +32,8 @@ def poly(text):
 def sample_point(cfg, trial, variables):
     """The point of one trial, by variable name, from the oracle's word-by-word
     reference derivation."""
-    values = oracle._point_values(cfg.seed, trial, variables, cfg.prime,
-                                  oracle._rejection_limit(cfg.prime))
+    values = point_values(cfg.seed, trial, variables, cfg.prime,
+                          oracle._rejection_limit(cfg.prime))
     return dict(zip(variables, values))
 
 
@@ -110,11 +111,11 @@ class TestPowerColumns:
         for w in res.failures:
             point = {v: int(x) for v, x in w["point"].items()}
             diff = poly("x^2000 - x^1999")
-            assert int(w["residue"]) == diff.evaluate(point, modulus=cfg.prime)
+            assert int(w["residue"]) == evaluate(diff, point, modulus=cfg.prime)
             for c in w["confirmations"]:
                 q = c["prime"]
-                assert c["residue"] == diff.evaluate({v: x % q for v, x in point.items()},
-                                                     modulus=q) != 0
+                assert c["residue"] == evaluate(diff, {v: x % q for v, x in point.items()},
+                                                modulus=q) != 0
 
     def test_columns_match_pow_and_far_powers_keep_one_column(self):
         prime = DEFAULT_PRIME
@@ -211,8 +212,8 @@ class TestCertificateWitness:
             for c in w["confirmations"]:
                 q = c["prime"]
                 assert c["residue"] != 0
-                assert c["residue"] == (-diff).evaluate({v: x % q for v, x in point.items()},
-                                                        modulus=q)
+                assert c["residue"] == evaluate(-diff, {v: x % q for v, x in point.items()},
+                                                modulus=q)
 
     def test_witnesses_across_blocks(self):
         # 250 trials walk three blocks; every trial fails, in trial order, at
@@ -228,7 +229,7 @@ class TestCertificateWitness:
         for w in res.failures:
             point = sample_point(cfg, w["trial"], ["x", "y", "z"])
             assert w["point"] == {v: str(x) for v, x in point.items()}
-            assert int(w["residue"]) == (-diff).evaluate(point, modulus=cfg.prime) != 0
+            assert int(w["residue"]) == evaluate(-diff, point, modulus=cfg.prime) != 0
             assert len(w["confirmations"]) == 3
             assert all(c["residue"] != 0 for c in w["confirmations"])
 
@@ -275,7 +276,7 @@ class TestPointDerivation:
         limit, prime = 1 << 127, DEFAULT_PRIME
         variables = [f"v{i}" for i in range(12)]
         expected = [_word(3, var, 5, limit) % prime for var in variables]
-        assert oracle._point_values(3, 5, variables, prime, limit) == expected
+        assert point_values(3, 5, variables, prime, limit) == expected
 
 
 class TestConstantCertificate:
@@ -342,7 +343,7 @@ class TestPointStability:
         limit, prime = 1 << 127, DEFAULT_PRIME
         for block, n in ((0, 100), (2, 37)):
             column = oracle._column(3, "v0", block, n, prime, limit)
-            assert column == [oracle._point_values(3, 100 * block + k, ["v0"], prime, limit)[0]
+            assert column == [point_values(3, 100 * block + k, ["v0"], prime, limit)[0]
                               for k in range(n)]
 
 
@@ -480,7 +481,7 @@ class TestSweep:
         for trial in (0, 57, 99):
             for q, col in seen.values():
                 point = sample_point(cfg, trial, q.table.names)
-                assert col[trial] == q.evaluate(point, modulus=cfg.prime)
+                assert col[trial] == evaluate(q, point, modulus=cfg.prime)
 
 
 VT5 = VarTable(["a", "b", "c", "d", "e"])
@@ -494,7 +495,7 @@ _prime = st.sampled_from([DEFAULT_PRIME, *oracle._extra_primes()])
 @given(_poly5, _prime, st.data())
 def test_compiled_evaluation_matches_exactpoly(p, prime, data):
     x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
-    expected = p.evaluate(dict(zip(VT5.names, x)), modulus=prime)
+    expected = evaluate(p, dict(zip(VT5.names, x)), modulus=prime)
     columns = oracle._Powers({(i, 1): [v] for i, v in enumerate(x)}, prime)
     assert oracle._columns(oracle._compile(p, prime), columns, 1, prime) == [expected]
 
@@ -522,7 +523,7 @@ def test_column_kernel_matches_exactpoly_at_each_point(case):
     p, prime, points = case
     powers = oracle._Powers({(i, 1): [x[i] for x in points] for i in range(len(p.table))},
                             prime)
-    expected = [p.evaluate(dict(zip(p.table.names, x)), modulus=prime) for x in points]
+    expected = [evaluate(p, dict(zip(p.table.names, x)), modulus=prime) for x in points]
     assert oracle._columns(oracle._compile(p, prime), powers, len(points), prime) == expected
 
 

@@ -143,46 +143,22 @@ def _runs_built(mp):
     return keys
 
 
-@pytest.fixture(scope="module")
-def lemma32_work():
-    """A lemma32 replay: the key of each Buchberger run built, and each
-    basis ``groebner`` returned."""
-    bases = []
-    real_groebner = ideal.groebner
-
-    def recording(gens, *args, **kwargs):
-        gb = real_groebner(gens, *args, **kwargs)
-        bases.append(gb)
-        return gb
-
-    with pytest.MonkeyPatch.context() as mp:
-        runs = _runs_built(mp)
-        mp.setattr(ideal, "groebner", recording)
-        assert run_lemma32(Config()).verdict() == "success"
-    return runs, bases
-
-
 class TestBasisReuse:
-    def test_lemma32_builds_each_basis_once(self, lemma32_work):
+    def test_lemma32_builds_each_basis_once(self, monkeypatch):
         # the case branches re-claim the same algebra under new ids, and the
         # e3/e4 replays carry the e2 certificates over; the stage's cache
-        # builds each run once, for 25 claims and 6 eliminations
-        runs, _ = lemma32_work
+        # builds each run once, for 25 claims.  The 6 eliminations are
+        # certified members and build none
+        runs = _runs_built(monkeypatch)
+        assert run_lemma32(Config()).verdict() == "success"
         assert len(set(runs)) == len(runs)
-        assert len(runs) == 18
+        assert len(runs) == 15
 
     def test_theorem33_builds_each_basis_once(self, theorem33_work):
         # the eq_3_55 consistency check and the eq_3_55 claim share one run
         runs = theorem33_work["runs"]
         assert len(set(runs)) == len(runs)
         assert len(runs) == 13
-
-
-def _is_reduced(gb) -> bool:
-    """No term of an element is divisible by another element's leading monomial."""
-    lms = [p.leading_term(gb.order)[0] for p in gb.polys]
-    return not any(ideal._divides(lm, m) for i, p in enumerate(gb.polys) for m in p.terms
-                   for j, lm in enumerate(lms) if j != i)
 
 
 # every arithmetic operator of ``Fraction``
@@ -230,12 +206,6 @@ def theorem33_work():
 
 
 class TestGroebnerWork:
-    def test_every_basis_is_reduced(self, lemma32_work):
-        # the six eliminations of the case branches finish their runs
-        _, bases = lemma32_work
-        assert len(bases) == 6
-        assert all(_is_reduced(gb) for gb in bases)
-
     def test_eq_3_60_basis_reduces_each_element_once(self, theorem33_work):
         # the claim stops at its certificate: one division per generator
         # (11), one per S-pair the run takes before the target's remainder
@@ -310,6 +280,54 @@ class TestEliminateW:
         assert recs["eliminate_w"].status == "failure"
         assert "eq_3_48" in recs["eliminate_w"].details["error"]
         assert rr.verdict() == "failure"
+
+
+_ET = VarTable(["t", "x", "y"])
+
+
+@pytest.mark.parametrize("claimed, via, error", [
+    (("y - x^2", ["g1", "g2"], []), ["g1", "g2"], None),
+    (None, ["g1", "g2"], "m is not certified"),
+    (("y", ["h"], ["x_nz"]), ["h"], "m is certified at multiplier power 2"),
+    (("y - x^2", ["g1", "g2"], []), ["g1"], "m is certified over ['g2'], outside ['g1']"),
+    (("x - t", ["g1"], []), ["g1"], "m contains an eliminated variable"),
+], ids=["member", "uncertified", "saturated", "outside-via", "not-eliminated"])
+def test_eliminated_members(claimed, via, error):
+    # t is eliminated from <x - t, y - t^2>; y - x^2 = g2 - (x + t)*g1 is a
+    # member.  "m" is added unclaimed, or claimed over the given relations
+    # and saturations (y is in <x^2*y> only at power 2 of x)
+    def p(text):
+        return parse_polynomial(text, _ET)
+
+    run = pipeline.StageRunner("custom", Config(trials=2), _ET,
+                               [ideal.SaturationRecord("x_nz", p("x"), "test")])
+    for rid, text in (("g1", "x - t"), ("g2", "y - t^2"), ("h", "x^2*y")):
+        run.add(rid, p(text))
+    if claimed is None:
+        run.add("m", p("y - x^2"))
+    else:
+        target, claim_via, sats = claimed
+        assert run.claim("m", p(target), claim_via, sats) is not None
+    run.eliminated_members("elim", ["m"], via, ["t"])
+    rec = run.result.records[-1]
+    assert (rec.sid, rec.kind, rec.details["members"]) == ("elim", "eliminate_vars", ["m"])
+    if error is None:
+        assert rec.status == "verified" and "error" not in rec.details
+    else:
+        assert rec.status == "failure" and error in rec.details["error"]
+
+
+def test_builtin_replay_finishes_no_groebner_basis(monkeypatch):
+    # every elimination of the replay is a certified member, and every claim
+    # stops at its certificate, so no basis is finished
+    def refuse(*args, **kwargs):
+        raise AssertionError("the built-in replay finished a Groebner basis")
+
+    for module, name in ((ideal, "groebner"), (ideal, "eliminate"), (pipeline, "eliminate")):
+        monkeypatch.setattr(module, name, refuse)
+    rr = run_builtin("all", Config())
+    assert rr.verdict() == "documented-discrepancy"
+    assert len(rr.oracle) == 137
 
 
 def _corrupt(monkeypatch, eid, extra_text):
