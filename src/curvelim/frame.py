@@ -578,7 +578,9 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
     closing symmetry argument of the second lemma requires: "with some similar
     discussions").  The rows of the defined symbols K and s are computed:
     for a definition x - f in the registry, the row of x is the Leibniz
-    image of f."""
+    image of f.  So are D1's rows of the direction-3/4 transverse
+    coefficients: the row of perm(v) is the permuted row of v, for v3, v4
+    and each direction's permutation."""
     # eqs (3.7), (3.17)-(3.21), (3.27); constants: R constant hypothesis
     d1 = DerivationRuleTable("D1", symbols, {
         "c": "0", "R": "0",
@@ -591,12 +593,6 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "u4": "u4^2 - 2*H*lam4 + c",
         "v3": "u3*v3",
         "v4": "u4*v4",
-        # index permutations of the same two curvature components, for the
-        # direction-3/4 replays
-        "o223": "u2*o223",
-        "o443": "u4*o443",
-        "o224": "u2*o224",
-        "o334": "u3*o334",
         "h1": "(u2 + u3 + u4)*h1 + H*(8*c + 16*H^2 - R)",
     })
     # eqs (3.4), (3.7), (3.11), (3.22)-(3.23), (3.28)
@@ -613,6 +609,10 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "v3": Fresh("d2v3"),
         "v4": Fresh("d2v4"),
     })
+    for perm in DIRECTIONS.values():
+        for v in ("v3", "v4"):
+            if v in perm:
+                d1.rules[perm[v]] = permute_polynomial(d1.rules[v], perm)
     registry = EquationRegistry(symbols)
     for table in (d1, d2):
         for sym, eid in (("K", "K_def"), ("s", "s_def")):

@@ -17,15 +17,14 @@ weighted degree: pairs above it wait, and join the heap when a query raises
 the bound.  Run out at a bound, the elements are a d-Groebner basis,
 sufficient to decide membership of targets up to that weighted degree.
 
-``groebner`` finishes a run with no truncation
-(``_Buchberger.groebner_basis``, which membership's not-member guard calls
-at a bound): it runs it out, then minimalizes it and inter-reduces the tails
-in one pass, which gives the reduced basis (Becker & Weispfenning, *Groebner
-Bases*, 1993, 5.6), and its provenance becomes the rational
-``GroebnerBasis.reps``.  ``normal_form`` gives the rational remainder and
-cofactors (``exactpoly._reduce``).  The built-in replay calls neither
-``groebner`` nor ``eliminate``: its claims are memberships, and its
-eliminations of variables are certified members
+``groebner`` runs a run out with no truncation, then minimalizes its
+elements and inter-reduces the tails in one pass, which gives the reduced
+basis (Becker & Weispfenning, *Groebner Bases*, 1993, 5.6), as polynomials
+only: each element kept from the run is rep-checked, and each inter-reduced
+one is checked against its division identity.  ``normal_form`` gives the
+rational remainder and cofactors (``exactpoly._reduce``).  The built-in
+replay calls neither ``groebner`` nor ``eliminate``: its claims are
+memberships, and its eliminations of variables are certified members
 (``pipeline.StageRunner.eliminated_members``).
 
 ``membership`` needs no finished basis: a certificate only needs the
@@ -36,15 +35,15 @@ certificate comes from that partial basis.  It truncates the run at the
 weight of a weighted-homogeneous target, m**k * p at power k; no caller
 chooses the bound.  Completeness is needed only to refute: when no pair of
 lcm weight up to the target's is left, the target is not a member at that
-power, and a "not a member" answer is given only after the run, finished at
-the last weight tried, has been checked to be a Groebner basis of the
-generators.
+power, and a "not a member" answer is given only after the run's own
+elements, the ones the remainder was divided by, have been checked to be a
+Groebner basis of the generators up to the run's bound.
 
-``membership``, ``groebner`` and ``eliminate`` take an optional ``cache``
-dict, which a caller keeps for the life of one stage: a run over the same
-generator polynomials, whatever their ids, order and ceilings is continued
-from it by any later query, at any bound, with its provenance given the
-caller's generator ids.  A run that hit a ceiling leaves the cache.
+``membership``, ``groebner`` and ``eliminate`` take an optional
+keyword-only ``cache`` dict, which a caller keeps for the life of one
+stage: a run over the same generator polynomials, whatever their ids, order
+and ceilings is continued from it by any later query, at any bound, with its
+provenance given the caller's generator ids.  A run that hit a ceiling leaves the cache.
 
 Every returned Certificate's identity
 
@@ -216,16 +215,15 @@ def multiplier_of(saturations: Sequence[SaturationRecord]) -> Optional[Polynomia
 
 
 class GroebnerBasis:
-    """Reduced (possibly degree-truncated) Groebner basis with provenance:
-    ``reps[i]`` expresses ``polys[i]`` as a combination of the generators."""
+    """Groebner basis ``polys`` of the ideal of ``gens`` under ``order``, up
+    to the weighted degree ``degree_bound`` when truncated (None: not
+    truncated).  ``groebner`` returns it reduced."""
 
     def __init__(self, gens: GeneratorSet, order: MonomialOrder,
-                 polys: List[Polynomial], reps: List[Dict[str, Polynomial]],
-                 degree_bound: Optional[int] = None):
+                 polys: List[Polynomial], degree_bound: Optional[int] = None):
         self.gens = gens
         self.order = order
         self.polys = polys
-        self.reps = reps
         self.degree_bound = degree_bound
 
     def __len__(self) -> int:
@@ -277,11 +275,6 @@ def _spoly(pi: Polynomial, pj: Polynomial, lcm: tuple, order: MonomialOrder):
     return fi, fj, sum_of_products(pi.table, [(fi, pi), (-fj, pj)])
 
 
-def _rep_check(p: Polynomial, rep: Dict[int, Polynomial], gens: Sequence[Polynomial]) -> None:
-    if sum_of_products(p.table, [(cof, gens[k]) for k, cof in rep.items()]) != p:
-        raise PolyError("internal error: generator provenance lost")
-
-
 class _Buchberger:
     """A resumable Buchberger run (both criteria) over fixed generator
     polynomials, order and ceilings, deterministic for fixed input.
@@ -319,24 +312,23 @@ class _Buchberger:
         self.queue: List[tuple] = []
         self.deferred: List[tuple] = []  # (weight, lcm, i, j) above the bound
         self.processed = 0
-        self.checked = set()  # elements whose provenance passed ``_rep_check``
+        self.checked = set()  # elements whose provenance passed ``check``
         one = Polynomial.const(self.table, 1)
         for k, p in enumerate(gens):
             scale, red, fac = _divide(p, self.basis, order)
             if red:
-                self.push(*self.normalized(red, scale, [(one, (1, {k: one}))], fac, self.reps))
+                self.push(*self.normalized(red, scale, [(one, (1, {k: one}))], fac))
 
-    def normalized(self, red: Polynomial, scale: int, sources: list, fac: List[Polynomial],
-                   freps: list):
+    def normalized(self, red: Polynomial, scale: int, sources: list, fac: List[Polynomial]):
         """``red`` divided by its content, with a positive leading
         coefficient, and its provenance, where ``scale * sum(f * q) == red +
-        sum(fac[h] * q_h)`` over each ``(f, provenance of q)`` in ``sources``
-        and ``freps[h]`` is the provenance of q_h.  Over the lcm of the
-        denominators involved, each cofactor is one ``sum_of_products``, the
-        integer scales folded into the factors."""
+        sum(fac[h] * basis[h])`` over each ``(f, provenance of q)`` in
+        ``sources``.  Over the lcm of the denominators involved, each cofactor
+        is one ``sum_of_products``, the integer scales folded into the
+        factors."""
         content = math.gcd(*red.terms.values())
         sign = -1 if red.leading_term(self.order)[1] < 0 else 1
-        used = [(f, rep) for f, rep in zip(fac, freps) if f]
+        used = [(f, rep) for f, rep in zip(fac, self.reps) if f]
         common = math.lcm(*[den for _, (den, _) in sources], *[den for _, (den, _) in used])
         terms = [(f * (sign * scale * (common // den)), cofs) for f, (den, cofs) in sources]
         terms += [(f * (-sign * (common // den)), cofs) for f, (den, cofs) in used]
@@ -405,15 +397,18 @@ class _Buchberger:
             scale, red, fac = _divide(s, self.basis, self.order)
             if red:
                 self.push(*self.normalized(red, scale, [(fi, self.reps[i]), (-fj, self.reps[j])],
-                                           fac, self.reps))
+                                           fac))
                 return True
         return False
 
     def check(self, i: int) -> None:
-        """``_rep_check`` on element i, once."""
+        """Check, once, that element i equals its provenance: ``den *
+        basis[i] == sum(cofactor * gens[k])``."""
         if i not in self.checked:
             den, cofs = self.reps[i]
-            _rep_check(self.basis[i] * den, cofs, self.gens)
+            if sum_of_products(self.table, [(cof, self.gens[k])
+                                            for k, cof in cofs.items()]) != self.basis[i] * den:
+                raise PolyError("internal error: generator provenance lost")
             self.checked.add(i)
 
     def cofactors(self, target: Polynomial, bound: Optional[int]):
@@ -448,23 +443,12 @@ class _Buchberger:
                                         for f, i in used])
         return {k: _over(cof, scale * common) for k, cof in cofs.items()}
 
-    def groebner_basis(self, gens: GeneratorSet, degree_bound: Optional[int]) -> GroebnerBasis:
-        """The run out at ``degree_bound`` (at least its current bound), then
-        minimalized, tail inter-reduced and rep-checked, with its provenance
-        over the ids of ``gens``, whose polynomials are the run's.  A
-        truncated basis may hold elements above its bound (generators, or
-        elements of an earlier query at a larger bound)."""
-        self.raise_bound(degree_bound)
-        while self.advance():
-            pass
-        polys, reps = self.reduced_basis()
-        ids = gens.ids()
-        return GroebnerBasis(gens, self.order, polys,
-                             [{ids[k]: cof for k, cof in rep.items()} for rep in reps],
-                             None if self.bound is None else degree_bound)
-
-    def reduced_basis(self) -> tuple:
-        """The reduced basis of the elements and its rational provenance."""
+    def reduced_basis(self) -> List[Polynomial]:
+        """The elements minimalized, their tails inter-reduced in one pass,
+        sorted by leading monomial.  Every element kept from the run is
+        rep-checked (``check``); an inter-reduced one is in the ideal because
+        its division identity ``scale * b_i - r == sum(f_j * b_j)`` over the
+        other elements, checked with one ``sum_of_products``, holds."""
         order, lts = self.order, self.lts
         # minimalize: drop elements whose leading term another's divides
         drop = set()
@@ -475,32 +459,26 @@ class _Buchberger:
                 if _divides(lts[j], lts[i]):
                     drop.add(i)
                     break
-        index = [i for i in range(len(lts)) if i not in drop]
-        basis = [self.basis[i] for i in index]
-        reps = [self.reps[i] for i in index]
+        basis = []
+        for i in range(len(lts)):
+            if i not in drop:
+                self.check(i)
+                basis.append(self.basis[i])
 
         # inter-reduce the tails, in one pass.  Now no leading monomial divides
         # another, and reducing a tail keeps its leading term, so whether an
         # element is reduced depends only on this fixed set of leading monomials:
         # an element once reduced stays reduced when a later one changes.
-        one = Polynomial.const(self.table, 1)
         for i in range(len(basis)):
-            scale, red, fac = _divide(basis[i], basis[:i] + basis[i + 1:], order)
+            others = basis[:i] + basis[i + 1:]
+            scale, red, fac = _divide(basis[i], others, order)
             if red != basis[i]:
-                basis[i], reps[i] = self.normalized(red, scale, [(one, reps[i])], fac,
-                                                    reps[:i] + reps[i + 1:])
-                index[i] = None  # no longer an element of the run
-
-        idx = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
-        for i in idx:
-            if index[i] is None:
-                den, cofs = reps[i]
-                _rep_check(basis[i] * den, cofs, self.gens)
-            else:
-                self.check(index[i])
-        return ([basis[i] for i in idx],
-                [{k: _over(cof, den) for k, cof in cofs.items()}
-                 for den, cofs in (reps[i] for i in idx)])
+                if sum_of_products(self.table, [(f, q) for f, q in zip(fac, others) if f]) \
+                        != basis[i] * scale - red:
+                    raise PolyError("internal error: a tail reduction left the ideal")
+                content = math.gcd(*red.terms.values())
+                basis[i] = _over(red, content if red.leading_term(order)[1] > 0 else -content)
+        return sorted(basis, key=lambda p: order.key(p.leading_term(order)[0]))
 
 
 @contextmanager
@@ -526,12 +504,15 @@ def _run(gens: GeneratorSet, order: MonomialOrder, limits: Limits, cache: Option
 
 
 def groebner(gens: GeneratorSet, order: Optional[MonomialOrder] = None,
-             limits: Limits = Limits(), cache: Optional[dict] = None) -> GroebnerBasis:
+             limits: Limits = Limits(), *, cache: Optional[dict] = None) -> GroebnerBasis:
     """Reduced Groebner basis (Buchberger, both criteria), deterministic for
-    fixed input and order, with the provenance of each element over the ids of
-    ``gens``; from the run in ``cache`` when it holds one (see ``_run``)."""
+    fixed input and order: the run, from ``cache`` when it holds one (see
+    ``_run``), out with no truncation, then ``_Buchberger.reduced_basis``."""
     with _run(gens, order or grevlex_order(), limits, cache) as run:
-        return run.groebner_basis(gens, None)
+        run.raise_bound(None)
+        while run.advance():
+            pass
+        return GroebnerBasis(gens, run.order, run.reduced_basis())
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis):
@@ -547,6 +528,7 @@ def membership(
     saturations: Sequence[SaturationRecord] = (),
     max_power: int = 8,
     limits: Limits = Limits(),
+    *,
     cache: Optional[dict] = None,
 ):
     """Certificate that m**k * p lies in the ideal of ``gens``, where m is the
@@ -561,10 +543,12 @@ def membership(
     ignores the bound for any others.  The common case (power 0 or 1) stays
     cheap.
 
-    NOT_MEMBER is returned only after the run, finished at the last weight
-    tried (``_Buchberger.groebner_basis``), passes ``verify_spolys`` and
-    reduces every generator to zero there; a basis that fails raises
-    ``PolyError``, so a lost S-pair never reads as a refutation.  The last
+    NOT_MEMBER is returned only after the run's elements, over which the
+    target's remainder is nonzero, pass ``verify_spolys`` up to the run's
+    bound (None for an unbounded run) and reduce every generator to zero
+    there: Buchberger's criterion holds for any Groebner basis, reduced or
+    not.  A set that fails raises ``PolyError``, so a lost S-pair never
+    reads as a refutation.  The last
     power alone carries the answer: if m**k * p were in the ideal for a
     smaller k, m**max_power * p would be too.
     """
@@ -584,7 +568,7 @@ def membership(
             if mult is None:
                 break
             target = target * mult
-        b = run.groebner_basis(gens, bound)
+        b = GroebnerBasis(gens, run.order, run.basis, run.bound)
         if not (verify_spolys(b) and _spans_generators(b)):
             raise PolyError("internal error: a not-member answer rests on a basis that"
                             " fails the Groebner check")
@@ -592,7 +576,7 @@ def membership(
 
 
 def eliminate(gens: GeneratorSet, front_vars: Sequence[str],
-              limits: Limits = Limits(), cache: Optional[dict] = None) -> GeneratorSet:
+              limits: Limits = Limits(), *, cache: Optional[dict] = None) -> GeneratorSet:
     """Generators of the elimination ideal (front variables removed), via a
     block-order Groebner basis (from ``cache`` when it holds its run); ids
     elim_1, elim_2, ... in basis order."""

@@ -166,7 +166,6 @@ class StageResult:
     records: List[StepRecord] = field(default_factory=list)
     annotations: List[str] = field(default_factory=list)
     derived: Dict[str, Polynomial] = field(default_factory=dict)
-    conclusions: Dict[str, Polynomial] = field(default_factory=dict)
 
     def verdict(self) -> str:
         return _worst(r.verdict() for r in self.records)
@@ -778,7 +777,6 @@ def run_lemma32(config: Config) -> StageResult:
                                      " pointwise nonzero") as rec:
                     rec.certificate_digest = closures[name].digest()
                     run.add(name, mk(name))
-                    run.result.conclusions[name] = mk(name)
         run.annotate(sid("lambda_const"),
                      "with the transverse coefficients gone, the rule tables give"
                      f" {tag}(lam_i) = 0 for every principal curvature",
@@ -992,10 +990,8 @@ def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
         raise PolyError("big-relation construction: substitution bookkeeping broken")
 
     f1 = t_sub.coeff_in("s", 1)
-    f0 = t_sub - f1 * s
     q1 = e60.coeff_in("s", 1)
-    q0 = e60 - q1 * s
-    rs = f1 * q0 - q1 * f0          # resultant of two s-linear polynomials
+    rs = resultant(t_sub, e60, "s")  # f1*e60 - q1*t_sub: both are linear in s
     u = (-rs).exact_divide(h1)
     lc_u = u.coeff_in("h1", 2)
     lc_61 = e61.coeff_in("h1", 2)

@@ -193,6 +193,13 @@ class TestRuleTables:
         for (name, sym), text in typed.items():
             assert rules[name].image_of(sym) == symbols.poly(text), (name, sym)
 
+    def test_transverse_rows_as_once_typed(self, symbols, rules):
+        # D1's direction-3/4 rows, computed through DIRECTIONS, equal the text
+        # the table once stored for them
+        typed = {"o223": "u2*o223", "o443": "u4*o443", "o224": "u2*o224", "o334": "u3*o334"}
+        for sym, text in typed.items():
+            assert rules["D1"].image_of(sym) == symbols.poly(text), sym
+
     def test_permuted_saturation_ids(self, symbols):
         # the table lemma32 once carried by hand for the ids it permutes
         by_hand = {

@@ -11,6 +11,7 @@ from curvelim.exactpoly import (
     PolyError,
     VarTable,
     block_order,
+    grevlex_order,
     lex_order,
     parse_polynomial,
 )
@@ -69,11 +70,9 @@ class TestGroebner:
             gs = gens(VT, **{f"g{i}": p for i, p in enumerate(_random_system(rng))})
             gb = groebner(gs)
             assert verify_spolys(gb)
-            for p, rep in zip(gb.polys, gb.reps):
-                acc = Polynomial.zero(VT)
-                for rid, cof in rep.items():
-                    acc = acc + cof * gs.get(rid).poly
-                assert acc == p
+            for p in gb.polys:  # every element, inter-reduced or not, is in the ideal
+                cert = membership(p, gs)
+                assert isinstance(cert, Certificate) and cert.power == 0
 
     def test_determinism(self):
         gs1 = gens(VT, a=poly("x^2 + y"), b=poly("x*y - 1"), c=poly("y^2 - x"))
@@ -84,6 +83,23 @@ class TestGroebner:
         gs = gens(VT, a=poly("x^3 - 2*x*y"), b=poly("x^2*y - 2*y^2 + x"))
         with pytest.raises(ResourceExhausted):
             groebner(gs, limits=Limits(max_basis=1, max_pairs=2))
+
+    def test_wrong_tail_reduction_raises(self, monkeypatch):
+        # x - y reduces to x - z over y - z; a division that returns another
+        # remainder breaks the division identity that keeps it in the ideal
+        run = ideal._Buchberger([poly("x - y"), poly("y - z")], grevlex_order(), Limits())
+        while run.advance():
+            pass
+        assert [p.to_text() for p in run.reduced_basis()] == ["y - z", "x - z"]
+        real_divide = ideal._divide
+
+        def wrong(p, basis, order):
+            scale, red, fac = real_divide(p, basis, order)
+            return scale, red if red == p else red + poly("z"), fac
+
+        monkeypatch.setattr(ideal, "_divide", wrong)
+        with pytest.raises(PolyError, match="internal error"):
+            run.reduced_basis()
 
 
 class TestSpolyGuard:
@@ -111,7 +127,7 @@ class TestSpolyGuard:
         gb = self._basis()
         k = gb.printed().index("u*x - y^2")
         lost = ideal.GroebnerBasis(gb.gens, gb.order, gb.polys[:k] + gb.polys[k + 1:],
-                                   gb.reps[:k] + gb.reps[k + 1:])
+                                   gb.degree_bound)
         assert not verify_spolys(lost)
 
 
@@ -180,19 +196,42 @@ class TestMembership:
             membership(poly("y^2 - x"), gs)
 
     def test_basis_of_a_smaller_ideal_raises(self, monkeypatch):
-        # a basis missing an element still passes the S-polynomial check, so
+        # the run's elements minus one still pass the S-polynomial check, so
         # the generators must also reduce to zero
-        real_basis = ideal._Buchberger.groebner_basis
+        real_basis = ideal.GroebnerBasis
 
-        def dropping(run, gens, degree_bound):
-            gb = real_basis(run, gens, degree_bound)
-            return ideal.GroebnerBasis(gb.gens, gb.order, gb.polys[:-1], gb.reps[:-1],
-                                       gb.degree_bound)
+        def dropping(gens, order, polys, degree_bound=None):
+            return real_basis(gens, order, polys[:-1], degree_bound)
 
-        monkeypatch.setattr(ideal._Buchberger, "groebner_basis", dropping)
+        monkeypatch.setattr(ideal, "GroebnerBasis", dropping)
         gs = gens(VT, g1=poly("x"), g2=poly("y"))
         with pytest.raises(PolyError, match="internal error"):
             membership(poly("z"), gs)
+
+    def test_guard_of_a_non_homogeneous_run_is_not_truncated(self, monkeypatch):
+        # x*y - 1 is not weighted-homogeneous, so the run is unbounded and the
+        # guard checks every pair, though the target x weighs 1: truncated at
+        # its weight it would skip the lost pair, of lcm x^2*y, and refute
+        bounds = []
+        real_verify = ideal.verify_spolys
+
+        def recording(gb):
+            bounds.append(gb.degree_bound)
+            return real_verify(gb)
+
+        monkeypatch.setattr(ideal, "verify_spolys", recording)
+        gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))
+        assert membership(poly("x"), gs) == NOT_MEMBER
+        assert bounds == [None]
+        real_push = ideal.heappush
+
+        def lossy_push(queue, entry):
+            if entry[1:] != (0, 1):
+                real_push(queue, entry)
+
+        monkeypatch.setattr(ideal, "heappush", lossy_push)
+        with pytest.raises(PolyError, match="internal error"):
+            membership(poly("x"), gs)
 
     def test_derivation_step_shape(self):
         # a derivative image certifies the printed relation with a unit cofactor
@@ -393,15 +432,17 @@ class TestEliminate:
             for i in ("eq_3_43", "eq_3_44", "eq_3_45", "eq_3_46", "eq_3_47",
                       "eq_3_3", "eq_3_11")
         ])
-        # the block-order run truncated at weight 6, the weight of the targets:
-        # its elements free of the w's generate the elimination ideal up to it
+        # the block-order run out at weight 6, the weight of the targets: its
+        # elements free of the w's generate the elimination ideal up to it
         front = ["w243", "w342", "w432"]
-        gb = ideal._Buchberger([r.poly for r in gs], block_order(sym.table, front),
-                               Limits()).groebner_basis(gs, 6)
-        assert gb.degree_bound == 6
-        out = GeneratorSet(sym.table, [Relation(f"elim_{n}", p) for n, p in enumerate(gb.polys)
+        run = ideal._Buchberger([r.poly for r in gs], block_order(sym.table, front), Limits())
+        run.raise_bound(6)
+        while run.advance():
+            pass
+        assert run.bound == 6
+        out = GeneratorSet(sym.table, [Relation(f"elim_{n}", p) for n, p in enumerate(run.basis)
                                        if not set(front) & p.variables()])
-        assert 0 < len(out) < len(gb)
+        assert 0 < len(out) < len(run.basis)
         for target in ("eq_3_48", "eq_3_49"):
             cert = membership(reg.poly(target), out)
             assert cert != NOT_MEMBER, target

@@ -4,8 +4,8 @@ a cold basis at each power.
 ``membership`` divides the target by the run's elements so far and advances
 the run one element at a time until the remainder is zero or no pair of lcm
 weight at most the target's is left; a cached run is continued by later
-queries at other weights and powers.  The reference builds a fresh
-weight-truncated basis for every power k and takes the normal form of
+queries at other weights and powers.  The reference runs a fresh run out at
+the weight of every power k and takes the normal form over its elements of
 m**k * t, as ``membership`` did before runs were kept.  Both must give the
 same answer and the same minimal power, on a fresh run and on one that
 earlier queries already advanced, and every certificate must pass its
@@ -80,11 +80,15 @@ def _system(draw):
 
 def _reference(target, gens, mult):
     """The minimal power k <= MAX_POWER with mult**k * target in the ideal,
-    by a cold truncated basis and normal form at each power; None if none."""
+    by a cold run out at the weight of mult**k * target and normal form over
+    its elements at each power; None if none."""
     tried = target
     for k in range(MAX_POWER + 1):
         run = ideal._Buchberger([r.poly for r in gens], grevlex_order(), Limits())
-        gb = run.groebner_basis(gens, tried.weighted_degree())
+        run.raise_bound(tried.weighted_degree())
+        while run.advance():
+            pass
+        gb = ideal.GroebnerBasis(gens, run.order, run.basis, run.bound)
         if normal_form(tried, gb)[0].is_zero():
             return k
         tried = tried * mult
