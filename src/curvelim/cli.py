@@ -13,6 +13,7 @@ failure.  Reports are always written, even on failure, before a nonzero exit.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -226,6 +227,35 @@ def cmd_poly(args) -> int:
     return EXIT_OK
 
 
+def _summarize(report: dict, out) -> None:
+    steps = sum(len(s.get("steps", [])) for s in report.get("stages", []))
+    if steps == 0:
+        print("no steps", file=out)
+        return
+    print(f"engine {report.get('engine_version')}  seed {report.get('seed')}"
+          f"  verdict {report.get('verdict')}", file=out)
+    mismatches = 0
+    for stage in report.get("stages", []):
+        counts: dict = {}
+        for step in stage.get("steps", []):
+            counts[step["status"]] = counts.get(step["status"], 0) + 1
+        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+        print(f"stage {stage['name']}: {stage.get('verdict')} ({summary})", file=out)
+        for step in stage.get("steps", []):
+            if step["status"] == "mismatch-documented":
+                mismatches += 1
+                print(f"  mismatch {step['id']} ({step.get('citation', '')}):", file=out)
+                for t in step.get("details", {}).get("diff_terms", [])[:6]:
+                    print(f"    diff {t}", file=out)
+    print(f"mismatches: {mismatches}", file=out)
+    print("certificate digests:", file=out)
+    for stage in report.get("stages", []):
+        for step in stage.get("steps", []):
+            if step.get("certificate_digest"):
+                print(f"  {stage['name']}.{step['id']}: {step['certificate_digest'][:16]}",
+                      file=out)
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.path) as f:
@@ -233,35 +263,21 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(report, dict):
+        print("not a curvelim report: the top level is not a JSON object", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         json.dump(report, sys.stdout, indent=1, sort_keys=True)
         print()
         return EXIT_OK
-    steps = sum(len(s.get("steps", [])) for s in report.get("stages", []))
-    if steps == 0:
-        print("no steps")
-        return EXIT_OK
-    print(f"engine {report.get('engine_version')}  seed {report.get('seed')}"
-          f"  verdict {report.get('verdict')}")
-    mismatches = 0
-    for stage in report.get("stages", []):
-        counts: dict = {}
-        for step in stage.get("steps", []):
-            counts[step["status"]] = counts.get(step["status"], 0) + 1
-        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-        print(f"stage {stage['name']}: {stage.get('verdict')} ({summary})")
-        for step in stage.get("steps", []):
-            if step["status"] == "mismatch-documented":
-                mismatches += 1
-                print(f"  mismatch {step['id']} ({step.get('citation', '')}):")
-                for t in step.get("details", {}).get("diff_terms", [])[:6]:
-                    print(f"    diff {t}")
-    print(f"mismatches: {mismatches}")
-    print("certificate digests:")
-    for stage in report.get("stages", []):
-        for step in stage.get("steps", []):
-            if step.get("certificate_digest"):
-                print(f"  {stage['name']}.{step['id']}: {step['certificate_digest'][:16]}")
+    # a malformed report fails part way, so the summary is printed only whole
+    out = io.StringIO()
+    try:
+        _summarize(report, out)
+    except (AttributeError, KeyError, TypeError) as exc:
+        print(f"not a curvelim report: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

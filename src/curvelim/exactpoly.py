@@ -806,12 +806,12 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
     its last entry is the leading term; an entry whose term has since
     cancelled is skipped when it comes up.  A term c that the divisor's
     leading coefficient lc does not divide first scales D and the work by
-    ``|lc| / gcd(c, lc)``.  Each remainder and quotient term is recorded at
-    the scale of its time and brought to the final D at the end, by the
-    scales that came after it.  With ``guard`` the top bit of every field,
-    ``lm`` divides ``m`` exactly when ``((P(m) | guard) - P(lm)) & guard`` is
-    ``guard``: a field whose exponent in ``lm`` is larger borrows its guard
-    bit, and no field borrows from its neighbour."""
+    ``|lc| / gcd(c, lc)``, and the remainder and quotient terms recorded so
+    far with them, so every term is recorded at the scale D.  With ``guard``
+    the top bit of every field, ``lm`` divides ``m`` exactly when
+    ``((P(m) | guard) - P(lm)) & guard`` is ``guard``: a field whose exponent
+    in ``lm`` is larger borrows its guard bit, and no field borrows from its
+    neighbour."""
     n = len(p.table)
     weights = _packing(order, n, width)
     fields = _fields(n, width)
@@ -820,9 +820,9 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
     work = {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
     queue = sorted(work)
     plms = [pk[1] for pk in packs]
-    remainder: list = []  # (packed monomial, coefficient), as recorded
-    quotient: list = []  # (divisor index, packed monomial, coefficient), as recorded
-    rescales: list = []  # (up, len(quotient), len(remainder)) as the work is scaled by up
+    scale = 1
+    rem: dict = {}  # packed monomial -> coefficient
+    factors: list = [{} for _ in packs]  # per divisor, packed monomial -> coefficient
     while queue:
         k = queue.pop()
         c = work.pop(k, 0)
@@ -833,18 +833,20 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
             if (kg - plm) & guard == guard:
                 break
         else:
-            remainder.append((k, c))
+            rem[k] = c
             continue
         klm, _, lc, tail, _ = packs[hit]
         qc, r = divmod(c, lc)
         if r:
             g = math.gcd(c, lc)
             up = abs(lc) // g
-            rescales.append((up, len(quotient), len(remainder)))
+            scale *= up
             work = {key: v * up for key, v in work.items()}
+            rem = {key: v * up for key, v in rem.items()}
+            factors = [{key: v * up for key, v in f.items()} for f in factors]
             qc = c // g if lc > 0 else -c // g
         q = k - klm
-        quotient.append((hit, q, qc))
+        factors[hit][q] = qc
         for bk, bc in tail:
             mk = bk + q
             old = work.get(mk)
@@ -859,16 +861,6 @@ def _reduce_packed(p: Polynomial, packs: list, order: MonomialOrder, width: int)
                     work[mk] = s
                 else:
                     del work[mk]
-    rem: dict = {}
-    factors: list = [{} for _ in packs]
-    scale, hi_q, hi_r = 1, len(quotient), len(remainder)
-    for up, lo_q, lo_r in reversed([(1, 0, 0)] + rescales):
-        for hit, q, c in quotient[lo_q:hi_q]:
-            factors[hit][q] = c * scale
-        for k, c in remainder[lo_r:hi_r]:
-            rem[k] = c * scale
-        scale *= up
-        hi_q, hi_r = lo_q, lo_r
     table, unpack, size = p.table, fields.unpack, fields.size
 
     def unpacked(terms: dict) -> Polynomial:

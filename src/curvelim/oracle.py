@@ -15,27 +15,26 @@ p, with a rational coefficient mapped through the modular inverse, and the
 (table position, exponent) pairs of its nonzero exponents.  Terms are sorted
 by those pairs, so consecutive terms share factor prefixes.
 
-Evaluation is columnar.  The check walks the trials in blocks of at most
-``_BLOCK``, holds one column of residues per variable (one entry per trial),
-and evaluates each compiled operand over the whole block at once
-(``_columns``): it walks the sorted terms as a trie, keeping a stack of
-column products along the current factor prefix, so each trie node costs one
-column product; the power columns x_i^e mod p are built once per block of a
-sweep, each as x_i^(e-1) * x_i (by one ``pow`` per entry when e is far above
-the powers held), and shared by its checks (``_Powers``).
+Evaluation is columnar.  A sweep holds one column of residues per variable,
+one entry per trial, and evaluates each compiled operand over all the trials
+at once (``_columns``): it walks the sorted terms as a trie, keeping a stack
+of column products along the current factor prefix, so each trie node costs
+one column product; the power columns x_i^e mod p are built once per sweep,
+each as x_i^(e-1) * x_i (by one ``pow`` per entry when e is far above the
+powers held), and shared by its checks (``_Powers``).
 
-Evaluation points come from seeded hashing: each variable's column of a block
-is one SHAKE-256 stream keyed by (seed, variable, block), read as 128-bit
-words (``_column``).  A value depends only on (seed, trial, variable,
-prime): not on the certificate, the other variables, the trial count or the
-execution order, so verdicts are fully reproducible.  Every check of a sweep
-therefore reads the same points, and a sweep (``_Sweep``) derives each
-variable's column of a block once and compiles and evaluates each distinct
-operand once per block, however many certificates use it; an operand is
-known by its table's names and its term dict, and a column is dropped after
-its last use.  Schwartz's bound needs points independent of the polynomial
-checked, which these are; it does not need different certificates to see
-different points.
+Evaluation points come from seeded hashing: a variable's values at a block
+of ``_BLOCK`` trials are one SHAKE-256 stream keyed by (seed, variable,
+block), read as 128-bit words (``_column``), and its column is these blocks
+end to end.  A value depends only on (seed, trial, variable, prime): not on
+the certificate, the other variables, the trial count or the execution
+order, so verdicts are fully reproducible.  Every check of a sweep therefore
+reads the same points, and a sweep (``_Sweep``) derives each variable's
+column once and compiles and evaluates each distinct operand once, however
+many certificates use it; an operand is known by its table's names and its
+terms, and a column is dropped after its last use.  Schwartz's bound needs
+points independent of the polynomial checked, which these are; it does not
+need different certificates to see different points.
 """
 
 from __future__ import annotations
@@ -127,8 +126,8 @@ def _rejection_limit(prime: int) -> int:
     return (1 << 128) - ((1 << 128) % prime)
 
 
-# trials evaluated together, and the words of one point stream: a constant of
-# the point derivation, not the trial count; the default trial count is one block
+# the words of one point stream: a constant of the point derivation, not the
+# trial count; the default trial count is one block
 _BLOCK = 100
 
 
@@ -178,7 +177,7 @@ _POWER_STEPS = 8
 
 
 class _Powers(dict):
-    """Residue columns of one block of points, keyed by (var_index,
+    """Residue columns of a set of points, keyed by (var_index,
     exponent): the values of x_i^e mod p, one per point.  The caller puts in
     the exponent-1 columns.  On first use x_i^e is made from the highest
     power h of x_i held: as x_i^(h+1), ..., x_i^e, each the one before times
@@ -274,91 +273,71 @@ def _operands(cert) -> Tuple[List, int]:
 
 class _Sweep:
     """The evaluations that the checks of one sweep share, for the working
-    prime.  All checks read the same points, so a variable's column of a
-    block is derived once (``variable``), and the column of an operand that
-    several certificates use (a generator, a derived relation that was a
-    target before) is compiled and evaluated once per block (``column``).
+    prime, over all its trials.  All checks read the same points, so a
+    variable's column is derived once (``variable``), and the column of an
+    operand that several certificates use (a generator, a derived relation
+    that was a target before) is compiled and evaluated once (``column``).
     ``uses`` counts each distinct operand's occurrences in the checks to
-    come, told apart by ``key``; the column of an operand used again is kept
-    until its last use, and a compiled form until its last block is
-    evaluated (in the check that first uses it, which walks the blocks in
-    order).  Kept columns are machine words where the prime is below 2**64
+    come, by ``key``; the column of an operand used again is kept until its
+    last use.  Kept columns are machine words where the prime is below 2**64
     (the default), a fifth of the memory of a list of ints.  The power
-    columns x_i^e of a block (``powers``) are kept the same way, for every
-    check of the sweep."""
+    columns x_i^e (``powers``) are kept the same way, for every check of the
+    sweep."""
 
     def __init__(self, cfg: SpotCheckConfig, certs):
         self.seed, self.prime, self.trials = cfg.seed, cfg.prime, cfg.trials
         self.limit = _rejection_limit(cfg.prime)
-        self.blocks = -(-cfg.trials // _BLOCK)
         # a residue of a prime below 2**64 fits a machine word
         self.keep = partial(array, "Q") if cfg.prime < 1 << 64 else list
-        # (table names, hash of the terms) -> the distinct term dicts of that hash
-        self.seen: Dict[Tuple[Tuple[str, ...], int], List[dict]] = {}
         self.uses: Dict[tuple, int] = {}
         for cert in certs:
             for q in _operands(cert)[0]:
                 key = self.key(q)
                 self.uses[key] = self.uses.get(key, 0) + 1
-        # key -> compiled form, while blocks remain to evaluate
-        self.compiled: Dict[tuple, Compiled] = {}
-        # (key, block) -> [column, uses left]
+        # key -> [column, uses left]
         self.columns: Dict[tuple, list] = {}
-        self.variables: Dict[Tuple[str, int], Sequence[int]] = {}
-        # (table names, block) -> the power columns of that block
-        self.power_columns: Dict[Tuple[Tuple[str, ...], int], _Powers] = {}
+        self.variables: Dict[str, Sequence[int]] = {}
+        # table names -> the power columns over that table
+        self.power_columns: Dict[Tuple[str, ...], _Powers] = {}
 
-    def key(self, poly) -> Tuple[Tuple[str, ...], int, int]:
-        """An operand's identity: its table's names, the hash of its terms,
-        and which of the distinct term dicts of that hash it is.  A hit on
-        the hash is confirmed by term-dict equality, since different terms
-        can share a hash (``hash(-1) == hash(-2)``)."""
-        names, terms = poly.table.names, poly.terms
-        h = hash(frozenset(terms.items()))
-        same_hash = self.seen.setdefault((names, h), [])
-        for i, other in enumerate(same_hash):
-            if other == terms:
-                return names, h, i
-        same_hash.append(terms)
-        return names, h, len(same_hash) - 1
+    @staticmethod
+    def key(poly) -> Tuple[Tuple[str, ...], frozenset]:
+        """An operand's identity: its table's names and its terms.  Terms
+        that share a hash (``hash(-1) == hash(-2)``) stay apart as keys."""
+        return poly.table.names, frozenset(poly.terms.items())
 
-    def size(self, block: int) -> int:
-        return min(_BLOCK, self.trials - block * _BLOCK)
-
-    def variable(self, name: str, block: int) -> Sequence[int]:
-        col = self.variables.get((name, block))
+    def variable(self, name: str) -> Sequence[int]:
+        """The variable's column over all trials, one point stream per block."""
+        col = self.variables.get(name)
         if col is None:
-            col = self.variables[name, block] = self.keep(_column(
-                self.seed, name, block, self.size(block), self.prime, self.limit))
+            col = self.variables[name] = self.keep()
+            for start in range(0, self.trials, _BLOCK):
+                col.extend(_column(self.seed, name, start // _BLOCK,
+                                   min(_BLOCK, self.trials - start), self.prime, self.limit))
         return col
 
-    def powers(self, names: Tuple[str, ...], positions: Sequence[int], block: int) -> _Powers:
-        """The power columns of a block over a table of ``names``, holding the
-        variable columns at ``positions``."""
-        powers = self.power_columns.get((names, block))
+    def powers(self, names: Tuple[str, ...], positions: Sequence[int]) -> _Powers:
+        """The power columns over a table of ``names``, holding the variable
+        columns at ``positions``."""
+        powers = self.power_columns.get(names)
         if powers is None:
-            powers = self.power_columns[names, block] = _Powers({}, self.prime, self.keep)
+            powers = self.power_columns[names] = _Powers({}, self.prime, self.keep)
         for i in positions:
             if (i, 1) not in powers:
-                powers[i, 1] = self.variable(names[i], block)
+                powers[i, 1] = self.variable(names[i])
         return powers
 
-    def column(self, poly, block: int, powers: _Powers) -> Sequence[int]:
+    def column(self, poly, powers: _Powers) -> Sequence[int]:
         key = self.key(poly)
-        entry = self.columns.get((key, block))
+        entry = self.columns.get(key)
         if entry is not None:
             entry[1] -= 1
             if not entry[1]:
-                del self.columns[key, block]
+                del self.columns[key]
             return entry[0]
-        compiled = self.compiled.pop(key, None)
-        if compiled is None:
-            compiled = _compile(poly, self.prime)
-        if block + 1 < self.blocks:
-            self.compiled[key] = compiled
-        col = _columns(compiled, powers, self.size(block), self.prime)
+        col = _columns(_compile(poly, self.prime), powers, self.trials, self.prime)
         if self.uses[key] > 1:
-            self.columns[key, block] = [self.keep(col), self.uses[key] - 1]
+            self.columns[key] = [self.keep(col), self.uses[key] - 1]
         return col
 
 
@@ -382,12 +361,13 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
 
         multiplier**power * target  ==  sum(cofactor_i * generator_i)
 
-    by comparing both sides at cfg.trials seeded points mod cfg.prime, one
-    block of trials at a time.  ``cert`` needs attributes target, multiplier,
-    power, pairs (id -> cofactor) and generator_poly(id), as ideal.Certificate
-    has.  ``sweep`` holds the columns shared with the other checks of
-    ``check_certificates``; alone, a check makes its own.  At the first
-    failure every operand is compiled once for each confirmation prime.
+    by comparing both sides at cfg.trials seeded points mod cfg.prime, each
+    side one column over all the trials.  ``cert`` needs attributes target,
+    multiplier, power, pairs (id -> cofactor) and generator_poly(id), as
+    ideal.Certificate has.  ``sweep`` holds the columns shared with the
+    other checks of ``check_certificates``; alone, a check makes its own.  At
+    the first failure every operand is compiled once for each confirmation
+    prime.
     """
     operands, power = _operands(cert)
     tgt = cert.target
@@ -411,19 +391,17 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     p = cfg.prime
     result = SpotCheckResult(label, cfg.trials, total_degree=deg,
                              per_trial_bound=Fraction(max(deg, 1), p))
+    powers = sweep.powers(names, positions)
+    lhs, rhs = _sides([sweep.column(q, powers) for q in operands], power, sweep.trials, p)
     confirmers = None
-    for block in range(sweep.blocks):
-        n = sweep.size(block)
-        powers = sweep.powers(names, positions, block)
-        lhs, rhs = _sides([sweep.column(q, block, powers) for q in operands], power, n, p)
-        for k, (a, b) in enumerate(zip(lhs, rhs)):
-            if a != b:
-                if confirmers is None:
-                    confirmers = [(extra, [_compile(q, extra) for q in operands])
-                                  for extra in _extra_primes()]
-                result.failures.append(_witness(
-                    label, block * _BLOCK + k, variables, positions,
-                    [powers[i, 1][k] for i in positions], (a - b) % p, power, confirmers))
+    for k, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            if confirmers is None:
+                confirmers = [(extra, [_compile(q, extra) for q in operands])
+                              for extra in _extra_primes()]
+            result.failures.append(_witness(
+                label, k, variables, positions, [powers[i, 1][k] for i in positions],
+                (a - b) % p, power, confirmers))
     return result
 
 

@@ -1262,11 +1262,15 @@ def parse_script(text: str) -> Script:
             parts = [p.strip() for p in rest.split("|")]
             if len(parts) != 4:
                 raise ScriptError("AXIOM wants 'id | polynomial | citation | quote'", ln)
+            if any(a[0] == parts[0] for a in axioms):
+                raise ScriptError(f"duplicate AXIOM id {parts[0]!r}", ln)
             axioms.append((parts[0], parts[1], parts[2], parts[3], ln))
         elif head == "SATURATION":
             parts = [p.strip() for p in rest.split("|")]
             if len(parts) != 3:
                 raise ScriptError("SATURATION wants 'id | polynomial | justification'", ln)
+            if any(sat[0] == parts[0] for sat in saturations):
+                raise ScriptError(f"duplicate SATURATION id {parts[0]!r}", ln)
             saturations.append((parts[0], parts[1], parts[2], ln))
         elif head == "STAGE":
             if not rest:
@@ -1395,8 +1399,11 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         except PolyError as exc:
             raise ScriptError(f"bad polynomial: {exc}", line)
 
-    sats += [SaturationRecord(sid, mk(ptext, ln), just)
-             for sid, ptext, just, ln in script.saturations]
+    for sid, ptext, just, ln in script.saturations:
+        try:
+            sats.append(SaturationRecord(sid, mk(ptext, ln), just))
+        except PolyError as exc:
+            raise ScriptError(str(exc), ln)
     axioms = {aid: (mk(ptext, ln), citation, quote)
               for aid, ptext, citation, quote, ln in script.axioms}
 

@@ -77,3 +77,25 @@ def test_groebner_spans_count_the_bases_built(tracer, monkeypatch):
     assert len(spans["ideal.groebner"]) == len(spans["ideal.eliminate"]) == 0
     assert len(spans["ideal.membership"]) == 25
     assert sum(len(r.bases) for r in runners) == 15
+
+
+def test_sweep_reaches_each_check_once(tracer):
+    # the tracer wraps oracle.check_certificate and reads its cfg; a sweep
+    # must still make one such call per certificate
+    from curvelim import oracle
+    from curvelim.pipeline import Config, run_builtin
+
+    items = list(run_builtin("lemma32", Config(trials=1)).identities().items())
+    assert len(items) == 82
+    t = tracer.Tracer()
+    t.install()
+    try:
+        results = oracle.check_certificates(items, oracle.SpotCheckConfig(trials=5))
+    finally:
+        t.uninstall()
+    assert all(r.verdict == "pass" for r in results)
+    rows = [row for row in t.rows if row[2] == "oracle.check_certificate"]
+    assert [row[7] for row in rows] == [
+        [5 * (1 + (1 if cert.power and cert.multiplier is not None else 0)
+              + 2 * len(cert.pairs)), True]
+        for _, cert in items]

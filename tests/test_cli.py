@@ -164,6 +164,26 @@ class TestVerify:
         assert "bad oracle configuration" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("lines, line, words", [
+        (["SATURATION z | 0 | zero"], 2, "'z' is zero"),
+        (["SATURATION z | x - x | zero"], 2, "'z' is zero"),
+        (["AXIOM a | x | toy | x", "AXIOM a | y | toy | y"], 3, "duplicate AXIOM id 'a'"),
+        (["SATURATION n | x | toy", "SATURATION n | y | toy"], 3,
+         "duplicate SATURATION id 'n'"),
+    ], ids=["zero-saturation", "cancelled-saturation", "duplicate-axiom",
+            "duplicate-saturation"])
+    def test_malformed_script_exit_2_before_any_stage(self, tmp_path, capsys, lines,
+                                                      line, words):
+        script = tmp_path / "bad.ds"
+        script.write_text("\n".join(["SYMBOLS x y", *lines,
+                                      "STAGE s", "STEP s1 annotate none"]) + "\n")
+        path = tmp_path / "bad.json"
+        assert run_cli(["verify", "--script", str(script), "--report", str(path),
+                        "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"script error: line {line}: " in err and words in err
+        assert not path.exists()
+
     def test_example_script(self, tmp_path):
         example = os.path.join(os.path.dirname(__file__), "..", "docs", "example.ds")
         rc = run_cli(["verify", "--script", example,
@@ -180,6 +200,18 @@ class TestReportCommand:
         path.write_text(json.dumps({"stages": [], "verdict": "success"}))
         assert run_cli(["report", str(path)]) == 0
         assert "no steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, words", [
+        ("[]", "the top level is not a JSON object"),
+        ('{"stages":[{"steps":[{}]}]}', "KeyError: 'status'"),
+    ], ids=["list", "step-without-status"])
+    def test_json_that_is_not_a_report_exit_2(self, tmp_path, capsys, text, words):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        assert run_cli(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not a curvelim report: ") and words in captured.err
 
     def test_summary_counts(self, tmp_path, capsys):
         path = tmp_path / "l31.json"

@@ -678,13 +678,27 @@ class TestScriptResolution:
         ("# no SYMBOLS line: the paper world\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
         ("# a repeated name\nSYMBOLS x y x\n", 2, "duplicate variable names"),
         ("SYMBOLS x y\nWEIGHTS 1 -1\n", 2, "WEIGHTS must be nonnegative"),
+        ("SYMBOLS x y\nAXIOM a | x | toy | x\nAXIOM a | y | toy | y\n"
+         "STAGE s\nSTEP s1 assume a\n", 3, "duplicate AXIOM id 'a'"),
+        ("SYMBOLS x y\nSATURATION n | x | toy\nSATURATION n | y | toy\n", 3,
+         "duplicate SATURATION id 'n'"),
     ], ids=["stage", "step", "weights-short", "weights-first", "weights-paper",
-            "weights-default-paper", "symbols-repeated", "weights-negative"])
+            "weights-default-paper", "symbols-repeated", "weights-negative",
+            "axiom-repeated", "saturation-repeated"])
     def test_shape_errors_name_their_line(self, text, line, words):
         with pytest.raises(ScriptError) as err:
             parse_script(text)
         assert err.value.line == line
         assert words in str(err.value)
+
+    @pytest.mark.parametrize("poly", ["0", "x - x"], ids=["zero", "cancelled"])
+    def test_zero_saturation_names_its_line(self, poly):
+        text = (f"SYMBOLS x\nAXIOM a | x | toy | x\nSATURATION z | {poly} | zero\n"
+                "STAGE s\nSTEP s1 assume a\n")
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(text), Config(trials=2))
+        assert err.value.line == 3
+        assert "'z' is zero" in str(err.value)
 
     def test_same_step_id_in_two_stages_is_allowed(self):
         text = "SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTEP a annotate two\n"
