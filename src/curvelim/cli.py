@@ -266,18 +266,19 @@ def cmd_report(args) -> int:
     if not isinstance(report, dict):
         print("not a curvelim report: the top level is not a JSON object", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
-        return EXIT_OK
-    # a malformed report fails part way, so the summary is printed only whole
+    # a malformed report fails part way, so the summary is printed only whole;
+    # under --format json it is the shape check, and the report is echoed
     out = io.StringIO()
     try:
         _summarize(report, out)
     except (AttributeError, KeyError, TypeError) as exc:
         print(f"not a curvelim report: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(out.getvalue())
+    if args.format == "json":
+        json.dump(report, sys.stdout, indent=1, sort_keys=True)
+        print()
+    else:
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

@@ -12,16 +12,17 @@ the word-by-word point derivation, are in ``tests/tests_evaluation.py``.
 sweep of them.  Each operand (target, multiplier, cofactor, generator) is
 compiled for the prime (``_compile``): each term becomes its coefficient mod
 p, with a rational coefficient mapped through the modular inverse, and the
-(table position, exponent) pairs of its nonzero exponents.  Terms are sorted
-by those pairs, so consecutive terms share factor prefixes.
+(table position, exponent) pairs of its nonzero exponents, its factors.
 
 Evaluation is columnar.  A sweep holds one column of residues per variable,
 one entry per trial, and evaluates each compiled operand over all the trials
-at once (``_columns``): it walks the sorted terms as a trie, keeping a stack
-of column products along the current factor prefix, so each trie node costs
-one column product; the power columns x_i^e mod p are built once per sweep,
-each as x_i^(e-1) * x_i (by one ``pow`` per entry when e is far above the
-powers held), and shared by its checks (``_Powers``).
+at once (``_columns``): a term is its coefficient times the column of its
+factors but the last times the last factor's column.  Both come from one
+memo of monomial columns per variable table, kept for the whole sweep
+(``_Monomials``): a power x_i^e is one ``pow`` per entry of x_i's column,
+and a factor prefix is the prefix one factor shorter times that factor's
+column.  So each distinct prefix and power is made once per sweep, whichever
+terms, operands and checks share it.
 
 Evaluation points come from seeded hashing: a variable's values at a block
 of ``_BLOCK`` trials are one SHAKE-256 stream keyed by (seed, variable,
@@ -167,40 +168,38 @@ def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> 
 
 
 # A polynomial prepared for one prime: (coefficient mod p, ((var_index, exponent), ...))
-# per term, with var_index the position in the polynomial's table, sorted by factors.
+# per term, with var_index the position in the polynomial's table.
 Compiled = List[Tuple[int, Tuple[Tuple[int, int], ...]]]
 
 
-# a power more than this many steps above the highest one held is made by one
-# ``pow`` per entry, not by a chain of column products
-_POWER_STEPS = 8
+class _Monomials(dict):
+    """Residue columns of monomials at a set of points, keyed by their
+    factors ((var_index, exponent), ...): the values of the monomial mod p,
+    one per point.  On first use a one-factor key is the variable's column
+    from ``source(var_index)``, or for e >= 2 one ``pow`` per entry of it; a
+    longer key is the column of all its factors but the last times the last
+    factor's column, made from the longest prefix held, one factor at a time,
+    each prefix kept (by ``keep``).  So a factor prefix that several terms
+    share, in one operand or in several, is made once."""
 
+    def __init__(self, source, prime: int, keep=list):
+        super().__init__()
+        self.source, self.prime, self.keep = source, prime, keep
 
-class _Powers(dict):
-    """Residue columns of a set of points, keyed by (var_index,
-    exponent): the values of x_i^e mod p, one per point.  The caller puts in
-    the exponent-1 columns.  On first use x_i^e is made from the highest
-    power h of x_i held: as x_i^(h+1), ..., x_i^e, each the one before times
-    x_i, when e - h is at most ``_POWER_STEPS``, else by one ``pow`` per
-    entry.  Either way the residues are the same; the columns made are kept
-    (by ``keep``)."""
-
-    def __init__(self, columns: Dict[Tuple[int, int], Sequence[int]], prime: int, keep=list):
-        super().__init__(columns)
-        self.prime, self.keep = prime, keep
-
-    def __missing__(self, f: Tuple[int, int]) -> Sequence[int]:
-        i, e = f
-        if e < 2:
-            raise KeyError(f)
-        p, base = self.prime, self[i, 1]
-        h = max(k for j, k in self if j == i and k < e)
-        if e - h > _POWER_STEPS:
-            col = self[f] = self.keep([pow(a, e, p) for a in base])
+    def __missing__(self, key: Tuple[Tuple[int, int], ...]) -> Sequence[int]:
+        p = self.prime
+        if len(key) == 1:
+            (i, e), = key
+            col = self[key] = (self.source(i) if e == 1
+                               else self.keep([pow(a, e, p) for a in self[(i, 1),]]))
             return col
-        col = self[i, h]
-        for k in range(h + 1, e + 1):
-            col = self[i, k] = self.keep([a * b % p for a, b in zip(col, base)])
+        k = len(key) - 1
+        while k > 1 and key[:k] not in self:
+            k -= 1
+        col = self[key[:k]]
+        for j in range(k, len(key)):
+            col = self[key[:j + 1]] = self.keep([a * b % p
+                                                 for a, b in zip(col, self[key[j:j + 1]])])
         return col
 
 
@@ -215,42 +214,22 @@ def _compile(poly, prime: int) -> Compiled:
             c = coeff % prime
         if c:
             out.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
-    out.sort(key=lambda term: term[1])
     return out
 
 
-def _columns(compiled: Compiled, powers: _Powers, n: int, prime: int) -> List[int]:
-    """Values mod the prime at the ``n`` points whose columns ``powers``
-    holds.  ``stack[k]`` is the column product of the first k factors of the
-    term before (None for the empty product), kept for the factors a term
-    shares with the next one; a term's last factor is multiplied straight into
-    the sum."""
+def _columns(compiled: Compiled, monomials: _Monomials, n: int, prime: int) -> List[int]:
+    """Values mod the prime at the ``n`` points whose columns ``monomials``
+    holds.  A term reads the column of its factors but the last and the
+    last factor's column, and multiplies both straight into the sum."""
     acc = [0] * n
-    stack: List[Optional[List[int]]] = [None]
-    prev: Tuple[Tuple[int, int], ...] = ()
     for c, factors in compiled:
-        k = 0
-        for f, g in zip(factors, prev):
-            if f != g:
-                break
-            k += 1
-        del stack[k + 1:]
-        cols = [powers[f] for f in factors[len(stack) - 1:]]
-        top = stack[-1]
-        if cols:
-            for col in cols[:-1]:
-                top = col if top is None else [a * b % prime for a, b in zip(top, col)]
-                stack.append(top)
-            col = cols[-1]
-            if top is None:
-                acc = [a + c * b for a, b in zip(acc, col)]
-            else:
-                acc = [a + c * t * b for a, t, b in zip(acc, top, col)]
-        elif top is None:
-            acc = [a + c for a in acc]
+        if len(factors) > 1:
+            acc = [a + c * t * b for a, t, b in
+                   zip(acc, monomials[factors[:-1]], monomials[factors[-1:]])]
+        elif factors:
+            acc = [a + c * b for a, b in zip(acc, monomials[factors])]
         else:
-            acc = [a + c * t for a, t in zip(acc, top)]
-        prev = factors
+            acc = [a + c for a in acc]
     return [a % prime for a in acc]
 
 
@@ -280,9 +259,9 @@ class _Sweep:
     ``uses`` counts each distinct operand's occurrences in the checks to
     come, by ``key``; the column of an operand used again is kept until its
     last use.  Kept columns are machine words where the prime is below 2**64
-    (the default), a fifth of the memory of a list of ints.  The power
-    columns x_i^e (``powers``) are kept the same way, for every check of the
-    sweep."""
+    (the default), a fifth of the memory of a list of ints.  The monomial
+    columns of each table (``powers``) are kept the same way, for every check
+    of the sweep."""
 
     def __init__(self, cfg: SpotCheckConfig, certs):
         self.seed, self.prime, self.trials = cfg.seed, cfg.prime, cfg.trials
@@ -297,8 +276,8 @@ class _Sweep:
         # key -> [column, uses left]
         self.columns: Dict[tuple, list] = {}
         self.variables: Dict[str, Sequence[int]] = {}
-        # table names -> the power columns over that table
-        self.power_columns: Dict[Tuple[str, ...], _Powers] = {}
+        # table names -> the monomial columns over that table
+        self.monomials: Dict[Tuple[str, ...], _Monomials] = {}
 
     @staticmethod
     def key(poly) -> Tuple[Tuple[str, ...], frozenset]:
@@ -316,18 +295,15 @@ class _Sweep:
                                    min(_BLOCK, self.trials - start), self.prime, self.limit))
         return col
 
-    def powers(self, names: Tuple[str, ...], positions: Sequence[int]) -> _Powers:
-        """The power columns over a table of ``names``, holding the variable
-        columns at ``positions``."""
-        powers = self.power_columns.get(names)
-        if powers is None:
-            powers = self.power_columns[names] = _Powers({}, self.prime, self.keep)
-        for i in positions:
-            if (i, 1) not in powers:
-                powers[i, 1] = self.variable(names[i])
-        return powers
+    def powers(self, names: Tuple[str, ...]) -> _Monomials:
+        """The monomial columns over a table of ``names``."""
+        memo = self.monomials.get(names)
+        if memo is None:
+            memo = self.monomials[names] = _Monomials(
+                lambda i: self.variable(names[i]), self.prime, self.keep)
+        return memo
 
-    def column(self, poly, powers: _Powers) -> Sequence[int]:
+    def column(self, poly, monomials: _Monomials) -> Sequence[int]:
         key = self.key(poly)
         entry = self.columns.get(key)
         if entry is not None:
@@ -335,7 +311,7 @@ class _Sweep:
             if not entry[1]:
                 del self.columns[key]
             return entry[0]
-        col = _columns(_compile(poly, self.prime), powers, self.trials, self.prime)
+        col = _columns(_compile(poly, self.prime), monomials, self.trials, self.prime)
         if self.uses[key] > 1:
             self.columns[key] = [self.keep(col), self.uses[key] - 1]
         return col
@@ -367,7 +343,7 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     ideal.Certificate has.  ``sweep`` holds the columns shared with the
     other checks of ``check_certificates``; alone, a check makes its own.  At
     the first failure every operand is compiled once for each confirmation
-    prime.
+    prime, and the variables the operands use are found for the witnesses.
     """
     operands, power = _operands(cert)
     tgt = cert.target
@@ -375,12 +351,6 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
         raise OracleError("certificate operands live over different variable tables")
     if sweep is None:
         sweep = _Sweep(cfg, [cert])
-    # the table positions of the variables any operand uses, in one pass over
-    # all their monomials
-    by_variable = zip(*(m for q in operands for m in q.terms))
-    positions = [i for i, exps in enumerate(by_variable) if any(exps)]
-    names = tgt.table.names
-    variables = [names[i] for i in positions]
     deg = _total_degree(tgt)
     if power:
         deg += power * _total_degree(cert.multiplier)
@@ -391,16 +361,21 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     p = cfg.prime
     result = SpotCheckResult(label, cfg.trials, total_degree=deg,
                              per_trial_bound=Fraction(max(deg, 1), p))
-    powers = sweep.powers(names, positions)
-    lhs, rhs = _sides([sweep.column(q, powers) for q in operands], power, sweep.trials, p)
+    names = tgt.table.names
+    monomials = sweep.powers(names)
+    lhs, rhs = _sides([sweep.column(q, monomials) for q in operands], power, sweep.trials, p)
     confirmers = None
     for k, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             if confirmers is None:
                 confirmers = [(extra, [_compile(q, extra) for q in operands])
                               for extra in _extra_primes()]
+                # the table positions of the variables any operand uses
+                by_variable = zip(*(m for q in operands for m in q.terms))
+                positions = [i for i, exps in enumerate(by_variable) if any(exps)]
+                variables = [names[i] for i in positions]
             result.failures.append(_witness(
-                label, k, variables, positions, [powers[i, 1][k] for i in positions],
+                label, k, variables, positions, [monomials[(i, 1),][k] for i in positions],
                 (a - b) % p, power, confirmers))
     return result
 
@@ -423,8 +398,9 @@ def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequen
     reported witness is never an artifact of the working modulus."""
     confirm = []
     for extra, compiled in confirmers:
-        point = _Powers({(i, 1): [v % extra] for i, v in zip(positions, values)}, extra)
-        (a,), (b,) = _sides([_columns(c, point, 1, extra) for c in compiled], power, 1, extra)
+        point = {i: [v % extra] for i, v in zip(positions, values)}
+        memo = _Monomials(point.__getitem__, extra)
+        (a,), (b,) = _sides([_columns(c, memo, 1, extra) for c in compiled], power, 1, extra)
         confirm.append({"prime": extra, "residue": (a - b) % extra})
     return {
         "label": label,

@@ -226,7 +226,7 @@ class StageRunner:
         error raised in it becomes ``failure`` and a ceiling ``resource-fail``.
         Either way the record is timed and appended."""
         rec = StepRecord(sid, kind, citation, quote, status, details=details)
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             yield rec
         except PolyError as exc:
@@ -235,7 +235,7 @@ class StageRunner:
         except ResourceExhausted as exc:
             rec.status = "resource-fail"
             rec.details["error"] = str(exc)
-        rec.timing_ms = 0 if self.config.canonical else int((time.time() - t0) * 1000)
+        rec.timing_ms = 0 if self.config.canonical else int((time.perf_counter() - t0) * 1000)
         self.result.records.append(rec)
 
     def _cite(self, eid: str) -> Tuple[str, str]:
@@ -1338,7 +1338,9 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
             return partial(run.assume, arg, *axioms[arg])
         if run.registry is None or arg not in PAPER_AXIOM_IDS:
             raise ScriptError(f"unknown axiom id {arg!r}", line)
-        return partial(run.assume, arg, partial(run.printed, arg), *run._cite(arg))
+        e = run.registry.entry(arg)
+        return partial(run.assume, arg, partial(run.printed, arg), e.citation, e.quote,
+                       note=e.note)
     if step.kind == "derive":
         parts = arg.split()
         if len(parts) != 2:
@@ -1399,7 +1401,12 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         except PolyError as exc:
             raise ScriptError(f"bad polynomial: {exc}", line)
 
+    # a saturation leaves no step record, so a rebound paper one would divide
+    # later steps by the script's polynomial under the paper's id, unseen
+    paper_sats = {s.sid for s in sats}
     for sid, ptext, just, ln in script.saturations:
+        if sid in paper_sats:
+            raise ScriptError(f"SATURATION {sid!r} rebinds a paper saturation", ln)
         try:
             sats.append(SaturationRecord(sid, mk(ptext, ln), just))
         except PolyError as exc:

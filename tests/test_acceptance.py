@@ -19,7 +19,7 @@ import pytest
 from curvelim.exactpoly import Polynomial, VarTable, parse_polynomial, resultant
 from curvelim.frame import EquationRegistry, load_paper_symbols
 from curvelim.ideal import GeneratorSet, NOT_MEMBER, Relation, membership
-from curvelim.oracle import SpotCheckConfig, check_certificate
+from curvelim.oracle import SpotCheckConfig, check_certificate, check_certificates
 from curvelim.pipeline import Config, match_printed, run_builtin
 from tests_resultant import poly_gcd
 
@@ -245,6 +245,18 @@ class TestCriterion5:
         da = json.loads(a.read_text())["canonical_digest"]
         _report("5-reproducibility", ok,
                 f"two same-seed canonical runs byte-identical (digest {da[:16]})")
+
+
+class TestSweepWork:
+    def test_replay_sweep_makes_each_prefix_and_power_once(self, full_run, monkeypatch):
+        from test_oracle import _recording_sweeps, sweep_work
+
+        sweeps = _recording_sweeps(monkeypatch)
+        results = check_certificates(list(full_run.identities().items()),
+                                     SpotCheckConfig(seed=0, trials=100))
+        assert len(results) == 137
+        (sweep,) = sweeps
+        assert sweep_work(sweep) == (334, 38, 55)
 
 
 class TestCriterion6:

@@ -201,14 +201,15 @@ class TestReportCommand:
         assert run_cli(["report", str(path)]) == 0
         assert "no steps" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text, words", [
-        ("[]", "the top level is not a JSON object"),
-        ('{"stages":[{"steps":[{}]}]}', "KeyError: 'status'"),
-    ], ids=["list", "step-without-status"])
-    def test_json_that_is_not_a_report_exit_2(self, tmp_path, capsys, text, words):
+    @pytest.mark.parametrize("text, words, fmt", [
+        ("[]", "the top level is not a JSON object", "text"),
+        ('{"stages":[{"steps":[{}]}]}', "KeyError: 'status'", "text"),
+        ('{"stages":[{"steps":[{}]}]}', "KeyError: 'status'", "json"),
+    ], ids=["list", "step-without-status", "step-without-status-json"])
+    def test_json_that_is_not_a_report_exit_2(self, tmp_path, capsys, text, words, fmt):
         path = tmp_path / "other.json"
         path.write_text(text)
-        assert run_cli(["report", str(path)]) == 2
+        assert run_cli(["report", str(path), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("not a curvelim report: ") and words in captured.err
@@ -247,6 +248,16 @@ class TestScriptReports:
         assert "'c'" in steps["d"]["details"]["error"]
         assert steps["e"]["status"] == "annotation"
         assert rep["verdict"] == "failure"
+
+    def test_rebound_paper_saturation_exit_2_naming_the_line(self, tmp_path, capsys):
+        script = tmp_path / "rebind.ds"
+        script.write_text("SYMBOLS paper\nSATURATION h1_nonzero | lam2 | mine\n"
+                          "STAGE s\nSTEP a assume eq_3_11\n")
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--script", str(script), "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "script error: line 2: " in err and "'h1_nonzero'" in err
+        assert not path.exists()
 
     def test_weights_under_paper_symbols_exit_2_naming_the_line(self, tmp_path, capsys):
         script = tmp_path / "weights.ds"

@@ -120,13 +120,20 @@ class TestPowerColumns:
     def test_columns_match_pow_and_far_powers_keep_one_column(self):
         prime = DEFAULT_PRIME
         base = [3, 5, prime - 2]
-        powers = oracle._Powers({(0, 1): list(base)}, prime)
+        memo = oracle._Monomials({0: base}.__getitem__, prime)
         for e in (2, 5, 2000, 2003, 12, 4):
-            assert powers[0, e] == [pow(a, e, prime) for a in base]
-        # x^2..x^5 by steps, x^2000 by pow, x^2001..x^2003 by steps from it,
-        # x^6..x^12 by steps from x^5
-        assert sorted(e for _, e in powers) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                                2000, 2001, 2002, 2003]
+            assert memo[(0, e),] == [pow(a, e, prime) for a in base]
+        # each power by one pow per entry of x's own column, and nothing between
+        assert sorted(memo) == [((0, e),) for e in (1, 2, 4, 5, 12, 2000, 2003)]
+        assert memo[(0, 1),] is base
+
+    def test_product_of_1500_variables_passes(self):
+        # the prefix of 1499 factors is built one factor at a time, without
+        # recursion, so no recursion limit applies
+        table = VarTable([f"x{i}" for i in range(1500)])
+        q = parse_polynomial("*".join(table.names) + " + x0^2", table)
+        cert = _Claimed(q, {"g": (parse_polynomial("1", table), q)})
+        assert check_certificate(cert, cfg=SpotCheckConfig(trials=5)).verdict == "pass"
 
 
 class TestDeterminism:
@@ -365,6 +372,15 @@ class _Counting:
         return self.fn(*args)
 
 
+def sweep_work(sweep):
+    """The memo keys of two or more factors, the one-factor keys of exponent
+    2 or more, and the variable columns that a sweep made."""
+    keys = [key for memo in sweep.monomials.values() for key in memo]
+    return (sum(len(key) > 1 for key in keys),
+            sum(len(key) == 1 and key[0][1] > 1 for key in keys),
+            len(sweep.variables))
+
+
 def _recording_sweeps(monkeypatch):
     """Record every ``_Sweep`` that the oracle makes."""
     sweeps = []
@@ -463,6 +479,14 @@ class TestSweep:
             assert counting.calls == 17 * blocks     # distinct variables, a stream per block
             assert columns.calls == 146              # distinct operands, over all trials
 
+    def test_each_prefix_and_power_is_made_once(self, monkeypatch, lemma32_items):
+        # the sweep's work, pinned as division counts are: a change that
+        # loses the sharing across operands and checks fails here
+        sweeps = _recording_sweeps(monkeypatch)
+        oracle.check_certificates(lemma32_items, SpotCheckConfig())
+        (sweep,) = sweeps
+        assert sweep_work(sweep) == (42, 3, 17)
+
     def test_shared_columns_match_exactpoly(self, monkeypatch, lemma32_items):
         # every distinct operand's column, at the point every check of the
         # sweep reads, against the engine's own modular evaluation
@@ -496,8 +520,8 @@ _prime = st.sampled_from([DEFAULT_PRIME, *oracle._extra_primes()])
 def test_compiled_evaluation_matches_exactpoly(p, prime, data):
     x = data.draw(st.lists(st.integers(0, prime - 1), min_size=len(VT5), max_size=len(VT5)))
     expected = evaluate(p, dict(zip(VT5.names, x)), modulus=prime)
-    columns = oracle._Powers({(i, 1): [v] for i, v in enumerate(x)}, prime)
-    assert oracle._columns(oracle._compile(p, prime), columns, 1, prime) == [expected]
+    memo = oracle._Monomials(lambda i: [x[i]], prime)
+    assert oracle._columns(oracle._compile(p, prime), memo, 1, prime) == [expected]
 
 
 VT1 = VarTable(["s"])
@@ -521,10 +545,21 @@ def _columns_case(draw):
 @given(_columns_case())
 def test_column_kernel_matches_exactpoly_at_each_point(case):
     p, prime, points = case
-    powers = oracle._Powers({(i, 1): [x[i] for x in points] for i in range(len(p.table))},
-                            prime)
+    memo = oracle._Monomials(lambda i: [x[i] for x in points], prime)
     expected = [evaluate(p, dict(zip(p.table.names, x)), modulus=prime) for x in points]
-    assert oracle._columns(oracle._compile(p, prime), powers, len(points), prime) == expected
+    assert oracle._columns(oracle._compile(p, prime), memo, len(points), prime) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_poly5, min_size=2, max_size=4), _prime, st.data())
+def test_one_memo_shared_by_several_polynomials(polys, prime, data):
+    # prefixes and powers made for one polynomial are read by the next
+    points = data.draw(st.lists(st.lists(st.integers(0, prime - 1), min_size=len(VT5),
+                                         max_size=len(VT5)), min_size=1, max_size=5))
+    memo = oracle._Monomials(lambda i: [x[i] for x in points], prime)
+    for p in polys:
+        expected = [evaluate(p, dict(zip(VT5.names, x)), modulus=prime) for x in points]
+        assert oracle._columns(oracle._compile(p, prime), memo, len(points), prime) == expected
 
 
 def test_oracle_imports_nothing_from_curvelim():

@@ -660,6 +660,31 @@ class TestScriptResolution:
         assert [(r.sid, r.citation, r.status) for r in recs] == [
             ("eq_3_11", "mine", "assumed"), ("eq_3_3", "eq (3.3) with (3.2)", "assumed")]
 
+    def test_paper_axiom_keeps_the_replay_note(self, theorem33_run):
+        text = "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_29\n"
+        (rec,) = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        (replayed,) = [r for r in theorem33_run.stages[0].records if r.sid == "eq_3_29"]
+        assert replayed.details["note"]
+        assert (rec.citation, rec.quote, rec.details) == \
+            (replayed.citation, replayed.quote, {"note": replayed.details["note"]})
+
+    def test_script_may_not_rebind_a_paper_saturation(self):
+        text = ("SYMBOLS paper\nSATURATION mine | lam2 | mine\n"
+                "SATURATION h1_nonzero | lam2 | mine\nSTAGE s\nSTEP a assume eq_3_11\n")
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(text), Config(trials=2))
+        assert err.value.line == 3
+        assert "'h1_nonzero' rebinds a paper saturation" in str(err.value)
+
+    def test_step_timings_ignore_a_wall_clock_running_backwards(self, monkeypatch):
+        clock = iter(range(10 ** 9, 0, -1000))
+        monkeypatch.setattr(pipeline.time, "time", lambda: next(clock))
+        text = ("SYMBOLS x y\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+                "STEP b assert_member x*y USING ax\nSTEP c annotate done\n")
+        recs = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        assert len(recs) == 3
+        assert all(r.timing_ms >= 0 for r in recs)
+
     @pytest.mark.parametrize("arg", ["", " a b"], ids=["none", "two"])
     def test_assert_nonzero_takes_one_relation(self, arg):
         text = ("SYMBOLS x\nAXIOM a | x | toy | x\nAXIOM b | x | toy | x\n"
