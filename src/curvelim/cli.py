@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
     except OracleError as exc:
         print(f"bad oracle configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.script and args.stage:
         print("choose either --stage or --script", file=sys.stderr)
         return EXIT_USAGE
@@ -196,6 +199,8 @@ def cmd_poly(args) -> int:
             print(resultant(p, q, args.var).to_text())
         elif args.poly_command == "groebner":
             texts = [t.strip() for t in args.gens.split(",") if t.strip()]
+            if not texts:
+                raise PolyError("empty generator set")
             polys = _parse_all(texts)
             gens = GeneratorSet(polys[0].table,
                                 [Relation(f"g{i+1}", p) for i, p in enumerate(polys)])

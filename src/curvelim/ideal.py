@@ -552,6 +552,8 @@ def membership(
     power alone carries the answer: if m**k * p were in the ideal for a
     smaller k, m**max_power * p would be too.
     """
+    if max_power < 0:
+        raise ValueError(f"max_power must be at least 0, not {max_power}")
     if p.is_zero():
         return Certificate(p, {})
     mult = multiplier_of(saturations)

@@ -102,7 +102,10 @@ class Config:
     canonical: bool = False                # zero out timings for byte-stable output
 
     def __post_init__(self):
-        self.oracle_config()  # a bad oracle setting is rejected before any stage runs
+        # a bad setting is rejected before any stage runs
+        if self.max_power < 0:
+            raise ValueError(f"max_power must be at least 0, not {self.max_power}")
+        self.oracle_config()
 
     def oracle_config(self) -> SpotCheckConfig:
         """The oracle settings; raises OracleError when they are invalid."""
@@ -883,68 +886,8 @@ def run_theorem33(config: Config) -> StageResult:
     if cert60 is None:
         return run.result  # the rest of the chain is built on the certified (3.60)
     run.result.derived["eq_3_60_derived"] = derived_60
-
-    # (3.61): resultant in s of (3.53) and the derived (3.60)
-    def build_61():
-        e53 = registry.poly("eq_3_53")
-        rs = resultant(e53, derived_60, "s")
-        f1 = e53.coeff_in("s", 1)
-        g1 = derived_60.coeff_in("s", 1)
-        return -rs, Certificate(rs, {"eq_3_60_derived": (f1, derived_60),
-                                     "eq_3_53": (-g1, e53)})
-
-    derived_61 = run.construct("eq_3_61_derived", "resultant", "eq (3.61)",
-                               registry.entry("eq_3_61").quote, build_61,
-                               construction="resultant of (3.53) and the derived"
-                                            " (3.60) with respect to s, negated")
-    run.match_printed("match_eq_3_61", derived_61, "eq_3_61")
-
-    # (3.62): differentiate (3.61), substitute, clear denominators
-    run.derive("t62", d1, "eq_3_61_derived",
-               citation="before eq (3.62)", quote="Now differentiating (3.61) along e_1")
-    derived_62 = run.construct(
-        "eq_3_62_derived", "derive_chain", "eq (3.62)",
-        "Now differentiating (3.61) along e_1, using (3.54), (3.59), (3.60), (3.61)",
-        lambda: _derive_big_relation(symbols, run),
-        construction="chain derivative of the certified (3.61), transverse"
-                     " substitutions from (3.59) and the certified (3.60),"
-                     " denominators cleared via (3.61); certificate multiplier e_1(H)")
-    if derived_62 is None:
+    if chain_after_3_60(run, derived_60) is None:
         return run.result
-    run.match_printed("match_eq_3_62", derived_62, "eq_3_62",
-                      analysis="coefficient-level diff against the printed"
-                               " transcription; inherited from the (3.60) discrepancy")
-
-    # (3.64) cross-multiplied, with the certified coefficient
-    Q = mk("200*H^3 + 25*R*H - 200*c*H - 3*K")
-    FG72 = (mk("(56*H^3 + R*H - 12*c*H + K)*(408*H^2 - 78*c + 13*R)")
-            - mk("72*H^2*(200*H^3 + 25*R*H - 200*c*H - 3*K)"))
-    derived_64 = (mk("lam3*lam4*(lam2 + 2*H)*u2 + lam2*lam4*(lam3 + 2*H)*u3"
-                     " + lam2*lam3*(lam4 + 2*H)*u4") * Q
-                  - mk("h1") * FG72)
-    run.claim("eq_3_64_derived", derived_64, ["eq_3_59", "eq_3_60_derived", "K_def", "s_def"],
-              citation="eq (3.64)", quote=registry.entry("eq_3_64").quote,
-              note="cross-multiplied ratio of e_1(K) to e_1(H), certified coefficient")
-    run.match_printed("match_eq_3_64", derived_64, "eq_3_64",
-                      analysis="printed form carries the (3.60) coefficient;"
-                               " same documented discrepancy")
-    run.result.derived["eq_3_64_derived"] = derived_64
-
-    # (3.65): total K-derivative of (3.62) along the flow, denominators cleared
-    derived_65 = derived_62.partial("H") * Q + derived_62.partial("K") * FG72
-    run.derive("t65", d1, "eq_3_62_derived",
-               citation="before eq (3.65)",
-               quote="Differentiating (3.62) with respect to K and substituting"
-                     " dH/dK from (3.63) and (3.64)")
-    run.construct("eq_3_65_derived", "derive_chain", "eq (3.65)",
-                  registry.entry("eq_3_65").quote,
-                  lambda: (derived_65, Certificate(
-                      derived_65,
-                      {"t65": (Q, run.poly_of("t65")),
-                       "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
-                      multiplier=mk("h1"), power=1)),
-                  status="archived", note=registry.entry("eq_3_65").note,
-                  k_degree=derived_65.degree_in("K"), terms=len(derived_65.terms))
 
     run.annotate("prose_theorem_3_3",
                  "the certified chain reproduces the computational content; the prose"
@@ -960,60 +903,113 @@ def run_theorem33(config: Config) -> StageResult:
     return run.result
 
 
-def _derive_big_relation(symbols: SymbolTable, run: StageRunner):
-    """The (3.62) construction: let T (step ``t62``) be the rule-derivative of
-    the certified (3.61); rewrite T through (3.59)/(3.60), eliminate s by a
-    resultant, divide by e_1(H) and clear the h1^2 via (3.61).  Returns the
-    content-normalized derived polynomial with a multiplier-h1 certificate over
-    {T, s_def, (3.59), (3.60) derived, (3.61) derived}."""
-    mk = symbols.poly
-    e61 = run.poly_of("eq_3_61_derived")
-    e60 = run.poly_of("eq_3_60_derived")
+def chain_after_3_60(run: StageRunner, e60: Polynomial) -> Optional[Polynomial]:
+    """Theorem 3.3's chain after (3.60): (3.61), (3.62), (3.64) and (3.65), the
+    first three matched against their transcriptions.  ``e60`` = Q*s - P*h1 is
+    the relation ``eq_3_60_derived`` of the knowledge ideal, which holds
+    (3.53), (3.59) = E - (F*s - G*h1), ``K_def`` and ``s_def`` too.  Every
+    coefficient is read from e60, from (3.59) and from W, the h1-free part of
+    D1's row of h1, so the chain runs on any (3.60) of this shape.  Returns
+    the (3.62) relation, None when it could not be built (the chain stops
+    there)."""
+    d1, entry = run.rules["D1"], run.registry.entry
+    s, h1 = run.symbols.var("s"), run.symbols.var("h1")
     e59 = run.poly_of("eq_3_59")
-    s_def = run.poly_of("s_def")
-    t62 = run.poly_of("t62")
+    Q, P = e60.coeff_in("s", 1), -e60.coeff_in("h1", 1)
+    F, G = -e59.coeff_in("s", 1), e59.coeff_in("h1", 1)
+    E = e59 + F * s - G * h1      # D1(K) in the frame
+    N = F * P - G * Q             # by (3.59) and (3.60), Q*e_1(K) = N*e_1(H)
+    W = d1.image_of("h1").coeff_in("h1", 0)
 
-    h1 = mk("h1")
-    s = mk("s")
-    W = mk("H*(8*c + 16*H^2 - R)")
-    F = mk("56*H^3 + R*H - 12*c*H + K")
-    # chain derivative of (3.61) with the substituted images:
-    #   h1 -> s*h1 + W (biharmonic rule through s), K -> F*s - 72H^2*h1 (via 3.59)
-    t_sub = (e61.partial("h1") * (s * h1 + W)
-             + e61.partial("H") * h1
-             + e61.partial("K") * (F * s - mk("72*H^2") * h1))
-    # t_sub == t62 + (d e61/d h1)*h1*(s - (u2+u3+u4)) + (d e61/d K)*(-(3.59))
-    delta = t_sub - t62
-    cof_sdef = e61.partial("h1") * h1
-    cof_59 = -e61.partial("K")
-    if delta != cof_sdef * s_def + cof_59 * e59:
-        raise PolyError("big-relation construction: substitution bookkeeping broken")
+    # (3.61): resultant in s of (3.53) and (3.60)
+    def build_61():
+        e53 = run.poly_of("eq_3_53")
+        rs = resultant(e53, e60, "s")
+        return -rs, Certificate(rs, {"eq_3_60_derived": (e53.coeff_in("s", 1), e60),
+                                     "eq_3_53": (-Q, e53)})
 
-    f1 = t_sub.coeff_in("s", 1)
-    q1 = e60.coeff_in("s", 1)
-    rs = resultant(t_sub, e60, "s")  # f1*e60 - q1*t_sub: both are linear in s
-    u = (-rs).exact_divide(h1)
-    lc_u = u.coeff_in("h1", 2)
-    lc_61 = e61.coeff_in("h1", 2)
-    e_raw = lc_61 * u - lc_u * e61
-    if e_raw.degree_in("h1") > 0 or e_raw.degree_in("s") > 0:
-        raise PolyError("big-relation construction: residual transverse variables")
-    content = e_raw.content()
-    derived = e_raw.primitive()
-    scale = Fraction(1) / content
-    if e_raw * scale != derived:
-        scale = -scale
+    derived_61 = run.construct("eq_3_61_derived", "resultant", "eq (3.61)",
+                               entry("eq_3_61").quote, build_61,
+                               construction="resultant of (3.53) and the derived"
+                                            " (3.60) with respect to s, negated")
+    run.match_printed("match_eq_3_61", derived_61, "eq_3_61")
 
-    # certificate: h1 * e_raw == lc61*(q1*t_sub - f1*e60) - lc_u*h1*e61, and
-    # t_sub == t62 + cof_sdef*s_def + cof_59*e59
-    pairs = {
-        "t62": (scale * lc_61 * q1, t62),
-        "s_def": (scale * lc_61 * q1 * cof_sdef, s_def),
-        "eq_3_59": (scale * lc_61 * q1 * cof_59, e59),
-        "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
-        "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
-    }
-    return derived, Certificate(derived, pairs, multiplier=h1, power=1)
+    # (3.62): the rule-derivative T (step t62) of (3.61), rewritten through the
+    # images h1 -> s*h1 + W (D1's row through s) and K -> F*s - G*h1 (3.59), so
+    #   t_sub == T + (d e61/d h1)*h1*s_def + (d e61/d K)*(-(3.59));
+    # s eliminated by a resultant with (3.60), e_1(H) divided out and the h1^2
+    # cleared via (3.61).  The certificate has multiplier h1.
+    def build_62():
+        e61, t62, s_def = (run.poly_of(rid) for rid in ("eq_3_61_derived", "t62", "s_def"))
+        t_sub = (e61.partial("h1") * (s * h1 + W) + e61.partial("H") * h1
+                 + e61.partial("K") * (F * s - G * h1))
+        cof_sdef = e61.partial("h1") * h1
+        cof_59 = -e61.partial("K")
+        if t_sub - t62 != cof_sdef * s_def + cof_59 * e59:
+            raise PolyError("big-relation construction: substitution bookkeeping broken")
+        f1 = t_sub.coeff_in("s", 1)
+        rs = resultant(t_sub, e60, "s")  # f1*e60 - Q*t_sub: both are linear in s
+        u = (-rs).exact_divide(h1)
+        lc_u = u.coeff_in("h1", 2)
+        lc_61 = e61.coeff_in("h1", 2)
+        e_raw = lc_61 * u - lc_u * e61
+        if e_raw.degree_in("h1") > 0 or e_raw.degree_in("s") > 0:
+            raise PolyError("big-relation construction: residual transverse variables")
+        derived = e_raw.primitive()
+        scale = Fraction(1) / e_raw.content()
+        if e_raw * scale != derived:
+            scale = -scale
+        # h1 * e_raw == lc_61*(Q*t_sub - f1*e60) - lc_u*h1*e61
+        pairs = {
+            "t62": (scale * lc_61 * Q, t62),
+            "s_def": (scale * lc_61 * Q * cof_sdef, s_def),
+            "eq_3_59": (scale * lc_61 * Q * cof_59, e59),
+            "eq_3_60_derived": (scale * (-lc_61) * f1, e60),
+            "eq_3_61_derived": (scale * (-lc_u) * h1, e61),
+        }
+        return derived, Certificate(derived, pairs, multiplier=h1, power=1)
+
+    run.derive("t62", d1, "eq_3_61_derived",
+               citation="before eq (3.62)", quote="Now differentiating (3.61) along e_1")
+    derived_62 = run.construct(
+        "eq_3_62_derived", "derive_chain", "eq (3.62)",
+        "Now differentiating (3.61) along e_1, using (3.54), (3.59), (3.60), (3.61)",
+        build_62,
+        construction="chain derivative of the certified (3.61), transverse"
+                     " substitutions from (3.59) and the certified (3.60),"
+                     " denominators cleared via (3.61); certificate multiplier e_1(H)")
+    if derived_62 is None:
+        return None
+    run.match_printed("match_eq_3_62", derived_62, "eq_3_62",
+                      analysis="coefficient-level diff against the printed"
+                               " transcription; inherited from the (3.60) discrepancy")
+
+    # (3.64): (3.59) with the ratio of e_1(K) to e_1(H), cross-multiplied
+    derived_64 = E * Q - h1 * N
+    run.claim("eq_3_64_derived", derived_64, ["eq_3_59", "eq_3_60_derived", "K_def", "s_def"],
+              citation="eq (3.64)", quote=entry("eq_3_64").quote,
+              note="cross-multiplied ratio of e_1(K) to e_1(H), certified coefficient")
+    run.match_printed("match_eq_3_64", derived_64, "eq_3_64",
+                      analysis="printed form carries the (3.60) coefficient;"
+                               " same documented discrepancy")
+    run.result.derived["eq_3_64_derived"] = derived_64
+
+    # (3.65): total K-derivative of (3.62) along the flow, denominators cleared
+    derived_65 = derived_62.partial("H") * Q + derived_62.partial("K") * N
+    run.derive("t65", d1, "eq_3_62_derived",
+               citation="before eq (3.65)",
+               quote="Differentiating (3.62) with respect to K and substituting"
+                     " dH/dK from (3.63) and (3.64)")
+    run.construct("eq_3_65_derived", "derive_chain", "eq (3.65)",
+                  entry("eq_3_65").quote,
+                  lambda: (derived_65, Certificate(
+                      derived_65,
+                      {"t65": (Q, run.poly_of("t65")),
+                       "eq_3_64_derived": (-derived_62.partial("K"), derived_64)},
+                      multiplier=h1, power=1)),
+                  status="archived", note=entry("eq_3_65").note,
+                  k_degree=derived_65.degree_in("K"), terms=len(derived_65.terms))
+    return derived_62
 
 
 # ---------------------------------------------------------------------------
@@ -1353,9 +1349,10 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
         for sid in sat_ids:
             if sid not in run.sats:
                 raise ScriptError(f"unknown saturation id {sid!r}", line)
-        built = (partial(run.printed, registry_id(target)) if target.startswith("@")
-                 else mk(target, line))
-        return partial(run.claim, step.sid, built, via, sat_ids)
+        if target.startswith("@"):
+            return partial(run.claim_registry, registry_id(target), via, sat_ids,
+                           sid=step.sid)
+        return partial(run.claim, step.sid, mk(target, line), via, sat_ids)
     if step.kind == "eliminate_vars":
         if " FROM " not in arg:
             raise ScriptError("eliminate_vars wants 'vars FROM ids'", line)

@@ -31,6 +31,12 @@ _RESULTS = []
 # path changes it, and must be listed in CHANGES.md with the new value.
 REPLAY_CERTIFICATES_SHA256 = "ec9b9f69538517774c6fbedd77236a4fe00fa35afcbb9ca1d7fd408e7841ca43"
 
+# the seed-0 replay report's canonical digest, the one `curvelim verify
+# --canonical --seed 0` writes into its report.  It pins every report field but
+# the timings: a change that moves any must be listed in CHANGES.md with the
+# new value.
+REPLAY_REPORT_DIGEST = "9e26ee4784b7f0440a3fea07d5b3ef4420a4e70d045b5086ee2e5ff4d905c357"
+
 
 def _report(criterion, ok, note):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {note}"
@@ -233,6 +239,11 @@ class TestCriterion5:
         _report("5-certificates", digest == REPLAY_CERTIFICATES_SHA256,
                 f"{len(rows)} step records, statuses, multiplier powers and certificate"
                 f" digests as pinned (sha256 {digest[:16]})")
+
+    def test_report_pinned(self, full_run):
+        digest = full_run.report()["canonical_digest"]
+        _report("5-report", digest == REPLAY_REPORT_DIGEST,
+                f"replay report's canonical digest as pinned (sha256 {digest[:16]})")
 
     def test_byte_reproducibility(self, tmp_path):
         from curvelim.cli import main

@@ -32,6 +32,11 @@ class TestPoly:
     def test_parse_error_exit_2(self, capsys):
         assert run_cli(["poly", "resultant", "x +* 1", "x", "x"]) == 2
 
+    @pytest.mark.parametrize("gens", [",", ""])
+    def test_groebner_without_generators_exit_2(self, capsys, gens):
+        assert run_cli(["poly", "groebner", gens]) == 2
+        assert "empty generator set" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_unknown_stage_exit_2(self, tmp_path):
@@ -162,6 +167,20 @@ class TestVerify:
         path = tmp_path / "r.json"
         assert run_cli(["verify", "--modulus", "4", "--report", str(path)]) == 2
         assert "bad oracle configuration" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_negative_max_power_rejected_before_any_stage(self, tmp_path, monkeypatch,
+                                                          capsys):
+        import curvelim.cli as cli
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "run_builtin", no_stage)
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--stage", "lemma31", "--max-power", "-1",
+                        "--report", str(path)]) == 2
+        assert "max_power must be at least 0" in capsys.readouterr().err
         assert not path.exists()
 
     @pytest.mark.parametrize("lines, line, words", [

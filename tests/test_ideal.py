@@ -177,6 +177,11 @@ class TestMembership:
         sat = [SaturationRecord("x_nz", poly("x"), "planted")]
         assert membership(poly("y"), gs, saturations=sat, max_power=3) == NOT_MEMBER
 
+    def test_negative_power_bound_rejected(self):
+        # no power would be tried, so a member would read as a refutation
+        with pytest.raises(ValueError, match="max_power"):
+            membership(poly("x*y"), gens(VT, g=poly("x")), max_power=-1)
+
     def test_negative_rests_on_a_checked_basis(self):
         # y^2 - x is the S-polynomial of the two generators; x is not a member
         gs = gens(VT, g1=poly("x^2 - y"), g2=poly("x*y - 1"))

@@ -20,12 +20,15 @@ from curvelim.ideal import Certificate, Limits
 from curvelim.pipeline import (
     Config,
     ScriptError,
+    StageRunner,
+    chain_after_3_60,
     endgame_eliminate,
     match_printed,
     parse_script,
     run_builtin,
     run_lemma31,
     run_lemma32,
+    run_endgame,
     run_script,
 )
 
@@ -253,6 +256,27 @@ class TestStageIndependence:
         steps = {r.sid: r.status for r in res.stages[0].records}
         assert steps["eq_3_53"] == "verified"
         assert steps["match_eq_3_62"] == "mismatch-documented"
+
+
+class TestPrintedChain:
+    def test_printed_3_60_inherits_through_the_same_chain(self):
+        # the chain after (3.60), run on the printed (3.60) as a hypothesis,
+        # reaches the printed (3.61), (3.62) and (3.64) and a nonzero eliminant
+        run = StageRunner.paper("printed", Config())
+        for rid in ("eq_3_53", "eq_3_59", "K_def", "s_def"):
+            run.assume(rid, run.printed(rid), "", "")
+        printed_60 = run.printed("eq_3_60")
+        run.assume("eq_3_60_derived", printed_60, "", "")
+        assert chain_after_3_60(run, printed_60) is not None
+        records = {r.sid: r for r in run.result.records}
+        assert records["match_eq_3_61"].status == "matched"
+        assert records["match_eq_3_62"].status == "matched-up-to-content"
+        assert records["match_eq_3_62"].details["content_constant"] == "1/2"
+        assert records["match_eq_3_64"].status == "matched"
+        endgame = {r.sid: r for r in run_endgame(Config(), run.result).records}
+        assert endgame["eliminant_nonzero"].status == "nonzero"
+        assert endgame["eliminant_nonzero"].details["H_degree"] == 40
+        assert endgame["eliminate_K"].details["resultant_terms"] == 190
 
 
 class TestCertificates:
@@ -535,6 +559,22 @@ STEP a4 match_printed a3 @eq_3_30
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses["a3"] == "verified"
         assert statuses["a4"] == "matched"
+
+    def test_registry_target_carries_the_registry_citation(self, theorem33_run):
+        text = """
+SYMBOLS paper
+STAGE demo
+STEP a assume eq_3_11
+STEP d derive D1 eq_3_11
+STEP c assert_member @eq_3_30 USING d
+STEP m match_printed c @eq_3_30
+"""
+        records = {r.sid: r for r in run_script(parse_script(text), Config()).stages[0].records}
+        (replay,) = [r for r in theorem33_run.stages[0].records if r.sid == "eq_3_30"]
+        cited = (replay.citation, replay.quote)
+        assert cited[0] == "eq (3.30)" and cited[1]
+        assert (records["c"].citation, records["c"].quote) == cited
+        assert (records["m"].citation, records["m"].quote) == cited
 
     @pytest.mark.parametrize("text", [
         "SYMBOLS x\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
