@@ -4,10 +4,12 @@
     curvelim poly {resultant|groebner|reduce} ...
     curvelim report FILE [--format text|json]
 
-Exit codes: 0 verification success; 1 verification failure (including the
-documented-discrepancy verdict); 2 usage or parse error; 3 resource-ceiling
-failure.  Reports are always written, even on failure, before a nonzero exit.
-``CURVELIM_REPORT_DIR`` sets the default report location.
+``verify`` takes its defaults from ``Config()``, writes the JSON report and
+prints ``report``'s summary of it.  Exit codes: 0 verification success; 1
+verification failure (including the documented-discrepancy verdict); 2 usage
+or parse error; 3 resource-ceiling failure.  Reports are always written, even
+on failure, before a nonzero exit.  ``CURVELIM_REPORT_DIR`` sets the default
+report location.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .ideal import (
     groebner,
     normal_form,
 )
-from .oracle import DEFAULT_PRIME, OracleError
+from .oracle import OracleError
 from .pipeline import (
     Config,
+    GOOD_STATUSES,
     STAGES,
     ScriptError,
     parse_script,
@@ -83,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--script", default=None, help="derivation script file")
     v.add_argument("--report", default=None, help="report path (default report.json"
                                                   " under CURVELIM_REPORT_DIR or cwd)")
-    v.add_argument("--format", choices=("json", "text"), default="json")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--modulus", type=int, default=DEFAULT_PRIME)
-    v.add_argument("--max-basis", type=int, default=4000)
-    v.add_argument("--max-pairs", type=int, default=200000)
-    v.add_argument("--max-power", type=int, default=8)
+    defaults = Config()
+    v.add_argument("--seed", type=int, default=defaults.seed)
+    v.add_argument("--trials", type=int, default=defaults.trials)
+    v.add_argument("--modulus", type=int, default=defaults.modulus)
+    v.add_argument("--max-basis", type=int, default=defaults.limits.max_basis)
+    v.add_argument("--max-pairs", type=int, default=defaults.limits.max_pairs)
+    v.add_argument("--max-power", type=int, default=defaults.max_power)
     v.add_argument("--canonical", action="store_true",
                    help="zero timings so same-seed runs are byte-identical")
 
@@ -119,20 +122,39 @@ def _report_path(arg: Optional[str]) -> str:
     return os.path.join(base, "report.json")
 
 
-def _render_text(report: dict, out) -> None:
-    print(f"engine {report['engine_version']}  seed {report['seed']}"
-          f"  verdict {report['verdict']}", file=out)
-    for stage in report["stages"]:
-        print(f"stage {stage['name']}: {stage['verdict']}"
-              f" ({len(stage['steps'])} steps)", file=out)
-        for step in stage["steps"]:
-            line = f"  {step['id']:34s} {step['status']}"
-            if step.get("multiplier_power"):
-                line += f"  [multiplier {step.get('multiplier','')}^{step['multiplier_power']}]"
-            print(line, file=out)
+def _summarize(report: dict, out) -> None:
+    """Status counts per stage, documented mismatches, the steps that neither
+    passed nor are documented mismatches, and certificate digests."""
+    steps = sum(len(s.get("steps", [])) for s in report.get("stages", []))
+    if steps == 0:
+        print("no steps", file=out)
+        return
+    print(f"engine {report.get('engine_version')}  seed {report.get('seed')}"
+          f"  verdict {report.get('verdict')}", file=out)
+    mismatches = 0
+    for stage in report.get("stages", []):
+        counts: dict = {}
+        for step in stage.get("steps", []):
+            counts[step["status"]] = counts.get(step["status"], 0) + 1
+        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+        print(f"stage {stage['name']}: {stage.get('verdict')} ({summary})", file=out)
+        for step in stage.get("steps", []):
+            details = step.get("details", {})
             if step["status"] == "mismatch-documented":
-                for t in step.get("details", {}).get("diff_terms", [])[:8]:
-                    print(f"      diff: {t}", file=out)
+                mismatches += 1
+                print(f"  mismatch {step['id']} ({step.get('citation', '')}):", file=out)
+                for t in details.get("diff_terms", [])[:6]:
+                    print(f"    diff {t}", file=out)
+            elif step["status"] not in GOOD_STATUSES:
+                error = f": {details['error']}" if "error" in details else ""
+                print(f"  {step['status']} {stage['name']}.{step['id']}{error}", file=out)
+    print(f"mismatches: {mismatches}", file=out)
+    print("certificate digests:", file=out)
+    for stage in report.get("stages", []):
+        for step in stage.get("steps", []):
+            if step.get("certificate_digest"):
+                print(f"  {stage['name']}.{step['id']}: {step['certificate_digest'][:16]}",
+                      file=out)
 
 
 def cmd_verify(args) -> int:
@@ -175,14 +197,11 @@ def cmd_verify(args) -> int:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        if args.format == "json":
-            json.dump(report, f, indent=1, sort_keys=True)
-            f.write("\n")
-        else:
-            _render_text(report, f)
+        json.dump(report, f, indent=1, sort_keys=True)
+        f.write("\n")
     os.replace(tmp, path)
 
-    _render_text(report, sys.stdout)
+    _summarize(report, sys.stdout)
     print(f"report written to {path}")
     if report["verdict"] == "resource-fail":
         return EXIT_RESOURCE
@@ -230,35 +249,6 @@ def cmd_poly(args) -> int:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK
-
-
-def _summarize(report: dict, out) -> None:
-    steps = sum(len(s.get("steps", [])) for s in report.get("stages", []))
-    if steps == 0:
-        print("no steps", file=out)
-        return
-    print(f"engine {report.get('engine_version')}  seed {report.get('seed')}"
-          f"  verdict {report.get('verdict')}", file=out)
-    mismatches = 0
-    for stage in report.get("stages", []):
-        counts: dict = {}
-        for step in stage.get("steps", []):
-            counts[step["status"]] = counts.get(step["status"], 0) + 1
-        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-        print(f"stage {stage['name']}: {stage.get('verdict')} ({summary})", file=out)
-        for step in stage.get("steps", []):
-            if step["status"] == "mismatch-documented":
-                mismatches += 1
-                print(f"  mismatch {step['id']} ({step.get('citation', '')}):", file=out)
-                for t in step.get("details", {}).get("diff_terms", [])[:6]:
-                    print(f"    diff {t}", file=out)
-    print(f"mismatches: {mismatches}", file=out)
-    print("certificate digests:", file=out)
-    for stage in report.get("stages", []):
-        for step in stage.get("steps", []):
-            if step.get("certificate_digest"):
-                print(f"  {stage['name']}.{step['id']}: {step['certificate_digest'][:16]}",
-                      file=out)
 
 
 def cmd_report(args) -> int:

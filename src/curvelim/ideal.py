@@ -94,6 +94,10 @@ class Limits:
     max_basis: int = 4000
     max_pairs: int = 200000
 
+    def __post_init__(self):
+        if self.max_basis < 1 or self.max_pairs < 1:
+            raise ValueError(f"ceilings must be at least 1, not {self}")
+
 
 @dataclass
 class Relation:

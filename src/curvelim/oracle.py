@@ -343,7 +343,8 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
     ideal.Certificate has.  ``sweep`` holds the columns shared with the
     other checks of ``check_certificates``; alone, a check makes its own.  At
     the first failure every operand is compiled once for each confirmation
-    prime, and the variables the operands use are found for the witnesses.
+    prime, and the variables the operands use are found for the witnesses;
+    only the first three witnesses, the ones a report keeps, are confirmed.
     """
     operands, power = _operands(cert)
     tgt = cert.target
@@ -376,7 +377,7 @@ def check_certificate(cert, cfg: SpotCheckConfig = SpotCheckConfig(),
                 variables = [names[i] for i in positions]
             result.failures.append(_witness(
                 label, k, variables, positions, [monomials[(i, 1),][k] for i in positions],
-                (a - b) % p, power, confirmers))
+                (a - b) % p, power, confirmers if len(result.failures) < 3 else ()))
     return result
 
 
@@ -394,8 +395,8 @@ def check_certificates(items: Sequence[Tuple[str, object]],
 
 def _witness(label: str, trial: int, variables: Sequence[str], positions: Sequence[int],
              values: Sequence[int], residue: int, power: int, confirmers) -> dict:
-    """Failure record; the residue is re-checked at three further primes so a
-    reported witness is never an artifact of the working modulus."""
+    """Failure record; the residue is re-checked at each of ``confirmers``'
+    primes so a reported witness is never an artifact of the working modulus."""
     confirm = []
     for extra, compiled in confirmers:
         point = {i: [v % extra] for i, v in zip(positions, values)}

@@ -307,16 +307,13 @@ class StageRunner:
 
     def claim(self, sid: str, target: Built, via: Sequence[str],
               sat_ids: Sequence[str] = (), citation: str = "", quote: str = "",
-              note: str = "", add_as: Optional[str] = None, status: str = "verified",
-              minted: Optional[str] = None, perm: Optional[Dict[str, str]] = None,
-              **details) -> Optional[Certificate]:
-        """Membership of a target in the knowledge ideal; adds it (as
-        ``add_as``) on success, recorded with ``status``.  ``minted`` names a
-        fresh symbol of the derivation, recorded as cancelled when the target
-        does not contain it.  In a replay permuted by ``perm``, a claim that
-        is the image of an earlier one (``carried``) takes its certificate
-        from it."""
-        add_as = add_as or sid
+              note: str = "", status: str = "verified", minted: Optional[str] = None,
+              perm: Optional[Dict[str, str]] = None, **details) -> Optional[Certificate]:
+        """Membership of a target in the knowledge ideal; adds it as ``sid`` (a
+        failure if taken) on success, recorded with ``status``.  ``minted``
+        names a fresh symbol of the derivation, recorded as cancelled when the
+        target does not contain it.  In a replay permuted by ``perm``, a claim
+        that is the image of an earlier one takes its certificate from it."""
         with self.step(sid, "assert_member", citation, quote, status, **details) as rec:
             target = target() if callable(target) else target
             if minted is not None:
@@ -336,9 +333,9 @@ class StageRunner:
                 rec.details.update(via=list(via), saturations=list(sat_ids))
                 return None
             self.claimed[target, tuple(r.poly for r in gens), mult] = (gens.ids(), cert)
-            if add_as not in self.gens:
-                self.add(add_as, target)
+            # certified first, so the sweep checks it even if a taken sid fails the step
             self._certify(rec, cert)
+            self.add(sid, target)
             if minted is not None and cancelled:
                 rec.fresh_cancelled = [minted]
             rec.details.update(used_generators=cert.used_generators(),
@@ -434,8 +431,7 @@ class StageRunner:
             egens = eliminate(self.gens.subset(list(via)), list(front_vars),
                               limits=self.config.limits, cache=self.bases)
             for n, r in enumerate(egens, start=1):
-                if f"{sid}_{n}" not in self.gens:
-                    self.add(f"{sid}_{n}", r.poly)
+                self.add(f"{sid}_{n}", r.poly)
             rec.details["generators"] = [r.poly.to_text() for r in egens]
 
     def eliminated_members(self, sid: str, members: Sequence[str], via: Sequence[str],
@@ -767,7 +763,7 @@ def run_lemma32(config: Config) -> StageResult:
                               citation="after eq (3.42)",
                               quote="Combining (3.30) with (3.42) gives e_1(H)=0, which"
                                     " contradicts to the first expression of (3.4)",
-                              add_as=f"{bid}_one", status="branch-closed", perm=perm)
+                              status="branch-closed", perm=perm)
             if ccert is not None:
                 closures[name] = ccert
         if len(closures) == 2:
@@ -1414,6 +1410,14 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
     plan = []
     for sstage in script.stages:
         run = StageRunner(sstage.name, config, table, sats, symbols)
+        # an assume records under its axiom id, any other step under its own
+        records: set = set()
+        for step in sstage.steps:
+            rid = step.arg if step.kind == "assume" else step.sid
+            if rid in records:
+                raise ScriptError(f"duplicate record id {rid!r} in stage {sstage.name!r}",
+                                  step.line)
+            records.add(rid)
         plan.append((run, [_resolve_step(run, step, axioms, mk) for step in sstage.steps]))
     for _, calls in plan:
         for call in calls:

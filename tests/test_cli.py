@@ -183,6 +183,22 @@ class TestVerify:
         assert "max_power must be at least 0" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-basis", "0"), ("--max-pairs", "-1")])
+    def test_ceiling_below_one_rejected_before_any_stage(self, tmp_path, monkeypatch,
+                                                         capsys, flag, value):
+        import curvelim.cli as cli
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "run_builtin", no_stage)
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--stage", "lemma31", flag, value, "--trials", "2",
+                        "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: ") and "at least 1" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("lines, line, words", [
         (["SATURATION z | 0 | zero"], 2, "'z' is zero"),
         (["SATURATION z | x - x | zero"], 2, "'z' is zero"),
@@ -208,6 +224,57 @@ class TestVerify:
         rc = run_cli(["verify", "--script", example,
                       "--report", str(tmp_path / "toy.json"), "--trials", "3"])
         assert rc == 0
+
+
+class TestOneRendering:
+    """``verify`` prints what ``report`` prints of the file it wrote, followed
+    by its ``report written to`` line, and takes its defaults from Config."""
+
+    def _verify_then_report(self, capsys, argv, path):
+        rc = run_cli(["verify", *argv, "--report", str(path)])
+        verified = capsys.readouterr().out.splitlines(keepends=True)
+        assert verified[-1] == f"report written to {path}\n"
+        assert run_cli(["report", str(path)]) == 0
+        assert "".join(verified[:-1]) == capsys.readouterr().out
+        return rc, verified[:-1]
+
+    def test_one_stage(self, tmp_path, capsys):
+        rc, _ = self._verify_then_report(capsys, ["--stage", "lemma31", "--trials", "2"],
+                                         tmp_path / "l31.json")
+        assert rc == 0
+
+    def test_replay(self, tmp_path, capsys):
+        rc, lines = self._verify_then_report(capsys, ["--canonical", "--trials", "2"],
+                                             tmp_path / "all.json")
+        assert rc == 1
+        assert "mismatches: 4\n" in lines
+
+    def test_failure_records_are_named(self, tmp_path, capsys):
+        script = tmp_path / "reader.ds"
+        script.write_text("SYMBOLS x y\nAXIOM ax | x | toy | x vanishes\nSTAGE s\n"
+                          "STEP a assume ax\nSTEP c assert_member y USING ax\n"
+                          "STEP d assert_nonzero c\n")
+        rc, lines = self._verify_then_report(capsys, ["--script", str(script), "--trials", "2"],
+                                             tmp_path / "reader.json")
+        assert rc == 1
+        assert "  not-member s.c\n" in lines
+        assert "  failure s.d: relations not in the knowledge ideal: ['c']\n" in lines
+
+    def test_verify_defaults_are_config_defaults(self):
+        from curvelim.cli import build_parser
+        from curvelim.pipeline import Config
+        args = build_parser().parse_args(["verify"])
+        config = Config()
+        assert (args.seed, args.trials, args.modulus, args.max_power) == (
+            config.seed, config.trials, config.modulus, config.max_power)
+        assert (args.max_basis, args.max_pairs) == (config.limits.max_basis,
+                                                    config.limits.max_pairs)
+
+    def test_verify_has_no_format_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--format", "text", "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestReportCommand:
@@ -276,6 +343,21 @@ class TestScriptReports:
         assert run_cli(["verify", "--script", str(script), "--report", str(path)]) == 2
         err = capsys.readouterr().err
         assert "script error: line 2: " in err and "'h1_nonzero'" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("second", ["STEP b assume ax",
+                                        "STEP ax assert_member x^2 - y^2 USING ax"],
+                             ids=["assumed-twice", "claim-under-an-axiom-id"])
+    def test_repeated_record_id_exit_2_naming_the_line(self, tmp_path, capsys, second):
+        # an assume records under its axiom id, so a later step may not reuse it
+        script = tmp_path / "twice.ds"
+        script.write_text("SYMBOLS x y\nAXIOM ax | x^2 - y^2 | toy | q\nSTAGE s\n"
+                          f"STEP a assume ax\n{second}\n")
+        path = tmp_path / "twice.json"
+        assert run_cli(["verify", "--script", str(script), "--report", str(path),
+                        "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "script error: line 5: duplicate record id 'ax' in stage 's'" in err
         assert not path.exists()
 
     def test_weights_under_paper_symbols_exit_2_naming_the_line(self, tmp_path, capsys):

@@ -84,6 +84,12 @@ class TestGroebner:
         with pytest.raises(ResourceExhausted):
             groebner(gs, limits=Limits(max_basis=1, max_pairs=2))
 
+    @pytest.mark.parametrize("ceiling", [{"max_basis": 0}, {"max_pairs": 0},
+                                         {"max_basis": -1}])
+    def test_ceiling_below_one_rejected(self, ceiling):
+        with pytest.raises(ValueError, match="at least 1"):
+            Limits(**ceiling)
+
     def test_wrong_tail_reduction_raises(self, monkeypatch):
         # x - y reduces to x - z over y - z; a division that returns another
         # remainder breaks the division identity that keeps it in the ideal

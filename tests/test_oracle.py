@@ -214,13 +214,16 @@ class TestCertificateWitness:
         diff = poly("z") * bad.generator_poly(rid)   # rhs - lhs of the planted identity
         for w in res.failures:
             assert int(w["residue"]) != 0
-            assert len(w["confirmations"]) == 3
+        # a report keeps the first three witnesses, and only they are confirmed
+        for w in res.failures[:3]:
+            assert [c["prime"] for c in w["confirmations"]] == list(oracle._extra_primes())
             point = {v: int(x) for v, x in w["point"].items()}
             for c in w["confirmations"]:
                 q = c["prime"]
                 assert c["residue"] != 0
                 assert c["residue"] == evaluate(-diff, {v: x % q for v, x in point.items()},
                                                 modulus=q)
+        assert all(w["confirmations"] == [] for w in res.failures[3:])
 
     def test_witnesses_across_blocks(self):
         # 250 trials walk three blocks; every trial fails, in trial order, at
@@ -237,8 +240,8 @@ class TestCertificateWitness:
             point = sample_point(cfg, w["trial"], ["x", "y", "z"])
             assert w["point"] == {v: str(x) for v, x in point.items()}
             assert int(w["residue"]) == evaluate(-diff, point, modulus=cfg.prime) != 0
-            assert len(w["confirmations"]) == 3
-            assert all(c["residue"] != 0 for c in w["confirmations"])
+        assert [len(w["confirmations"]) for w in res.failures] == [3] * 3 + [0] * 247
+        assert all(c["residue"] != 0 for w in res.failures[:3] for c in w["confirmations"])
 
     def test_operands_over_different_tables_rejected(self):
         other = parse_polynomial("x^2 - 1", VarTable(["x", "w"]))
@@ -299,7 +302,9 @@ class TestConstantCertificate:
         for w in res.failures:
             assert w["point"] == {}
             assert int(w["residue"]) == 1
+        for w in res.failures[:3]:
             assert [c["residue"] for c in w["confirmations"]] == [1, 1, 1]
+        assert all(w["confirmations"] == [] for w in res.failures[3:])
 
 
 class _CountingHashlib:
@@ -416,8 +421,10 @@ class TestSweep:
         assert [w["trial"] for w in res[1].failures] == list(range(150))
         for w in res[1].failures:
             assert w["label"] == "bad" and int(w["residue"]) != 0
+        for w in res[1].failures[:3]:
             assert [c["prime"] for c in w["confirmations"]] == list(oracle._extra_primes())
             assert all(c["residue"] != 0 for c in w["confirmations"])
+        assert all(w["confirmations"] == [] for w in res[1].failures[3:])
         assert res[1].failures == check_certificate(bad, cfg=cfg, label="bad").failures
 
     def test_hash_colliding_operands_keep_their_columns(self, monkeypatch):

@@ -765,6 +765,35 @@ class TestScriptResolution:
         assert err.value.line == 3
         assert "'z' is zero" in str(err.value)
 
+    def test_an_axiom_id_may_record_once_per_stage(self):
+        text = ("SYMBOLS x\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
+                "STEP b annotate between\nSTEP ax annotate again\n"
+                "STAGE t\nSTEP a assume ax\n")
+        with pytest.raises(ScriptError) as err:
+            run_script(parse_script(text), Config(trials=2))
+        assert err.value.line == 6 and "duplicate record id 'ax'" in str(err.value)
+        rr = run_script(parse_script(text.replace("STEP ax annotate", "STEP c annotate")),
+                        Config(trials=2))
+        assert rr.verdict() == "success"
+
+    @pytest.mark.parametrize("steps, failed", [
+        (["STEP e eliminate_vars x FROM a1,a2", "STEP e_1 assert_member y^2 - 1 USING a2"],
+         "e_1"),
+        (["STEP e_1 assert_member y^2 - 1 USING a2", "STEP e eliminate_vars x FROM a1,a2"],
+         "e"),
+    ], ids=["claim-after-elimination", "elimination-after-claim"])
+    def test_a_taken_relation_id_fails_the_step(self, steps, failed):
+        # eliminate_vars adds <sid>_1, ...; a relation id is never silently kept
+        text = "\n".join(["SYMBOLS x y", "AXIOM a1 | x - y | toy | x = y",
+                          "AXIOM a2 | y^2 - 1 | toy | y^2 = 1", "STAGE s",
+                          "STEP s1 assume a1", "STEP s2 assume a2", *steps]) + "\n"
+        records = {r.sid: r for r in run_script(parse_script(text), Config(trials=2))
+                   .stages[0].records}
+        assert records[failed].status == "failure"
+        assert "duplicate relation id 'e_1'" in records[failed].details["error"]
+        assert all(r.status in pipeline.GOOD_STATUSES
+                   for sid, r in records.items() if sid != failed)
+
     def test_same_step_id_in_two_stages_is_allowed(self):
         text = "SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTEP a annotate two\n"
         assert [len(s.steps) for s in parse_script(text).stages] == [1, 1]
