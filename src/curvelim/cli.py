@@ -7,14 +7,16 @@
 ``verify`` takes its defaults from ``Config()``, writes the JSON report and
 prints ``report``'s summary of it.  Exit codes: 0 verification success; 1
 verification failure (including the documented-discrepancy verdict); 2 usage
-or parse error; 3 resource-ceiling failure.  Reports are always written, even
-on failure, before a nonzero exit.  ``CURVELIM_REPORT_DIR`` sets the default
-report location.
+or parse error, a script or report file that cannot be read or decoded, or a
+report path that cannot be written; 3 resource-ceiling failure.  Reports are
+always written, even on failure, before an exit 1 or 3.
+``CURVELIM_REPORT_DIR`` sets the default report location.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -44,7 +46,6 @@ from .pipeline import (
     GOOD_STATUSES,
     STAGES,
     ScriptError,
-    parse_script,
     run_builtin,
     run_script,
 )
@@ -175,12 +176,12 @@ def cmd_verify(args) -> int:
     try:
         if args.script:
             try:
-                with open(args.script) as f:
+                with open(args.script, encoding="utf-8") as f:
                     text = f.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"cannot read script: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            result = run_script(parse_script(text), config)
+            result = run_script(text, config)
         else:
             stage = args.stage or "all"
             if stage not in STAGES and stage != "all":
@@ -194,12 +195,21 @@ def cmd_verify(args) -> int:
 
     report = result.report()
     path = _report_path(args.report)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    opened = False
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w") as f:
+            opened = True
+            json.dump(report, f, indent=1, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     _summarize(report, sys.stdout)
     print(f"report written to {path}")
@@ -253,9 +263,9 @@ def cmd_poly(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        with open(args.path) as f:
+        with open(args.path, encoding="utf-8") as f:
             report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or JSON
         print(f"cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(report, dict):

@@ -434,6 +434,8 @@ class Polynomial:
     def coeff_in(self, name: str, power: int) -> "Polynomial":
         """Coefficient of name**power, a polynomial in the remaining variables
         (still expressed over the full table)."""
+        if name not in self.table:
+            raise PolyError(f"unknown variable {name!r}")
         i = self.table.index[name]
         out = {}
         for m, c in self.terms.items():
@@ -445,6 +447,8 @@ class Polynomial:
 
     def as_univariate(self, name: str) -> dict:
         """Map power -> coefficient Polynomial for the given main variable."""
+        if name not in self.table:
+            raise PolyError(f"unknown variable {name!r}")
         i = self.table.index[name]
         out: dict = {}
         for m, c in self.terms.items():

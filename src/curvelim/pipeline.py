@@ -283,6 +283,13 @@ class StageRunner:
                        **({"note": note} if note else {})):
             self.add(rid, poly() if callable(poly) else poly)
 
+    def assume_registry(self, eid: str) -> None:
+        """Assume the registry transcription of ``eid`` under its own id, with
+        the entry's citation, quote and note.  The transcription is parsed
+        inside the step, so an unparseable one makes a failure record."""
+        e = self.registry.entry(eid)
+        self.assume(eid, partial(self.printed, eid), e.citation, e.quote, note=e.note)
+
     def derive(self, sid: str, rule, source_id: str, citation: str = "",
                quote: str = "") -> Optional[Polynomial]:
         """Apply a derivation rule table to an existing relation and add the
@@ -665,11 +672,10 @@ def run_lemma32(config: Config) -> StageResult:
     """The claim that the transverse connection coefficients vanish, by
     contradiction: assuming one nonzero forces e_1(H) = 0."""
     run = StageRunner.paper("lemma32", config)
-    registry, rules, mk = run.registry, run.rules, run.symbols.poly
+    rules, mk = run.rules, run.symbols.poly
 
     for aid in ("eq_3_3", "eq_3_11"):
-        e = registry.entry(aid)
-        run.assume(aid, partial(run.printed, aid), e.citation, e.quote)
+        run.assume_registry(aid)
 
     d1 = rules["D1"]
     img = run.derive("d1_eq_3_11", d1, "eq_3_11",
@@ -795,8 +801,7 @@ def run_theorem33(config: Config) -> StageResult:
     mk = symbols.poly
 
     for aid in PAPER_AXIOM_IDS:
-        e = registry.entry(aid)
-        run.assume(aid, partial(run.printed, aid), e.citation, e.quote, note=e.note)
+        run.assume_registry(aid)
     # the vanishing transverse coefficients, with the rule table each is differentiated by
     vanishing = {name: f"D{k}" for k, perm in DIRECTIONS.items()
                  for name in transverse_pair(perm)}
@@ -1183,119 +1188,14 @@ class ScriptError(Exception):
         self.line = line
 
 
-@dataclass
-class ScriptStep:
-    sid: str
-    kind: str
-    arg: str
-    line: int
-
-
-@dataclass
-class ScriptStage:
-    name: str
-    steps: List[ScriptStep] = field(default_factory=list)
-
-
-@dataclass
-class Script:
-    """Parsed derivation script: symbol world, extra axioms/saturations, stages."""
-
-    symbols_mode: str                       # "paper" or "custom"
-    custom_names: List[str]
-    custom_weights: Optional[List[int]]
-    axioms: List[Tuple[str, str, str, str, int]]       # id, poly text, citation, quote
-    saturations: List[Tuple[str, str, str, int]]       # id, poly text, justification
-    stages: List[ScriptStage]
-
-
 _STEP_KINDS = {"assume", "derive", "assert_member", "eliminate_vars",
                "match_printed", "assert_nonzero", "annotate"}
 
 
-def parse_script(text: str) -> Script:
-    """Parse the line-oriented script format (see docs/script-format.md)."""
-    symbols_mode = "paper"
-    custom_names: List[str] = []
-    custom_weights: Optional[List[int]] = None
-    axioms: List[Tuple[str, str, str, str, int]] = []
-    saturations: List[Tuple[str, str, str, int]] = []
-    stages: List[ScriptStage] = []
-    seen_symbols = False
-    weights_line = 0
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "SYMBOLS":
-            if seen_symbols:
-                raise ScriptError("duplicate SYMBOLS section", ln)
-            seen_symbols = True
-            if not rest:
-                raise ScriptError("SYMBOLS needs 'paper' or a variable list", ln)
-            if rest != "paper":
-                symbols_mode, custom_names = "custom", rest.split()
-                try:
-                    VarTable(custom_names)
-                except PolyError as exc:
-                    raise ScriptError(str(exc), ln)
-        elif head == "WEIGHTS":
-            weights_line = ln
-            try:
-                custom_weights = [int(w) for w in rest.split()]
-            except ValueError:
-                raise ScriptError("WEIGHTS must be integers", ln)
-            if any(w < 0 for w in custom_weights):
-                raise ScriptError("WEIGHTS must be nonnegative", ln)
-        elif head == "AXIOM":
-            parts = [p.strip() for p in rest.split("|")]
-            if len(parts) != 4:
-                raise ScriptError("AXIOM wants 'id | polynomial | citation | quote'", ln)
-            if any(a[0] == parts[0] for a in axioms):
-                raise ScriptError(f"duplicate AXIOM id {parts[0]!r}", ln)
-            axioms.append((parts[0], parts[1], parts[2], parts[3], ln))
-        elif head == "SATURATION":
-            parts = [p.strip() for p in rest.split("|")]
-            if len(parts) != 3:
-                raise ScriptError("SATURATION wants 'id | polynomial | justification'", ln)
-            if any(sat[0] == parts[0] for sat in saturations):
-                raise ScriptError(f"duplicate SATURATION id {parts[0]!r}", ln)
-            saturations.append((parts[0], parts[1], parts[2], ln))
-        elif head == "STAGE":
-            if not rest:
-                raise ScriptError("STAGE needs a name", ln)
-            if any(st.name == rest for st in stages):
-                raise ScriptError(f"duplicate STAGE name {rest!r}", ln)
-            stages.append(ScriptStage(rest))
-        elif head == "STEP":
-            if not stages:
-                raise ScriptError("STEP before any STAGE", ln)
-            fields = rest.split(None, 2)
-            if len(fields) < 2:
-                raise ScriptError("STEP wants 'id kind args...'", ln)
-            sid, kind = fields[0], fields[1]
-            if kind not in _STEP_KINDS:
-                raise ScriptError(f"unknown step kind {kind!r}", ln)
-            if any(st.sid == sid for st in stages[-1].steps):
-                raise ScriptError(f"duplicate step id {sid!r} in stage {stages[-1].name!r}", ln)
-            arg = fields[2] if len(fields) > 2 else ""
-            stages[-1].steps.append(ScriptStep(sid, kind, arg, ln))
-        else:
-            raise ScriptError(f"unknown directive {head!r}", ln)
-    if custom_weights is not None:
-        if symbols_mode == "paper":
-            raise ScriptError("WEIGHTS needs a custom SYMBOLS list", weights_line)
-        if len(custom_weights) != len(custom_names):
-            raise ScriptError(f"WEIGHTS gives {len(custom_weights)} weights for"
-                              f" {len(custom_names)} symbols", weights_line)
-    return Script(symbols_mode, custom_names, custom_weights, axioms, saturations, stages)
-
-
 def _split_member_args(arg: str, line: int) -> Tuple[str, List[str], List[str]]:
     """'target USING a,b,c SAT x,y' -> (target, [a,b,c], [x,y])."""
+    if arg.split()[-1:] == ["SAT"]:
+        raise ScriptError("SAT wants saturation ids after it", line)
     rest = arg
     sat: List[str] = []
     if " SAT " in rest:
@@ -1310,12 +1210,11 @@ def _split_member_args(arg: str, line: int) -> Tuple[str, List[str], List[str]]:
     return target.strip(), via, sat
 
 
-def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
-                  mk: Callable[[str, int], Polynomial]) -> Callable[[], object]:
+def _resolve_step(run: StageRunner, sid: str, kind: str, arg: str, line: int,
+                  axioms: dict, mk: Callable[[str, int], Polynomial]) -> Callable[[], object]:
     """One STEP line as a call on its stage's runner.  A bad axiom id, rule
     table, saturation id, variable or registry id raises ScriptError here;
     relations and transcriptions are read inside the step, as failure records."""
-    arg, line = step.arg, step.line
 
     def registry_id(target: str) -> str:
         eid = target[1:]
@@ -1323,33 +1222,30 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
             raise ScriptError(f"unknown registry id {eid!r}", line)
         return eid
 
-    if step.kind == "assume":
+    if kind == "assume":
         # the relation is referenced by its axiom id from later steps; a
         # script AXIOM shadows a paper axiom of the same id
         if arg in axioms:
             return partial(run.assume, arg, *axioms[arg])
         if run.registry is None or arg not in PAPER_AXIOM_IDS:
             raise ScriptError(f"unknown axiom id {arg!r}", line)
-        e = run.registry.entry(arg)
-        return partial(run.assume, arg, partial(run.printed, arg), e.citation, e.quote,
-                       note=e.note)
-    if step.kind == "derive":
+        return partial(run.assume_registry, arg)
+    if kind == "derive":
         parts = arg.split()
         if len(parts) != 2:
             raise ScriptError("derive wants 'rule source_id'", line)
         if parts[0] not in run.rules:
             raise ScriptError(f"unknown rule table {parts[0]!r}", line)
-        return partial(run.derive, step.sid, run.rules[parts[0]], parts[1])
-    if step.kind == "assert_member":
+        return partial(run.derive, sid, run.rules[parts[0]], parts[1])
+    if kind == "assert_member":
         target, via, sat_ids = _split_member_args(arg, line)
-        for sid in sat_ids:
-            if sid not in run.sats:
-                raise ScriptError(f"unknown saturation id {sid!r}", line)
+        for sat in sat_ids:
+            if sat not in run.sats:
+                raise ScriptError(f"unknown saturation id {sat!r}", line)
         if target.startswith("@"):
-            return partial(run.claim_registry, registry_id(target), via, sat_ids,
-                           sid=step.sid)
-        return partial(run.claim, step.sid, mk(target, line), via, sat_ids)
-    if step.kind == "eliminate_vars":
+            return partial(run.claim_registry, registry_id(target), via, sat_ids, sid=sid)
+        return partial(run.claim, sid, mk(target, line), via, sat_ids)
+    if kind == "eliminate_vars":
         if " FROM " not in arg:
             raise ScriptError("eliminate_vars wants 'vars FROM ids'", line)
         vpart, _, gpart = arg.partition(" FROM ")
@@ -1358,46 +1254,123 @@ def _resolve_step(run: StageRunner, step: ScriptStep, axioms: dict,
             if v not in run.gens.table:
                 raise ScriptError(f"unknown variable {v!r}", line)
         via = [g.strip() for g in gpart.split(",") if g.strip()]
-        return partial(run.eliminate_step, step.sid, via, vs)
-    if step.kind == "match_printed":
+        return partial(run.eliminate_step, sid, via, vs)
+    if kind == "match_printed":
         parts = arg.split()
         if len(parts) != 2:
             raise ScriptError("match_printed wants 'relation_id @registry_id'", line)
         if not parts[1].startswith("@"):
             raise ScriptError("match target must be @registry_id", line)
-        return partial(run.match_printed, step.sid, partial(run.poly_of, parts[0]),
+        return partial(run.match_printed, sid, partial(run.poly_of, parts[0]),
                        registry_id(parts[1]))
-    if step.kind == "assert_nonzero":
+    if kind == "assert_nonzero":
         if len(arg.split()) != 1:
             raise ScriptError("assert_nonzero wants one relation id", line)
-        return partial(run.assert_nonzero, step.sid, partial(run.poly_of, arg), relation=arg)
-    return partial(run.annotate, step.sid, arg)
+        return partial(run.assert_nonzero, sid, partial(run.poly_of, arg), relation=arg)
+    return partial(run.annotate, sid, arg)
 
 
-def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
-    """Execute a parsed script in two phases.  Resolve turns every step of
-    every stage into a call on its stage's runner, so a shape error raises
-    ScriptError before any stage runs; apply makes the calls, and algebra
+def run_script(text: str, config: Optional[Config] = None) -> RunResult:
+    """Run a derivation script (see docs/script-format.md) in three phases.
+    Read checks every line and collects the sections.  Resolve builds the
+    symbol world, saturations and axioms and turns every step of every stage
+    into a call on its stage's runner, so a shape error raises ScriptError
+    naming its line before any stage runs.  Apply makes the calls, and algebra
     failures are recorded in the report like the built-in stages' ones."""
     config = config or Config()
     oracle_cfg = config.oracle_config()
-    if script.symbols_mode == "paper":
+    names: Optional[List[str]] = None            # a custom SYMBOLS list; None: paper
+    weights: Optional[List[int]] = None
+    seen_symbols, weights_line = False, 0
+    axiom_lines: Dict[str, Tuple[str, str, str, int]] = {}  # id: text, citation, quote, line
+    sat_lines: Dict[str, Tuple[str, str, int]] = {}         # id: text, justification, line
+    stages: Dict[str, Dict[str, Tuple[str, str, int]]] = {}  # name: {sid: kind, arg, line}
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if head == "SYMBOLS":
+            if seen_symbols:
+                raise ScriptError("duplicate SYMBOLS section", ln)
+            seen_symbols = True
+            if not rest:
+                raise ScriptError("SYMBOLS needs 'paper' or a variable list", ln)
+            if rest != "paper":
+                names = rest.split()
+                try:
+                    VarTable(names)
+                except PolyError as exc:
+                    raise ScriptError(str(exc), ln)
+        elif head == "WEIGHTS":
+            weights_line = ln
+            try:
+                weights = [int(w) for w in rest.split()]
+            except ValueError:
+                raise ScriptError("WEIGHTS must be integers", ln)
+            if any(w < 0 for w in weights):
+                raise ScriptError("WEIGHTS must be nonnegative", ln)
+        elif head == "AXIOM":
+            parts = [p.strip() for p in rest.split("|")]
+            if len(parts) != 4:
+                raise ScriptError("AXIOM wants 'id | polynomial | citation | quote'", ln)
+            if parts[0] in axiom_lines:
+                raise ScriptError(f"duplicate AXIOM id {parts[0]!r}", ln)
+            axiom_lines[parts[0]] = (parts[1], parts[2], parts[3], ln)
+        elif head == "SATURATION":
+            parts = [p.strip() for p in rest.split("|")]
+            if len(parts) != 3:
+                raise ScriptError("SATURATION wants 'id | polynomial | justification'", ln)
+            if parts[0] in sat_lines:
+                raise ScriptError(f"duplicate SATURATION id {parts[0]!r}", ln)
+            sat_lines[parts[0]] = (parts[1], parts[2], ln)
+        elif head == "STAGE":
+            if not rest:
+                raise ScriptError("STAGE needs a name", ln)
+            if rest in stages:
+                raise ScriptError(f"duplicate STAGE name {rest!r}", ln)
+            stage, steps = rest, {}
+            stages[rest] = steps
+        elif head == "STEP":
+            if not stages:
+                raise ScriptError("STEP before any STAGE", ln)
+            fields = rest.split(None, 2)
+            if len(fields) < 2:
+                raise ScriptError("STEP wants 'id kind args...'", ln)
+            sid, kind = fields[0], fields[1]
+            if kind not in _STEP_KINDS:
+                raise ScriptError(f"unknown step kind {kind!r}", ln)
+            if sid in steps:
+                raise ScriptError(f"duplicate step id {sid!r} in stage {stage!r}", ln)
+            steps[sid] = (kind, fields[2] if len(fields) > 2 else "", ln)
+        else:
+            raise ScriptError(f"unknown directive {head!r}", ln)
+    if weights is not None:
+        if names is None:
+            raise ScriptError("WEIGHTS needs a custom SYMBOLS list", weights_line)
+        if len(weights) != len(names):
+            raise ScriptError(f"WEIGHTS gives {len(weights)} weights for"
+                              f" {len(names)} symbols", weights_line)
+
+    if names is None:
         symbols = load_paper_symbols()
         table, sats = symbols.table, nondegeneracy_records(symbols)
     else:
         symbols, sats = None, []
-        table = VarTable(script.custom_names, script.custom_weights)
+        table = VarTable(names, weights)
 
-    def mk(text: str, line: int) -> Polynomial:
+    def mk(poly_text: str, line: int) -> Polynomial:
         try:
-            return parse_polynomial(text, table)
+            return parse_polynomial(poly_text, table)
         except PolyError as exc:
             raise ScriptError(f"bad polynomial: {exc}", line)
 
     # a saturation leaves no step record, so a rebound paper one would divide
     # later steps by the script's polynomial under the paper's id, unseen
     paper_sats = {s.sid for s in sats}
-    for sid, ptext, just, ln in script.saturations:
+    for sid, (ptext, just, ln) in sat_lines.items():
         if sid in paper_sats:
             raise ScriptError(f"SATURATION {sid!r} rebinds a paper saturation", ln)
         try:
@@ -1405,22 +1378,21 @@ def run_script(script: Script, config: Optional[Config] = None) -> RunResult:
         except PolyError as exc:
             raise ScriptError(str(exc), ln)
     axioms = {aid: (mk(ptext, ln), citation, quote)
-              for aid, ptext, citation, quote, ln in script.axioms}
+              for aid, (ptext, citation, quote, ln) in axiom_lines.items()}
 
-    plan = []
-    for sstage in script.stages:
-        run = StageRunner(sstage.name, config, table, sats, symbols)
+    runs, calls = [], []
+    for name, steps in stages.items():
+        run = StageRunner(name, config, table, sats, symbols)
+        runs.append(run)
         # an assume records under its axiom id, any other step under its own
         records: set = set()
-        for step in sstage.steps:
-            rid = step.arg if step.kind == "assume" else step.sid
+        for sid, (kind, arg, ln) in steps.items():
+            rid = arg if kind == "assume" else sid
             if rid in records:
-                raise ScriptError(f"duplicate record id {rid!r} in stage {sstage.name!r}",
-                                  step.line)
+                raise ScriptError(f"duplicate record id {rid!r} in stage {name!r}", ln)
             records.add(rid)
-        plan.append((run, [_resolve_step(run, step, axioms, mk) for step in sstage.steps]))
-    for _, calls in plan:
-        for call in calls:
-            call()
-    stages = [run.result for run, _ in plan]
-    return RunResult(stages, config, _spot_check(stages, oracle_cfg))
+            calls.append(_resolve_step(run, sid, kind, arg, ln, axioms, mk))
+    for call in calls:
+        call()
+    results = [run.result for run in runs]
+    return RunResult(results, config, _spot_check(results, oracle_cfg))

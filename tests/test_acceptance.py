@@ -13,6 +13,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from curvelim.exactpoly import Polynomial, VarTable, parse_polynomial, resultant
 from curvelim.frame import EquationRegistry, load_paper_symbols
 from curvelim.ideal import GeneratorSet, NOT_MEMBER, Relation, membership
 from curvelim.oracle import SpotCheckConfig, check_certificate, check_certificates
-from curvelim.pipeline import Config, match_printed, run_builtin
+from curvelim.pipeline import Config, match_printed, run_builtin, run_script
 from tests_resultant import poly_gcd
 
 _RESULTS = []
@@ -36,6 +37,10 @@ REPLAY_CERTIFICATES_SHA256 = "ec9b9f69538517774c6fbedd77236a4fe00fa35afcbb9ca1d7
 # the timings: a change that moves any must be listed in CHANGES.md with the
 # new value.
 REPLAY_REPORT_DIGEST = "9e26ee4784b7f0440a3fea07d5b3ef4420a4e70d045b5086ee2e5ff4d905c357"
+
+# the canonical digest of the seed-0 report on docs/example.ds, which pins the
+# script path's report the way the one above pins the replay's
+EXAMPLE_REPORT_DIGEST = "31c764b7200503a7db534aa45c3db967f2f993b880b9cbc1b954b9b81abc4e35"
 
 
 def _report(criterion, ok, note):
@@ -244,6 +249,12 @@ class TestCriterion5:
         digest = full_run.report()["canonical_digest"]
         _report("5-report", digest == REPLAY_REPORT_DIGEST,
                 f"replay report's canonical digest as pinned (sha256 {digest[:16]})")
+
+    def test_example_script_report_pinned(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "example.ds").read_text()
+        digest = run_script(text, Config(seed=0)).report()["canonical_digest"]
+        _report("5-example-report", digest == EXAMPLE_REPORT_DIGEST,
+                f"docs/example.ds report's canonical digest as pinned (sha256 {digest[:16]})")
 
     def test_byte_reproducibility(self, tmp_path):
         from curvelim.cli import main

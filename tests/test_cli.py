@@ -114,12 +114,12 @@ class TestVerify:
                                                                   monkeypatch):
         # theorem33 and paper-symbol scripts never use (3.33), so its broken
         # transcription fails only the lemma32 step that parses it
-        from curvelim.pipeline import Config, parse_script, run_builtin, run_script
+        from curvelim.pipeline import Config, run_builtin, run_script
         patched = [dataclasses.replace(e, text=e.text + " +* v3")
                    if e.eid == "eq_3_33" else e for e in frame._REGISTRY]
         monkeypatch.setattr(frame, "_REGISTRY", patched)
         assert run_builtin("theorem33", Config(trials=2)).verdict() == "documented-discrepancy"
-        script = parse_script("SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\n")
+        script = "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\n"
         assert run_script(script, Config(trials=2)).verdict() == "success"
         path = tmp_path / "l32.json"
         assert run_cli(["verify", "--stage", "lemma32", "--report", str(path),
@@ -219,6 +219,26 @@ class TestVerify:
         assert f"script error: line {line}: " in err and words in err
         assert not path.exists()
 
+    def test_undecodable_script_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "bad.ds"
+        script.write_bytes(b"\xff\xfe\x00x")
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--script", str(script), "--report", str(path)]) == 2
+        assert "cannot read script: " in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_unwritable_report_path_exit_2(self, tmp_path, capsys):
+        # a directory at the report path: the run finishes, and the rename of
+        # the written temporary file onto it fails
+        path = tmp_path / "dir"
+        path.mkdir()
+        assert run_cli(["verify", "--stage", "lemma31", "--trials", "2",
+                        "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write report: " in captured.err and captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["dir"]
+        assert os.listdir(path) == []
+
     def test_example_script(self, tmp_path):
         example = os.path.join(os.path.dirname(__file__), "..", "docs", "example.ds")
         rc = run_cli(["verify", "--script", example,
@@ -280,6 +300,13 @@ class TestOneRendering:
 class TestReportCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli(["report", str(tmp_path / "nope.json")]) == 2
+
+    def test_undecodable_report_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00x")
+        assert run_cli(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read report: " in captured.err and captured.out == ""
 
     def test_empty_report(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -86,6 +86,12 @@ class TestSubstitute:
         with pytest.raises(PolyError):
             poly("x").substitute("nope", poly("y"))
 
+    def test_unknown_variable_in_coefficient_reads(self):
+        with pytest.raises(PolyError, match="unknown variable 'nope'"):
+            poly("x").coeff_in("nope", 1)
+        with pytest.raises(PolyError, match="unknown variable 'nope'"):
+            poly("x").as_univariate("nope")
+
     def test_sparse_high_power(self):
         # Horner over every degree would take 2^62 products; stepping between
         # the degrees present takes a few dozen squarings

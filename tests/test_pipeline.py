@@ -24,7 +24,6 @@ from curvelim.pipeline import (
     chain_after_3_60,
     endgame_eliminate,
     match_printed,
-    parse_script,
     run_builtin,
     run_lemma31,
     run_lemma32,
@@ -429,7 +428,7 @@ STEP s1 assume g1
 STEP s2 assume g2
 STEP s3 assert_member y^2 - x USING g1,g2
 """
-        result = run_script(parse_script(text), Config())
+        result = run_script(text, Config())
         rec = {r.sid: r for r in result.stages[0].records}["s3"]
         assert rec.status == "failure"
         assert "internal error" in rec.details["error"]
@@ -510,19 +509,19 @@ class TestOracleInVerdict:
 
 class TestScriptFormat:
     def test_empty_script(self):
-        result = run_script(parse_script(""), Config())
+        result = run_script("", Config())
         assert result.stages == []
         assert result.verdict() == "success"
 
     def test_unknown_axiom_id_named(self):
         text = "SYMBOLS x y\nSTAGE s\nSTEP a assume nope\n"
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config())
+            run_script(text, Config())
         assert "nope" in str(err.value)
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ScriptError) as err:
-            parse_script("SYMBOLS x\nGARBAGE\n")
+            run_script("SYMBOLS x\nGARBAGE\n")
         assert err.value.line == 2
 
     def test_small_script_runs(self):
@@ -539,7 +538,7 @@ STEP s4 assert_member y - x^2 USING ax1,ax2
 STEP s5 assert_nonzero ax1
 STEP s6 annotate parabola verified
 """
-        result = run_script(parse_script(text), Config())
+        result = run_script(text, Config())
         assert result.verdict() == "success"
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses["s4"] == "verified"
@@ -554,7 +553,7 @@ STEP a2 derive D1 eq_3_11
 STEP a3 assert_member @eq_3_30 USING a2
 STEP a4 match_printed a3 @eq_3_30
 """
-        result = run_script(parse_script(text), Config())
+        result = run_script(text, Config())
         assert result.verdict() == "success"
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses["a3"] == "verified"
@@ -569,7 +568,7 @@ STEP d derive D1 eq_3_11
 STEP c assert_member @eq_3_30 USING d
 STEP m match_printed c @eq_3_30
 """
-        records = {r.sid: r for r in run_script(parse_script(text), Config()).stages[0].records}
+        records = {r.sid: r for r in run_script(text, Config()).stages[0].records}
         (replay,) = [r for r in theorem33_run.stages[0].records if r.sid == "eq_3_30"]
         cited = (replay.citation, replay.quote)
         assert cited[0] == "eq (3.30)" and cited[1]
@@ -584,7 +583,7 @@ STEP m match_printed c @eq_3_30
     ], ids=["custom-symbols", "unknown-id"])
     def test_match_printed_bad_registry_id_names_line(self, text):
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config())
+            run_script(text, Config())
         assert err.value.line == 5
         assert "unknown registry id" in str(err.value)
 
@@ -598,8 +597,8 @@ STEP s1 assume ax
 STEP s2 assert_member b USING ax SAT a_nz
 """
         with pytest.raises(ScriptError):
-            parse_script(text + "\nSYMBOLS again\n")
-        result = run_script(parse_script(text), Config())
+            run_script(text + "\nSYMBOLS again\n")
+        result = run_script(text, Config())
         rec = result.stages[0].records[-1]
         assert rec.status == "verified"
         assert rec.multiplier_power == 1
@@ -653,10 +652,10 @@ class TestScriptResolution:
     def test_unknown_axiom_in_a_later_stage_raises_before_any_membership(self, monkeypatch):
         calls = self._counting_membership(monkeypatch)
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(self.TWO_STAGES + "STEP c assume ghost\n"), Config(trials=2))
+            run_script(self.TWO_STAGES + "STEP c assume ghost\n", Config(trials=2))
         assert err.value.line == 7 and "ghost" in str(err.value)
         assert calls == []
-        run_script(parse_script(self.TWO_STAGES + "STEP c assume ax\n"), Config(trials=2))
+        run_script(self.TWO_STAGES + "STEP c assume ax\n", Config(trials=2))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [
@@ -670,7 +669,7 @@ class TestScriptResolution:
         "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_11\nSTEP d match_printed c @eq_3_30\n",
     ], ids=["assert_nonzero", "eliminate_vars", "assert_member", "derive", "match_printed"])
     def test_missing_relation_is_a_failure_record(self, text):
-        result = run_script(parse_script(text), Config(trials=2))
+        result = run_script(text, Config(trials=2))
         recs = {r.sid: r for r in result.stages[0].records}
         assert recs["d"].status == "failure"
         assert "'c'" in recs["d"].details["error"]
@@ -680,7 +679,7 @@ class TestScriptResolution:
         _corrupt(monkeypatch, "eq_3_30", " +* v3")
         text = ("SYMBOLS paper\nSTAGE s\nSTEP a1 assume eq_3_11\nSTEP a2 derive D1 eq_3_11\n"
                 "STEP a3 assert_member @eq_3_30 USING a2\nSTEP a4 match_printed a2 @eq_3_30\n")
-        result = run_script(parse_script(text), Config(trials=2))
+        result = run_script(text, Config(trials=2))
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses == {"eq_3_11": "assumed", "a2": "verified",
                             "a3": "failure", "a4": "failure"}
@@ -688,7 +687,7 @@ class TestScriptResolution:
     def test_unparseable_paper_axiom_is_a_failure_record(self, monkeypatch):
         _corrupt(monkeypatch, "eq_3_24", " +* v3")
         text = "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_24\nSTEP b assume eq_3_25\n"
-        result = run_script(parse_script(text), Config(trials=2))
+        result = run_script(text, Config(trials=2))
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses == {"eq_3_24": "failure", "eq_3_25": "assumed"}
         assert result.verdict() == "failure"
@@ -696,13 +695,13 @@ class TestScriptResolution:
     def test_script_axiom_shadows_a_paper_axiom(self):
         text = ("SYMBOLS paper\nAXIOM eq_3_11 | H | mine | H vanishes\n"
                 "STAGE s\nSTEP a assume eq_3_11\nSTEP b assume eq_3_3\n")
-        recs = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        recs = run_script(text, Config(trials=2)).stages[0].records
         assert [(r.sid, r.citation, r.status) for r in recs] == [
             ("eq_3_11", "mine", "assumed"), ("eq_3_3", "eq (3.3) with (3.2)", "assumed")]
 
     def test_paper_axiom_keeps_the_replay_note(self, theorem33_run):
         text = "SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_29\n"
-        (rec,) = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        (rec,) = run_script(text, Config(trials=2)).stages[0].records
         (replayed,) = [r for r in theorem33_run.stages[0].records if r.sid == "eq_3_29"]
         assert replayed.details["note"]
         assert (rec.citation, rec.quote, rec.details) == \
@@ -712,7 +711,7 @@ class TestScriptResolution:
         text = ("SYMBOLS paper\nSATURATION mine | lam2 | mine\n"
                 "SATURATION h1_nonzero | lam2 | mine\nSTAGE s\nSTEP a assume eq_3_11\n")
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config(trials=2))
+            run_script(text, Config(trials=2))
         assert err.value.line == 3
         assert "'h1_nonzero' rebinds a paper saturation" in str(err.value)
 
@@ -721,7 +720,7 @@ class TestScriptResolution:
         monkeypatch.setattr(pipeline.time, "time", lambda: next(clock))
         text = ("SYMBOLS x y\nAXIOM ax | x | toy | x\nSTAGE s\nSTEP a assume ax\n"
                 "STEP b assert_member x*y USING ax\nSTEP c annotate done\n")
-        recs = run_script(parse_script(text), Config(trials=2)).stages[0].records
+        recs = run_script(text, Config(trials=2)).stages[0].records
         assert len(recs) == 3
         assert all(r.timing_ms >= 0 for r in recs)
 
@@ -730,7 +729,7 @@ class TestScriptResolution:
         text = ("SYMBOLS x\nAXIOM a | x | toy | x\nAXIOM b | x | toy | x\n"
                 f"STAGE s\nSTEP d assert_nonzero{arg}\n")
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config(trials=2))
+            run_script(text, Config(trials=2))
         assert err.value.line == 5
         assert "assert_nonzero wants one relation id" in str(err.value)
 
@@ -747,12 +746,14 @@ class TestScriptResolution:
          "STAGE s\nSTEP s1 assume a\n", 3, "duplicate AXIOM id 'a'"),
         ("SYMBOLS x y\nSATURATION n | x | toy\nSATURATION n | y | toy\n", 3,
          "duplicate SATURATION id 'n'"),
+        ("SYMBOLS a b\nAXIOM prod | a*b | toy | ab\nSTAGE s\nSTEP s1 assume prod\n"
+         "STEP s2 assert_member b USING prod SAT\n", 5, "SAT wants saturation ids"),
     ], ids=["stage", "step", "weights-short", "weights-first", "weights-paper",
             "weights-default-paper", "symbols-repeated", "weights-negative",
-            "axiom-repeated", "saturation-repeated"])
+            "axiom-repeated", "saturation-repeated", "sat-dangling"])
     def test_shape_errors_name_their_line(self, text, line, words):
         with pytest.raises(ScriptError) as err:
-            parse_script(text)
+            run_script(text)
         assert err.value.line == line
         assert words in str(err.value)
 
@@ -761,7 +762,7 @@ class TestScriptResolution:
         text = (f"SYMBOLS x\nAXIOM a | x | toy | x\nSATURATION z | {poly} | zero\n"
                 "STAGE s\nSTEP s1 assume a\n")
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config(trials=2))
+            run_script(text, Config(trials=2))
         assert err.value.line == 3
         assert "'z' is zero" in str(err.value)
 
@@ -770,9 +771,9 @@ class TestScriptResolution:
                 "STEP b annotate between\nSTEP ax annotate again\n"
                 "STAGE t\nSTEP a assume ax\n")
         with pytest.raises(ScriptError) as err:
-            run_script(parse_script(text), Config(trials=2))
+            run_script(text, Config(trials=2))
         assert err.value.line == 6 and "duplicate record id 'ax'" in str(err.value)
-        rr = run_script(parse_script(text.replace("STEP ax annotate", "STEP c annotate")),
+        rr = run_script(text.replace("STEP ax annotate", "STEP c annotate"),
                         Config(trials=2))
         assert rr.verdict() == "success"
 
@@ -787,7 +788,7 @@ class TestScriptResolution:
         text = "\n".join(["SYMBOLS x y", "AXIOM a1 | x - y | toy | x = y",
                           "AXIOM a2 | y^2 - 1 | toy | y^2 = 1", "STAGE s",
                           "STEP s1 assume a1", "STEP s2 assume a2", *steps]) + "\n"
-        records = {r.sid: r for r in run_script(parse_script(text), Config(trials=2))
+        records = {r.sid: r for r in run_script(text, Config(trials=2))
                    .stages[0].records}
         assert records[failed].status == "failure"
         assert "duplicate relation id 'e_1'" in records[failed].details["error"]
@@ -796,7 +797,7 @@ class TestScriptResolution:
 
     def test_same_step_id_in_two_stages_is_allowed(self):
         text = "SYMBOLS x\nSTAGE s\nSTEP a annotate one\nSTAGE t\nSTEP a annotate two\n"
-        assert [len(s.steps) for s in parse_script(text).stages] == [1, 1]
+        assert [len(s.records) for s in run_script(text).stages] == [1, 1]
 
     def test_documented_step_kinds_are_the_interpreted_ones(self):
         doc = Path(__file__).resolve().parent.parent / "docs" / "script-format.md"
@@ -821,14 +822,14 @@ class TestCertificatesOnRecords:
 
     def test_example_script_checks_every_digest(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "example.ds").read_text()
-        rep = run_script(parse_script(text), Config(trials=2)).report()
+        rep = run_script(text, Config(trials=2)).report()
         assert rep["oracle"]["checked"] == _digested(rep) > 0
 
     def test_a_zero_image_keeps_its_certificate(self):
         # D1 maps K_def to zero; the chain-rule identity behind the zero
         # image is a certificate like any other, so the sweep checks it
         text = "SYMBOLS paper\nSTAGE zero\nSTEP K_def assume K_def\nSTEP d derive D1 K_def\n"
-        rep = run_script(parse_script(text), Config(trials=2)).report()
+        rep = run_script(text, Config(trials=2)).report()
         (step,) = [s for s in rep["stages"][0]["steps"] if s["id"] == "d"]
         assert step["details"]["image"] == "0"
         assert step["details"]["spot_check"]["verdict"] == "pass"
