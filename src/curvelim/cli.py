@@ -8,8 +8,9 @@
 prints ``report``'s summary of it.  Exit codes: 0 verification success; 1
 verification failure (including the documented-discrepancy verdict); 2 usage
 or parse error, a script or report file that cannot be read or decoded, or a
-report path that cannot be written; 3 resource-ceiling failure.  Reports are
-always written, even on failure, before an exit 1 or 3.
+report path that cannot be written (found before anything runs); 3
+resource-ceiling failure.  Reports are always written, even on failure,
+before an exit 1 or 3.
 ``CURVELIM_REPORT_DIR`` sets the default report location.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -173,43 +175,50 @@ def cmd_verify(args) -> int:
     if args.script and args.stage:
         print("choose either --stage or --script", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.script:
-            try:
-                with open(args.script, encoding="utf-8") as f:
-                    text = f.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                print(f"cannot read script: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            result = run_script(text, config)
-        else:
-            stage = args.stage or "all"
-            if stage not in STAGES and stage != "all":
-                print(f"unknown stage {stage!r}; choose from"
-                      f" {', '.join(STAGES + ('all',))}", file=sys.stderr)
-                return EXIT_USAGE
-            result = run_builtin(stage, config)
-    except ScriptError as exc:
-        print(f"script error: {exc}", file=sys.stderr)
+    stage = args.stage or "all"
+    if stage not in STAGES and stage != "all":
+        print(f"unknown stage {stage!r}; choose from"
+              f" {', '.join(STAGES + ('all',))}", file=sys.stderr)
         return EXIT_USAGE
+    if args.script:
+        try:
+            with open(args.script, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read script: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
-    report = result.report()
+    # the report file is opened before anything runs, so a path that cannot
+    # be written costs no run
     path = _report_path(args.report)
     tmp = path + ".tmp"
-    opened = False
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w") as f:
-            opened = True
-            json.dump(report, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        out = open(tmp, "w")
     except OSError as exc:
-        if opened:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        try:
+            result = run_script(text, config) if args.script else run_builtin(stage, config)
+        except ScriptError as exc:
+            print(f"script error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        report = result.report()
+        try:
+            with out:
+                json.dump(report, out, indent=1, sort_keys=True)
+                out.write("\n")
+            os.replace(tmp, path)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        out.close()
+        with contextlib.suppress(OSError):   # gone after a successful replace
+            os.remove(tmp)
 
     _summarize(report, sys.stdout)
     print(f"report written to {path}")

@@ -57,7 +57,6 @@ refer back to the caller's generators.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,6 +77,17 @@ from .exactpoly import (
     grevlex_order,
     sum_of_products,
 )
+
+# CPython's builtin SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): the
+# same digests as ``hashlib``'s, without loading OpenSSL's libcrypto, which
+# costs each process about 3.5 MB.  ``hashlib`` only where neither is built.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class ResourceExhausted(Exception):
@@ -181,6 +191,7 @@ class Certificate:
         self.multiplier = multiplier if power else None
         self.power = power if multiplier is not None else 0
         self._gen_polys = {rid: identity[rid][1] for rid in self.pairs}
+        self._digest: Optional[str] = None
         lhs = target * (self.multiplier ** self.power) if self.power else target
         rhs = sum_of_products(target.table,
                               [(cof, self._gen_polys[rid]) for rid, cof in self.pairs.items()])
@@ -203,7 +214,10 @@ class Certificate:
         return "\n".join(parts)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.identity_text().encode()).hexdigest()
+        """SHA-256 of ``identity_text()``, printed and hashed once."""
+        if self._digest is None:
+            self._digest = sha256(self.identity_text().encode()).hexdigest()
+        return self._digest
 
 
 NOT_MEMBER = "not-member"

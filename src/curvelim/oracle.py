@@ -40,13 +40,19 @@ need different certificates to see different points.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# CPython's builtin SHAKE-256: the same streams as ``hashlib``'s, without
+# loading OpenSSL's libcrypto; ``hashlib`` only where it is not built
+try:
+    from _sha3 import shake_256
+except ImportError:
+    from hashlib import shake_256
 
 # 2**64 - 59: a published prime comfortably above 2**61.
 DEFAULT_PRIME = 18446744073709551557
@@ -134,7 +140,7 @@ _BLOCK = 100
 
 def _stream(seed: int, var: str, block: int):
     """The SHAKE-256 stream of one variable's words over a block of trials."""
-    return hashlib.shake_256(f"{seed}|{var}|{block}".encode())
+    return shake_256(f"{seed}|{var}|{block}".encode())
 
 
 def _redraw(seed: int, var: str, trial: int, limit: int) -> int:
@@ -143,7 +149,7 @@ def _redraw(seed: int, var: str, trial: int, limit: int) -> int:
     while True:
         counter += 1
         key = f"{seed}|{var}|{trial}|{counter}".encode()
-        x = int.from_bytes(hashlib.shake_256(key).digest(16), "big")
+        x = int.from_bytes(shake_256(key).digest(16), "big")
         if x < limit:
             return x
 

@@ -39,7 +39,6 @@ is ``documented-discrepancy``; a failed spot check makes it a ``failure``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -69,6 +68,7 @@ from .ideal import (
     eliminate,
     membership,
     multiplier_of,
+    sha256,
 )
 from .frame import (
     ENGINE_VERSION,
@@ -1134,13 +1134,20 @@ class RunResult:
 
 
 def canonical_digest(report: dict) -> str:
-    """Digest of the report with timing fields zeroed (platform independent)."""
-    clone = json.loads(json.dumps(report))
-    for stage in clone.get("stages", []):
-        for step in stage.get("steps", []):
-            step["timing_ms"] = 0
-    clone.pop("canonical_digest", None)
-    return hashlib.sha256(json.dumps(clone, sort_keys=True).encode()).hexdigest()
+    """Digest of the report with timing fields zeroed (platform independent).
+
+    Only the levels that change are copied: the top level without its
+    ``canonical_digest``, each stage, and each of its steps with
+    ``timing_ms`` 0.  For string keys and JSON-native values, as
+    ``RunResult.report()`` makes, the hashed bytes are those of a JSON round
+    trip of the report with the same edits."""
+    clone = {k: v for k, v in report.items() if k != "canonical_digest"}
+    if "stages" in clone:
+        clone["stages"] = [
+            {**stage, "steps": [{**step, "timing_ms": 0} for step in stage["steps"]]}
+            if "steps" in stage else stage
+            for stage in clone["stages"]]
+    return sha256(json.dumps(clone, sort_keys=True).encode()).hexdigest()
 
 
 def _spot_check(stages: Sequence[StageResult], cfg: SpotCheckConfig) -> List[SpotCheckResult]:

@@ -21,7 +21,14 @@ from curvelim.exactpoly import Polynomial, VarTable, parse_polynomial, resultant
 from curvelim.frame import EquationRegistry, load_paper_symbols
 from curvelim.ideal import GeneratorSet, NOT_MEMBER, Relation, membership
 from curvelim.oracle import SpotCheckConfig, check_certificate, check_certificates
-from curvelim.pipeline import Config, match_printed, run_builtin, run_script
+from curvelim.pipeline import (
+    Config,
+    canonical_digest,
+    match_printed,
+    run_builtin,
+    run_script,
+)
+from tests_digest import canonical_digest as reference_digest
 from tests_resultant import poly_gcd
 
 _RESULTS = []
@@ -267,6 +274,31 @@ class TestCriterion5:
         da = json.loads(a.read_text())["canonical_digest"]
         _report("5-reproducibility", ok,
                 f"two same-seed canonical runs byte-identical (digest {da[:16]})")
+
+
+class TestCanonicalDigest:
+    """The digest of the edited levels' copies against the JSON round trip's."""
+
+    def test_matches_the_reference_on_the_reports(self, full_run):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "example.ds").read_text()
+        for result in (full_run, run_builtin("lemma32", Config(seed=0)),
+                       run_script(text, Config(seed=0))):
+            report = result.report()
+            assert report["canonical_digest"] == reference_digest(report)
+            report["stages"][-1]["steps"][-1]["timing_ms"] += 1000   # timings do not count
+            assert canonical_digest(report) == report["canonical_digest"]
+
+    @pytest.mark.parametrize("report", [
+        {"seed": 0, "stages": [{"name": "s", "verdict": "success"}], "verdict": "success"},
+        {"stages": [{"name": "s", "steps": [{"id": "a", "status": "verified"},
+                                            {"id": "b", "timing_ms": 7}]}]},
+        {"stages": [], "canonical_digest": "stale"},
+        {"verdict": "success"},
+    ], ids=["stage-without-steps", "step-without-timing", "no-stages", "no-stages-key"])
+    def test_matches_the_reference_on_partial_reports(self, report):
+        before = json.dumps(report, sort_keys=True)
+        assert canonical_digest(report) == reference_digest(report)
+        assert json.dumps(report, sort_keys=True) == before    # the report is not edited
 
 
 class TestSweepWork:

@@ -1,15 +1,21 @@
 """Command-line front end: exit codes, report schema, algebra utilities."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import curvelim.frame as frame
 from curvelim.cli import main
+from curvelim.exactpoly import VarTable, parse_polynomial
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "docs", "example.ds")
 
 
 def run_cli(argv):
@@ -218,6 +224,7 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"script error: line {line}: " in err and words in err
         assert not path.exists()
+        assert os.listdir(tmp_path) == ["bad.ds"]   # and no temporary report file
 
     def test_undecodable_script_exit_2(self, tmp_path, capsys):
         script = tmp_path / "bad.ds"
@@ -227,21 +234,32 @@ class TestVerify:
         assert "cannot read script: " in capsys.readouterr().err
         assert not path.exists()
 
-    def test_unwritable_report_path_exit_2(self, tmp_path, capsys):
-        # a directory at the report path: the run finishes, and the rename of
-        # the written temporary file onto it fails
+    def _unwritable_report_path_exit_2(self, tmp_path, capsys, monkeypatch, argv, entry):
+        # a directory at the report path is found before anything runs
+        import curvelim.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{entry} was called")
+
+        monkeypatch.setattr(cli, entry, no_run)
         path = tmp_path / "dir"
         path.mkdir()
-        assert run_cli(["verify", "--stage", "lemma31", "--trials", "2",
-                        "--report", str(path)]) == 2
+        assert run_cli(["verify", *argv, "--trials", "2", "--report", str(path)]) == 2
         captured = capsys.readouterr()
         assert "cannot write report: " in captured.err and captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["dir"]
         assert os.listdir(path) == []
 
+    def test_unwritable_report_path_exit_2(self, tmp_path, capsys, monkeypatch):
+        self._unwritable_report_path_exit_2(tmp_path, capsys, monkeypatch,
+                                            ["--stage", "lemma31"], "run_builtin")
+
+    def test_unwritable_report_path_runs_no_script(self, tmp_path, capsys, monkeypatch):
+        self._unwritable_report_path_exit_2(tmp_path, capsys, monkeypatch,
+                                            ["--script", EXAMPLE], "run_script")
+
     def test_example_script(self, tmp_path):
-        example = os.path.join(os.path.dirname(__file__), "..", "docs", "example.ds")
-        rc = run_cli(["verify", "--script", example,
+        rc = run_cli(["verify", "--script", EXAMPLE,
                       "--report", str(tmp_path / "toy.json"), "--trials", "3"])
         assert rc == 0
 
@@ -395,3 +413,60 @@ class TestScriptReports:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
         assert not path.exists()
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+_PROBE = """
+import json, sys
+{prelude}
+loaded_at_start = "_hashlib" in sys.modules
+from curvelim import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({{"loaded_at_start": loaded_at_start,
+                  "loaded": "_hashlib" in sys.modules, "rc": rc}}))
+"""
+
+
+def _fresh_verify(argv, prelude=""):
+    """``main(argv)`` in a fresh interpreter, after ``prelude``: its exit code
+    and whether OpenSSL's ``_hashlib`` was loaded at start-up and at the end."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(prelude=prelude), *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestHashes:
+    """SHA-256 and SHAKE-256 come from CPython's builtin modules, so a verify
+    process maps no OpenSSL; ``hashlib``, where they are missing, gives the
+    same bytes."""
+
+    def test_verify_loads_no_openssl(self, tmp_path):
+        probe = _fresh_verify(["verify", "--stage", "lemma31", "--trials", "2",
+                               "--report", str(tmp_path / "r.json")])
+        assert not probe["loaded_at_start"], "the interpreter loads OpenSSL at start-up"
+        assert not probe["loaded"] and probe["rc"] == 0
+
+    def test_hashlib_fallback_gives_the_same_report(self, tmp_path):
+        argv = ["verify", "--canonical", "--seed", "0", "--stage", "lemma31"]
+        lean, fallback = tmp_path / "lean.json", tmp_path / "fallback.json"
+        assert run_cli([*argv, "--report", str(lean)]) == 0
+        probe = _fresh_verify([*argv, "--report", str(fallback)], prelude=(
+            "for name in ('_sha2', '_sha256', '_sha3'):\n    sys.modules[name] = None"))
+        assert probe["loaded"] and probe["rc"] == 0     # the fallback's hashlib
+        assert fallback.read_bytes() == lean.read_bytes()
+
+    def test_lean_hashes_match_hashlib(self):
+        from curvelim.ideal import GeneratorSet, Relation, membership, sha256
+        from curvelim.oracle import shake_256
+
+        seed, var, block = 7, "x", 2
+        key = f"{seed}|{var}|{block}".encode()    # an oracle stream's key
+        assert shake_256(key).digest(1600) == hashlib.shake_256(key).digest(1600)
+        table = VarTable(["x", "y"])
+        gens = GeneratorSet(table, [Relation("g", parse_polynomial("x - y", table))])
+        text = membership(parse_polynomial("x^2 - y^2", table), gens).identity_text()
+        assert "cofactor[g]" in text
+        assert sha256(text.encode()).hexdigest() == hashlib.sha256(text.encode()).hexdigest()

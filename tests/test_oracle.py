@@ -307,13 +307,14 @@ class TestConstantCertificate:
         assert all(w["confirmations"] == [] for w in res.failures[3:])
 
 
-class _CountingHashlib:
-    """Stands in for ``hashlib`` in the oracle and counts its stream calls."""
+class _CountingShake:
+    """Stands in for the oracle's SHAKE-256 constructor and counts its stream
+    calls."""
 
     def __init__(self):
         self.calls = 0
 
-    def shake_256(self, data):
+    def __call__(self, data):
         self.calls += 1
         return hashlib.shake_256(data)
 
@@ -343,8 +344,8 @@ class TestPointStability:
         assert long.failures[:100] == short.failures
 
     def test_one_stream_per_variable_and_block(self, monkeypatch):
-        counting = _CountingHashlib()
-        monkeypatch.setattr(oracle, "hashlib", counting)
+        counting = _CountingShake()
+        monkeypatch.setattr(oracle, "shake_256", counting)
         cert = _certificate(poly("x*y*z"), {"g": (poly("z"), poly("x*y"))})
         res = check_certificate(cert, cfg=SpotCheckConfig(trials=250))
         assert res.verdict == "pass"
@@ -475,8 +476,8 @@ class TestSweep:
 
     def test_one_stream_per_variable_and_one_column_per_operand(self, monkeypatch,
                                                                lemma32_items):
-        counting = _CountingHashlib()
-        monkeypatch.setattr(oracle, "hashlib", counting)
+        counting = _CountingShake()
+        monkeypatch.setattr(oracle, "shake_256", counting)
         columns = _Counting(oracle._columns)
         monkeypatch.setattr(oracle, "_columns", columns)
         for trials, blocks in ((100, 1), (250, 3)):
