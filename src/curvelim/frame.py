@@ -27,10 +27,9 @@ weighted-homogeneous, which the ideal layer exploits for degree truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
+from .exactpoly import Polynomial, PolyError, VarTable, _Frozen, parse_polynomial
 from .ideal import SaturationRecord
 
 ENGINE_VERSION = "0.1.0"
@@ -94,15 +93,17 @@ def load_paper_symbols() -> SymbolTable:
 # equation registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    eid: str
-    text: Optional[str]          # exactpoly syntax; None for rule-identity entries
-    citation: str
-    quote: str
-    role: str                    # constraint | curvature-component | biharmonic |
-                                 # codazzi | derived | definition | rule-identity
-    note: str = ""
+class RegistryEntry(_Frozen):
+    """One printed equation: ``text`` in exactpoly syntax (None for
+    rule-identity entries) and ``role`` one of constraint |
+    curvature-component | biharmonic | codazzi | derived | definition |
+    rule-identity."""
+
+    __slots__ = ("eid", "text", "citation", "quote", "role", "note")
+
+    def __init__(self, eid: str, text: Optional[str], citation: str, quote: str, role: str,
+                 note: str = ""):
+        self._fill(eid, text, citation, quote, role, note)
 
 
 _REGISTRY: List[RegistryEntry] = [
@@ -376,21 +377,17 @@ class EquationRegistry:
         return [e.eid for e in _REGISTRY]
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(_Frozen):
     """A vanishing polynomial taken as input, with its citation and quote."""
 
-    aid: str
-    poly: Polynomial
-    citation: str
-    quote: str
-    role: str
+    __slots__ = ("aid", "poly", "citation", "quote", "role")
 
-    def __post_init__(self):
-        if self.poly.is_zero():
-            raise PolyError(f"axiom {self.aid!r} is the zero polynomial")
-        if not self.citation or not self.quote:
-            raise PolyError(f"axiom {self.aid!r} misses citation or quote")
+    def __init__(self, aid: str, poly: Polynomial, citation: str, quote: str, role: str):
+        if poly.is_zero():
+            raise PolyError(f"axiom {aid!r} is the zero polynomial")
+        if not citation or not quote:
+            raise PolyError(f"axiom {aid!r} misses citation or quote")
+        self._fill(aid, poly, citation, quote, role)
 
 
 # the printed equations the replay assumes: constraints, curvature components, definitions
@@ -504,11 +501,13 @@ def nondegeneracy_records(symbols: SymbolTable) -> List[SaturationRecord]:
 # derivation rule tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fresh:
+class Fresh(_Frozen):
     """Marker for an underdetermined derivative: a fixed opaque symbol is used."""
 
-    symbol: str
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: str):
+        self._fill(symbol)
 
 
 class DerivationRuleTable:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -69,6 +68,7 @@ from .exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
+    _Frozen,
     _divide,
     _divides,
     _over,
@@ -99,26 +99,38 @@ class ResourceExhausted(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Limits:
-    max_basis: int = 4000
-    max_pairs: int = 200000
+class Limits(_Frozen):
+    """The basis-size and pair-count ceilings of a Buchberger run.  A value:
+    equal limits share one ``_run`` cache entry."""
 
-    def __post_init__(self):
-        if self.max_basis < 1 or self.max_pairs < 1:
+    __slots__ = ("max_basis", "max_pairs")
+
+    def __init__(self, max_basis: int = 4000, max_pairs: int = 200000):
+        self._fill(max_basis, max_pairs)
+        if max_basis < 1 or max_pairs < 1:
             raise ValueError(f"ceilings must be at least 1, not {self}")
 
+    def __repr__(self) -> str:
+        return f"Limits(max_basis={self.max_basis!r}, max_pairs={self.max_pairs!r})"
 
-@dataclass
+    def __eq__(self, other) -> bool:
+        if type(other) is not Limits:
+            return NotImplemented
+        return (self.max_basis, self.max_pairs) == (other.max_basis, other.max_pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.max_basis, self.max_pairs))
+
+
 class Relation:
     """A polynomial asserted to vanish, with a stable identifier."""
 
-    rid: str
-    poly: Polynomial
+    __slots__ = ("rid", "poly")
 
-    def __post_init__(self):
-        if self.poly.is_zero():
-            raise PolyError(f"relation {self.rid!r} is the zero polynomial")
+    def __init__(self, rid: str, poly: Polynomial):
+        if poly.is_zero():
+            raise PolyError(f"relation {rid!r} is the zero polynomial")
+        self.rid, self.poly = rid, poly
 
 
 class GeneratorSet:
@@ -158,17 +170,15 @@ class GeneratorSet:
         return GeneratorSet(self.table, [self.get(r) for r in rids])
 
 
-@dataclass(frozen=True)
-class SaturationRecord:
+class SaturationRecord(_Frozen):
     """A multiplier the pipeline may divide by, with its justification."""
 
-    sid: str
-    multiplier: Polynomial
-    justification: str
+    __slots__ = ("sid", "multiplier", "justification")
 
-    def __post_init__(self):
-        if self.multiplier.is_zero():
-            raise PolyError(f"saturation multiplier {self.sid!r} is zero")
+    def __init__(self, sid: str, multiplier: Polynomial, justification: str):
+        if multiplier.is_zero():
+            raise PolyError(f"saturation multiplier {sid!r} is zero")
+        self._fill(sid, multiplier, justification)
 
 
 class Certificate:

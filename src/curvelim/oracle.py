@@ -18,11 +18,12 @@ Evaluation is columnar.  A sweep holds one column of residues per variable,
 one entry per trial, and evaluates each compiled operand over all the trials
 at once (``_columns``): a term is its coefficient times the column of its
 factors but the last times the last factor's column.  Both come from one
-memo of monomial columns per variable table, kept for the whole sweep
-(``_Monomials``): a power x_i^e is one ``pow`` per entry of x_i's column,
-and a factor prefix is the prefix one factor shorter times that factor's
-column.  So each distinct prefix and power is made once per sweep, whichever
-terms, operands and checks share it.
+memo of monomial columns per variable table, kept for the whole sweep and
+freed, by reference counting, when it returns (``_Monomials``): a power
+x_i^e is one ``pow`` per entry of x_i's column, and a factor prefix is the
+prefix one factor shorter times that factor's column.  So each distinct
+prefix and power is made once per sweep, whichever terms, operands and
+checks share it.
 
 Evaluation points come from seeded hashing: a variable's values at a block
 of ``_BLOCK`` trials are one SHAKE-256 stream keyed by (seed, variable,
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,26 +90,35 @@ class OracleError(Exception):
     different variable tables)."""
 
 
-@dataclass(frozen=True)
 class SpotCheckConfig:
-    seed: int = 0
-    trials: int = 100
-    prime: int = DEFAULT_PRIME
+    """The seed, trial count and prime of the checks.  A default instance is
+    shared by every call that omits ``cfg``, so assigning to a field raises."""
 
-    def __post_init__(self):
-        if self.trials < 1:
+    __slots__ = ("seed", "trials", "prime")
+
+    def __init__(self, seed: int = 0, trials: int = 100, prime: int = DEFAULT_PRIME):
+        if trials < 1:
             raise OracleError("trials must be at least 1")
-        if self.prime <= 2 ** 61 or self.prime % 2 == 0 or not is_probable_prime(self.prime):
+        if prime <= 2 ** 61 or prime % 2 == 0 or not is_probable_prime(prime):
             raise OracleError("modulus must be an odd prime exceeding 2^61")
+        for name, value in (("seed", seed), ("trials", trials), ("prime", prime)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a SpotCheckConfig")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a SpotCheckConfig")
 
 
-@dataclass
 class SpotCheckResult:
-    label: str
-    trials: int
-    failures: List[dict] = field(default_factory=list)
-    per_trial_bound: Fraction = Fraction(0)
-    total_degree: int = 0
+    __slots__ = ("label", "trials", "failures", "per_trial_bound", "total_degree")
+
+    def __init__(self, label: str, trials: int, failures: Optional[List[dict]] = None,
+                 per_trial_bound: Fraction = Fraction(0), total_degree: int = 0):
+        self.label, self.trials = label, trials
+        self.failures = [] if failures is None else failures
+        self.per_trial_bound, self.total_degree = per_trial_bound, total_degree
 
     @property
     def verdict(self) -> str:
@@ -171,6 +180,19 @@ def _column(seed: int, var: str, block: int, n: int, prime: int, limit: int) -> 
                 for k, x in enumerate(h << 64 | l for h, l in zip(hi, lo))]
     m = (1 << 64) % prime
     return [(h * m + l) % prime for h, l in zip(hi, lo)]
+
+
+def _variable(seed: int, trials: int, prime: int, limit: int, keep, variables: dict,
+              name: str) -> Sequence[int]:
+    """The variable's column over all trials, one point stream per block,
+    made once and kept in ``variables``."""
+    col = variables.get(name)
+    if col is None:
+        col = variables[name] = keep()
+        for start in range(0, trials, _BLOCK):
+            col.extend(_column(seed, name, start // _BLOCK, min(_BLOCK, trials - start),
+                               prime, limit))
+    return col
 
 
 # A polynomial prepared for one prime: (coefficient mod p, ((var_index, exponent), ...))
@@ -259,7 +281,7 @@ def _operands(cert) -> Tuple[List, int]:
 class _Sweep:
     """The evaluations that the checks of one sweep share, for the working
     prime, over all its trials.  All checks read the same points, so a
-    variable's column is derived once (``variable``), and the column of an
+    variable's column is derived once (``_variable``), and the column of an
     operand that several certificates use (a generator, a derived relation
     that was a target before) is compiled and evaluated once (``column``).
     ``uses`` counts each distinct operand's occurrences in the checks to
@@ -291,22 +313,16 @@ class _Sweep:
         that share a hash (``hash(-1) == hash(-2)``) stay apart as keys."""
         return poly.table.names, frozenset(poly.terms.items())
 
-    def variable(self, name: str) -> Sequence[int]:
-        """The variable's column over all trials, one point stream per block."""
-        col = self.variables.get(name)
-        if col is None:
-            col = self.variables[name] = self.keep()
-            for start in range(0, self.trials, _BLOCK):
-                col.extend(_column(self.seed, name, start // _BLOCK,
-                                   min(_BLOCK, self.trials - start), self.prime, self.limit))
-        return col
-
     def powers(self, names: Tuple[str, ...]) -> _Monomials:
-        """The monomial columns over a table of ``names``."""
+        """The monomial columns over a table of ``names``.  Their source
+        holds the variable columns but not the sweep, so the sweep, which
+        holds them, is freed by reference counting."""
         memo = self.monomials.get(names)
         if memo is None:
+            variable = partial(_variable, self.seed, self.trials, self.prime, self.limit,
+                               self.keep, self.variables)
             memo = self.monomials[names] = _Monomials(
-                lambda i: self.variable(names[i]), self.prime, self.keep)
+                lambda i: variable(names[i]), self.prime, self.keep)
         return memo
 
     def column(self, poly, monomials: _Monomials) -> Sequence[int]:

@@ -43,7 +43,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
@@ -92,19 +91,21 @@ GOOD_STATUSES = {"verified", "matched", "matched-up-to-content", "branch-closed"
                  "consistent", "annotation", "nonzero", "archived", "assumed"}
 
 
-@dataclass
 class Config:
-    seed: int = 0                          # also seeds the oracle's evaluation points
-    trials: int = 100                      # oracle evaluations per certificate
-    modulus: int = DEFAULT_PRIME           # oracle prime
-    max_power: int = 8
-    limits: Limits = field(default_factory=Limits)
-    canonical: bool = False                # zero out timings for byte-stable output
+    """The settings of a run.  ``seed`` also seeds the oracle's evaluation
+    points, ``trials`` is the oracle's evaluations per certificate,
+    ``modulus`` its prime, and ``canonical`` zeroes the timings for
+    byte-stable output."""
 
-    def __post_init__(self):
+    __slots__ = ("seed", "trials", "modulus", "max_power", "limits", "canonical")
+
+    def __init__(self, seed: int = 0, trials: int = 100, modulus: int = DEFAULT_PRIME,
+                 max_power: int = 8, limits: Limits = Limits(), canonical: bool = False):
+        self.seed, self.trials, self.modulus = seed, trials, modulus
+        self.max_power, self.limits, self.canonical = max_power, limits, canonical
         # a bad setting is rejected before any stage runs
-        if self.max_power < 0:
-            raise ValueError(f"max_power must be at least 0, not {self.max_power}")
+        if max_power < 0:
+            raise ValueError(f"max_power must be at least 0, not {max_power}")
         self.oracle_config()
 
     def oracle_config(self) -> SpotCheckConfig:
@@ -120,21 +121,29 @@ def _worst(verdicts: Iterable[str]) -> str:
     return min(verdicts, key=_LADDER.index, default="success")
 
 
-@dataclass
 class StepRecord:
-    sid: str
-    kind: str
-    citation: str
-    quote: str
-    status: str
-    certificate_digest: str = ""
-    multiplier_power: int = 0
-    multiplier_text: str = ""
-    fresh_minted: List[str] = field(default_factory=list)
-    fresh_cancelled: List[str] = field(default_factory=list)
-    timing_ms: int = 0
-    details: Dict[str, object] = field(default_factory=dict)
-    certificate: Optional[Certificate] = None  # re-checked by the oracle; not in the report
+    """One step of a stage.  Its ``certificate`` is re-checked by the oracle
+    and is not in the report."""
+
+    __slots__ = ("sid", "kind", "citation", "quote", "status", "certificate_digest",
+                 "multiplier_power", "multiplier_text", "fresh_minted", "fresh_cancelled",
+                 "timing_ms", "details", "certificate")
+
+    def __init__(self, sid: str, kind: str, citation: str, quote: str, status: str,
+                 certificate_digest: str = "", multiplier_power: int = 0,
+                 multiplier_text: str = "", fresh_minted: Optional[List[str]] = None,
+                 fresh_cancelled: Optional[List[str]] = None, timing_ms: int = 0,
+                 details: Optional[Dict[str, object]] = None,
+                 certificate: Optional[Certificate] = None):
+        self.sid, self.kind, self.citation, self.quote, self.status = (
+            sid, kind, citation, quote, status)
+        self.certificate_digest = certificate_digest
+        self.multiplier_power, self.multiplier_text = multiplier_power, multiplier_text
+        self.fresh_minted = [] if fresh_minted is None else fresh_minted
+        self.fresh_cancelled = [] if fresh_cancelled is None else fresh_cancelled
+        self.timing_ms = timing_ms
+        self.details = {} if details is None else details
+        self.certificate = certificate
 
     def ok(self) -> bool:
         return self.status in GOOD_STATUSES
@@ -163,12 +172,16 @@ class StepRecord:
         }
 
 
-@dataclass
 class StageResult:
-    name: str
-    records: List[StepRecord] = field(default_factory=list)
-    annotations: List[str] = field(default_factory=list)
-    derived: Dict[str, Polynomial] = field(default_factory=dict)
+    __slots__ = ("name", "records", "annotations", "derived")
+
+    def __init__(self, name: str, records: Optional[List[StepRecord]] = None,
+                 annotations: Optional[List[str]] = None,
+                 derived: Optional[Dict[str, Polynomial]] = None):
+        self.name = name
+        self.records = [] if records is None else records
+        self.annotations = [] if annotations is None else annotations
+        self.derived = {} if derived is None else derived
 
     def verdict(self) -> str:
         return _worst(r.verdict() for r in self.records)
@@ -1085,11 +1098,15 @@ def run_endgame(config: Config, theorem33: StageResult) -> StageResult:
 # reports and entry points
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RunResult:
-    stages: List[StageResult]
-    config: Config
-    oracle: List[SpotCheckResult] = field(default_factory=list)  # labelled <stage>.<sid>
+    """The stages of a run and its oracle results, labelled <stage>.<sid>."""
+
+    __slots__ = ("stages", "config", "oracle")
+
+    def __init__(self, stages: List[StageResult], config: Config,
+                 oracle: Optional[List[SpotCheckResult]] = None):
+        self.stages, self.config = stages, config
+        self.oracle = [] if oracle is None else oracle
 
     def verdict(self) -> str:
         """The stages' verdicts on the one ladder, a failed spot check counting
@@ -1133,21 +1150,55 @@ class RunResult:
         return rep
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _object_text(obj: dict, spelled: Mapping[str, Callable]) -> Iterable[str]:
+    """The text of ``json.dumps(obj, sort_keys=True)`` in pieces: the value
+    of a key in ``spelled`` from that function's pieces, any other whole."""
+    sep = "{"
+    for key in sorted(obj):
+        yield f"{sep}{_encode(key)}: "
+        yield from spelled[key](obj[key]) if key in spelled else (_encode(obj[key]),)
+        sep = ", "
+    yield "}" if obj else "{}"
+
+
+def _list_text(items: list, each: Callable) -> Iterable[str]:
+    """The text of ``json.dumps(items, sort_keys=True)`` in pieces, each
+    item's from ``each``."""
+    sep = "["
+    for item in items:
+        yield sep
+        yield from each(item)
+        sep = ", "
+    yield "]" if items else "[]"
+
+
+def _step_text(step: dict) -> Iterable[str]:
+    """A step's text with ``timing_ms`` 0, in one piece."""
+    return (_encode({**step, "timing_ms": 0}),)
+
+
+def _stage_text(stage: dict) -> Iterable[str]:
+    """A stage's text, its steps' from ``_step_text``."""
+    return _object_text(stage, {"steps": partial(_list_text, each=_step_text)})
+
+
 def canonical_digest(report: dict) -> str:
     """Digest of the report with timing fields zeroed (platform independent).
 
-    Only the levels that change are copied: the top level without its
-    ``canonical_digest``, each stage, and each of its steps with
-    ``timing_ms`` 0.  For string keys and JSON-native values, as
-    ``RunResult.report()`` makes, the hashed bytes are those of a JSON round
-    trip of the report with the same edits."""
-    clone = {k: v for k, v in report.items() if k != "canonical_digest"}
-    if "stages" in clone:
-        clone["stages"] = [
-            {**stage, "steps": [{**step, "timing_ms": 0} for step in stage["steps"]]}
-            if "steps" in stage else stage
-            for stage in clone["stages"]]
-    return sha256(json.dumps(clone, sort_keys=True).encode()).hexdigest()
+    The bytes hashed are ``json.dumps(clone, sort_keys=True)`` of a JSON
+    round trip of the report without its ``canonical_digest`` and with each
+    step's ``timing_ms`` 0, for string keys and JSON-native values, as
+    ``RunResult.report()`` makes.  They are fed to the hash a piece at a
+    time: the top level, the stages and their steps are spelled out and each
+    step is encoded whole, so the report's text is never held at once."""
+    digest = sha256()
+    top = {k: v for k, v in report.items() if k != "canonical_digest"}
+    for piece in _object_text(top, {"stages": partial(_list_text, each=_stage_text)}):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def _spot_check(stages: Sequence[StageResult], cfg: SpotCheckConfig) -> List[SpotCheckResult]:

@@ -1,11 +1,12 @@
 """Command-line front end: exit codes, report schema, algebra utilities."""
 
-import dataclasses
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +90,8 @@ class TestVerify:
         assert rep["verdict"] == "documented-discrepancy"
 
     def test_report_written_when_a_step_fails(self, tmp_path, monkeypatch):
-        patched = [dataclasses.replace(e, text=e.text + " + v3*v4")
+        patched = [frame.RegistryEntry(e.eid, e.text + " + v3*v4", e.citation, e.quote,
+                                       e.role, e.note)
                    if e.eid == "eq_3_34" else e for e in frame._REGISTRY]
         monkeypatch.setattr(frame, "_REGISTRY", patched)
         path = tmp_path / "l32.json"
@@ -104,7 +106,8 @@ class TestVerify:
     @pytest.mark.parametrize("eid", ["eq_3_33", "eq_3_40"])
     def test_report_written_when_a_transcription_does_not_parse(self, tmp_path,
                                                                 monkeypatch, eid):
-        patched = [dataclasses.replace(e, text=e.text + " +* v3")
+        patched = [frame.RegistryEntry(e.eid, e.text + " +* v3", e.citation, e.quote,
+                                       e.role, e.note)
                    if e.eid == eid else e for e in frame._REGISTRY]
         monkeypatch.setattr(frame, "_REGISTRY", patched)
         path = tmp_path / "l32.json"
@@ -121,7 +124,8 @@ class TestVerify:
         # theorem33 and paper-symbol scripts never use (3.33), so its broken
         # transcription fails only the lemma32 step that parses it
         from curvelim.pipeline import Config, run_builtin, run_script
-        patched = [dataclasses.replace(e, text=e.text + " +* v3")
+        patched = [frame.RegistryEntry(e.eid, e.text + " +* v3", e.citation, e.quote,
+                                       e.role, e.note)
                    if e.eid == "eq_3_33" else e for e in frame._REGISTRY]
         monkeypatch.setattr(frame, "_REGISTRY", patched)
         assert run_builtin("theorem33", Config(trials=2)).verdict() == "documented-discrepancy"
@@ -189,7 +193,8 @@ class TestVerify:
         assert "max_power must be at least 0" in capsys.readouterr().err
         assert not path.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--max-basis", "0"), ("--max-pairs", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--max-basis", "0"), ("--max-pairs", "-1"),
+                                             ("--max-basis", "-1")])
     def test_ceiling_below_one_rejected_before_any_stage(self, tmp_path, monkeypatch,
                                                          capsys, flag, value):
         import curvelim.cli as cli
@@ -203,6 +208,8 @@ class TestVerify:
                         "--report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad configuration: ") and "at least 1" in err
+        ceilings = {"max_basis": 4000, "max_pairs": 200000, flag[2:].replace("-", "_"): value}
+        assert "Limits(max_basis={max_basis}, max_pairs={max_pairs})".format(**ceilings) in err
         assert not path.exists()
 
     @pytest.mark.parametrize("lines, line, words", [
@@ -420,20 +427,22 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 _PROBE = """
 import json, sys
 {prelude}
-loaded_at_start = "_hashlib" in sys.modules
+loaded_at_start = [m for m in {modules!r} if m in sys.modules]
 from curvelim import cli
 rc = cli.main(sys.argv[1:])
 print(json.dumps({{"loaded_at_start": loaded_at_start,
-                  "loaded": "_hashlib" in sys.modules, "rc": rc}}))
+                  "loaded": [m for m in {modules!r} if m in sys.modules], "rc": rc}}))
 """
 
 
-def _fresh_verify(argv, prelude=""):
+def _fresh_verify(argv, prelude="", modules=("_hashlib",)):
     """``main(argv)`` in a fresh interpreter, after ``prelude``: its exit code
-    and whether OpenSSL's ``_hashlib`` was loaded at start-up and at the end."""
+    and which of ``modules`` (OpenSSL's ``_hashlib`` by default) were loaded
+    at start-up and at the end."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE.format(prelude=prelude), *argv],
+    probe = _PROBE.format(prelude=prelude, modules=list(modules))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -448,6 +457,25 @@ class TestHashes:
                                "--report", str(tmp_path / "r.json")])
         assert not probe["loaded_at_start"], "the interpreter loads OpenSSL at start-up"
         assert not probe["loaded"] and probe["rc"] == 0
+
+    def test_verify_imports_no_dataclasses(self, tmp_path):
+        # nor what ``dataclasses`` pulls in
+        probe = _fresh_verify(["verify", "--stage", "lemma31", "--trials", "2",
+                               "--report", str(tmp_path / "r.json")],
+                              modules=("dataclasses", "inspect", "ast", "dis"))
+        assert probe["loaded_at_start"] == [], "the interpreter loads them at start-up"
+        assert probe["loaded"] == [] and probe["rc"] == 0
+
+    def test_no_module_imports_dataclasses(self):
+        for path in Path(SRC, "curvelim").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                assert "dataclasses" not in names, path.name
 
     def test_hashlib_fallback_gives_the_same_report(self, tmp_path):
         argv = ["verify", "--canonical", "--seed", "0", "--stage", "lemma31"]

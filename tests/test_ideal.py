@@ -345,6 +345,17 @@ class TestBasisReuse:
         with pytest.raises(ResourceExhausted):
             membership(poly("x^3 - 2*x*y"), gs, limits=Limits(max_basis=1), cache=cache)
 
+    def test_equal_ceilings_share_one_run(self, monkeypatch):
+        # Limits is a value: the defaults spelled out are the same key
+        assert Limits() == Limits(4000, 200000) and Limits() != Limits(max_basis=1)
+        assert hash(Limits()) == hash(Limits(4000, 200000))
+        built = self._counting(monkeypatch)
+        cache = {}
+        gs = gens(VT, a=poly("x^2 - y"), b=poly("x*y - 1"))
+        membership(poly("y^2 - x"), gs, cache=cache)
+        membership(poly("y^2 - x"), gs, limits=Limits(4000, 200000), cache=cache)
+        assert len(built) == 1 and len(cache) == 1
+
     def test_a_run_that_hits_a_ceiling_leaves_the_cache(self):
         # x*y is in the ideal, but only after more pairs than the ceiling
         # allows; the run must not serve a later call half-built

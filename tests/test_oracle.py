@@ -2,6 +2,7 @@
 planted corruption detection, the compiled evaluator and its independence."""
 
 import ast
+import gc
 import hashlib
 from fractions import Fraction
 from pathlib import Path
@@ -473,6 +474,19 @@ class TestSweep:
         assert len(sweeps) == 2
         for sweep in sweeps:
             assert sweep.columns == {}
+
+    def test_a_sweep_leaves_no_reference_cycle(self, lemma32_items):
+        # the sweep and its memo of monomial columns are freed on return by
+        # reference counting, not left to the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            oracle.check_certificates(lemma32_items, SpotCheckConfig())
+            assert gc.collect() == 0
+            check_certificate(lemma32_items[0][1], cfg=SpotCheckConfig(trials=150))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_one_stream_per_variable_and_one_column_per_operand(self, monkeypatch,
                                                                lemma32_items):

@@ -3,7 +3,6 @@ format."""
 
 import ast
 import copy
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,7 +295,8 @@ class TestEliminateW:
         assert recs["eliminate_w"].details["members"] == ["eq_3_48", "eq_3_49"]
 
     def test_corrupted_member_fails_the_step(self, monkeypatch):
-        patched = [dataclasses.replace(e, text=e.text.replace("24*H^2", "25*H^2"))
+        patched = [frame.RegistryEntry(e.eid, e.text.replace("24*H^2", "25*H^2"), e.citation,
+                                       e.quote, e.role, e.note)
                    if e.eid == "eq_3_48" else e for e in frame._REGISTRY]
         monkeypatch.setattr(frame, "_REGISTRY", patched)
         rr = run_builtin("theorem33", Config(trials=2))
@@ -357,9 +357,26 @@ def test_builtin_replay_finishes_no_groebner_basis(monkeypatch):
 
 def _corrupt(monkeypatch, eid, extra_text):
     """Append ``extra_text`` to the printed transcription of ``eid``."""
-    patched = [dataclasses.replace(e, text=e.text + extra_text) if e.eid == eid else e
-               for e in frame._REGISTRY]
+    patched = [frame.RegistryEntry(e.eid, e.text + extra_text, e.citation, e.quote, e.role, e.note)
+               if e.eid == eid else e for e in frame._REGISTRY]
     monkeypatch.setattr(frame, "_REGISTRY", patched)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Limits(), "max_basis"),
+    (lambda: oracle.SpotCheckConfig(), "trials"),
+    (lambda: ideal.SaturationRecord("h", load_paper_symbols().poly("h1"), "e_1(H) != 0"),
+     "multiplier"),
+    (lambda: frame._REGISTRY[0], "text"),
+    (lambda: frame.Fresh("d2_u2_1"), "symbol"),
+    (lambda: frame.load_paper_axioms(load_paper_symbols())[0], "poly"),
+], ids=["Limits", "SpotCheckConfig", "SaturationRecord", "RegistryEntry", "Fresh", "Axiom"])
+def test_shared_records_refuse_assignment(make, field):
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
 
 
 class TestFailedStepsAreRecords:
@@ -443,11 +460,14 @@ STEP s3 assert_member y^2 - x USING g1,g2
 
     def test_records_are_made_only_by_the_step_path(self):
         # no StepRecord is built, and no stage's records are written, outside
-        # StageRunner
+        # StageRunner; StageResult's constructor only starts the list
         tree = ast.parse(Path(pipeline.__file__).read_text())
-        runner = next(n for n in tree.body
-                      if isinstance(n, ast.ClassDef) and n.name == "StageRunner")
-        inside = {id(n) for n in ast.walk(runner)}
+        runner, result = (next(n for n in tree.body
+                               if isinstance(n, ast.ClassDef) and n.name == name)
+                          for name in ("StageRunner", "StageResult"))
+        init = next(n for n in result.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+        inside = {id(n) for n in ast.walk(runner)} | {id(n) for n in ast.walk(init)}
         offenders = []
         for node in ast.walk(tree):
             if id(node) in inside:
