@@ -7,8 +7,9 @@
 ``verify`` takes its defaults from ``Config()``, writes the JSON report and
 prints ``report``'s summary of it.  Exit codes: 0 verification success; 1
 verification failure (including the documented-discrepancy verdict); 2 usage
-or parse error, a script or report file that cannot be read or decoded, or a
-report path that cannot be written (found before anything runs); 3
+or parse error, an algebra error in ``poly``, a script or report file that
+cannot be read or decoded, or a report path that cannot be written (found
+before anything runs); 3
 resource-ceiling failure.  Reports are always written, even on failure,
 before an exit 1 or 3.
 ``CURVELIM_REPORT_DIR`` sets the default report location.
@@ -261,8 +262,9 @@ def cmd_poly(args) -> int:
             print("poly wants a subcommand: resultant, groebner, reduce",
                   file=sys.stderr)
             return EXIT_USAGE
-    except (ParseError, PolyError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except PolyError as exc:
+        label = "parse error" if isinstance(exc, ParseError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceExhausted as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)

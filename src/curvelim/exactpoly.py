@@ -80,25 +80,6 @@ class DomainError(PolyError):
     """Operation undefined for the given inputs (e.g. resultant in an absent variable)."""
 
 
-class _Frozen:
-    """A record whose fields, named in ``__slots__``, are set once by
-    ``_fill`` in ``__init__``: assigning to a field afterwards raises
-    ``AttributeError``, so an instance can be shared.  The base of the
-    frozen records of ``ideal`` and ``frame``."""
-
-    __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
-
-
 def _norm_coeff(c: Coeff) -> Coeff:
     if type(c) is int:  # skips isinstance, which goes through Fraction's ABCMeta
         return c

@@ -27,9 +27,10 @@ weighted-homogeneous, which the ideal layer exploits for degree truncation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import namedtuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from .exactpoly import Polynomial, PolyError, VarTable, _Frozen, parse_polynomial
+from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
 from .ideal import SaturationRecord
 
 ENGINE_VERSION = "0.1.0"
@@ -93,17 +94,14 @@ def load_paper_symbols() -> SymbolTable:
 # equation registry
 # ---------------------------------------------------------------------------
 
-class RegistryEntry(_Frozen):
+class RegistryEntry(namedtuple("RegistryEntry", "eid text citation quote role note",
+                               defaults=("",))):
     """One printed equation: ``text`` in exactpoly syntax (None for
     rule-identity entries) and ``role`` one of constraint |
     curvature-component | biharmonic | codazzi | derived | definition |
     rule-identity."""
 
-    __slots__ = ("eid", "text", "citation", "quote", "role", "note")
-
-    def __init__(self, eid: str, text: Optional[str], citation: str, quote: str, role: str,
-                 note: str = ""):
-        self._fill(eid, text, citation, quote, role, note)
+    __slots__ = ()
 
 
 _REGISTRY: List[RegistryEntry] = [
@@ -377,17 +375,17 @@ class EquationRegistry:
         return [e.eid for e in _REGISTRY]
 
 
-class Axiom(_Frozen):
+class Axiom(namedtuple("Axiom", "aid poly citation quote role")):
     """A vanishing polynomial taken as input, with its citation and quote."""
 
-    __slots__ = ("aid", "poly", "citation", "quote", "role")
+    __slots__ = ()
 
-    def __init__(self, aid: str, poly: Polynomial, citation: str, quote: str, role: str):
+    def __new__(cls, aid: str, poly: Polynomial, citation: str, quote: str, role: str):
         if poly.is_zero():
             raise PolyError(f"axiom {aid!r} is the zero polynomial")
         if not citation or not quote:
             raise PolyError(f"axiom {aid!r} misses citation or quote")
-        self._fill(aid, poly, citation, quote, role)
+        return super().__new__(cls, aid, poly, citation, quote, role)
 
 
 # the printed equations the replay assumes: constraints, curvature components, definitions
@@ -501,13 +499,10 @@ def nondegeneracy_records(symbols: SymbolTable) -> List[SaturationRecord]:
 # derivation rule tables
 # ---------------------------------------------------------------------------
 
-class Fresh(_Frozen):
+class Fresh(namedtuple("Fresh", "symbol")):
     """Marker for an underdetermined derivative: a fixed opaque symbol is used."""
 
-    __slots__ = ("symbol",)
-
-    def __init__(self, symbol: str):
-        self._fill(symbol)
+    __slots__ = ()
 
 
 class DerivationRuleTable:

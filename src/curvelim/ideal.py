@@ -58,6 +58,7 @@ refer back to the caller's generators.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from operator import add, mul, sub
@@ -68,7 +69,6 @@ from .exactpoly import (
     PolyError,
     Polynomial,
     VarTable,
-    _Frozen,
     _divide,
     _divides,
     _over,
@@ -99,38 +99,28 @@ class ResourceExhausted(Exception):
         self.limit = limit
 
 
-class Limits(_Frozen):
+class Limits(namedtuple("Limits", "max_basis max_pairs")):
     """The basis-size and pair-count ceilings of a Buchberger run.  A value:
     equal limits share one ``_run`` cache entry."""
 
-    __slots__ = ("max_basis", "max_pairs")
+    __slots__ = ()
 
-    def __init__(self, max_basis: int = 4000, max_pairs: int = 200000):
-        self._fill(max_basis, max_pairs)
+    def __new__(cls, max_basis: int = 4000, max_pairs: int = 200000):
         if max_basis < 1 or max_pairs < 1:
-            raise ValueError(f"ceilings must be at least 1, not {self}")
-
-    def __repr__(self) -> str:
-        return f"Limits(max_basis={self.max_basis!r}, max_pairs={self.max_pairs!r})"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Limits:
-            return NotImplemented
-        return (self.max_basis, self.max_pairs) == (other.max_basis, other.max_pairs)
-
-    def __hash__(self) -> int:
-        return hash((self.max_basis, self.max_pairs))
+            raise ValueError("ceilings must be at least 1, not "
+                             f"Limits(max_basis={max_basis!r}, max_pairs={max_pairs!r})")
+        return super().__new__(cls, max_basis, max_pairs)
 
 
-class Relation:
+class Relation(namedtuple("Relation", "rid poly")):
     """A polynomial asserted to vanish, with a stable identifier."""
 
-    __slots__ = ("rid", "poly")
+    __slots__ = ()
 
-    def __init__(self, rid: str, poly: Polynomial):
+    def __new__(cls, rid: str, poly: Polynomial):
         if poly.is_zero():
             raise PolyError(f"relation {rid!r} is the zero polynomial")
-        self.rid, self.poly = rid, poly
+        return super().__new__(cls, rid, poly)
 
 
 class GeneratorSet:
@@ -170,15 +160,15 @@ class GeneratorSet:
         return GeneratorSet(self.table, [self.get(r) for r in rids])
 
 
-class SaturationRecord(_Frozen):
+class SaturationRecord(namedtuple("SaturationRecord", "sid multiplier justification")):
     """A multiplier the pipeline may divide by, with its justification."""
 
-    __slots__ = ("sid", "multiplier", "justification")
+    __slots__ = ()
 
-    def __init__(self, sid: str, multiplier: Polynomial, justification: str):
+    def __new__(cls, sid: str, multiplier: Polynomial, justification: str):
         if multiplier.is_zero():
             raise PolyError(f"saturation multiplier {sid!r} is zero")
-        self._fill(sid, multiplier, justification)
+        return super().__new__(cls, sid, multiplier, justification)
 
 
 class Certificate:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import struct
 from array import array
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,25 +91,18 @@ class OracleError(Exception):
     different variable tables)."""
 
 
-class SpotCheckConfig:
+class SpotCheckConfig(namedtuple("SpotCheckConfig", "seed trials prime")):
     """The seed, trial count and prime of the checks.  A default instance is
     shared by every call that omits ``cfg``, so assigning to a field raises."""
 
-    __slots__ = ("seed", "trials", "prime")
+    __slots__ = ()
 
-    def __init__(self, seed: int = 0, trials: int = 100, prime: int = DEFAULT_PRIME):
+    def __new__(cls, seed: int = 0, trials: int = 100, prime: int = DEFAULT_PRIME):
         if trials < 1:
             raise OracleError("trials must be at least 1")
         if prime <= 2 ** 61 or prime % 2 == 0 or not is_probable_prime(prime):
             raise OracleError("modulus must be an odd prime exceeding 2^61")
-        for name, value in (("seed", seed), ("trials", trials), ("prime", prime)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a SpotCheckConfig")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a SpotCheckConfig")
+        return super().__new__(cls, seed, trials, prime)
 
 
 class SpotCheckResult:

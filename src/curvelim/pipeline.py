@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -91,22 +92,21 @@ GOOD_STATUSES = {"verified", "matched", "matched-up-to-content", "branch-closed"
                  "consistent", "annotation", "nonzero", "archived", "assumed"}
 
 
-class Config:
+class Config(namedtuple("Config", "seed trials modulus max_power limits canonical")):
     """The settings of a run.  ``seed`` also seeds the oracle's evaluation
     points, ``trials`` is the oracle's evaluations per certificate,
     ``modulus`` its prime, and ``canonical`` zeroes the timings for
     byte-stable output."""
 
-    __slots__ = ("seed", "trials", "modulus", "max_power", "limits", "canonical")
+    __slots__ = ()
 
-    def __init__(self, seed: int = 0, trials: int = 100, modulus: int = DEFAULT_PRIME,
-                 max_power: int = 8, limits: Limits = Limits(), canonical: bool = False):
-        self.seed, self.trials, self.modulus = seed, trials, modulus
-        self.max_power, self.limits, self.canonical = max_power, limits, canonical
+    def __new__(cls, seed: int = 0, trials: int = 100, modulus: int = DEFAULT_PRIME,
+                max_power: int = 8, limits: Limits = Limits(), canonical: bool = False):
         # a bad setting is rejected before any stage runs
         if max_power < 0:
             raise ValueError(f"max_power must be at least 0, not {max_power}")
-        self.oracle_config()
+        SpotCheckConfig(seed, trials, modulus)
+        return super().__new__(cls, seed, trials, modulus, max_power, limits, canonical)
 
     def oracle_config(self) -> SpotCheckConfig:
         """The oracle settings; raises OracleError when they are invalid."""
@@ -1363,6 +1363,8 @@ def run_script(text: str, config: Optional[Config] = None) -> RunResult:
                 except PolyError as exc:
                     raise ScriptError(str(exc), ln)
         elif head == "WEIGHTS":
+            if weights_line:
+                raise ScriptError("duplicate WEIGHTS line", ln)
             weights_line = ln
             try:
                 weights = [int(w) for w in rest.split()]

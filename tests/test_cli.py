@@ -38,6 +38,15 @@ class TestPoly:
 
     def test_parse_error_exit_2(self, capsys):
         assert run_cli(["poly", "resultant", "x +* 1", "x", "x"]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["resultant", "x+1", "y", "x"], "resultant requires positive degree"),
+        (["reduce", "x^2", ""], "empty generator set"),
+    ], ids=["resultant-degree", "reduce-no-divisors"])
+    def test_algebra_error_is_not_a_parse_error(self, capsys, argv, message):
+        assert run_cli(["poly"] + argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("gens", [",", ""])
     def test_groebner_without_generators_exit_2(self, capsys, gens):

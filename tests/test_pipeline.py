@@ -370,13 +370,28 @@ def _corrupt(monkeypatch, eid, extra_text):
     (lambda: frame._REGISTRY[0], "text"),
     (lambda: frame.Fresh("d2_u2_1"), "symbol"),
     (lambda: frame.load_paper_axioms(load_paper_symbols())[0], "poly"),
-], ids=["Limits", "SpotCheckConfig", "SaturationRecord", "RegistryEntry", "Fresh", "Axiom"])
+    (lambda: ideal.Relation("r", load_paper_symbols().poly("h1")), "poly"),
+    (lambda: Config(), "limits"),
+], ids=["Limits", "SpotCheckConfig", "SaturationRecord", "RegistryEntry", "Fresh", "Axiom",
+        "Relation", "Config"])
 def test_shared_records_refuse_assignment(make, field):
     record = make()
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: oracle.SpotCheckResult("c", 2), "failures"),
+    (lambda: pipeline.RunResult([], Config()), "oracle"),
+    (lambda: pipeline.StepRecord("s", "assume", "c", "q", "assumed"), "fresh_minted"),
+    (lambda: pipeline.StepRecord("s", "assume", "c", "q", "assumed"), "fresh_cancelled"),
+], ids=["SpotCheckResult", "RunResult", "StepRecord-minted", "StepRecord-cancelled"])
+def test_mutable_records_get_a_fresh_list_each(make, field):
+    first, second = make(), make()
+    getattr(first, field).append("x")
+    assert getattr(second, field) == []
 
 
 class TestFailedStepsAreRecords:
@@ -762,6 +777,8 @@ class TestScriptResolution:
         ("# no SYMBOLS line: the paper world\nWEIGHTS 1\n", 2, "WEIGHTS needs a custom SYMBOLS"),
         ("# a repeated name\nSYMBOLS x y x\n", 2, "duplicate variable names"),
         ("SYMBOLS x y\nWEIGHTS 1 -1\n", 2, "WEIGHTS must be nonnegative"),
+        ("SYMBOLS x y\nWEIGHTS 1 1\nWEIGHTS 2 1\nAXIOM a | x*y | t | q\nSTAGE s\n"
+         "STEP s1 assume a\nSTEP s2 assert_member x^2*y USING a\n", 3, "duplicate WEIGHTS line"),
         ("SYMBOLS x y\nAXIOM a | x | toy | x\nAXIOM a | y | toy | y\n"
          "STAGE s\nSTEP s1 assume a\n", 3, "duplicate AXIOM id 'a'"),
         ("SYMBOLS x y\nSATURATION n | x | toy\nSATURATION n | y | toy\n", 3,
@@ -770,7 +787,7 @@ class TestScriptResolution:
          "STEP s2 assert_member b USING prod SAT\n", 5, "SAT wants saturation ids"),
     ], ids=["stage", "step", "weights-short", "weights-first", "weights-paper",
             "weights-default-paper", "symbols-repeated", "weights-negative",
-            "axiom-repeated", "saturation-repeated", "sat-dangling"])
+            "weights-repeated", "axiom-repeated", "saturation-repeated", "sat-dangling"])
     def test_shape_errors_name_their_line(self, text, line, words):
         with pytest.raises(ScriptError) as err:
             run_script(text)
