@@ -49,7 +49,9 @@ Resultants run on coefficient lists in the eliminated variable: ``pseudo_rem``
 is Knuth's pseudo-division (Algorithm R), and ``resultant`` the subresultant
 pseudo-remainder sequence of Collins (JACM 1967) and Brown & Traub (JACM
 1971), one pseudo-division and one exact division per step, which gives the
-Sylvester determinant, sign included.
+Sylvester determinant, sign included.  The sequence runs over the table of
+the variables its operands use, and its result is re-expressed over theirs
+(``Polynomial.over``, which matches variables by name).
 
 Text syntax (parser and printer): ASCII identifiers, integer literals, the
 operators + - * ^ and parentheses.  Implicit multiplication is not accepted.
@@ -64,8 +66,8 @@ import struct
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import le, mul, neg
+from itertools import chain, compress
+from operator import itemgetter, le, mul, neg
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -137,6 +139,12 @@ class VarTable:
 
     def zero_exp(self) -> Exponents:
         return (0,) * len(self.names)
+
+    def subtable(self, keep: set) -> "VarTable":
+        """The table of this table's variables that are in ``keep``, in this
+        table's order and with their weights."""
+        kept = [(n, w) for n, w in zip(self.names, self.weights) if n in keep]
+        return VarTable([n for n, _ in kept], [w for _, w in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +370,29 @@ class Polynomial:
     # -- structure queries ----------------------------------------------------
 
     def variables(self) -> set:
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.table.names[i])
-        return used
+        """The names of the variables with a nonzero exponent in some term."""
+        return {name for name, column in zip(self.table.names, zip(*self.terms)) if any(column)}
+
+    def over(self, table: VarTable) -> "Polynomial":
+        """The same polynomial over ``table``, its variables matched by name;
+        PolyError when ``table`` lacks a variable this polynomial uses.  Each
+        term is re-embedded by one ``itemgetter`` call on its exponent tuple
+        with a 0 appended, the exponent of every variable of ``table`` that
+        this polynomial's table lacks."""
+        names = self.table.names
+        absent = [name not in table for name in names]
+        if any(absent):
+            for m in self.terms:
+                if any(compress(m, absent)):
+                    lost = next(n for n, e, a in zip(names, m, absent) if e and a)
+                    raise PolyError(f"table lacks used variable {lost!r}")
+        picks = [self.table.index.get(name, len(names)) for name in table.names]
+        if len(picks) > 1:
+            get = itemgetter(*picks)
+        else:  # itemgetter of one index returns a scalar, of none is refused
+            def get(e: Exponents) -> Exponents:
+                return tuple([e[i] for i in picks])
+        return Polynomial._of(table, {get(m + (0,)): c for m, c in self.terms.items()})
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -894,12 +919,11 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     (Collins, JACM 1967; Brown & Traub, JACM 1971; Cohen, GTM 138, Alg.
     3.3.7, without content removal).
 
-    With A the operand of larger degree: each step sets R = prem(A, B),
-    A <- B and B <- R / (g * h**delta), delta the degree drop, then g <- lc(A)
-    and h <- g**delta / h**(delta - 1); the divisions are exact.  The sign
-    flips when the two degrees of a step, or of the initial swap, are both
-    odd.  A zero remainder gives 0; at B free of ``name`` the resultant is
-    ``sign * B**deg(A) / h**(deg(A) - 1)``."""
+    The chain (``_subresultant``) runs over the table of the variables the
+    operands use, in this table's order and with its weights, so that
+    every product, division and substitution on the way packs and hashes
+    exponent tuples of that length only; the result is re-expressed over
+    the operands' table once, at the end (``Polynomial.over``)."""
     if p.table != q.table:
         raise PolyError("operands live over different variable tables")
     if name not in p.table:
@@ -907,6 +931,22 @@ def resultant(p: Polynomial, q: Polynomial, name: str) -> Polynomial:
     m, n = p.degree_in(name), q.degree_in(name)
     if m <= 0 or n <= 0:
         raise DomainError("resultant requires positive degree in the chosen variable")
+    table = p.table
+    used = p.variables() | q.variables()
+    if len(used) == len(table):
+        return _subresultant(p, q, name, m, n)
+    own = table.subtable(used)
+    return _subresultant(p.over(own), q.over(own), name, m, n).over(table)
+
+
+def _subresultant(p: Polynomial, q: Polynomial, name: str, m: int, n: int) -> Polynomial:
+    """``resultant`` of p and q, of degrees m, n > 0 in ``name``, over their
+    own table.  With A the operand of larger degree: each step sets
+    R = prem(A, B), A <- B and B <- R / (g * h**delta), delta the degree
+    drop, then g <- lc(A) and h <- g**delta / h**(delta - 1); the divisions
+    are exact.  The sign flips when the two degrees of a step, or of the
+    initial swap, are both odd.  A zero remainder gives 0; at B free of
+    ``name`` the resultant is ``sign * B**deg(A) / h**(deg(A) - 1)``."""
     sign = -1 if m & n & 1 and m < n else 1
     a, b = (p, q) if m >= n else (q, p)
     m, n = max(m, n), min(m, n)

@@ -28,6 +28,7 @@ weighted-homogeneous, which the ideal layer exploits for degree truncation.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
@@ -432,19 +433,21 @@ PERM_2_4 = {
 
 
 def permute_polynomial(p: Polynomial, mapping: Dict[str, str]) -> Polynomial:
-    """Rename variables according to the (involutive) index permutation."""
+    """Rename variables by the index permutation ``mapping``, a variable it
+    does not name staying put; ValueError unless ``mapping`` is a bijection
+    of the table's variables.  Each term is permuted by one ``itemgetter``
+    call: field j of the image is the exponent of the variable mapped to j."""
     table = p.table
-    idx_map = {}
-    for i, name in enumerate(table.names):
-        idx_map[i] = table.index[mapping.get(name, name)]
-    out = {}
-    for m, coef in p.terms.items():
-        mm = [0] * len(table)
-        for i, e in enumerate(m):
-            if e:
-                mm[idx_map[i]] += e
-        out[tuple(mm)] = coef
-    return Polynomial(table, out)
+    image = [mapping.get(name, name) for name in table.names]
+    if not mapping.keys() <= table.index.keys() or set(image) != table.index.keys():
+        raise ValueError(f"{mapping!r} is not a permutation of the table's variables")
+    if len(image) < 2:  # the identity is the only permutation
+        return p
+    source = [0] * len(image)
+    for i, name in enumerate(image):
+        source[table.index[name]] = i
+    get = itemgetter(*source)
+    return Polynomial(table, {get(m): coef for m, coef in p.terms.items()})
 
 
 # the frame directions e2, e3, e4, each as the index permutation that carries

@@ -1080,13 +1080,16 @@ def run_endgame(config: Config, theorem33: StageResult) -> StageResult:
                   note="whether special constant pairs could annihilate the eliminant"
                        " is left open by the source; the leading coefficient recorded"
                        " above is a nonzero integer, so the degree never drops") as rec:
+        # over the eliminant's own variables and the three read here, so
+        # each substitution packs exponent tuples of that length only
+        own = elim.over(table.subtable(elim.variables() | {"H", "c", "R"}))
         rng = random.Random(config.seed)
         samples = []
         for cval in (-1, 0, 1):
-            at_c = elim.substitute("c", Polynomial.const(table, cval))
+            at_c = own.substitute("c", cval)
             for _ in range(5):
                 rval = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-                spec = at_c.substitute("R", Polynomial.const(table, rval))
+                spec = at_c.substitute("R", rval)
                 samples.append({"c": cval, "R": str(rval),
                                 "status": "zero" if spec.is_zero() else "nonzero",
                                 "H_degree": spec.degree_in("H")})

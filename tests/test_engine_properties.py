@@ -6,7 +6,8 @@ at, the fraction-free division's integer identity and its rational results
 against a schoolbook division, exact division, the Groebner property of a
 reduced basis, independence of generator order, the per-order leading-term
 cache, the subresultant chain against the Sylvester determinant with the
-pseudo-remainder's contract, and the primitive part in integers."""
+pseudo-remainder's contract, over the operands' table or a wider one, the
+re-embedding into another table, and the primitive part in integers."""
 
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from tests_division import division_reference
 from tests_resultant import sylvester_resultant
 
 VT = VarTable(["x", "y", "z"])
+W = VarTable(["u", "z", "x", "v", "y"])  # VT reordered, with two variables more
 ORDERS = [grevlex_order(), lex_order(), block_order(VT, ["x"])]
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -163,8 +165,22 @@ def test_kernel_results_are_clean(a, b, name, v, order):
                a.partial(name), a.coeff_in(name, 1), a.coeff_in(name, 0),
                sum_of_products(VT, [(a, b), (b, a * v)]), sum_of_products(VT, [(a, b), (-a, b)])]
     rem, factors = _reduce(a, [b], order)
-    for p in results + [rem] + factors:
+    for p in results + [rem] + factors + [a.over(W)]:
         _assert_clean(p)
+    assert a.over(W).over(VT) == a
+
+
+@SETTINGS
+@given(_rational_poly(3, 5), st.sampled_from(VT.names))
+def test_over_needs_the_used_variables_only(a, name):
+    # the table of the used variables alone has 0 to 3 of them
+    assert a.over(VT.subtable(a.variables())).over(VT) == a
+    rest = VT.subtable(set(VT.names) - {name})
+    if name in a.variables():
+        with pytest.raises(PolyError):
+            a.over(rest)
+    else:
+        assert a.over(rest).over(VT) == a
 
 
 @SETTINGS
@@ -322,7 +338,11 @@ def _vt(text):
 @example((_vt("(x - y)*(2*x + 1)"), _vt("(x - y)*z")))
 def test_resultant_is_the_sylvester_determinant(operands):
     for p, q in (operands, operands[::-1]):
-        assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
+        res = resultant(p, q, "x")
+        assert res == sylvester_resultant(p, q, "x")
+        # over W the chain runs over the operands' own variables, u and v
+        # projected away, and its result is lifted back to W
+        assert resultant(p.over(W), q.over(W), "x") == res.over(W)
         m, n = p.degree_in("x"), q.degree_in("x")
         mult, quo, rem = p.pseudo_rem(q, "x")
         assert mult * p == quo * q + rem

@@ -221,6 +221,13 @@ class TestRuleTables:
                                         "v3", "v4", "o223", "o443", "H"])
                 assert permute_polynomial(permute_polynomial(p, perm), perm) == p
 
+    def test_permutation_must_be_a_bijection(self, symbols):
+        # a map that sends two variables to one would merge their exponents
+        p = symbols.poly("u2*u3 + v3")
+        for mapping in ({"u2": "u3"}, {"u2": "v9", "v9": "u2"}, {"v9": "v9"}):
+            with pytest.raises(ValueError):
+                permute_polynomial(p, mapping)
+
 
 class TestConsistency:
     def test_all_checks_pass(self):

@@ -3,6 +3,7 @@ format."""
 
 import ast
 import copy
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,6 +84,38 @@ class TestEndgameEliminate:
     def test_degenerate_rejected(self, symbols):
         with pytest.raises(DomainError):
             endgame_eliminate(symbols.poly("H"), symbols.poly("K"))
+
+    def test_eliminant_and_samples_over_the_paper_table(self, symbols, theorem33_run):
+        # the samples are specialised over the eliminant's own variables and
+        # equal those of the eliminant over the paper table, which it stays on
+        stage = run_endgame(Config(seed=7), theorem33_run.stages[0])
+        elim = stage.derived["eliminant"]
+        assert elim.table == symbols.table
+        assert elim.degree_in("H") == 40 and len(elim.terms) == 190
+        assert elim.coeff_in("H", 40) == symbols.poly("3281523844472221106566866083194283577311232")
+        rng = random.Random(7)
+        expected = []
+        for cval in (-1, 0, 1):
+            at_c = elim.substitute("c", cval)
+            for _ in range(5):
+                rval = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+                spec = at_c.substitute("R", rval)
+                expected.append({"c": cval, "R": str(rval),
+                                 "status": "zero" if spec.is_zero() else "nonzero",
+                                 "H_degree": spec.degree_in("H")})
+        (rec,) = [r for r in stage.records if r.sid == "eliminant_samples"]
+        assert rec.details["samples"] == expected
+
+    @pytest.mark.parametrize("pair, status, degree", [
+        (("K - H", "K + H"), "nonzero", 1),  # an eliminant free of c and R
+        (("K^2", "K"), "zero", -1),
+    ])
+    def test_samples_of_an_eliminant_without_c_or_r(self, symbols, pair, status, degree):
+        derived = dict(zip(("eq_3_62_derived", "eq_3_65_derived"), map(symbols.poly, pair)))
+        stage = run_endgame(Config(), pipeline.StageResult("theorem33", derived=derived))
+        (rec,) = [r for r in stage.records if r.sid == "eliminant_samples"]
+        assert [(s["status"], s["H_degree"]) for s in rec.details["samples"]] == \
+            [(status, degree)] * 15
 
 
 class TestLemma31:
@@ -231,18 +264,24 @@ class TestEndgameWork:
     def test_eliminate_k_runs_three_steps_and_two_divisions(self, theorem33_run, monkeypatch):
         # K-degrees 3 and 4: the subresultant chain makes one pseudo-remainder
         # per degree step and divides the second and third by g*h**delta; the
-        # Sylvester determinant by Bareiss made 91 exact divisions
+        # Sylvester determinant by Bareiss made 91 exact divisions.  The
+        # chain runs over the four variables the pair uses, H, R, c and K,
+        # not the paper table's 30
         derived = theorem33_run.stages[0].derived
         calls = {"exact_divide": 0, "pseudo_rem": 0}
+        widths = []
         for name in calls:
             real = getattr(exactpoly.Polynomial, name)
 
-            def counting(*args, _real=real, _name=name):
+            def counting(poly, *args, _real=real, _name=name):
                 calls[_name] += 1
-                return _real(*args)
+                if _name == "pseudo_rem":
+                    widths.append(len(poly.table))
+                return _real(poly, *args)
             monkeypatch.setattr(exactpoly.Polynomial, name, counting)
         endgame_eliminate(derived["eq_3_62_derived"], derived["eq_3_65_derived"])
         assert calls == {"exact_divide": 2, "pseudo_rem": 3}
+        assert widths == [4, 4, 4]
 
 
 class TestStageIndependence:
