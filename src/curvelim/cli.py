@@ -9,9 +9,10 @@ prints ``report``'s summary of it.  Exit codes: 0 verification success; 1
 verification failure (including the documented-discrepancy verdict); 2 usage
 or parse error, an algebra error in ``poly``, a script or report file that
 cannot be read or decoded, or a report path that cannot be written (found
-before anything runs); 3
-resource-ceiling failure.  Reports are always written, even on failure,
-before an exit 1 or 3.
+before anything runs); 3 resource-ceiling failure; 4 internal error, an
+exception that escaped the run or the report, printed as ``internal error:
+<Type>: <message>``, with no report written.  A report is written before
+every exit 0, 1 or 3.
 ``CURVELIM_REPORT_DIR`` sets the default report location.
 """
 
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -204,10 +206,13 @@ def cmd_verify(args) -> int:
     try:
         try:
             result = run_script(text, config) if args.script else run_builtin(stage, config)
+            report = result.report()
         except ScriptError as exc:
             print(f"script error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        report = result.report()
+        except Exception as exc:  # a crash must not exit with a verdict's code
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         try:
             with out:
                 json.dump(report, out, indent=1, sort_keys=True)

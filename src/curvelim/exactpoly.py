@@ -94,8 +94,9 @@ class VarTable:
     """Fixed ordered list of variable names.
 
     The order is part of the algebra's identity: monomial orders, printers and
-    the coefficient lists of a resultant all reference variable indices.
-    Tables are immutable.
+    the coefficient lists of a resultant all reference variable indices.  So
+    are the weights, which fix weighted degrees and the degree at which
+    membership truncates its run.  Tables are immutable.
     """
 
     __slots__ = ("names", "index", "weights")
@@ -129,10 +130,11 @@ class VarTable:
         return name in self.index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VarTable) and self.names == other.names
+        return (isinstance(other, VarTable) and self.names == other.names
+                and self.weights == other.weights)
 
     def __hash__(self) -> int:
-        return hash(self.names)
+        return hash((self.names, self.weights))
 
     def __repr__(self) -> str:
         return f"VarTable({list(self.names)!r})"

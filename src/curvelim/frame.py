@@ -16,9 +16,11 @@ Symbols (ASCII names for the frame quantities):
   h1            the derivative of H along the distinguished direction e1
   K             product lam2*lam3*lam4 (tied by a defining relation)
   s             u2+u3+u4 (tied by a defining relation)
-  d2v3, ...     opaque second-derivative symbols, e.g. d2v3 = e2(w33_2)
-  d2_u2_1, ...  deterministic fresh symbols minted for underdetermined
-                derivatives (e2(u2), e3(u3), e4(u4))
+  d2v3, ...     opaque symbols for the derivatives the rules leave
+  d2_u2_1, ...  undetermined: D2's rows of v3, v4 and u2 are d2v3 = e2(w33_2),
+                d2v4 and d2_u2_1 = e2(u2), and D3's and D4's their permuted
+                images.  A rule table's opaque symbols are read from its rows:
+                the symbols they bring in that have no row of their own
 
 Weighted degrees (wt 1 for frame quantities, wt 2 for their first e1/e2
 derivatives and the constants c, R, wt 3 for K) make every pipeline relation
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import itemgetter
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
-from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial
+from .exactpoly import Polynomial, PolyError, VarTable, parse_polynomial, sum_of_products
 from .ideal import SaturationRecord
 
 ENGINE_VERSION = "0.1.0"
@@ -64,9 +66,9 @@ _SYMBOLS: List[Tuple[str, int, str]] = [
     ("d3o443", 2, "e3(w44_3), opaque"),
     ("d4o224", 2, "e4(w22_4), opaque"),
     ("d4o334", 2, "e4(w33_4), opaque"),
-    ("d2_u2_1", 2, "fresh: e2(u2)"),
-    ("d3_u3_1", 2, "fresh: e3(u3)"),
-    ("d4_u4_1", 2, "fresh: e4(u4)"),
+    ("d2_u2_1", 2, "e2(w22_1), opaque"),
+    ("d3_u3_1", 2, "e3(w33_1), opaque"),
+    ("d4_u4_1", 2, "e4(w44_1), opaque"),
 ]
 
 
@@ -502,71 +504,53 @@ def nondegeneracy_records(symbols: SymbolTable) -> List[SaturationRecord]:
 # derivation rule tables
 # ---------------------------------------------------------------------------
 
-class Fresh(namedtuple("Fresh", "symbol")):
-    """Marker for an underdetermined derivative: a fixed opaque symbol is used."""
-
-    __slots__ = ()
-
-
 class DerivationRuleTable:
-    """A derivation operator given by per-symbol images, Leibniz-extended.
+    """A derivation operator given by one polynomial row per symbol,
+    Leibniz-extended.
 
-    Missing symbols have no derivative rule; applying the operator to a
-    polynomial containing one is a structural error (the replay never needs
-    those derivatives).
+    A row may bring in a symbol that has no row of its own, such as D2's row
+    of u2, the symbol ``d2_u2_1`` naming the underdetermined e_2(u2); those
+    are the table's opaque symbols (``opaque``).  Applying the operator to a
+    polynomial containing a symbol without a row is a structural error (the
+    replay never needs those derivatives).
     """
 
-    def __init__(self, name: str, symbols: SymbolTable, rules: Dict[str, object]):
+    def __init__(self, name: str, symbols: SymbolTable,
+                 rules: Dict[str, Union[str, Polynomial]]):
         self.name = name
         self.symbols = symbols
-        self.rules: Dict[str, object] = {}
-        for sym, img in rules.items():
+        self.rules: Dict[str, Polynomial] = {}
+        for sym, row in rules.items():
             if sym not in symbols.table:
                 raise PolyError(f"rule for unknown symbol {sym!r}")
-            if isinstance(img, Fresh):
-                if img.symbol not in symbols.table:
-                    raise PolyError(f"fresh symbol {img.symbol!r} not in table")
-                self.rules[sym] = img
-            elif isinstance(img, str):
-                self.rules[sym] = symbols.poly(img)
-            else:
-                self.rules[sym] = img
+            self.rules[sym] = symbols.poly(row) if isinstance(row, str) else row
 
-    def image_of(self, sym: str) -> Polynomial:
-        img = self.rules[sym]
-        if isinstance(img, Fresh):
-            return self.symbols.var(img.symbol)
-        return img
-
-    def apply(self, p: Polynomial) -> Tuple[Polynomial, Set[str]]:
-        """Leibniz extension: sum over symbols of d(p)/d(sym) * image(sym).
-        Returns the image and the set of fresh symbols that the image uses."""
-        fresh: Set[str] = set()
-        out = Polynomial.zero(p.table)
+    def chain(self, p: Polynomial) -> List[Tuple[str, Polynomial, Polynomial]]:
+        """The chain-rule terms of ``p``: ``(sym, dp/dsym, row of sym)`` for
+        p's symbols in name order, zero rows left out; PolyError for a
+        symbol without a row."""
+        terms = []
         for sym in sorted(p.variables()):
-            rule = self.rules.get(sym)
-            if rule is None:
+            row = self.rules.get(sym)
+            if row is None:
                 raise PolyError(f"{self.name} has no rule for symbol {sym!r}")
-            if isinstance(rule, Fresh):
-                img = self.symbols.var(rule.symbol)
-                fresh.add(rule.symbol)
-            else:
-                img = rule
-            if img.is_zero():
-                continue
-            out = out + p.partial(sym) * img
-        return out, fresh
+            if not row.is_zero():
+                terms.append((sym, p.partial(sym), row))
+        return terms
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        """Leibniz extension: the sum over p's symbols of dp/dsym * row(sym)."""
+        return sum_of_products(p.table, [(d, row) for _, d, row in self.chain(p)])
+
+    def opaque(self) -> Set[str]:
+        """The symbols the rows bring in that have no row of their own."""
+        return {v for row in self.rules.values() for v in row.variables()} - self.rules.keys()
 
     def permuted(self, name: str, perm: Dict[str, str]) -> "DerivationRuleTable":
-        """The operator conjugated by the index permutation ``perm``: the rule
-        for perm(x) is the permuted rule for x, a fresh symbol permuted too."""
-        def image(img):
-            if isinstance(img, Fresh):
-                return Fresh(perm.get(img.symbol, img.symbol))
-            return permute_polynomial(img, perm)
-
+        """The operator conjugated by the index permutation ``perm``: the row
+        of perm(x) is the permuted row of x, an opaque symbol permuted too."""
         return DerivationRuleTable(name, self.symbols, {
-            perm.get(sym, sym): image(img) for sym, img in self.rules.items()})
+            perm.get(sym, sym): permute_polynomial(row, perm) for sym, row in self.rules.items()})
 
 
 def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
@@ -602,9 +586,9 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
         "lam2": "(lam2 - lam3)*v3 + (lam2 - lam4)*v4",
         "u3": "(u3 - u2)*v3",
         "u4": "(u4 - u2)*v4",
-        "u2": Fresh("d2_u2_1"),
-        "v3": Fresh("d2v3"),
-        "v4": Fresh("d2v4"),
+        "u2": "d2_u2_1",
+        "v3": "d2v3",
+        "v4": "d2v4",
     })
     for perm in DIRECTIONS.values():
         for v in ("v3", "v4"):
@@ -613,6 +597,6 @@ def load_rule_tables(symbols: SymbolTable) -> Dict[str, DerivationRuleTable]:
     registry = EquationRegistry(symbols)
     for table in (d1, d2):
         for sym, eid in (("K", "K_def"), ("s", "s_def")):
-            table.rules[sym] = table.apply(symbols.var(sym) - registry.poly(eid))[0]
+            table.rules[sym] = table.apply(symbols.var(sym) - registry.poly(eid))
     return {"D1": d1, "D2": d2, **{f"D{k}": d2.permuted(f"D{k}", perm)
                                    for k, perm in DIRECTIONS.items() if perm}}

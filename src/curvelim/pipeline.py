@@ -223,6 +223,8 @@ class StageRunner:
         self.symbols = symbols
         self.registry = EquationRegistry(symbols) if symbols else None
         self.rules = load_rule_tables(symbols) if symbols else {}
+        # the symbols the rule tables name undetermined derivatives by
+        self.opaque = set().union(*(t.opaque() for t in self.rules.values()))
         self.bases: dict = {}
         self.claimed: Dict[tuple, Tuple[List[str], Certificate]] = {}
 
@@ -310,14 +312,13 @@ class StageRunner:
         with self.step(sid, "derive", citation, quote, source=source_id,
                        rule=rule.name) as rec:
             src = self.poly_of(source_id)
-            image, fresh = rule.apply(src)
-            pairs = {}
-            for v in sorted(src.variables()):
-                img = rule.image_of(v)
-                if not img.is_zero():
-                    pairs[f"d({source_id})/d({v})*{rule.name}({v})"] = (src.partial(v), img)
-            ident = Certificate(image, pairs)
-            rec.fresh_minted = sorted(fresh)
+            terms = rule.chain(src)
+            image = rule.apply(src)
+            ident = Certificate(image, {f"d({source_id})/d({v})*{rule.name}({v})": (d, row)
+                                        for v, d, row in terms})
+            # the opaque symbols the rows used bring in: those without a row
+            used = {v for _, _, row in terms for v in row.variables()}
+            rec.fresh_minted = sorted(used - rule.rules.keys())
             self._certify(rec, ident)
             if image.is_zero():
                 rec.details["image"] = "0"
@@ -331,8 +332,9 @@ class StageRunner:
               perm: Optional[Dict[str, str]] = None, **details) -> Optional[Certificate]:
         """Membership of a target in the knowledge ideal; adds it as ``sid`` (a
         failure if taken) on success, recorded with ``status``.  ``minted``
-        names a fresh symbol of the derivation, recorded as cancelled when the
-        target does not contain it.  In a replay permuted by ``perm``, a claim
+        names an opaque symbol of the derivation, recorded as cancelled when
+        the target does not contain it; the target's opaque symbols, those of
+        the stage's rule tables, are recorded too.  In a replay permuted by ``perm``, a claim
         that is the image of an earlier one takes its certificate from it."""
         with self.step(sid, "assert_member", citation, quote, status, **details) as rec:
             target = target() if callable(target) else target
@@ -362,9 +364,9 @@ class StageRunner:
                                declared_via=list(via), saturations=list(sat_ids))
             if note:
                 rec.details["note"] = note
-            minted = [v for v in target.variables() if v.startswith(("d2_", "d3_", "d4_"))]
-            if minted:
-                rec.details["fresh_symbols_in_target"] = minted
+            opaque = sorted(target.variables() & self.opaque)
+            if opaque:
+                rec.details["fresh_symbols_in_target"] = opaque
             return cert
 
     def carried(self, target: Polynomial, gens: GeneratorSet, mult: Optional[Polynomial],
@@ -500,20 +502,20 @@ class StageRunner:
 
         def curvature(i: int) -> Tuple[bool, str]:
             lam, u = self.symbols.var(f"lam{i}"), self.symbols.var(f"u{i}")
-            second, _ = d1.apply(d1.apply(lam)[0])
-            combo = (second + u * d1.apply(lam1)[0] + 2 * (lam1 - lam) * u * u
+            second = d1.apply(d1.apply(lam))
+            combo = (second + u * d1.apply(lam1) + 2 * (lam1 - lam) * u * u
                      + (lam1 - lam) * (lam1 * lam + mk("c")))
             ok = combo.is_zero()
             return ok, ("rule expansion of the printed combination is 0"
                         if ok else f"nonzero residue: {combo.to_text()}")
 
         def trace() -> Tuple[bool, str]:
-            ok = d1.apply(self.printed("eq_3_11"))[0] == -self.printed("eq_3_30")
+            ok = d1.apply(self.printed("eq_3_11")) == -self.printed("eq_3_30")
             return ok, "e1 image of (3.11) equals -(3.30)" if ok else "sign convention broken"
 
         def reduction() -> Tuple[bool, str]:
             gens = GeneratorSet(self.gens.table, [
-                Relation("d1_eq_3_3", d1.apply(self.printed("eq_3_3"))[0]),
+                Relation("d1_eq_3_3", d1.apply(self.printed("eq_3_3"))),
                 *(Relation(eid, self.printed(eid)) for eid in ("eq_3_30", "eq_3_11", "eq_3_3")),
             ])
             ok = membership(self.printed("eq_3_55"), gens, limits=self.config.limits,
@@ -710,7 +712,7 @@ def run_lemma32(config: Config) -> StageResult:
         def sid(eid: str) -> str:
             return f"{prefix}{eid}"
 
-        sum_axiom = dd.apply(mk("u2 + u3 + u4"))[0]
+        sum_axiom = dd.apply(mk("u2 + u3 + u4"))
         if perm:
             run.assume(sid("eq_3_29"), sum_axiom, "eq (3.29), permuted replay",
                        f"with some similar discussions (e_{k} case)")
@@ -724,10 +726,11 @@ def run_lemma32(config: Config) -> StageResult:
                    citation="eqs (3.31)-(3.32)",
                    quote="Now acting e_2 on both sides of the above equation")
         elim_u = perm.get("u2", "u2")
+        # D_k's row of u_k is the one opaque symbol naming e_k(u_k)
+        (minted,) = dd.rules[elim_u].variables()
         run.claim_registry("eq_3_33",
                            [sid("d_eq_3_30"), sid("eq_3_29"), "eq_3_11", "eq_3_3"],
-                           sid=sid("eq_3_33"), perm=perm,
-                           minted=dd.rules[elim_u].symbol)
+                           sid=sid("eq_3_33"), perm=perm, minted=minted)
         dimg = run.derive(sid("d_eq_3_3"), dd, "eq_3_3",
                           citation="before eq (3.34)",
                           quote="differentiating (3.3) along e_2, by (3.11) and (3.7)")
@@ -933,7 +936,7 @@ def chain_after_3_60(run: StageRunner, e60: Polynomial) -> Optional[Polynomial]:
     F, G = -e59.coeff_in("s", 1), e59.coeff_in("h1", 1)
     E = e59 + F * s - G * h1      # D1(K) in the frame
     N = F * P - G * Q             # by (3.59) and (3.60), Q*e_1(K) = N*e_1(H)
-    W = d1.image_of("h1").coeff_in("h1", 0)
+    W = d1.rules["h1"].coeff_in("h1", 0)
 
     # (3.61): resultant in s of (3.53) and (3.60)
     def build_61():

@@ -175,6 +175,30 @@ class TestVerify:
         rep = json.loads(path.read_text())
         assert any(s["verdict"] == "resource-fail" for s in rep["stages"])
 
+    def test_crash_exits_internal_not_a_verdict_code(self, tmp_path, monkeypatch, capsys):
+        import curvelim.cli as cli
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_builtin", crash)
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--stage", "lemma31", "--report", str(path)]) == 4
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_definition_exits_internal(self, tmp_path, monkeypatch, capsys):
+        # D1's row of K is computed from K_def when a paper stage starts,
+        # outside any step, so a K_def that is not K - f crashes the run
+        patched = [frame.RegistryEntry(e.eid, "2*K - lam2*lam3*lam4", e.citation, e.quote,
+                                       e.role, e.note)
+                   if e.eid == "K_def" else e for e in frame._REGISTRY]
+        monkeypatch.setattr(frame, "_REGISTRY", patched)
+        path = tmp_path / "r.json"
+        assert run_cli(["verify", "--report", str(path), "--trials", "2"]) == 4
+        assert "D1 has no rule for symbol 'K'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_bad_oracle_setting_rejected_before_any_stage(self, tmp_path, monkeypatch,
                                                           capsys):
         import curvelim.cli as cli

@@ -265,6 +265,16 @@ class TestOrders:
         assert p.weighted_degree() == 3
         assert not parse_polynomial("H + K", wt).is_weighted_homogeneous()
 
+    def test_tables_differing_only_in_weights_do_not_mix(self):
+        # a sum over two tables with the same names but other weights would
+        # take its weighted degree from whichever operand came first
+        light, heavy = VarTable(["x", "y"], [1, 1]), VarTable(["x", "y"], [1, 3])
+        assert light != heavy and hash(light) != hash(heavy)
+        with pytest.raises(PolyError):
+            parse_polynomial("x", light) + parse_polynomial("y", heavy)
+        with pytest.raises(PolyError):
+            parse_polynomial("y", heavy) + parse_polynomial("x", light)
+
     def test_negative_weight_rejected(self):
         # membership's weight truncation needs nonnegative weights; weight 0 is fine
         assert VarTable(["x", "y"], [1, 0]).weights == (1, 0)

@@ -127,23 +127,44 @@ class TestAxioms:
 
 class TestRuleTables:
     def test_trace_derivative_matches_printed(self, symbols, registry, rules):
-        img, fresh = rules["D1"].apply(registry.poly("eq_3_11"))
-        assert fresh == set()
+        img = rules["D1"].apply(registry.poly("eq_3_11"))
         assert img == -registry.poly("eq_3_30")
+        # no row of the trace's chain names an undetermined derivative
+        opaque = set().union(*(t.opaque() for t in rules.values()))
+        assert not any(row.variables() & opaque
+                       for _, _, row in rules["D1"].chain(registry.poly("eq_3_11")))
 
     def test_transverse_direction_kills_H(self, symbols, rules):
-        img, _ = rules["D2"].apply(symbols.poly("H"))
+        img = rules["D2"].apply(symbols.poly("H"))
         assert img.is_zero()
 
     def test_constants(self, symbols, rules):
-        img, _ = rules["D1"].apply(symbols.poly("c*R"))
+        img = rules["D1"].apply(symbols.poly("c*R"))
         assert img.is_zero()
 
     def test_fresh_symbol_minted_deterministically(self, symbols, rules):
-        img1, f1 = rules["D2"].apply(symbols.poly("u2"))
-        img2, f2 = rules["D2"].apply(symbols.poly("u2"))
+        img1 = rules["D2"].apply(symbols.poly("u2"))
+        img2 = rules["D2"].apply(symbols.poly("u2"))
         assert img1 == img2 == symbols.poly("d2_u2_1")
-        assert f1 == f2 == {"d2_u2_1"}
+        ((sym, _, row),) = rules["D2"].chain(symbols.poly("u2"))
+        assert sym == "u2" and row.variables() == {"d2_u2_1"} <= rules["D2"].opaque()
+
+    def test_opaque_symbols_pinned(self, rules):
+        # read from the rows, so a typo in a row cannot pass as a new
+        # undetermined derivative
+        d2 = {"d2_u2_1", "d2v3", "d2v4"}
+        assert rules["D1"].opaque() == set()
+        assert rules["D2"].opaque() == d2
+        assert rules["D3"].opaque() == {PERM_2_3[v] for v in d2} == \
+            {"d3_u3_1", "d3o223", "d3o443"}
+        assert rules["D4"].opaque() == {PERM_2_4[v] for v in d2} == \
+            {"d4_u4_1", "d4o224", "d4o334"}
+
+    def test_chain_skips_zero_rows(self, symbols, rules):
+        # D2 kills H and c, so only u3 contributes to D2(H*u3 + c)
+        p = symbols.poly("H*u3 + c")
+        assert [(sym, d) for sym, d, _ in rules["D2"].chain(p)] == [("u3", symbols.poly("H"))]
+        assert rules["D2"].apply(p) == symbols.poly("H*(u3 - u2)*v3")
 
     def test_missing_rule_is_error(self, symbols, rules):
         with pytest.raises(PolyError):
@@ -156,27 +177,27 @@ class TestRuleTables:
         for _ in range(40):
             p = _random_frame_poly(symbols, rng, names)
             q = _random_frame_poly(symbols, rng, names)
-            lhs, _ = d1.apply(p * q)
-            ap, _ = d1.apply(p)
-            aq, _ = d1.apply(q)
+            lhs = d1.apply(p * q)
+            ap = d1.apply(p)
+            aq = d1.apply(q)
             assert lhs == ap * q + p * aq
 
     def test_permutation_tables_consistent(self, symbols, rules):
         # the direction-3 rule on lam2 is the 2<->3 image of the direction-2
         # rule on lam3, and the direction-4 rule on lam3 the 2<->4 image
-        assert permute_polynomial(rules["D2"].image_of("lam3"), PERM_2_3) == \
-            rules["D3"].image_of("lam2")
-        assert permute_polynomial(rules["D2"].image_of("lam3"), PERM_2_4) == \
-            rules["D4"].image_of("lam3")
-        assert permute_polynomial(rules["D2"].image_of("u3"), PERM_2_3) == \
-            rules["D3"].image_of("u2")
+        assert permute_polynomial(rules["D2"].rules["lam3"], PERM_2_3) == \
+            rules["D3"].rules["lam2"]
+        assert permute_polynomial(rules["D2"].rules["lam3"], PERM_2_4) == \
+            rules["D4"].rules["lam3"]
+        assert permute_polynomial(rules["D2"].rules["u3"], PERM_2_3) == \
+            rules["D3"].rules["u2"]
 
     def test_defined_quantities_differentiate_consistently(self, registry, rules):
         # every operator's K and s rules are the Leibniz images of their
         # definitions, so the defining relations map to 0
         for name in ("D1", "D2", "D3", "D4"):
             for eid in ("K_def", "s_def"):
-                img, _ = rules[name].apply(registry.poly(eid))
+                img = rules[name].apply(registry.poly(eid))
                 assert img.is_zero(), (name, eid)
 
     def test_defined_rows_as_once_typed(self, symbols, rules):
@@ -191,14 +212,14 @@ class TestRuleTables:
             ("D2", "s"): "d2_u2_1 + (u3 - u2)*v3 + (u4 - u2)*v4",
         }
         for (name, sym), text in typed.items():
-            assert rules[name].image_of(sym) == symbols.poly(text), (name, sym)
+            assert rules[name].rules[sym] == symbols.poly(text), (name, sym)
 
     def test_transverse_rows_as_once_typed(self, symbols, rules):
         # D1's direction-3/4 rows, computed through DIRECTIONS, equal the text
         # the table once stored for them
         typed = {"o223": "u2*o223", "o443": "u4*o443", "o224": "u2*o224", "o334": "u3*o334"}
         for sym, text in typed.items():
-            assert rules["D1"].image_of(sym) == symbols.poly(text), sym
+            assert rules["D1"].rules[sym] == symbols.poly(text), sym
 
     def test_permuted_saturation_ids(self, symbols):
         # the table lemma32 once carried by hand for the ids it permutes
@@ -244,18 +265,18 @@ class TestConsistency:
         d1 = rules["D1"]
         mk = symbols.poly
         lam1 = mk("-2*H")
-        d1_lam1, _ = d1.apply(lam1)
+        d1_lam1 = d1.apply(lam1)
         for lam_name, u_name in (("lam2", "u2"), ("lam3", "u3"), ("lam4", "u4")):
             lam, u = symbols.var(lam_name), symbols.var(u_name)
-            first, _ = d1.apply(lam)
-            second, _ = d1.apply(first)
+            first = d1.apply(lam)
+            second = d1.apply(first)
             combo = (second + u * d1_lam1 + 2 * (lam1 - lam) * u * u
                      + (lam1 - lam) * (lam1 * lam + mk("c")))
             assert combo.is_zero()
 
     def test_sign_convention_pinned(self, symbols, rules, registry):
         # flipping the sign of the principal-curvature rule must break (3.30)
-        img, _ = rules["D1"].apply(registry.poly("eq_3_11"))
+        img = rules["D1"].apply(registry.poly("eq_3_11"))
         assert img != registry.poly("eq_3_30")
         assert img == -registry.poly("eq_3_30")
 

@@ -250,7 +250,7 @@ class TestMembership:
         sym = load_paper_symbols()
         reg = EquationRegistry(sym)
         d1 = load_rule_tables(sym)["D1"]
-        img, _ = d1.apply(reg.poly("eq_3_11"))
+        img = d1.apply(reg.poly("eq_3_11"))
         gs = GeneratorSet(sym.table, [Relation("d1_img", img)])
         cert = membership(reg.poly("eq_3_30"), gs)
         assert cert != NOT_MEMBER

@@ -407,11 +407,10 @@ def _corrupt(monkeypatch, eid, extra_text):
     (lambda: ideal.SaturationRecord("h", load_paper_symbols().poly("h1"), "e_1(H) != 0"),
      "multiplier"),
     (lambda: frame._REGISTRY[0], "text"),
-    (lambda: frame.Fresh("d2_u2_1"), "symbol"),
     (lambda: frame.load_paper_axioms(load_paper_symbols())[0], "poly"),
     (lambda: ideal.Relation("r", load_paper_symbols().poly("h1")), "poly"),
     (lambda: Config(), "limits"),
-], ids=["Limits", "SpotCheckConfig", "SaturationRecord", "RegistryEntry", "Fresh", "Axiom",
+], ids=["Limits", "SpotCheckConfig", "SaturationRecord", "RegistryEntry", "Axiom",
         "Relation", "Config"])
 def test_shared_records_refuse_assignment(make, field):
     record = make()
@@ -765,6 +764,27 @@ class TestScriptResolution:
         statuses = {r.sid: r.status for r in result.stages[0].records}
         assert statuses == {"eq_3_24": "failure", "eq_3_25": "assumed"}
         assert result.verdict() == "failure"
+
+    def test_derive_records_the_opaque_symbols_of_a_computed_row(self):
+        # D2's row of s is computed from s_def and brings in d2_u2_1
+        text = ("SYMBOLS paper\nAXIOM t | s*h1 | toy | s h1 vanishes\n"
+                "STAGE s\nSTEP a1 assume t\nSTEP a2 derive D2 t\n")
+        recs = {r.sid: r for r in run_script(text, Config(trials=2)).stages[0].records}
+        assert recs["a2"].status == "verified"
+        assert "d2_u2_1" in recs["a2"].certificate.target.variables()
+        assert recs["a2"].fresh_minted == ["d2_u2_1"]
+
+    @pytest.mark.parametrize("text, opaque", [
+        ("SYMBOLS d2_x y\nAXIOM ax | d2_x - y | toy | d2_x = y\n"
+         "STAGE s\nSTEP a assume ax\nSTEP b assert_member d2_x - y USING ax\n", None),
+        ("SYMBOLS paper\nSTAGE s\nSTEP a assume eq_3_24\n"
+         "STEP b assert_member @eq_3_24 USING eq_3_24\n", ["d2v3", "d3o223"]),
+    ], ids=["custom-symbols", "paper"])
+    def test_opaque_symbols_in_a_claim_target_are_the_rule_tables(self, text, opaque):
+        # a custom script has no rule tables, so a d2_ name is no opaque symbol
+        recs = {r.sid: r for r in run_script(text, Config(trials=2)).stages[0].records}
+        assert recs["b"].status == "verified"
+        assert recs["b"].details.get("fresh_symbols_in_target") == opaque
 
     def test_script_axiom_shadows_a_paper_axiom(self):
         text = ("SYMBOLS paper\nAXIOM eq_3_11 | H | mine | H vanishes\n"
